@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from effdyn import cli
 
 
@@ -141,6 +143,20 @@ def test_golden_report_reproduced(tmp_path):
     assert cli.main(["run", str(tmp_path / "doubling-ks.cfg")]) == 0
     produced = (tmp_path / "out" / "doubling-ks.csv").read_bytes()
     assert produced == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["block-doubling-n12", "block-tent-n12", "h1-doubling", "h1-tent"]
+)
+def test_grid_golden_reproduced(tmp_path, name):
+    import shutil
+    from pathlib import Path
+
+    golden_dir = Path(__file__).parent / "golden"
+    shutil.copy(golden_dir / f"{name}.cfg", tmp_path / f"{name}.cfg")
+    assert cli.main(["run", str(tmp_path / f"{name}.cfg")]) == 0
+    produced = (tmp_path / "out" / f"{name}.csv").read_bytes()
+    assert produced == (golden_dir / f"{name}.csv").read_bytes()
 
 
 def test_list_commands(capsys):
