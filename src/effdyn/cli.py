@@ -23,6 +23,7 @@ import json
 import os
 import random
 import sys as _sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -74,16 +75,19 @@ def _fraction(text: str) -> F:
     return F(text.strip())
 
 
-def _int_list(text: str) -> List[int]:
-    """Comma list with 2^k entries allowed: "64,128" or "2^6..2^12"."""
+def _int_list(text: str, option: str) -> List[int]:
+    """Comma list with 2^k entries allowed: "64,128", "2..7" or "2^6..2^12".
+
+    A range takes both ends in one form; "1..2^3" is a config error.
+    """
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        lo_e = int(lo.split("^")[1]) if "^" in lo else int(lo)
-        hi_e = int(hi.split("^")[1]) if "^" in hi else int(hi)
+        if ("^" in lo) != ("^" in hi):
+            raise ConfigError("grids", option, f"range {text!r} mixes k and 2^k ends")
         if "^" in lo:
-            return [1 << e for e in range(lo_e, hi_e + 1)]
-        return list(range(lo_e, hi_e + 1))
+            return [1 << e for e in range(int(lo.split("^")[1]), int(hi.split("^")[1]) + 1)]
+        return list(range(int(lo), int(hi) + 1))
     out = []
     for item in text.split(","):
         item = item.strip()
@@ -203,44 +207,52 @@ def _spanning_cache_path() -> Optional[Path]:
     return path / "spanning_counts.json"
 
 
+def _spanning_cache_prefix(system: dy.System) -> Optional[str]:
+    """Cache key prefix: spanning algorithm version plus a canonical system
+    spec; None for a rotation by an angle given as a point, which has no
+    spec and is not cached."""
+    kind = system.map_kind
+    if kind is dy.MapKind.ROTATION:
+        if not isinstance(system.angle, F):
+            return None
+        spec = f"rotation({system.angle})"
+    elif kind is dy.MapKind.SHIFT:
+        spec = f"shift({system.space.alphabet})"
+    else:
+        spec = kind.value
+    return f"v{en.SPANNING_VERSION}:{spec}"
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write a temp file next to `path`, then rename it over `path`."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _h1_with_cache(system: dy.System, p_grid, n_grid) -> EntropyReport:
     cache_path = _spanning_cache_path()
-    cache: Dict[str, int] = {}
-    if cache_path and cache_path.exists():
-        cache = json.loads(cache_path.read_text())
-    missing = [
-        (p, n)
-        for p in p_grid
-        for n in n_grid
-        if f"{system.name}:{n}:{p}" not in cache
-    ]
-    if not missing and cache_path:
-        import math
+    prefix = _spanning_cache_prefix(system)
+    if cache_path is None or prefix is None:
+        return en.h1_estimate(system, p_grid, n_grid)
+    cache: Dict[str, int] = json.loads(cache_path.read_text()) if cache_path.exists() else {}
+    fresh = []
 
-        rows = []
-        slopes = {}
-        for p in sorted(p_grid):
-            ns = sorted(n_grid)
-            logs = [math.log2(cache[f"{system.name}:{n}:{p}"]) for n in ns]
-            rows.extend((f"eps=2^-{p}", n, v) for n, v in zip(ns, logs))
-            mean_n = sum(ns) / len(ns)
-            mean_l = sum(logs) / len(logs)
-            var = sum((a - mean_n) ** 2 for a in ns)
-            slopes[p] = (
-                sum((a - mean_n) * (b - mean_l) for a, b in zip(ns, logs)) / var
-                if var
-                else logs[-1] / ns[-1]
-            )
-        diag = {"slope_by_scale": {f"2^-{p}": round(v, 6) for p, v in sorted(slopes.items())}}
-        return EntropyReport("h1", system.name, tuple(rows), slopes[max(p_grid)], diag)
-    report = en.h1_estimate(system, p_grid, n_grid)
-    if cache_path:
-        for p in p_grid:
-            for n in n_grid:
-                key = f"{system.name}:{n}:{p}"
-                if key not in cache:
-                    cache[key] = en.spanning_separated(system, n, p).count
-        cache_path.write_text(json.dumps(cache, sort_keys=True))
+    def count(n: int, p: int) -> int:
+        key = f"{prefix}:{n}:{p}"
+        if key not in cache:
+            cache[key] = en.spanning_separated(system, n, p).count
+            fresh.append(key)
+        return cache[key]
+
+    report = en.h1_estimate(system, p_grid, n_grid, count)
+    if fresh:
+        _write_atomically(cache_path, json.dumps(cache, sort_keys=True))
     return report
 
 
@@ -259,13 +271,13 @@ def run_config(cfg) -> List[EntropyReport]:
         return [en.block_entropy(system, mu, partition, n_max)]
 
     if estimator == "h1":
-        p_grid = _int_list(_get(cfg, "grids", "p_grid", required=True))
-        n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True))
+        p_grid = _int_list(_get(cfg, "grids", "p_grid", required=True), "p_grid")
+        n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True), "n_grid")
         if not p_grid or not n_grid:
             raise ConfigError("grids", "p_grid", "empty grid")
         return [_h1_with_cache(system, p_grid, n_grid)]
 
-    n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True))
+    n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True), "n_grid")
     if not n_grid:
         raise ConfigError("grids", "n_grid", "empty grid")
     bits = max(n_grid) + 64
@@ -279,7 +291,7 @@ def run_config(cfg) -> List[EntropyReport]:
             partition = build_partition(cfg, system)
             report = en.symbol_rate(system, point, partition, n_grid)
         elif estimator == "orbit-rate":
-            scales = _int_list(_get(cfg, "grids", "scales", required=True))
+            scales = _int_list(_get(cfg, "grids", "scales", required=True), "scales")
             report = en.orbit_rate(system, point, scales, n_grid)
         elif estimator == "birkhoff":
             a, b = (_fraction(t) for t in _get(cfg, "grids", "target", "0,1/2").split(","))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from effdyn.numerics import Interval
 from effdyn.space import Kind, Point, Space, SpaceMismatch, cantor, circle, unit_interval
@@ -130,27 +130,20 @@ def exact_orbit(sys: System, start, n: int):
     """First n points of the exact orbit.
 
     start: rational value for interval/circle maps, or a symbol oracle for
-    shifts (in which case entries are shifted oracles' offsets).  Dyadic
-    doubling and tent orbits run on integers for speed.
+    shifts (in which case entries are shifted oracles' offsets).  Doubling
+    and tent orbits keep the start's denominator, so they run on integer
+    numerators.
     """
     if sys.map_kind is MapKind.SHIFT:
         symbol_fn = start
         return [(lambda j0: (lambda i: symbol_fn(i + j0)))(j) for j in range(n)]
     q = _mod1(F(start)) if sys.map_kind in (MapKind.DOUBLING, MapKind.ROTATION) else F(start)
-    den = q.denominator
-    if sys.map_kind is MapKind.DOUBLING and den & (den - 1) == 0:
-        num = q.numerator
-        out = []
-        for _ in range(n):
-            out.append(F(num, den))
-            num = (num << 1) % den if den > 1 else 0
-        return out
-    if sys.map_kind is MapKind.TENT and den & (den - 1) == 0:
-        num = q.numerator
-        out = []
-        for _ in range(n):
-            out.append(F(num, den))
-            num = 2 * num if 2 * num <= den else 2 * den - 2 * num
+    if sys.lipschitz_expanding:
+        den = q.denominator
+        out = grid_orbit(sys.map_kind, q.numerator, den, n)
+        # in place, so that long orbits are never held twice
+        for j, v in enumerate(out):
+            out[j] = F(v, den)
         return out
     out = []
     value = q
@@ -158,6 +151,49 @@ def exact_orbit(sys: System, start, n: int):
         out.append(value)
         value = exact_step(sys, value)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Integer grid kernel: doubling and tent on numerators over a fixed denominator
+# ---------------------------------------------------------------------------
+
+
+def grid_orbit(kind: MapKind, v: int, den: int, n: int) -> List[int]:
+    """Numerators of the first n orbit points of v/den, all over den.
+
+    Doubling maps v to 2v mod den and the tent map v to 2v or 2den - 2v,
+    so every point stays on the grid 1/den (for doubling, 0 <= v < den;
+    for the tent map, 0 <= v <= den).
+    """
+    out = []
+    if kind is MapKind.DOUBLING:
+        for _ in range(n):
+            out.append(v)
+            v = (v << 1) % den
+    elif kind is MapKind.TENT:
+        for _ in range(n):
+            out.append(v)
+            v <<= 1
+            if v > den:
+                v = 2 * den - v
+    else:
+        raise SpaceMismatch(f"no integer grid step for {kind}")
+    return out
+
+
+def grid_preimage(kind: MapKind, pieces: Sequence[Tuple[int, int]], den: int):
+    """Exact preimage of open intervals (a/den, b/den), as pieces over 2*den.
+
+    `pieces` are sorted, disjoint and inside [0, den]; so is the result.
+    The branch x/2 keeps every numerator; the other branch is x/2 + 1/2
+    for doubling and 1 - x/2 for the tent map.
+    """
+    if kind is MapKind.DOUBLING:
+        return list(pieces) + [(a + den, b + den) for a, b in pieces]
+    if kind is MapKind.TENT:
+        top = 2 * den
+        return list(pieces) + [(top - b, top - a) for a, b in reversed(pieces)]
+    raise SpaceMismatch(f"no integer preimage for {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,16 @@ max/min), keeping runs reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
 from effdyn import symbolic as sb
 from effdyn.coding import PrefixFreeCompressor, neg_log2
-from effdyn.measure import ComputableMeasure, LineRegion, _circle_region, _merge_pieces
+from effdyn.measure import ComputableMeasure
 from effdyn.reporting import EntropyReport, liminf_proxy, limsup_proxy
 from effdyn.space import Kind, Point, SpaceMismatch
 
@@ -93,7 +94,6 @@ def _pullback_level_entropies(sys, mu, partition, ns: Sequence[int]) -> Dict[int
     n_max = max(ns)
     wanted = set(ns)
     out = {}
-    kind = sys.space.kind
     if sys.map_kind is dy.MapKind.SHIFT:
         level = [tuple(atom[0]) for atom in partition.atoms]
         if any(len(atom) != 1 for atom in partition.atoms):
@@ -129,43 +129,29 @@ def _pullback_level_entropies(sys, mu, partition, ns: Sequence[int]) -> Dict[int
                         new_masses.append(mass)
             level, masses = new_level, new_masses
             depth += 1
-    # interval maps: regions as merged piece tuples
-    level_regions = [tuple(_merge_pieces(atom)) for atom in partition.atoms]
-
-    def region_mass(pieces):
-        if kind is Kind.UNIT_INTERVAL:
-            return mu.model.region_measure(LineRegion(tuple(pieces)))
-        return mu.model.region_measure(_circle_region(pieces))
-
-    masses = [region_mass(r) for r in level_regions]
-    keep = [i for i, m in enumerate(masses) if m > 0]
-    level_regions = [level_regions[i] for i in keep]
-    masses = [masses[i] for i in keep]
+    # doubling and tent: regions as integer pieces over D * 2**(depth-1)
+    den, atoms = sb.integer_atoms(partition)
+    level = []
+    for atom in atoms:
+        mass = sb.interval_mass(mu, atom, den)
+        if mass > 0:
+            level.append((atom, mass))
     depth = 1
     while True:
         if depth in wanted:
-            out[depth] = _entropy_bits(masses)
+            out[depth] = _entropy_bits(m for _, m in level)
         if depth == n_max:
             return out
-        new_regions, new_masses = [], []
-        for region in level_regions:
-            pulled = dy.preimage_pieces(sys, region)
-            for atom in partition.atoms:
-                if kind is Kind.UNIT_INTERVAL:
-                    joined = LineRegion(tuple(_merge_pieces(atom))).intersect(
-                        LineRegion(tuple(_merge_pieces(pulled)))
-                    )
-                    pieces = joined.pieces
-                else:
-                    joined = _circle_region(list(atom)).intersect(_circle_region(pulled))
-                    pieces = ((F(0), F(1)),) if joined.full else joined.pieces
-                if not pieces:
-                    continue
-                mass = region_mass(pieces)
-                if mass > 0:
-                    new_regions.append(pieces)
-                    new_masses.append(mass)
-        level_regions, masses = new_regions, new_masses
+        scaled = [[(a << depth, b << depth) for a, b in atom] for atom in atoms]
+        new_level = []
+        for region, _ in level:
+            for pieces in sb.pull_back_into(sys.map_kind, region, den, scaled):
+                if pieces:
+                    mass = sb.interval_mass(mu, pieces, 2 * den)
+                    if mass > 0:
+                        new_level.append((pieces, mass))
+        level = new_level
+        den *= 2
         depth += 1
 
 
@@ -364,6 +350,11 @@ def orbit_rate(
 # ---------------------------------------------------------------------------
 
 
+# Version of spanning_separated's counts, for stored counts to key on;
+# bump it whenever a change alters any count.
+SPANNING_VERSION = 1
+
+
 @dataclass(frozen=True)
 class SpanningSet:
     """Greedy (n, 2**-p-2)-separated, (n, 2**-p)-spanning witness.
@@ -478,29 +469,41 @@ def spanning_separated(
             return SpanningSet(sys, n, p, count, length, tuple(words))
         return SpanningSet(sys, n, p, count, length, None)
     if sys.map_kind is dy.MapKind.TENT:
-        return _spanning_generic(sys, n, p, member_cap)
+        return _spanning_window_scan(sys, n, p, member_cap)
     raise SpaceMismatch(f"no spanning construction for {sys.map_kind}")
 
 
-def _spanning_generic(sys: dy.System, n: int, p: int, member_cap: int) -> SpanningSet:
-    """Plain greedy with exact rational orbits; desk scale only."""
+def _spanning_window_scan(sys: dy.System, n: int, p: int, member_cap: int) -> SpanningSet:
+    """Greedy scan on integer orbits over the 2**g grid.
+
+    A kept point more than `threshold` below i already fails d_n at step
+    0, so only the kept points in [i - threshold, i) are compared, newest
+    first.  Doubling keeps its reject-set scan instead: doubling commutes
+    with translation mod 1, so the offsets that stay close form one small
+    fixed set, while a kept point here must be compared with every kept
+    point of its window.
+    """
     g = p + n + 2
     if g > 16:
-        raise dy.PrecisionBlowup("generic spanning scan capped at grid 2**16")
+        raise dy.PrecisionBlowup("tent spanning scan capped at grid 2**16")
     cells = 1 << g
-    threshold = F(1, 1 << (p + 1))
-    kept_orbits: List[List[F]] = []
-    positions = []
+    threshold = 1 << (g - p - 1)
+    if n < 1:
+        return SpanningSet(sys, n, p, 1, g, (0,))  # d_0 has no steps: one ball
+    positions: List[int] = []
+    orbits: List[List[int]] = []
     for i in range(cells):
-        orbit = dy.exact_orbit(sys, F(i, cells), n)
+        orbit = dy.grid_orbit(sys.map_kind, i, cells, n)
         close = False
-        for other in kept_orbits:
-            if all(abs(a - b) <= threshold for a, b in zip(orbit, other)):
+        for k in range(len(positions) - 1, -1, -1):
+            if i - positions[k] > threshold:
+                break
+            if all(abs(a - b) <= threshold for a, b in zip(orbit, orbits[k])):
                 close = True
                 break
         if not close:
-            kept_orbits.append(orbit)
             positions.append(i)
+            orbits.append(orbit)
     keep = tuple(positions) if len(positions) <= member_cap else None
     return SpanningSet(sys, n, p, len(positions), g, keep)
 
@@ -514,8 +517,8 @@ def verify_separated(span: SpanningSet, pair_cap: int = 200_000) -> bool:
     pts = span.positions
     if len(pts) * (len(pts) - 1) // 2 > pair_cap:
         raise ValueError("witness too large for exhaustive verification")
-    bound = F(1, 1 << (span.p + 2))
     if sys.map_kind is dy.MapKind.SHIFT:
+        bound = F(1, 1 << (span.p + 2))
         for i, u in enumerate(pts):
             for v in pts[i + 1 :]:
                 t = next((j for j in range(min(len(u), len(v))) if u[j] != v[j]), None)
@@ -525,37 +528,44 @@ def verify_separated(span: SpanningSet, pair_cap: int = 200_000) -> bool:
                 if dn <= bound:
                     return False
         return True
+    # grid units: d <= 2**-(p+2) iff d * 2**g <= floor(2**g / 2**(p+2))
     cells = 1 << span.grid_level
-    orbits = []
-    for i in pts:
-        if sys.map_kind is dy.MapKind.ROTATION:
-            orbits.append([F(i, cells)])
-        else:
-            orbits.append(dy.exact_orbit(sys, F(i, cells), span.n))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if sys.map_kind is dy.MapKind.ROTATION:
-                m = abs(orbits[i][0] - orbits[j][0])
-                dn = min(m, 1 - m)
-            else:
-                dn = max(abs(a - b) for a, b in zip(orbits[i], orbits[j]))
-            if dn <= bound:
+    bound = cells >> (span.p + 2)
+    if sys.map_kind is dy.MapKind.ROTATION:
+        for i, u in enumerate(pts):
+            for v in pts[i + 1 :]:
+                m = abs(u - v)
+                if min(m, cells - m) <= bound:
+                    return False
+        return True
+    orbits = [dy.grid_orbit(sys.map_kind, i, cells, span.n) for i in pts]
+    for i, u in enumerate(orbits):
+        for v in orbits[i + 1 :]:
+            if all(abs(a - b) <= bound for a, b in zip(u, v)):
                 return False
     return True
 
 
 def h1_estimate(
-    sys: dy.System, p_grid: Sequence[int], n_grid: Sequence[int]
+    sys: dy.System,
+    p_grid: Sequence[int],
+    n_grid: Sequence[int],
+    count: Optional[Callable[[int, int], int]] = None,
 ) -> EntropyReport:
     """Capacity slope: least-squares fit of log2 |S(n, p)| against n, per
-    scale; the headline value is the slope at the finest scale."""
+    scale; the headline value is the slope at the finest scale.
+
+    count(n, p) supplies |S(n, p)|, by default from spanning_separated; a
+    caller with stored counts passes its own.
+    """
+    if count is None:
+        count = lambda n, p: spanning_separated(sys, n, p).count
     rows = []
     slopes = {}
     for p in sorted(p_grid):
         ns, logs = [], []
         for n in sorted(n_grid):
-            span = spanning_separated(sys, n, p)
-            value = math.log2(span.count)
+            value = math.log2(count(n, p))
             rows.append((f"eps=2^-{p}", n, value))
             ns.append(n)
             logs.append(value)
@@ -634,47 +644,54 @@ def verify_null_s_cover(
     """
     sys = cover.system
     weight = cover.truncated_weight()
-    covered = {}
-    unknown = {}
     by_group: Dict[Tuple[int, int], List] = {}
     for pos, n, p in cover.entries:
         by_group.setdefault((n, p), []).append(pos)
     groups = {key: sorted(positions) for key, positions in by_group.items()}
-    for k in range(1, k_max + 1):
-        hits = 0
-        unsure = 0
-        eligible = sorted(key for key in groups if key[0] >= k)
+    # membership in a group's balls does not depend on k: a sample is
+    # covered at depth >= k iff k <= the deepest group holding it
+    deepest = []
+    if k_max >= 1:
+        order = sorted(groups, reverse=True)
         for x in sample_points:
-            ok = False
-            for n, p in eligible:
-                g = cover.grid_levels[n]
-                if _point_in_some_ball(sys, x, groups[(n, p)], n, p, g):
-                    ok = True
+            depth = 0
+            for n, p in order:
+                if _point_in_some_ball(sys, x, groups[(n, p)], n, p, cover.grid_levels[n]):
+                    depth = n
                     break
-            if ok:
-                hits += 1
-            else:
-                unsure += 1
+            deepest.append(depth)
+    covered = {}
+    unknown = {}
+    for k in range(1, k_max + 1):
+        hits = sum(1 for depth in deepest if depth >= k)
         covered[k] = hits
-        unknown[k] = 0 if hits == len(sample_points) else unsure
+        unknown[k] = 0 if hits == len(sample_points) else len(sample_points) - hits
     return CoverReport(weight, weight <= weight_cap, covered, unknown, len(sample_points))
 
 
 def _point_in_some_ball(sys, x: Point, positions, n: int, p: int, g: int) -> bool:
+    """Is d_n(x, pos / 2**g) < 2**-p for some listed grid position?
+
+    The sample a/b and the positions are compared as numerators over the
+    common denominator b * 2**g, where doubling stays exact.
+    """
     if sys.map_kind is not dy.MapKind.DOUBLING or not isinstance(x.exact, F):
         raise SpaceMismatch("cover verification implemented for doubling samples")
     cells = 1 << g
-    q = x.exact
-    orbit = dy.exact_orbit(sys, q, n)
-    radius = F(1, 1 << p)
+    b = x.exact.denominator
+    a = x.exact.numerator % b  # doubling identifies 1 with 0
+    den = b * cells
+    orbit = dy.grid_orbit(sys.map_kind, a * cells, den, n)
     window = (1 << (g - p)) + 2
-    anchor = (q.numerator * cells) // q.denominator
-    import bisect
-
+    anchor = (a * cells) // b
     lo = bisect.bisect_left(positions, anchor - window)
     hi = bisect.bisect_right(positions, anchor + window)
     for pos in positions[lo:hi]:
-        other = dy.exact_orbit(sys, F(pos, cells), n)
-        if all(abs(a - b) < radius for a, b in zip(orbit, other)):
+        v = pos * b % den
+        for u in orbit:
+            if abs(u - v) << p >= den:  # |u - v| / den >= 2**-p
+                break
+            v = (v << 1) % den
+        else:
             return True
     return False

@@ -20,16 +20,18 @@ covers everything else.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
 from effdyn.measure import (
     ComputableMeasure,
     LineRegion,
     _circle_region,
+    _LebesgueModel,
     _merge_pieces,
     interval_as_balls,
 )
@@ -298,6 +300,64 @@ def code_orbit(
 # ---------------------------------------------------------------------------
 
 
+def integer_atoms(partition: ComputablePartition) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """(D, atoms): each atom's merged pieces as integer endpoint pairs over
+    D, the lcm of the endpoint denominators.  Interval atoms lie in [0, 1]."""
+    merged = [_merge_pieces(atom) for atom in partition.atoms]
+    den = math.lcm(*(F(q).denominator for atom in merged for piece in atom for q in piece))
+    atoms = [[(int(F(a) * den), int(F(b) * den)) for a, b in atom] for atom in merged]
+    return den, atoms
+
+
+def _intersect_pieces(xs, ys) -> List[Tuple[int, int]]:
+    """Intersection of two sorted lists of disjoint open integer pieces."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        a, b = xs[i]
+        c, d = ys[j]
+        lo = a if a > c else c
+        hi = b if b < d else d
+        if lo < hi:
+            out.append((lo, hi))
+        if b < d:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def pull_back_into(kind: dy.MapKind, region, den: int, atoms) -> List[List[Tuple[int, int]]]:
+    """atom n T^-1(region) for each atom, for doubling or tent: `region`
+    over den, the atoms and the results over 2*den, all as sorted disjoint
+    integer pieces."""
+    pulled = dy.grid_preimage(kind, region, den)
+    return [_intersect_pieces(pulled, atom) for atom in atoms]
+
+
+def interval_mass(mu: ComputableMeasure, pieces, den: int) -> F:
+    """Exact mass of the open pieces (a/den, b/den); Lebesgue stays on
+    integers, other models receive the region as a LineRegion."""
+    if isinstance(mu.model, _LebesgueModel):
+        return F(sum(b - a for a, b in pieces), den)
+    return mu.model.region_measure(LineRegion(tuple((F(a, den), F(b, den)) for a, b in pieces)))
+
+
+def _interval_cylinder(sys: dy.System, partition: ComputablePartition, word):
+    """(pieces, den): the cylinder of a nonempty word for doubling or tent,
+    pulled back one symbol at a time from the last."""
+    den, atoms = integer_atoms(partition)
+    pieces = atoms[word[-1]]
+    for j in range(len(word) - 2, -1, -1):
+        shift = len(word) - 1 - j
+        atom = [(a << shift, b << shift) for a, b in atoms[word[j]]]
+        (pieces,) = pull_back_into(sys.map_kind, pieces, den, [atom])
+        den *= 2
+        if not pieces:
+            break
+    return pieces, den
+
+
 def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
     """Exact region of the cylinder: points whose first len(word) symbols
     match.  Backward pullback through exact preimages."""
@@ -320,20 +380,18 @@ def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
     if not word:
         return [(F(0), F(1))]
     pieces = list(partition.atoms[word[-1]])
+    if len(word) == 1:
+        return pieces
+    if sys.space.kind is Kind.UNIT_INTERVAL:
+        pieces, den = _interval_cylinder(sys, partition, word)
+        return [(F(a, den), F(b, den)) for a, b in pieces]
     for j in range(len(word) - 2, -1, -1):
         pulled = dy.preimage_pieces(sys, pieces)
-        atom_pieces = partition.atoms[word[j]]
-        if sys.space.kind is Kind.UNIT_INTERVAL:
-            region = LineRegion(tuple(_merge_pieces(pulled))).intersect(
-                LineRegion(tuple(_merge_pieces(atom_pieces)))
-            )
-            pieces = list(region.pieces)
+        region = _circle_region(pulled).intersect(_circle_region(partition.atoms[word[j]]))
+        if region.full:
+            pieces = [(F(0), F(1))]
         else:
-            region = _circle_region(pulled).intersect(_circle_region(atom_pieces))
-            if region.full:
-                pieces = [(F(0), F(1))]
-            else:
-                pieces = list(region.pieces)
+            pieces = list(region.pieces)
         if not pieces:
             return []
     return pieces
@@ -351,11 +409,11 @@ def cylinder_measure(
         raise ValueError("cylinder of a word with Unknown symbols")
     if not word:
         return F(1)
+    if sys.space.kind is Kind.UNIT_INTERVAL:
+        return interval_mass(mu, *_interval_cylinder(sys, partition, word))
     region = cylinder_region(sys, partition, word)
     if sys.map_kind is dy.MapKind.SHIFT:
         return F(0) if region is None else mu.word_measure(region)
-    if sys.space.kind is Kind.UNIT_INTERVAL:
-        return mu.model.region_measure(LineRegion(tuple(_merge_pieces(region))))
     return mu.model.region_measure(_circle_region(region))
 
 
@@ -391,17 +449,6 @@ def mc_cylinder_estimate(
     p = hits / samples
     half = 2 * (max(p * (1 - p), 1.0 / samples) / samples) ** 0.5
     return MCEstimate(p, half, samples, seed)
-
-
-def cylinder_oracle(
-    sys: dy.System, mu: ComputableMeasure, partition: ComputablePartition
-) -> Callable[[Tuple[int, ...]], F]:
-    """Word -> exact rational mass, for estimator modules."""
-
-    def oracle(word):
-        return cylinder_measure(sys, mu, partition, word)
-
-    return oracle
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,10 @@ workers = {n}
     assert rows1 == rows3
 
 
-def test_spanning_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("EFFDYN_CACHE_DIR", str(tmp_path / "cache"))
-    cfg = write_cfg(
-        tmp_path,
-        """
+H1_CFG = """
 [system]
-kind = shift
-alphabet = 2
+kind = {kind}
+{extra}
 
 [estimator]
 kind = h1
@@ -269,12 +265,89 @@ p_grid = 1,2
 n_grid = 2..6
 
 [run]
-output = out/h1
-""",
-    )
+output = out/{name}
+"""
+
+
+def _counting_spanning(monkeypatch):
+    from effdyn import entropy as en
+
+    calls = []
+    original = en.spanning_separated
+
+    def counted(system, n, p, *args, **kwargs):
+        calls.append((system.name, n, p))
+        return original(system, n, p, *args, **kwargs)
+
+    monkeypatch.setattr(en, "spanning_separated", counted)
+    return calls
+
+
+def test_spanning_cache_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setenv("EFFDYN_CACHE_DIR", str(tmp_path / "cache"))
+    calls = _counting_spanning(monkeypatch)
+    cfg = write_cfg(tmp_path, H1_CFG.format(kind="shift", extra="alphabet = 2", name="h1"))
     assert cli.main(["run", str(cfg)]) == 0
+    # every count computed exactly once, and stored under a versioned spec
+    assert len(calls) == 2 * 5 and len(set(calls)) == len(calls)
     first = (tmp_path / "out" / "h1.csv").read_bytes()
     cache_file = tmp_path / "cache" / "spanning_counts.json"
-    assert cache_file.exists()
+    keys = sorted(json.loads(cache_file.read_text()))
+    assert keys[0] == "v1:shift(2):2:1" and len(keys) == 10
+    # the temp file was renamed over the cache, not left beside it
+    assert [f.name for f in (tmp_path / "cache").iterdir()] == ["spanning_counts.json"]
+    del calls[:]
     assert cli.main(["run", str(cfg)]) == 0  # second run served from cache
+    assert calls == []
     assert (tmp_path / "out" / "h1.csv").read_bytes() == first
+    # the same run without a cache gives the same bytes
+    monkeypatch.delenv("EFFDYN_CACHE_DIR")
+    assert cli.main(["run", str(cfg)]) == 0
+    assert (tmp_path / "out" / "h1.csv").read_bytes() == first
+
+
+def test_spanning_cache_keys_rotations_by_angle(tmp_path, monkeypatch):
+    monkeypatch.setenv("EFFDYN_CACHE_DIR", str(tmp_path / "cache"))
+    calls = _counting_spanning(monkeypatch)
+    cache_file = tmp_path / "cache" / "spanning_counts.json"
+    for i, angle in enumerate(("1/3", "2/5")):
+        cfg = write_cfg(
+            tmp_path, H1_CFG.format(kind="rotation", extra=f"angle = {angle}", name=f"r{i}")
+        )
+        assert cli.main(["run", str(cfg)]) == 0
+    assert len(calls) == 2 * 10  # 2/5 did not reuse the counts of 1/3
+    specs = {key.split(":")[1] for key in json.loads(cache_file.read_text())}
+    assert specs == {"rotation(1/3)", "rotation(2/5)"}
+    # an angle given as a point has no canonical spec: computed, never cached
+    before = cache_file.read_bytes()
+    cfg = write_cfg(tmp_path, H1_CFG.format(kind="rotation", extra="angle = sqrt2-1", name="r2"))
+    for _ in range(2):
+        del calls[:]
+        assert cli.main(["run", str(cfg)]) == 0
+        assert len(calls) == 10
+    assert cache_file.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("64,128", [64, 128]),
+        ("2^3,5", [8, 5]),
+        ("2..5", [2, 3, 4, 5]),
+        ("2^1..2^3", [2, 4, 8]),
+    ],
+)
+def test_int_list_forms(text, expected):
+    assert cli._int_list(text, "n_grid") == expected
+
+
+@pytest.mark.parametrize("grid", ["1..2^3", "2^1..8"])
+def test_mixed_range_is_a_config_error(tmp_path, capsys, grid):
+    cfg = write_cfg(
+        tmp_path,
+        "[system]\nkind = doubling\n\n[estimator]\nkind = h1\n\n"
+        f"[grids]\np_grid = 2\nn_grid = {grid}\n",
+    )
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "[grids] n_grid" in err and grid in err

@@ -104,10 +104,11 @@ def test_semigroup_on_exact_points():
     st.sampled_from(["doubling", "tent", "rot"]),
     st.integers(min_value=0, max_value=63),
     st.integers(min_value=1, max_value=40),
+    st.sampled_from([64, 3, 7, 12, 45]),
 )
-def test_exact_path_matches_generic_fraction_path(kind, num, n):
+def test_exact_path_matches_generic_fraction_path(kind, num, n, den):
     sys = {"doubling": dy.doubling(), "tent": dy.tent(), "rot": dy.rotation(F(3, 7))}[kind]
-    q = F(num, 64)
+    q = F(num % den, den)
     values = dy.exact_orbit(sys, q, n)
     slow = [q]
     for _ in range(n - 1):
