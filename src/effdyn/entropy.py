@@ -47,10 +47,17 @@ class OracleUnavailable(ValueError):
 
 
 def _entropy_bits(masses) -> float:
+    # cylinder masses repeat heavily (all 2**-n under Lebesgue doubling,
+    # three gap lengths for a rotation), so each distinct term is computed
+    # once; the sum keeps its order, hence its rounding (adding 0.0 for a
+    # null mass leaves it unchanged)
     total = 0.0
+    terms: Dict[Fraction, float] = {}
     for mass in masses:
-        if mass > 0:
-            total += float(mass) * neg_log2(mass)
+        term = terms.get(mass)
+        if term is None:
+            term = terms[mass] = float(mass) * neg_log2(mass) if mass > 0 else 0.0
+        total += term
     return total
 
 
@@ -403,8 +410,17 @@ def _doubling_reject_set(g: int, n: int, p: int) -> List[int]:
 
 
 def _doubling_dn_leq(a: int, b: int, g: int, n: int, threshold: int) -> bool:
-    """Exact interval-metric d_n comparison on the 2**g doubling grid."""
+    """Exact interval-metric d_n comparison on the 2**g doubling grid.
+
+    While |x - y| <= threshold <= 2**g / 4, a doubling takes the gap to
+    2(x - y) if x and y lie in the same half, and beyond the threshold if
+    not.  So for 1 <= n <= g, d_n <= threshold iff a and b share their top
+    n-1 bits and |a - b| * 2**(n-1) <= threshold.
+    """
     size = 1 << g
+    if threshold << 2 <= size and 1 <= n <= g:
+        shift = g - n + 1
+        return a >> shift == b >> shift and abs(a - b) << (n - 1) <= threshold
     x, y = a, b
     for _ in range(n):
         if abs(x - y) > threshold:
@@ -439,18 +455,18 @@ def spanning_separated(
         size = 1 << g
         threshold = 1 << (g - p - 1)
         reject = _doubling_reject_set(g, n, p)
-        selected = bytearray(size)
+        # each kept point marks the later points of its ball when it is
+        # kept, so the scan reaches every grid point with its verdict set
+        rejected = bytearray(size)
         positions = []
-        for i in range(size):
-            rejected = False
+        i = rejected.find(0)
+        while i >= 0:
+            positions.append(i)
             for delta in reject:
-                s = (i - delta) % size
-                if s < i and selected[s] and _doubling_dn_leq(i, s, g, n, threshold):
-                    rejected = True
-                    break
-            if not rejected:
-                selected[i] = 1
-                positions.append(i)
+                j = (i + delta) % size
+                if j > i and not rejected[j] and _doubling_dn_leq(j, i, g, n, threshold):
+                    rejected[j] = 1
+            i = rejected.find(0, i + 1)
         keep = tuple(positions) if len(positions) <= member_cap else None
         return SpanningSet(sys, n, p, len(positions), g, keep)
     if sys.map_kind is dy.MapKind.SHIFT:

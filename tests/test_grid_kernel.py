@@ -57,6 +57,22 @@ def test_spanning_positions_match_fraction_greedy(system):
         assert span.count == len(span.positions)
 
 
+def test_doubling_dn_shortcut_matches_stepping():
+    def stepped(a, b, g, n, threshold):
+        x, y = a, b
+        for _ in range(n):
+            if abs(x - y) > threshold:
+                return False
+            x, y = (2 * x) % (1 << g), (2 * y) % (1 << g)
+        return True
+
+    for g in range(1, 6):
+        size = 1 << g
+        for n, threshold in itertools.product(range(g + 2), range(size + 1)):
+            for a, b in itertools.product(range(size), repeat=2):
+                assert en._doubling_dn_leq(a, b, g, n, threshold) == stepped(a, b, g, n, threshold)
+
+
 def test_grid_orbit_matches_exact_step():
     for system in (dy.doubling(), dy.tent()):
         for den in (1, 2, 3, 7, 12, 64, 1000):
