@@ -7,7 +7,6 @@ and Bowen topological entropy.
 """
 
 from effdyn.coding import (
-    LZCompressor,
     PrefixFreeCompressor,
     deficiency_proxy,
     elias_decode,

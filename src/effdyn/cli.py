@@ -25,6 +25,7 @@ import random
 import sys as _sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -71,8 +72,36 @@ ESTIMATORS = {
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _bad_value(section: str, option: str):
+    """Report a value that does not parse, or that the object built from
+    it rejects, as a ConfigError naming its option."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(section, option, f"invalid value ({exc})") from exc
+
+
 def _fraction(text: str) -> F:
     return F(text.strip())
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
+
+
+def _n_grid(cfg) -> List[int]:
+    n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True), "n_grid")
+    if not n_grid:
+        raise ConfigError("grids", "n_grid", "empty grid")
+    if min(n_grid) < 1:
+        raise ConfigError("grids", "n_grid", "horizons must be at least 1")
+    return n_grid
 
 
 def _int_list(text: str, option: str) -> List[int]:
@@ -81,20 +110,21 @@ def _int_list(text: str, option: str) -> List[int]:
     A range takes both ends in one form; "1..2^3" is a config error.
     """
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        if ("^" in lo) != ("^" in hi):
-            raise ConfigError("grids", option, f"range {text!r} mixes k and 2^k ends")
-        if "^" in lo:
-            return [1 << e for e in range(int(lo.split("^")[1]), int(hi.split("^")[1]) + 1)]
-        return list(range(int(lo), int(hi) + 1))
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        out.append(1 << int(item.split("^")[1]) if "^" in item else int(item))
-    return out
+    with _bad_value("grids", option):
+        if ".." in text:
+            lo, hi = text.split("..")
+            if ("^" in lo) != ("^" in hi):
+                raise ConfigError("grids", option, f"range {text!r} mixes k and 2^k ends")
+            if "^" in lo:
+                return [1 << e for e in range(int(lo.split("^")[1]), int(hi.split("^")[1]) + 1)]
+            return list(range(int(lo), int(hi) + 1))
+        out = []
+        for item in text.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            out.append(1 << int(item.split("^")[1]) if "^" in item else int(item))
+        return out
 
 
 def _get(cfg, section: str, option: str, default=None, required=False) -> str:
@@ -103,6 +133,13 @@ def _get(cfg, section: str, option: str, default=None, required=False) -> str:
     if required:
         raise ConfigError(section, option, "missing required field")
     return default
+
+
+def _value(cfg, section: str, option: str, convert, default=None, required=False):
+    """The option's text through `convert`; a text it rejects is a ConfigError."""
+    text = _get(cfg, section, option, default, required)
+    with _bad_value(section, option):
+        return convert(text)
 
 
 def build_system(cfg) -> dy.System:
@@ -115,11 +152,10 @@ def build_system(cfg) -> dy.System:
         angle = _get(cfg, "system", "angle", required=True).strip()
         if angle == "sqrt2-1":
             return dy.rotation(sp.sqrt2_minus_1(sp.circle()))
-        return dy.rotation(_fraction(angle))
-    if kind == "shift":
-        return dy.shift(int(_get(cfg, "system", "alphabet", "2")))
-    if kind == "markov-shift":
-        return dy.shift(int(_get(cfg, "system", "alphabet", "2")))
+        with _bad_value("system", "angle"):
+            return dy.rotation(_fraction(angle))
+    if kind in ("shift", "markov-shift"):
+        return _value(cfg, "system", "alphabet", lambda t: dy.shift(int(t)), "2")
     raise ConfigError("system", "kind", f"unknown system {kind!r}")
 
 
@@ -130,42 +166,46 @@ def build_measure(cfg, system: dy.System) -> ms.ComputableMeasure:
         if system.map_kind is not dy.MapKind.SHIFT:
             return ms.ComputableMeasure.lebesgue(system.space)
         if _get(cfg, "system", "kind", "").strip() == "markov-shift":
-            rows = _parse_rows(_get(cfg, "system", "rows", required=True))
-            return ms.ComputableMeasure.markov(system.space, rows)
+            return _value(cfg, "system", "rows", lambda t: _markov(system, t), required=True)
         k = system.space.alphabet
         return ms.ComputableMeasure.bernoulli(system.space, [F(1, k)] * k)
     if kind == "lebesgue":
-        return ms.ComputableMeasure.lebesgue(system.space)
+        with _bad_value("measure", "kind"):
+            return ms.ComputableMeasure.lebesgue(system.space)
     if kind == "lebesgue-atoms":
-        atoms = [
-            (F(pos), F(weight))
-            for pos, weight in (
-                item.split(":") for item in _get(cfg, "measure", "atoms", required=True).split(",")
-            )
-        ]
-        base = _fraction(_get(cfg, "measure", "base_weight", required=True))
-        return ms.ComputableMeasure.lebesgue_with_atoms(system.space, base, atoms)
+        base = _value(cfg, "measure", "base_weight", _fraction, required=True)
+        text = _get(cfg, "measure", "atoms", required=True)
+        with _bad_value("measure", "atoms"):
+            atoms = [(F(pos), F(weight)) for pos, weight in (t.split(":") for t in text.split(","))]
+            return ms.ComputableMeasure.lebesgue_with_atoms(system.space, base, atoms)
     if kind == "bernoulli":
-        probs = [_fraction(p) for p in _get(cfg, "measure", "probs", required=True).split(",")]
-        return ms.ComputableMeasure.bernoulli(system.space, probs)
+        text = _get(cfg, "measure", "probs", required=True)
+        with _bad_value("measure", "probs"):
+            probs = [_fraction(p) for p in text.split(",")]
+            return ms.ComputableMeasure.bernoulli(system.space, probs)
     if kind == "markov":
-        rows = _parse_rows(_get(cfg, "measure", "rows", required=True))
-        return ms.ComputableMeasure.markov(system.space, rows)
+        return _value(cfg, "measure", "rows", lambda t: _markov(system, t), required=True)
     raise ConfigError("measure", "kind", f"unknown measure {kind!r}")
 
 
-def _parse_rows(text: str):
-    return [[_fraction(p) for p in row.split(",")] for row in text.split(";")]
+def _markov(system: dy.System, text: str) -> ms.ComputableMeasure:
+    rows = [[_fraction(p) for p in row.split(",")] for row in text.split(";")]
+    return ms.ComputableMeasure.markov(system.space, rows)
 
 
 def build_partition(cfg, system: dy.System) -> sb.ComputablePartition:
     kind = _get(cfg, "partition", "kind", "halves").strip()
     if kind == "halves":
-        return sb.halves(system.space)
+        with _bad_value("partition", "kind"):
+            return sb.halves(system.space)
     if kind == "dyadic":
-        return sb.dyadic_intervals(system.space, int(_get(cfg, "partition", "level", "1")))
+        level = _value(cfg, "partition", "level", int, "1")
+        with _bad_value("partition", "level"):
+            return sb.dyadic_intervals(system.space, level)
     if kind == "cylinders":
-        return sb.cylinders(system.space, int(_get(cfg, "partition", "length", "1")))
+        length = _value(cfg, "partition", "length", int, "1")
+        with _bad_value("partition", "kind"):
+            return sb.cylinders(system.space, length)
     raise ConfigError("partition", "kind", f"unknown partition {kind!r}")
 
 
@@ -174,7 +214,8 @@ def build_points(cfg, system: dy.System, bits: int) -> List[Tuple[str, sp.Point]
     out = []
     seeds = _get(cfg, "grids", "seeds", "")
     for seed_text in filter(None, (s.strip() for s in seeds.split(","))):
-        seed = int(seed_text)
+        with _bad_value("grids", "seeds"):
+            seed = int(seed_text)
         rng = random.Random(seed)  # Mersenne Twister; seed recorded in meta
         if system.space.kind is sp.Kind.CANTOR:
             k = system.space.alphabet
@@ -188,7 +229,8 @@ def build_points(cfg, system: dy.System, bits: int) -> List[Tuple[str, sp.Point]
     explicit = _get(cfg, "grids", "point", "")
     if explicit:
         value = explicit.strip()
-        point = sp.rational_point(system.space, _fraction(value))
+        with _bad_value("grids", "point"):
+            point = sp.rational_point(system.space, _fraction(value))
         out.append((f"point={value}", point))
     return out
 
@@ -262,24 +304,22 @@ def run_config(cfg) -> List[EntropyReport]:
     if estimator not in ESTIMATORS:
         raise ConfigError("estimator", "kind", f"unknown estimator {estimator!r}")
     reports: List[EntropyReport] = []
-    workers = int(_get(cfg, "run", "workers", "1"))
+    workers = _value(cfg, "run", "workers", int, "1")
 
     if estimator == "block-entropy":
         mu = build_measure(cfg, system)
         partition = build_partition(cfg, system)
-        n_max = int(_get(cfg, "grids", "n_max", required=True))
+        n_max = _value(cfg, "grids", "n_max", _positive, required=True)
         return [en.block_entropy(system, mu, partition, n_max)]
 
     if estimator == "h1":
         p_grid = _int_list(_get(cfg, "grids", "p_grid", required=True), "p_grid")
-        n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True), "n_grid")
-        if not p_grid or not n_grid:
+        if not p_grid:
             raise ConfigError("grids", "p_grid", "empty grid")
+        n_grid = _n_grid(cfg)
         return [_h1_with_cache(system, p_grid, n_grid)]
 
-    n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True), "n_grid")
-    if not n_grid:
-        raise ConfigError("grids", "n_grid", "empty grid")
+    n_grid = _n_grid(cfg)
     bits = max(n_grid) + 64
     points = build_points(cfg, system, bits)
     if not points:
@@ -294,8 +334,10 @@ def run_config(cfg) -> List[EntropyReport]:
             scales = _int_list(_get(cfg, "grids", "scales", required=True), "scales")
             report = en.orbit_rate(system, point, scales, n_grid)
         elif estimator == "birkhoff":
-            a, b = (_fraction(t) for t in _get(cfg, "grids", "target", "0,1/2").split(","))
-            target = ms.AlmostDecidableSet.from_interval(system.space, a, b)
+            text = _get(cfg, "grids", "target", "0,1/2")
+            with _bad_value("grids", "target"):
+                a, b = (_fraction(t) for t in text.split(","))
+                target = ms.AlmostDecidableSet.from_interval(system.space, a, b)
             rows = []
             for n in n_grid:
                 result = stt.birkhoff_average(system, point, target, n)
@@ -304,9 +346,10 @@ def run_config(cfg) -> List[EntropyReport]:
             report = EntropyReport("birkhoff", system.name, tuple(rows), rows[-2][2], {})
         elif estimator == "typicality":
             mu = build_measure(cfg, system)
-            level = int(_get(cfg, "grids", "level", "4"))
-            tol = float(_get(cfg, "grids", "tol", "0.02"))
-            family = stt.dyadic_ball_family(system.space, level)
+            level = _value(cfg, "grids", "level", _positive, "4")
+            tol = _value(cfg, "grids", "tol", float, "0.02")
+            with _bad_value("grids", "level"):
+                family = stt.dyadic_ball_family(system.space, level)
             result = stt.typicality_test(system, mu, point, family, max(n_grid), tol)
             rows = tuple(
                 ("residual:" + label_set, max(n_grid), value)
@@ -380,9 +423,6 @@ def cmd_run(args) -> int:
     ) as exc:
         print(f"estimator error: {exc}", file=_sys.stderr)
         return 1
-    except (sp.SpaceMismatch, ZeroDivisionError, ValueError) as exc:
-        print(f"config error: invalid value ({exc})", file=_sys.stderr)
-        return 2
     output = _get(cfg, "run", "output", "report")
     out_base = path.parent / output if not Path(output).is_absolute() else Path(output)
     out_base.parent.mkdir(parents=True, exist_ok=True)
@@ -426,16 +466,21 @@ def cmd_compare(args) -> int:
                 f"{row['method']}:{row['system']}:{row['param']}:{row['n']}",
             )
         ]
-        rate_rows = [r for r in matched if r["param"].endswith("rate")] or matched
-        if not rate_rows:
+        # one rate row per report, so per seed; otherwise the last matched row
+        checked = [r for r in matched if r["param"].endswith("rate")] or matched[-1:]
+        if not checked:
             failures.append(key)
             lines.append(f"MISSING  {key}")
             continue
-        value = float(rate_rows[-1]["value"])
-        ok = abs(value - float(expected)) <= tol
-        if not ok:
-            failures.append(key)
-        lines.append(f"{'ok     ' if ok else 'FAIL   '} {key}: got {value:.6g}, want {expected} +- {tol}")
+        for i, row in enumerate(checked, 1):
+            value = float(row["value"])
+            ok = abs(value - float(expected)) <= tol
+            if not ok:
+                failures.append(key)
+            which = f" (row {i} of {len(checked)})" if len(checked) > 1 else ""
+            lines.append(
+                f"{'ok     ' if ok else 'FAIL   '} {key}{which}: got {value:.6g}, want {expected} +- {tol}"
+            )
     print("\n".join(lines))
     return 0 if not failures else 1
 

@@ -299,15 +299,20 @@ def _lz_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Word
 # ---------------------------------------------------------------------------
 # Enumerative branch: counts, then layered combinadic ranks
 # ---------------------------------------------------------------------------
+#
+# Layer j (j = k-1 .. 1) is the subsequence of symbols <= j, with a one
+# where the symbol equals j; it has length m_j = counts[0] + ... +
+# counts[j] and r_j = counts[j] ones.  With ones at 0-based layer
+# positions p_1 < ... < p_r its rank sum C(p_t, t) is a bijection onto
+# [0, C(m_j, r_j)) (the combinatorial number system), coded economy-style
+# in that range.
 
 
 class _CombinadicLayer:
-    """Rank of a growing binary sequence within its weight class.
+    """Rank of a growing layer within its weight class.
 
-    Append-friendly combinatorial number system: with ones at 0-based
-    positions p_1 < ... < p_r the rank is sum C(p_t, t), a bijection onto
-    [0, C(m, r)).  Appending a bit updates rank and class size with O(1)
-    big-integer operations.
+    Appending a bit updates rank and class size with O(1) big-integer
+    operations; the per-prefix costs grow their layers this way.
     """
 
     __slots__ = ("length", "ones", "rank", "size")
@@ -328,6 +333,36 @@ class _CombinadicLayer:
         else:
             self.size = self.size * (m + 1) // (m + 1 - r)
         self.length += 1
+
+
+def _layer_rank(word: Word, j: int, size: int, m: int, r: int, cut: Optional[int] = None) -> int:
+    """Rank of layer j, summed from its top one down; size = C(m, r).
+
+    The walk keeps c = C(p, t) for the current layer position p and the t
+    ones at or below it, at one multiply and one floor-divide per
+    position.  The ones below a one at p add up to less than C(p, t-1),
+    so with `cut` the walk stops as soon as the partial sum s has s >= cut
+    or s + C(p, t-1) <= cut, and returns s: then s < cut exactly when the
+    rank is.  Ones packed at the bottom add nothing, and end the walk.
+    """
+    s = 0
+    t = r
+    p = m
+    c = size
+    for symbol in reversed(word):
+        if symbol > j:
+            continue
+        if p == t:
+            return s
+        c = c * (p - t) // p  # C(p-1, t) from C(p, t)
+        p -= 1
+        if symbol == j:
+            s += c
+            c = c * t // (p - t + 1)  # C(p, t-1) from C(p, t)
+            t -= 1
+            if t == 0 or cut is not None and (s >= cut or s + c <= cut):
+                return s
+    return s
 
 
 def _combinadic_unrank(rank: int, m: int, r: int) -> List[int]:
@@ -353,47 +388,38 @@ def _combinadic_unrank(rank: int, m: int, r: int) -> List[int]:
     return positions[::-1]
 
 
-def _enum_counts(word: Word, alphabet: int) -> List[int]:
-    counts = [0] * alphabet
-    for c in word:
-        counts[c] += 1
-    return counts
+def _enum_layers(word: Word, alphabet: int):
+    """(j, m_j, r_j) for the layers j = k-1 .. 1, in payload order."""
+    rem = len(word)
+    for j in range(alphabet - 1, 0, -1):
+        r = word.count(j)
+        yield j, rem, r
+        rem -= r
+
+
+def _enum_cost(word: Word, alphabet: int) -> int:
+    """Exact payload length.  Each class size C(m_j, r_j) fixes the economy
+    width k; the one bit left, whether the rank is below 2^k - size, comes
+    from a rank walk that stops once it is decided."""
+    total = 0
+    for j, m, r in _enum_layers(word, alphabet):
+        total += phased_len(r, m + 1)
+        size = math.comb(m, r)
+        if size > 1:
+            k = (size - 1).bit_length()
+            short = (1 << k) - size
+            below = short and _layer_rank(word, j, size, m, r, short) < short
+            total += k - 1 if below else k
+    return total
 
 
 def _enum_payload(word: Word, alphabet: int) -> str:
-    n = len(word)
-    counts = _enum_counts(word, alphabet)
-    parts = []
-    rem = n
-    for j in range(alphabet - 1, 0, -1):
-        parts.append(phased_encode(counts[j], rem + 1))
-        rem -= counts[j]
-    layers = [_CombinadicLayer() for _ in range(alphabet)]
-    for c in word:
-        for j in range(c, alphabet):
-            if j >= 1:
-                layers[j].append(1 if c == j else 0)
-    # layer j sees positions with symbol <= j; encode j = k-1 .. 1
-    for j in range(alphabet - 1, 0, -1):
-        parts.append(phased_encode(layers[j].rank, layers[j].size))
+    layers = list(_enum_layers(word, alphabet))
+    parts = [phased_encode(r, m + 1) for _, m, r in layers]
+    for j, m, r in layers:
+        size = math.comb(m, r)
+        parts.append(phased_encode(_layer_rank(word, j, size, m, r), size))
     return "".join(parts)
-
-
-def _enum_payload_len(word: Word, alphabet: int) -> int:
-    n = len(word)
-    counts = _enum_counts(word, alphabet)
-    total = 0
-    rem = n
-    for j in range(alphabet - 1, 0, -1):
-        total += phased_len(counts[j], rem + 1)
-        rem -= counts[j]
-    layers = [_CombinadicLayer() for _ in range(alphabet)]
-    for c in word:
-        for j in range(max(c, 1), alphabet):
-            layers[j].append(1 if c == j else 0)
-    for j in range(alphabet - 1, 0, -1):
-        total += phased_len(layers[j].rank, layers[j].size)
-    return total
 
 
 def _enum_prefix_lens(word: Word, alphabet: int) -> List[int]:
@@ -432,10 +458,7 @@ def _enum_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Wo
     for j in range(alphabet - 1, 0, -1):
         m = sum(counts[: j + 1])
         r = counts[j]
-        size = 1
-        for i in range(r):
-            size = size * (m - i) // (i + 1)
-        rank, pos = phased_decode(bits, pos, size)
+        rank, pos = phased_decode(bits, pos, math.comb(m, r))
         ones = set(_combinadic_unrank(rank, m, r)) if r else set()
         kept = []
         for local, slot in enumerate(slots):
@@ -448,115 +471,101 @@ def _enum_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Wo
 
 
 # ---------------------------------------------------------------------------
-# Copy branch (LZ77 with a hash-chain greedy parse)
+# Copy branch (LZ77, greedy parse on a suffix automaton)
 # ---------------------------------------------------------------------------
 
 _LZ77_MIN_MATCH = 3
 
 
-class _SuffixAutomaton:
-    """Online suffix automaton over the consumed history.
+def _lz77_tokens(word: Word, alphabet: int):
+    """Exact-greedy parse: (offset, length) copies and (0, symbol) literals.
 
-    Supports exact longest-match queries: the longest prefix of the
-    lookahead occurring anywhere in the history, with one occurrence's end
-    position.  Construction is the standard online algorithm, amortized
-    linear.
+    Longest in-history matches come from an online suffix automaton over
+    the consumed prefix (Blumer et al.), stored flat: the successor of
+    state s on symbol c is trans[s * alphabet + c] (-1 if none), beside
+    the suffix links, lengths and first end positions.  Once the
+    in-history match is maximal the copy may keep reading its own output
+    periodically, so copies may overlap onward.
     """
-
-    __slots__ = ("nexts", "links", "lens", "firstpos", "last")
-
-    def __init__(self):
-        self.nexts = [{}]
-        self.links = [-1]
-        self.lens = [0]
-        self.firstpos = [-1]
-        self.last = 0
-
-    def extend(self, c: int, position: int):
-        cur = len(self.lens)
-        self.nexts.append({})
-        self.links.append(-1)
-        self.lens.append(self.lens[self.last] + 1)
-        self.firstpos.append(position)
-        p = self.last
-        while p >= 0 and c not in self.nexts[p]:
-            self.nexts[p][c] = cur
-            p = self.links[p]
-        if p == -1:
-            self.links[cur] = 0
-        else:
-            q = self.nexts[p][c]
-            if self.lens[p] + 1 == self.lens[q]:
-                self.links[cur] = q
-            else:
-                clone = len(self.lens)
-                self.nexts.append(dict(self.nexts[q]))
-                self.links.append(self.links[q])
-                self.lens.append(self.lens[p] + 1)
-                self.firstpos.append(self.firstpos[q])
-                while p >= 0 and self.nexts[p].get(c) == q:
-                    self.nexts[p][c] = clone
-                    p = self.links[p]
-                self.links[q] = clone
-                self.links[cur] = clone
-        self.last = cur
-
-    def longest_match(self, text: Word, start: int):
-        """(length, source_start) of the longest in-history match."""
-        state = 0
-        length = 0
-        for i in range(start, len(text)):
-            nxt = self.nexts[state].get(text[i])
-            if nxt is None:
-                break
-            state = nxt
-            length += 1
-        if length == 0:
-            return 0, -1
-        return length, self.firstpos[state] - length + 1
-
-
-def _lz77_tokens(word: Word):
-    """Exact-greedy (literal | copy) parse; copies may overlap onward."""
-    n = len(word)
-    sam = _SuffixAutomaton()
+    n, k = len(word), alphabet
+    trans = [-1] * k
+    links, lens, firstpos = [-1], [0], [-1]
+    blank = [-1] * k
+    last = 0
     pos = 0
     while pos < n:
-        length, src = sam.longest_match(word, pos)
-        if length:
-            # overlap extension: once the in-history match is maximal the
-            # copy may keep reading its own output periodically
-            while pos + length < n and word[src + length] == word[pos + length]:
-                length += 1
-        if length >= _LZ77_MIN_MATCH:
-            yield ("copy", pos - src, length)
-            step = length
+        state, end = 0, pos
+        while end < n:
+            nxt = trans[state * k + word[end]]
+            if nxt < 0:
+                break
+            state = nxt
+            end += 1
+        if end > pos:
+            src = firstpos[state] - (end - pos) + 1
+            while end < n and word[src + end - pos] == word[end]:
+                end += 1
+        if end - pos >= _LZ77_MIN_MATCH:
+            yield pos - src, end - pos
         else:
-            yield ("lit", word[pos], 1)
-            step = 1
-        for i in range(pos, pos + step):
-            sam.extend(word[i], i)
-        pos += step
+            end = pos + 1
+            yield 0, word[pos]
+        for i in range(pos, end):
+            c = word[i]
+            cur = len(lens)
+            trans += blank
+            links.append(0)
+            lens.append(lens[last] + 1)
+            firstpos.append(i)
+            p = last
+            while p >= 0:
+                at = p * k + c
+                q = trans[at]
+                if q >= 0:
+                    break
+                trans[at] = cur
+                p = links[p]
+            else:  # c is new to the history: cur links to the root
+                last = cur
+                continue
+            if lens[p] + 1 == lens[q]:
+                links[cur] = q
+            else:
+                clone = cur + 1
+                trans += trans[q * k : q * k + k]
+                links.append(links[q])
+                lens.append(lens[p] + 1)
+                firstpos.append(firstpos[q])
+                while p >= 0 and trans[p * k + c] == q:
+                    trans[p * k + c] = clone
+                    p = links[p]
+                links[q] = clone
+                links[cur] = clone
+            last = cur
+        pos = end
 
 
-def _lz77_payload_len(word: Word, alphabet: int) -> int:
+def _lz77_cost(word: Word, alphabet: int, budget: int) -> int:
+    """Payload length, folded token by token until it reaches `budget`;
+    a result >= budget is only a lower bound."""
     total = 0
-    for kind, a, b in _lz77_tokens(word):
-        if kind == "lit":
-            total += 1 + phased_len(a, alphabet)
+    for offset, value in _lz77_tokens(word, alphabet):
+        if offset:
+            total += 1 + elias_len(offset) + elias_len(value - _LZ77_MIN_MATCH + 1)
         else:
-            total += 1 + elias_len(a) + elias_len(b - _LZ77_MIN_MATCH + 1)
+            total += 1 + phased_len(value, alphabet)
+        if total >= budget:
+            break
     return total
 
 
 def _lz77_payload(word: Word, alphabet: int) -> str:
-    parts = []
-    for kind, a, b in _lz77_tokens(word):
-        if kind == "lit":
-            parts.append("0" + phased_encode(a, alphabet))
-        else:
-            parts.append("1" + elias_encode(a) + elias_encode(b - _LZ77_MIN_MATCH + 1))
-    return "".join(parts)
+    return "".join(
+        "1" + elias_encode(offset) + elias_encode(value - _LZ77_MIN_MATCH + 1)
+        if offset
+        else "0" + phased_encode(value, alphabet)
+        for offset, value in _lz77_tokens(word, alphabet)
+    )
 
 
 def _lz77_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Word, int]:
@@ -587,49 +596,8 @@ def _lz77_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Wo
 # Compressor families
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class LZCompressor:
-    """Self-delimiting LZ code: delta length header plus the token stream."""
-
-    alphabet: int = 2
-    family: str = "lz-cache-v1"
-
-    def encode(self, word: Sequence[int]) -> str:
-        word = _check_word(word, self.alphabet)
-        return elias_encode(len(word) + 1) + _lz_payload(word, self.alphabet)
-
-    def bits_len(self, word: Sequence[int]) -> int:
-        word = _check_word(word, self.alphabet)
-        return elias_len(len(word) + 1) + _lz_payload_len(word, self.alphabet)
-
-    def prefix_bits(self, word: Sequence[int]) -> List[int]:
-        word = _check_word(word, self.alphabet)
-        payload = _lz_prefix_lens(word, self.alphabet)
-        return [elias_len(m + 1) + payload[m] for m in range(len(word) + 1)]
-
-    def decode_stream(self, bits: str, pos: int = 0) -> Tuple[Word, int]:
-        header, pos = elias_decode(bits, pos)
-        return _lz_decode_payload(bits, pos, header - 1, self.alphabet)
-
-    def decode(self, bits: str) -> Word:
-        word, pos = self.decode_stream(bits)
-        if pos != len(bits):
-            raise CodeError(f"{len(bits) - pos} trailing bits")
-        return word
-
-    def rate(self, word: Sequence[int]) -> F:
-        word = _check_word(word, self.alphabet)
-        if not word:
-            raise ValueError("rate needs a nonempty word")
-        return F(self.bits_len(word), len(word))
-
-
-_BRANCHES = (
-    ("enum", _enum_payload_len, _enum_payload, _enum_decode_payload),
-    ("lz78", _lz_payload_len, _lz_payload, _lz_decode_payload),
-    ("lz77", _lz77_payload_len, _lz77_payload, _lz77_decode_payload),
-)
+_PAYLOADS = (_enum_payload, _lz_payload, _lz77_payload)
+_DECODERS = (_enum_decode_payload, _lz_decode_payload, _lz77_decode_payload)
 
 
 @dataclass(frozen=True)
@@ -644,10 +612,19 @@ class PrefixFreeCompressor:
     family: str = "enum-lz78-lz77-v1"
 
     def _costs(self, word: Word) -> List[int]:
-        return [
-            phased_len(i, 3) + fn(word, self.alphabet)
-            for i, (_, fn, _, _) in enumerate(_BRANCHES)
-        ]
+        """Selector plus payload bits of the enum, lz78 and lz77 branches.
+
+        lz78 is costed first, being cheapest, then enum; lz77 is folded
+        only until it reaches the best of those two, so its entry is exact
+        when it wins and otherwise a lower bound that still loses (ties
+        go to the lower branch).
+        """
+        k = self.alphabet
+        lz78 = phased_len(1, 3) + _lz_payload_len(word, k)
+        enum = phased_len(0, 3) + _enum_cost(word, k)
+        selector = phased_len(2, 3)
+        lz77 = selector + _lz77_cost(word, k, min(enum, lz78) - selector)
+        return [enum, lz78, lz77]
 
     def _best(self, word: Word) -> int:
         costs = self._costs(word)
@@ -659,7 +636,7 @@ class PrefixFreeCompressor:
         if not word:
             return header + phased_encode(0, 3)
         best = self._best(word)
-        return header + phased_encode(best, 3) + _BRANCHES[best][2](word, self.alphabet)
+        return header + phased_encode(best, 3) + _PAYLOADS[best](word, self.alphabet)
 
     def bits_len(self, word: Sequence[int]) -> int:
         word = _check_word(word, self.alphabet)
@@ -690,7 +667,7 @@ class PrefixFreeCompressor:
         selector, pos = phased_decode(bits, pos, 3)
         if n == 0:
             return (), pos
-        return _BRANCHES[selector][3](bits, pos, n, self.alphabet)
+        return _DECODERS[selector](bits, pos, n, self.alphabet)
 
     def decode(self, bits: str) -> Word:
         word, pos = self.decode_stream(bits)

@@ -136,7 +136,9 @@ def typicality_test(
     verdict, as does a horizon below n_min.
     """
     if sys.map_kind is dy.MapKind.DOUBLING and isinstance(x.exact, F):
-        return _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min)
+        finest = _dyadic_level(family)
+        if finest is not None:
+            return _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest)
     residuals = []
     worst_undecided = 0
     for label, ad in family:
@@ -147,13 +149,27 @@ def typicality_test(
     return _verdict(residuals, worst_undecided / n, tol, n >= n_min)
 
 
-def _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min) -> TypicalityResult:
-    """One coding pass at the finest level; coarser sets aggregate counts."""
+def _dyadic_level(family) -> Optional[int]:
+    """Level of the finest dyadic grid carrying every ball center and
+    endpoint of the family's sets, or None when some point is not dyadic.
+
+    On that grid each set is a union of cells, which the fast path
+    counts by their midpoints.
+    """
     finest = 1
     for _, ad in family:
-        for ball in ad.inside.enumerate(4):
-            den = ball.center_desc.denominator
-            finest = max(finest, den.bit_length() - 1)
+        for ball in ad.inside.enumerate(4) + ad.outside.enumerate(4):
+            c = ball.center_desc
+            for q in (c, c - ball.radius, c + ball.radius):
+                den = q.denominator
+                if den & (den - 1):
+                    return None
+                finest = max(finest, den.bit_length() - 1)
+    return finest
+
+
+def _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest) -> TypicalityResult:
+    """One coding pass at the finest level; coarser sets aggregate counts."""
     partition = sb.dyadic_intervals(sys.space, finest)
     word = sb.code_orbit(sys, x, partition, n)
     cells = 1 << finest

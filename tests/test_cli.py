@@ -351,3 +351,60 @@ def test_mixed_range_is_a_config_error(tmp_path, capsys, grid):
     assert cli.main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "[grids] n_grid" in err and grid in err
+
+
+def test_compare_checks_every_seed(tmp_path, capsys):
+    report = tmp_path / "two-seeds.csv"
+    report.write_text(
+        "method,system,param,n,value,diag\n"
+        "symbol-rate,doubling,seed=1;bits_per_step,1024,0.5,\n"
+        "symbol-rate,doubling,rate,0,0.5,\n"
+        "symbol-rate,doubling,seed=2;bits_per_step,1024,1.0,\n"
+        "symbol-rate,doubling,rate,0,1.0,\n"
+    )
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"symbol-rate:doubling": 1.0}))
+    assert cli.main(["compare", str(report), str(oracle), "0.05"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL") and "row 1 of 2" in out[0]
+    assert out[1].startswith("ok") and "row 2 of 2" in out[1]
+    oracle.write_text(json.dumps({"symbol-rate:doubling": 0.75}))
+    assert cli.main(["compare", str(report), str(oracle), "0.3"]) == 0
+
+
+def test_bad_values_are_config_errors(tmp_path, capsys):
+    bad = {
+        "angle": "[system]\nkind = rotation\nangle = 1/0\n\n[estimator]\nkind = recurrence\n\n"
+        "[grids]\nn_grid = 4\npoint = 1/3\n",
+        "probs": "[system]\nkind = shift\n\n[measure]\nkind = bernoulli\nprobs = 1/2,1/3\n\n"
+        "[partition]\nkind = cylinders\n\n[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n",
+        "n_max": "[system]\nkind = doubling\n\n[estimator]\nkind = block-entropy\n\n"
+        "[grids]\nn_max = 0\n",
+        "n_grid": "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
+        "[grids]\nn_grid = 0,8\nseeds = 1\n",
+        "point": "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
+        "[grids]\nn_grid = 8\npoint = 3/2\n",
+        "kind": "[system]\nkind = shift\n\n[estimator]\nkind = symbol-rate\n\n"
+        "[grids]\nn_grid = 8\nseeds = 1\n",
+    }
+    for option, text in bad.items():
+        cfg = write_cfg(tmp_path, text, f"{option}.cfg")
+        assert cli.main(["run", str(cfg)]) == 2, option
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [") and f"] {option}:" in err, err
+
+
+def test_estimator_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    from effdyn import entropy as en
+
+    def broken(*args, **kwargs):
+        raise ValueError("estimator bug")
+
+    monkeypatch.setattr(en, "symbol_rate", broken)
+    cfg = write_cfg(
+        tmp_path,
+        "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
+        "[grids]\nn_grid = 8\nseeds = 1\n",
+    )
+    with pytest.raises(ValueError, match="estimator bug"):
+        cli.main(["run", str(cfg)])

@@ -138,12 +138,14 @@ def test_compressor_random_roundtrip(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_lz_engine_roundtrip(data):
+    # the dictionary (lz78) branch alone: payload, cost and decoder agree
     k = data.draw(st.sampled_from([2, 3]))
-    comp = cd.LZCompressor(k)
     word = tuple(
         data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=300))
     )
-    assert comp.decode(comp.encode(word)) == word
+    payload = cd._lz_payload(word, k)
+    assert len(payload) == cd._lz_payload_len(word, k)
+    assert cd._lz_decode_payload(payload, 0, len(word), k) == (word, len(payload))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +157,7 @@ def test_screen_bits_consistent_and_dominating(symbols):
     for m in range(0, len(word) + 1, max(1, len(word) // 7)):
         prefix = word[:m]
         expected = cd.elias_len(m + 1) + min(
-            cd._enum_payload_len(prefix, 2) + cd.phased_len(0, 3),
+            cd._enum_cost(prefix, 2) + cd.phased_len(0, 3),
             cd._lz_payload_len(prefix, 2) + cd.phased_len(1, 3),
         )
         assert table[m] == expected

@@ -1,4 +1,11 @@
-"""The default compressor against a golden file of codeword hashes.
+"""The default compressor against its references and a golden file.
+
+The references below are the full walks the lazy branch costs replace:
+the enumerative length from ranks grown one symbol at a time, and the
+copy-branch parse on a suffix automaton with one dict per state.  The
+costs, the selector, `bits_len` and every codeword must agree with them
+exactly; the copy branch's budgeted cost must be exact below its budget
+and at least the budget otherwise.
 
 `tests/golden/codewords.txt` holds, for every word of a seeded corpus, the
 length and sha256 of its `PrefixFreeCompressor` codeword.  The codeword
@@ -9,8 +16,12 @@ format is changed on purpose.
 """
 
 import hashlib
+import itertools
+import math
 import random
 from pathlib import Path
+
+import pytest
 
 from effdyn import coding as cd
 
@@ -53,6 +64,241 @@ def golden_lines():
         code = cd.PrefixFreeCompressor(k).encode(word)
         lines.append(f"{label} {len(code)} {hashlib.sha256(code.encode()).hexdigest()}")
     return lines
+
+
+# -- references ----------------------------------------------------------------
+
+
+class _GrownLayer:
+    """Rank and class size of a layer grown one bit at a time."""
+
+    def __init__(self):
+        self.length = self.ones = self.rank = 0
+        self.size = 1
+
+    def append(self, bit):
+        m, r = self.length, self.ones
+        if bit:
+            self.rank += self.size * (m - r) // (r + 1)
+            self.size = self.size * (m + 1) // (r + 1)
+            self.ones += 1
+        else:
+            self.size = self.size * (m + 1) // (m + 1 - r)
+        self.length += 1
+
+
+def _grown_layers(word, alphabet):
+    layers = [_GrownLayer() for _ in range(alphabet)]
+    for c in word:
+        for j in range(max(c, 1), alphabet):
+            layers[j].append(1 if c == j else 0)
+    return layers
+
+
+def _enum_payload_len(word, alphabet):
+    counts = [word.count(c) for c in range(alphabet)]
+    layers = _grown_layers(word, alphabet)
+    total = 0
+    rem = len(word)
+    for j in range(alphabet - 1, 0, -1):
+        total += cd.phased_len(counts[j], rem + 1)
+        rem -= counts[j]
+        total += cd.phased_len(layers[j].rank, layers[j].size)
+    return total
+
+
+def _enum_payload(word, alphabet):
+    counts = [word.count(c) for c in range(alphabet)]
+    layers = _grown_layers(word, alphabet)
+    parts = []
+    rem = len(word)
+    for j in range(alphabet - 1, 0, -1):
+        parts.append(cd.phased_encode(counts[j], rem + 1))
+        rem -= counts[j]
+    for j in range(alphabet - 1, 0, -1):
+        parts.append(cd.phased_encode(layers[j].rank, layers[j].size))
+    return "".join(parts)
+
+
+class _SuffixAutomaton:
+    """Online suffix automaton, one transition dict per state."""
+
+    def __init__(self):
+        self.nexts, self.links, self.lens, self.firstpos = [{}], [-1], [0], [-1]
+        self.last = 0
+
+    def extend(self, c, position):
+        cur = len(self.lens)
+        self.nexts.append({})
+        self.links.append(-1)
+        self.lens.append(self.lens[self.last] + 1)
+        self.firstpos.append(position)
+        p = self.last
+        while p >= 0 and c not in self.nexts[p]:
+            self.nexts[p][c] = cur
+            p = self.links[p]
+        if p == -1:
+            self.links[cur] = 0
+        else:
+            q = self.nexts[p][c]
+            if self.lens[p] + 1 == self.lens[q]:
+                self.links[cur] = q
+            else:
+                clone = len(self.lens)
+                self.nexts.append(dict(self.nexts[q]))
+                self.links.append(self.links[q])
+                self.lens.append(self.lens[p] + 1)
+                self.firstpos.append(self.firstpos[q])
+                while p >= 0 and self.nexts[p].get(c) == q:
+                    self.nexts[p][c] = clone
+                    p = self.links[p]
+                self.links[q] = clone
+                self.links[cur] = clone
+        self.last = cur
+
+    def longest_match(self, text, start):
+        state = length = 0
+        for i in range(start, len(text)):
+            nxt = self.nexts[state].get(text[i])
+            if nxt is None:
+                break
+            state = nxt
+            length += 1
+        if length == 0:
+            return 0, -1
+        return length, self.firstpos[state] - length + 1
+
+
+def _lz77_tokens(word):
+    sam = _SuffixAutomaton()
+    pos = 0
+    while pos < len(word):
+        length, src = sam.longest_match(word, pos)
+        if length:
+            while pos + length < len(word) and word[src + length] == word[pos + length]:
+                length += 1
+        if length >= cd._LZ77_MIN_MATCH:
+            yield ("copy", pos - src, length)
+            step = length
+        else:
+            yield ("lit", word[pos], 1)
+            step = 1
+        for i in range(pos, pos + step):
+            sam.extend(word[i], i)
+        pos += step
+
+
+def _lz77_payload_len(word, alphabet):
+    total = 0
+    for kind, a, b in _lz77_tokens(word):
+        if kind == "lit":
+            total += 1 + cd.phased_len(a, alphabet)
+        else:
+            total += 1 + cd.elias_len(a) + cd.elias_len(b - cd._LZ77_MIN_MATCH + 1)
+    return total
+
+
+def _lz77_payload(word, alphabet):
+    return "".join(
+        "0" + cd.phased_encode(a, alphabet)
+        if kind == "lit"
+        else "1" + cd.elias_encode(a) + cd.elias_encode(b - cd._LZ77_MIN_MATCH + 1)
+        for kind, a, b in _lz77_tokens(word)
+    )
+
+
+# -- differential checks -------------------------------------------------------
+
+
+def check_word(word, k, full_lz77=True):
+    """Every branch cost, the selector, bits_len and the codeword of one
+    word against the references.  The reference lz77 payload is rebuilt
+    only when `full_lz77` is set or that branch wins."""
+    comp = cd.PrefixFreeCompressor(k)
+    enum = _enum_payload_len(word, k)
+    lz78 = cd._lz_payload_len(word, k)
+    lz77 = _lz77_payload_len(word, k)
+    assert cd._enum_cost(word, k) == enum
+    assert cd._lz77_cost(word, k, lz77 + 1) == lz77
+    for budget in (lz77 - 1, lz77, 0, 1, enum):
+        if budget <= lz77:
+            assert cd._lz77_cost(word, k, budget) >= budget
+    ref = [enum + cd.phased_len(0, 3), lz78 + cd.phased_len(1, 3), lz77 + cd.phased_len(2, 3)]
+    header = cd.elias_encode(len(word) + 1)
+    if not word:
+        best = 0
+        assert comp.bits_len(word) == len(header) + 1
+    else:
+        best = min(range(3), key=lambda i: (ref[i], i))
+        costs = comp._costs(word)
+        assert costs[:2] == ref[:2]
+        assert costs[2] == ref[2] if best == 2 else costs[2] >= ref[best]
+        assert comp._best(word) == best
+        assert comp.bits_len(word) == len(header) + ref[best]
+    payload = (_enum_payload, cd._lz_payload, _lz77_payload)[best](word, k) if word else ""
+    code = comp.encode(word)
+    assert code == header + cd.phased_encode(best, 3) + payload
+    assert comp.decode(code) == word
+    assert cd._enum_payload(word, k) == _enum_payload(word, k)
+    if full_lz77 or best == 2:
+        assert cd._lz77_payload(word, k) == _lz77_payload(word, k)
+    return best
+
+
+# no binary word of length <= 12 is won by the copy branch
+@pytest.mark.parametrize("k, max_len, winners", [(2, 12, {0, 1}), (3, 8, {0, 1, 2})])
+def test_every_short_word_matches_references(k, max_len, winners):
+    won = set()
+    for n in range(max_len + 1):
+        for word in itertools.product(range(k), repeat=n):
+            won.add(check_word(word, k, full_lz77=False))
+    assert won == winners
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_seeded_words_match_references(k):
+    won = {check_word(word, k) for _, alphabet, word in corpus() if alphabet == k}
+    assert 0 in won and 2 in won
+
+
+def _layer_cases():
+    """(word, alphabet) with the walk's edge cases: a layer without ones
+    (r = 0) or of ones only (r = m), a class size that is a power of two,
+    ones packed at the bottom or the top of a layer, and layers interleaved
+    with higher symbols."""
+    yield (0,) * 9, 2
+    yield (1,) * 9, 2
+    yield (2, 0, 2, 0, 0), 3  # layer 2 has r = 2, layer 1 has r = 0
+    yield (1, 2, 1, 2, 1), 3  # layer 1 has r = m = 3
+    for m in (2, 4, 8, 16, 64, 128):
+        for i in range(m):  # C(m, 1) and C(m, m - 1): powers of two
+            yield tuple(int(p == i) for p in range(m)), 2
+            yield tuple(int(p != i) for p in range(m)), 2
+    yield (0, 1, 1, 0), 2  # C(4, 2) = 6, short = 2
+    for m in range(1, 40):
+        for r in range(m + 1):
+            yield (1,) * r + (0,) * (m - r), 2  # packed at the bottom: rank 0
+            yield (0,) * (m - r) + (1,) * r, 2  # packed at the top: the last rank
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randrange(1, 60)
+        yield tuple(rng.randrange(4) for _ in range(m)), 4
+
+
+def test_layer_walk_edge_cases():
+    for word, k in _layer_cases():
+        check_word(word, k)
+        counts = [word.count(c) for c in range(k)]
+        layers = _grown_layers(word, k)
+        for j in range(k - 1, 0, -1):
+            m, r = sum(counts[: j + 1]), counts[j]
+            size, rank = math.comb(m, r), layers[j].rank
+            assert size == layers[j].size
+            assert cd._layer_rank(word, j, size, m, r) == rank
+            for cut in {0, 1, rank - 1, rank, rank + 1, size - 1, size}:
+                if 0 <= cut <= size:
+                    s = cd._layer_rank(word, j, size, m, r, cut)
+                    assert s <= rank and (s < cut) == (rank < cut), (word, j, cut)
 
 
 def test_codewords_match_golden():

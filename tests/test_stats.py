@@ -132,3 +132,35 @@ def test_recurrence_non_increasing():
     x = sp.rational_point(WHEEL, 0)
     values = [stt.recurrence_stat(sys, x, n) for n in (5, 12, 29, 70)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def _general_residual(sys, mu, x, ad, n):
+    result = stt.birkhoff_average(sys, x, ad, n)
+    return abs(float(result.average) - float(ms.measure_of_ad_set(mu, ad, 20).midpoint))
+
+
+def test_typicality_non_dyadic_set_matches_general_path(monkeypatch):
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    x = seeded_point(4, 94)
+    third = ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 3))
+    family = stt.dyadic_ball_family(LINE, 2) + [("[0,1/3)", third)]
+    monkeypatch.setattr(stt, "_typicality_dyadic_fast", None)  # must not be taken
+    result = stt.typicality_test(sys, mu, x, family, 30, tol=0.5, n_min=1)
+    expected = [(label, _general_residual(sys, mu, x, ad, 30)) for label, ad in family]
+    assert list(result.residuals) == expected
+
+
+def test_typicality_dyadic_family_takes_fast_path_and_agrees(monkeypatch):
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    x = seeded_point(4, 594)
+    family = stt.dyadic_ball_family(LINE, 3) + [
+        ("[0,1/4)", ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 4))),
+        ("[3/8,1)", ms.AlmostDecidableSet.from_interval(LINE, F(3, 8), 1)),
+    ]
+    monkeypatch.setattr(stt, "birkhoff_average", None)  # must not be called
+    result = stt.typicality_test(sys, mu, x, family, 500, tol=0.1)
+    monkeypatch.undo()
+    for (label, got), (_, ad) in zip(result.residuals, family):
+        assert got == _general_residual(sys, mu, x, ad, 500), label
