@@ -338,12 +338,13 @@ class _CombinadicLayer:
 def _layer_rank(word: Word, j: int, size: int, m: int, r: int, cut: Optional[int] = None) -> int:
     """Rank of layer j, summed from its top one down; size = C(m, r).
 
-    The walk keeps c = C(p, t) for the current layer position p and the t
-    ones at or below it, at one multiply and one floor-divide per
-    position.  The ones below a one at p add up to less than C(p, t-1),
-    so with `cut` the walk stops as soon as the partial sum s has s >= cut
-    or s + C(p, t-1) <= cut, and returns s: then s < cut exactly when the
-    rank is.  Ones packed at the bottom add nothing, and end the walk.
+    The walk keeps c = C(p, t), the number of ways to place the t ones
+    left in the p positions left, at one multiply and one floor-divide
+    per position: a one at position p-1 leaves C(p-1, t-1) = c*t/p and
+    adds its term C(p-1, t) = c - C(p-1, t-1).  The ones below it add up
+    to less than C(p-1, t-1), so with `cut` the walk stops as soon as the
+    partial sum s has s >= cut or s + C(p-1, t-1) <= cut, and returns s:
+    then s < cut exactly when the rank is.
     """
     s = 0
     t = r
@@ -352,16 +353,17 @@ def _layer_rank(word: Word, j: int, size: int, m: int, r: int, cut: Optional[int
     for symbol in reversed(word):
         if symbol > j:
             continue
-        if p == t:
-            return s
-        c = c * (p - t) // p  # C(p-1, t) from C(p, t)
-        p -= 1
         if symbol == j:
-            s += c
-            c = c * t // (p - t + 1)  # C(p, t-1) from C(p, t)
+            below = c * t // p
+            s += c - below
+            c = below
             t -= 1
+            p -= 1
             if t == 0 or cut is not None and (s >= cut or s + c <= cut):
                 return s
+        else:
+            c = c * (p - t) // p
+            p -= 1
     return s
 
 
