@@ -234,13 +234,17 @@ def _lz_payload(word: Word, alphabet: int) -> str:
     return "".join(parts)
 
 
-def _lz_payload_len(word: Word, alphabet: int) -> int:
+def _lz_payload_len(word: Word, alphabet: int, budget: Optional[int] = None) -> int:
+    """Payload length; with a budget, folded only until it reaches it, so
+    that a result >= budget is only a lower bound."""
     total = 0
     cache = _DiffCache()
     for t, index in _lz_tokens(word, alphabet):
         size = alphabet + t - 1
         total += cache.cost((size - 1) - index, index, size)
         cache.absorb((size - 1) - index)
+        if budget is not None and total >= budget:
+            break
     return total
 
 
@@ -547,11 +551,14 @@ def _lz77_tokens(word: Word, alphabet: int):
         pos = end
 
 
-def _lz77_cost(word: Word, alphabet: int, budget: int) -> int:
+def _lz77_cost(word: Word, alphabet: int, budget: int, tokens: Optional[list] = None) -> int:
     """Payload length, folded token by token until it reaches `budget`;
-    a result >= budget is only a lower bound."""
+    a result >= budget is only a lower bound.  `tokens`, if given,
+    receives every token folded."""
     total = 0
     for offset, value in _lz77_tokens(word, alphabet):
+        if tokens is not None:
+            tokens.append((offset, value))
         if offset:
             total += 1 + elias_len(offset) + elias_len(value - _LZ77_MIN_MATCH + 1)
         else:
@@ -561,12 +568,13 @@ def _lz77_cost(word: Word, alphabet: int, budget: int) -> int:
     return total
 
 
-def _lz77_payload(word: Word, alphabet: int) -> str:
+def _lz77_payload(word: Word, alphabet: int, tokens=None) -> str:
+    """Payload from the word's tokens, parsed here unless given."""
     return "".join(
         "1" + elias_encode(offset) + elias_encode(value - _LZ77_MIN_MATCH + 1)
         if offset
         else "0" + phased_encode(value, alphabet)
-        for offset, value in _lz77_tokens(word, alphabet)
+        for offset, value in (_lz77_tokens(word, alphabet) if tokens is None else tokens)
     )
 
 
@@ -598,7 +606,7 @@ def _lz77_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Wo
 # Compressor families
 # ---------------------------------------------------------------------------
 
-_PAYLOADS = (_enum_payload, _lz_payload, _lz77_payload)
+_PAYLOADS = (_enum_payload, _lz_payload)
 _DECODERS = (_enum_decode_payload, _lz_decode_payload, _lz77_decode_payload)
 
 
@@ -613,23 +621,30 @@ class PrefixFreeCompressor:
     alphabet: int = 2
     family: str = "enum-lz78-lz77-v1"
 
-    def _costs(self, word: Word) -> List[int]:
+    def _costs(
+        self, word: Word, budget: Optional[int] = None, lz77_tokens: Optional[list] = None
+    ) -> List[int]:
         """Selector plus payload bits of the enum, lz78 and lz77 branches.
 
         lz78 is costed first, being cheapest, then enum; lz77 is folded
         only until it reaches the best of those two, so its entry is exact
         when it wins and otherwise a lower bound that still loses (ties
-        go to the lower branch).
+        go to the lower branch).  With a `budget`, lz78 and lz77 also stop
+        once they reach it: the minimum is then exact below the budget and
+        at least the budget otherwise.  `lz77_tokens`, if given, receives
+        the lz77 tokens folded, all of them when that branch wins.
         """
         k = self.alphabet
-        lz78 = phased_len(1, 3) + _lz_payload_len(word, k)
+        lz78 = phased_len(1, 3)
+        lz78 += _lz_payload_len(word, k, None if budget is None else budget - lz78)
         enum = phased_len(0, 3) + _enum_cost(word, k)
         selector = phased_len(2, 3)
-        lz77 = selector + _lz77_cost(word, k, min(enum, lz78) - selector)
+        bound = min(enum, lz78) if budget is None else min(enum, lz78, budget)
+        lz77 = selector + _lz77_cost(word, k, bound - selector, lz77_tokens)
         return [enum, lz78, lz77]
 
-    def _best(self, word: Word) -> int:
-        costs = self._costs(word)
+    def _best(self, word: Word, lz77_tokens: Optional[list] = None) -> int:
+        costs = self._costs(word, lz77_tokens=lz77_tokens)
         return min(range(3), key=lambda i: (costs[i], i))
 
     def encode(self, word: Sequence[int]) -> str:
@@ -637,14 +652,24 @@ class PrefixFreeCompressor:
         header = elias_encode(len(word) + 1)
         if not word:
             return header + phased_encode(0, 3)
-        best = self._best(word)
-        return header + phased_encode(best, 3) + _PAYLOADS[best](word, self.alphabet)
+        tokens: list = []
+        best = self._best(word, tokens)
+        if best == 2:  # the copy branch emits the tokens it was costed from
+            payload = _lz77_payload(word, self.alphabet, tokens)
+        else:
+            payload = _PAYLOADS[best](word, self.alphabet)
+        return header + phased_encode(best, 3) + payload
 
     def bits_len(self, word: Sequence[int]) -> int:
-        word = _check_word(word, self.alphabet)
+        return self._bits_len(_check_word(word, self.alphabet))
+
+    def _bits_len(self, word: Word, budget: Optional[int] = None) -> int:
+        """bits_len of a checked word.  With a budget it is exact below the
+        budget and otherwise only a lower bound, at least the budget."""
+        header = elias_len(len(word) + 1)
         if not word:
-            return elias_len(1) + phased_len(0, 3)
-        return elias_len(len(word) + 1) + min(self._costs(word))
+            return header + phased_len(0, 3)
+        return header + min(self._costs(word, None if budget is None else budget - header))
 
     def screen_bits(self, word: Sequence[int]) -> List[int]:
         """Per-prefix code lengths from the enumerative and dictionary

@@ -9,14 +9,17 @@ from a point approximation, retrying from higher input precision until
 every step's enclosure is narrower than requested.
 
 Interval enclosures live on the real line for interval maps and as
-lifted-mod-1 intervals for the circle; sequence-space enclosures are
-cylinder words.
+lifted-mod-1 intervals for the circle, and are computed as integer
+numerators over one denominator per orbit, which every step keeps;
+sequence-space enclosures are cylinder words.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -88,21 +91,34 @@ Enclosure = Union[Interval, Tuple[int, ...]]
 
 @dataclass(frozen=True)
 class OrbitSegment:
-    """Per-step enclosures of an orbit: enclosures[j] contains T^j(x).
+    """Per-step enclosures of an orbit: step j contains T^j(x).
 
-    Interval/circle enclosures are Intervals of width < 2**-precision
-    (degenerate on the exact path); sequence-space enclosures are cylinder
-    words of length > precision.
+    Interval and circle steps are the integer numerators lows[j] <= highs[j]
+    over the one denominator `den`, of width below den * 2**-precision
+    (degenerate on the exact path, where `lows` is `highs`); `enclosures`
+    gives them as Intervals.  Sequence-space steps are the cylinder words
+    of length > precision in `words`.
     """
 
     system: System
     length: int
     precision: int
-    enclosures: Tuple[Enclosure, ...]
+    lows: Sequence[int] = ()
+    highs: Sequence[int] = ()
+    den: int = 1
+    words: Tuple[Tuple[int, ...], ...] = ()
     exact: bool = False
 
     def __len__(self):
         return self.length
+
+    @cached_property
+    def enclosures(self) -> Tuple[Enclosure, ...]:
+        """Interval per step (cylinder words for shifts), built on first use."""
+        if self.system.space.kind is Kind.CANTOR:
+            return self.words
+        den = self.den
+        return tuple(Interval(F(lo, den), F(hi, den)) for lo, hi in zip(self.lows, self.highs))
 
 
 # ---------------------------------------------------------------------------
@@ -126,56 +142,72 @@ def exact_step(sys: System, value: F) -> F:
     raise SpaceMismatch("exact_step on rationals needs an interval/circle map")
 
 
+def _exact_grid(sys: System, start) -> Tuple[int, int, int]:
+    """(v, den, a): the start as v/den, and a rotation's angle as a/den
+    with 0 <= a < den (a = 0 for doubling and tent)."""
+    q = F(start)
+    if sys.map_kind is not MapKind.TENT:
+        q = _mod1(q)
+    if sys.map_kind is not MapKind.ROTATION:
+        return q.numerator, q.denominator, 0
+    if not isinstance(sys.angle, F):
+        raise ValueError("exact rotation steps need a rational angle")
+    den = math.lcm(q.denominator, sys.angle.denominator)
+    a = sys.angle.numerator * (den // sys.angle.denominator) % den
+    return q.numerator * (den // q.denominator), den, a
+
+
 def exact_orbit(sys: System, start, n: int):
     """First n points of the exact orbit.
 
     start: rational value for interval/circle maps, or a symbol oracle for
-    shifts (in which case entries are shifted oracles' offsets).  Doubling
-    and tent orbits keep the start's denominator, so they run on integer
-    numerators.
+    shifts (in which case entries are shifted oracles' offsets).  Orbits
+    of rational points stay on the grid of the start's (and a rotation
+    angle's) denominator, so they run on integer numerators.
     """
     if sys.map_kind is MapKind.SHIFT:
         symbol_fn = start
         return [(lambda j0: (lambda i: symbol_fn(i + j0)))(j) for j in range(n)]
-    q = _mod1(F(start)) if sys.map_kind in (MapKind.DOUBLING, MapKind.ROTATION) else F(start)
-    if sys.lipschitz_expanding:
-        den = q.denominator
-        out = grid_orbit(sys.map_kind, q.numerator, den, n)
-        # in place, so that long orbits are never held twice
-        for j, v in enumerate(out):
-            out[j] = F(v, den)
-        return out
-    out = []
-    value = q
-    for _ in range(n):
-        out.append(value)
-        value = exact_step(sys, value)
+    v, den, a = _exact_grid(sys, start)
+    out = grid_orbit(sys.map_kind, v, den, n, a)
+    # in place, so that long orbits are never held twice
+    for j, v in enumerate(out):
+        out[j] = F(v, den)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Integer grid kernel: doubling and tent on numerators over a fixed denominator
+# Integer grid kernel: orbits on numerators over a fixed denominator
 # ---------------------------------------------------------------------------
 
 
-def grid_orbit(kind: MapKind, v: int, den: int, n: int) -> List[int]:
+def grid_orbit(kind: MapKind, v: int, den: int, n: int, a: int = 0) -> List[int]:
     """Numerators of the first n orbit points of v/den, all over den.
 
-    Doubling maps v to 2v mod den and the tent map v to 2v or 2den - 2v,
-    so every point stays on the grid 1/den (for doubling, 0 <= v < den;
-    for the tent map, 0 <= v <= den).
+    Doubling maps v to 2v mod den, the tent map v to 2v or 2den - 2v, and
+    the rotation by a/den (0 <= a < den) v to v + a mod den, so every
+    point stays on the grid 1/den (for doubling and rotations,
+    0 <= v < den; for the tent map, 0 <= v <= den).
     """
     out = []
     if kind is MapKind.DOUBLING:
         for _ in range(n):
             out.append(v)
-            v = (v << 1) % den
+            v <<= 1
+            if v >= den:
+                v -= den
     elif kind is MapKind.TENT:
         for _ in range(n):
             out.append(v)
             v <<= 1
             if v > den:
                 v = 2 * den - v
+    elif kind is MapKind.ROTATION:
+        for _ in range(n):
+            out.append(v)
+            v += a
+            if v >= den:
+                v -= den
     else:
         raise SpaceMismatch(f"no integer grid step for {kind}")
     return out
@@ -196,42 +228,6 @@ def grid_preimage(kind: MapKind, pieces: Sequence[Tuple[int, int]], den: int):
     raise SpaceMismatch(f"no integer preimage for {kind}")
 
 
-# ---------------------------------------------------------------------------
-# Interval images
-# ---------------------------------------------------------------------------
-
-
-class _Straddle(ArithmeticError):
-    """Enclosure covers a discontinuity; no useful single-interval image."""
-
-
-def interval_image(sys: System, box: Interval, angle_box: Optional[Interval] = None) -> Interval:
-    """Outer enclosure of the image of `box`; inclusion-monotone.
-
-    Doubling raises _Straddle when the box covers the cut at 1/2, since
-    the two image branches land at opposite ends of the interval.
-    """
-    if sys.map_kind is MapKind.DOUBLING:
-        if box.lo < F(1, 2) <= box.hi:
-            raise _Straddle(box)
-        if box.hi < F(1, 2):
-            return Interval(2 * box.lo, 2 * box.hi)
-        return Interval(2 * box.lo - 1, 2 * box.hi - 1)
-    if sys.map_kind is MapKind.TENT:
-        half = F(1, 2)
-        if box.hi <= half:
-            return Interval(2 * box.lo, 2 * box.hi)
-        if box.lo >= half:
-            return Interval(2 - 2 * box.hi, 2 - 2 * box.lo)
-        return Interval(min(2 * box.lo, 2 - 2 * box.hi), F(1))
-    if sys.map_kind is MapKind.ROTATION:
-        if angle_box is None:
-            angle_box = Interval.point(sys.angle)
-        shifted = box + angle_box
-        return shifted.shift(-(shifted.lo.numerator // shifted.lo.denominator))
-    raise SpaceMismatch(f"no interval image for {sys.map_kind}")
-
-
 def _angle_enclosure(sys: System, precision: int) -> Interval:
     if isinstance(sys.angle, F):
         return Interval.point(sys.angle)
@@ -250,14 +246,23 @@ def required_input_precision(sys: System, n: int, p: int) -> int:
 # Orbit enclosure
 # ---------------------------------------------------------------------------
 
+#: By default `iterate` gives up once the input precision would exceed this
+#: multiple of `required_input_precision`: the retries double it each time,
+#: so at most five enclosure passes run before PrecisionBlowup.
+PRECISION_CAP_FACTOR = 32
 
-def iterate(sys: System, x: Point, n: int, p: int, precision_cap: int = 1 << 20) -> OrbitSegment:
+
+def iterate(
+    sys: System, x: Point, n: int, p: int, precision_cap: Optional[int] = None
+) -> OrbitSegment:
     """n per-step enclosures, each of width < 2**-p.
 
     Uses the exact path when the point description and map parameters
     allow it; otherwise interval iteration with retry from higher input
-    precision, giving up with PrecisionBlowup at the cap (which genuinely
-    happens when an inexact doubling orbit meets the cut point).
+    precision, giving up with PrecisionBlowup beyond `precision_cap` bits
+    (by default PRECISION_CAP_FACTOR times the required input precision).
+    That genuinely happens when an inexact doubling orbit meets the cut
+    point, or passes closer to it than the cap can resolve.
     """
     if x.space != sys.space:
         raise SpaceMismatch(f"{x.space} vs {sys.space}")
@@ -267,9 +272,11 @@ def iterate(sys: System, x: Point, n: int, p: int, precision_cap: int = 1 << 20)
     if exact is not None:
         return exact
     m = required_input_precision(sys, n, p)
+    if precision_cap is None:
+        precision_cap = PRECISION_CAP_FACTOR * m
     while m <= precision_cap:
         try:
-            return _enclose_orbit(sys, x, n, p, m)
+            return _enclose_segment(sys, x, n, p, m)
         except (_Straddle, _WidthFailure):
             m = 2 * m + 8
     raise PrecisionBlowup(f"input precision beyond 2**-{precision_cap} required")
@@ -281,44 +288,85 @@ def _try_exact_segment(sys: System, x: Point, n: int, p: int) -> Optional[OrbitS
             return None
         window = p + 1
         symbols = [x.exact(j) for j in range(n + window)]
-        enclosures = tuple(tuple(symbols[j : j + window]) for j in range(n))
-        return OrbitSegment(sys, n, p, enclosures, exact=True)
+        words = tuple(tuple(symbols[j : j + window]) for j in range(n))
+        return OrbitSegment(sys, n, p, words=words, exact=True)
     if not isinstance(x.exact, F):
         return None
     if sys.map_kind is MapKind.ROTATION and not isinstance(sys.angle, F):
         return None
-    values = exact_orbit(sys, x.exact, n)
-    return OrbitSegment(sys, n, p, tuple(Interval.point(v) for v in values), exact=True)
+    v, den, a = _exact_grid(sys, x.exact)
+    orbit = grid_orbit(sys.map_kind, v, den, n, a)
+    return OrbitSegment(sys, n, p, orbit, orbit, den, exact=True)
+
+
+class _Straddle(ArithmeticError):
+    """Enclosure covers a discontinuity; no useful single-interval image."""
 
 
 class _WidthFailure(ArithmeticError):
     pass
 
 
-def _enclose_orbit(sys: System, x: Point, n: int, p: int, m: int) -> OrbitSegment:
-    target = F(1, 1 << p)
+def _enclose_segment(sys: System, x: Point, n: int, p: int, m: int) -> OrbitSegment:
+    """Interval iteration from the input enclosure at precision m, on
+    numerators over one denominator: the lcm of the denominators of the
+    input and angle enclosures, which every image keeps.
+
+    Each step clips to [0, 1] on the unit interval and fails once its
+    width reaches 2**-p.  Doubling raises _Straddle when the box covers
+    the cut at 1/2, since the two image branches land at opposite ends of
+    the interval; the tent map folds a box covering 1/2 up to 1; a
+    rotation adds the angle enclosure and reduces by the floor of the low
+    end.
+    """
     if sys.map_kind is MapKind.SHIFT:
         word = tuple(x.space.decode(x.approx_index(m)))
-        window = len(word)
-        enclosures = []
-        for j in range(n):
-            if window - j <= p:
-                raise _WidthFailure()
-            enclosures.append(word[j:] if j else word)
-        return OrbitSegment(sys, n, p, tuple(enclosures))
-    angle_box = None
-    if sys.map_kind is MapKind.ROTATION:
-        angle_box = _angle_enclosure(sys, m + max(n.bit_length(), 1) + 2)
-    box = x.enclosure(m)
-    enclosures = []
-    for _ in range(n):
-        if sys.space.kind is Kind.UNIT_INTERVAL:
-            box = Interval(max(box.lo, F(0)), min(box.hi, F(1)))
-        if box.width >= target:
+        if len(word) - (n - 1) <= p:
             raise _WidthFailure()
-        enclosures.append(box)
-        box = interval_image(sys, box, angle_box)
-    return OrbitSegment(sys, n, p, tuple(enclosures))
+        words = (word,) + tuple(word[j:] for j in range(1, n))
+        return OrbitSegment(sys, n, p, words=words)
+    box = x.enclosure(m)
+    rotation = sys.map_kind is MapKind.ROTATION
+    angle = _angle_enclosure(sys, m + max(n.bit_length(), 1) + 2) if rotation else Interval.point(0)
+    ends = (box.lo, box.hi, angle.lo, angle.hi)
+    den = math.lcm(*(q.denominator for q in ends))
+    lo, hi, alo, ahi = (q.numerator * (den // q.denominator) for q in ends)
+    clip = sys.space.kind is Kind.UNIT_INTERVAL
+    doubling = sys.map_kind is MapKind.DOUBLING
+    lows, highs = [], []
+    for _ in range(n):
+        if clip:
+            if lo < 0:
+                lo = 0
+            if hi > den:
+                hi = den
+        if (hi - lo) << p >= den:
+            raise _WidthFailure()
+        lows.append(lo)
+        highs.append(hi)
+        if rotation:
+            lo += alo
+            hi += ahi
+            if lo >= den or lo < 0:
+                wraps = lo // den
+                lo -= wraps * den
+                hi -= wraps * den
+        elif doubling:
+            lo <<= 1
+            hi <<= 1
+            if lo >= den:
+                lo -= den
+                hi -= den
+            elif hi >= den:
+                raise _Straddle()
+        elif hi << 1 <= den:
+            lo <<= 1
+            hi <<= 1
+        elif lo << 1 >= den:
+            lo, hi = 2 * (den - hi), 2 * (den - lo)
+        else:
+            lo, hi = min(lo << 1, 2 * (den - hi)), den
+    return OrbitSegment(sys, n, p, lows, highs, den)
 
 
 # ---------------------------------------------------------------------------

@@ -252,20 +252,25 @@ def _quantize_orbit(sys: dy.System, x: Point, n: int, p: int) -> List[int]:
     cells = 1 << p
     out = []
     if sys.space.kind is Kind.CANTOR:
-        for word in seg.enclosures:
+        for word in seg.words:
             value = 0
             for j in range(p + 1):
                 value = value * sys.space.alphabet + (word[j] if j < len(word) else 0)
             out.append(value)
         return out
-    for box in seg.enclosures:
-        mid = box.midpoint
-        index = (mid.numerator * cells) // mid.denominator
-        out.append(index % cells if sys.space.kind is Kind.CIRCLE else min(max(index, 0), cells - 1))
-    return out
+    # floor(midpoint * 2**p), the midpoint being (lo + hi) / (2 * den)
+    den2 = 2 * seg.den
+    out = [((lo + hi) << p) // den2 for lo, hi in zip(seg.lows, seg.highs)]
+    if sys.space.kind is Kind.CIRCLE:
+        return [index % cells for index in out]
+    return [min(max(index, 0), cells - 1) for index in out]
 
 
 _PREDICTOR_FAMILY = (0, 1, 2, 3, 4)
+
+
+# packed residuals are written as "0"/"1" text; this maps them to symbols 0/1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _zigzag(v: int) -> int:
@@ -283,28 +288,35 @@ def pseudo_orbit_code_bits(
     and compressed.  Plain differences are c = 1; expanding maps get their
     step structure exposed by c = 2, 3, ...; the best coefficient is the
     one minimizing the total, ties to the smallest.
+
+    The packed streams are costed shortest first, and each later one only
+    against the best total so far: its compressed length is exact while it
+    can still win and a lower bound once it cannot, so the minimum is the
+    same as with every stream costed in full.
     """
     from effdyn.coding import elias_len, phased_len
 
-    best = None
-    half = modulus // 2
     first_cost = phased_len(indices[0] % modulus, modulus)
+    if len(indices) < 2:
+        return elias_len(1) + first_cost  # no residuals: c = 0 has the shortest header
+    half = modulus // 2
+    streams = []
     for ci, c in enumerate(_PREDICTOR_FAMILY):
         residuals = [
             ((b - c * a + half) % modulus) - half for a, b in zip(indices, indices[1:])
         ]
-        cost = elias_len(ci + 1) + first_cost
-        if residuals:
-            offset = min(residuals)
-            spread = max(residuals) - offset
-            width = spread.bit_length()
-            cost += elias_len(_zigzag(offset) + 1) + elias_len(width + 1)
-            bits: List[int] = []
-            for r in residuals:
-                v = r - offset
-                for j in range(width - 1, -1, -1):
-                    bits.append((v >> j) & 1)
-            cost += compressor.bits_len(tuple(bits))
+        offset = min(residuals)
+        width = (max(residuals) - offset).bit_length()
+        fixed = first_cost + elias_len(ci + 1) + elias_len(_zigzag(offset) + 1)
+        fixed += elias_len(width + 1)
+        bits: Tuple[int, ...] = ()
+        if width:
+            packed = "".join(format(r - offset, f"0{width}b") for r in residuals)
+            bits = tuple(packed.encode().translate(_BIT_VALUES))
+        streams.append((fixed, bits))
+    best = None
+    for fixed, bits in sorted(streams, key=lambda stream: len(stream[1])):
+        cost = fixed + compressor._bits_len(bits, None if best is None else best - fixed)
         if best is None or cost < best:
             best = cost
     return best

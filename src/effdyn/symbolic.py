@@ -291,8 +291,52 @@ def code_orbit(
         if fast is not None:
             return SymbolicWord(tuple(fast), partition.alphabet)
     seg = dy.iterate(sys, x, n, precision)
-    symbols = tuple(partition.atom_of_enclosure(e) for e in seg.enclosures)
+    if sys.space.kind is Kind.CANTOR:
+        symbols = tuple(partition.atom_of_word(word) for word in seg.words)
+    else:
+        symbols = tuple(_code_segment(partition, seg))
     return SymbolicWord(symbols, partition.alphabet)
+
+
+def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[Optional[int]]:
+    """atom_of_enclosure of every step of an interval or circle segment,
+    on integers over the lcm L of the segment's and the pieces' denominators.
+
+    The open-atom rules become plain open pieces (a, b) with a < lo and
+    hi < b: on the unit interval an endpoint 0 moves to -1 and an endpoint
+    L to L + 1, so that 0 and 1 count as interior; on the circle each
+    piece also appears one turn down, for the lift t = 1, and lo is taken
+    mod L.  Pieces stay unmerged, so that an enclosure across a shared
+    endpoint of two pieces is not certified.
+    """
+    ends = [F(q) for atom in partition.atoms for piece in atom for q in piece]
+    den = math.lcm(seg.den, *(q.denominator for q in ends))
+    scale = den // seg.den
+    circle = partition.space.kind is Kind.CIRCLE
+    pieces = []
+    for i, atom in enumerate(partition.atoms):
+        for a, b in atom:
+            a, b = int(F(a) * den), int(F(b) * den)
+            if circle:
+                pieces += [(a, b, i), (a - den, b - den, i)]
+            else:
+                pieces.append((-1 if a == 0 else a, den + 1 if b == den else b, i))
+    out: List[Optional[int]] = []
+    for lo, hi in zip(seg.lows, seg.highs):
+        if scale != 1:
+            lo *= scale
+            hi *= scale
+        if circle and not 0 <= lo < den:
+            wraps = lo // den
+            lo -= wraps * den
+            hi -= wraps * den
+        symbol = None
+        for a, b, i in pieces:
+            if a < lo and hi < b:
+                symbol = i
+                break
+        out.append(symbol)
+    return out
 
 
 # ---------------------------------------------------------------------------
