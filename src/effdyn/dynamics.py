@@ -323,7 +323,7 @@ def _enclose_segment(sys: System, x: Point, n: int, p: int, m: int) -> OrbitSegm
         word = tuple(x.space.decode(x.approx_index(m)))
         if len(word) - (n - 1) <= p:
             raise _WidthFailure()
-        words = (word,) + tuple(word[j:] for j in range(1, n))
+        words = tuple(word[j:] for j in range(n))
         return OrbitSegment(sys, n, p, words=words)
     box = x.enclosure(m)
     rotation = sys.map_kind is MapKind.ROTATION

@@ -180,6 +180,26 @@ def test_enclosure_pass_matches_reference_at_every_precision(system):
                 assert got == ref, (m, n, p)
 
 
+def test_shift_enclosure_words_match_reference():
+    space = sp.cantor(3)
+    rng = random.Random(31)
+    symbols = [rng.randrange(3) for _ in range(200)]
+    x = sp.from_fast_sequence(space, lambda n: space.encode_word(tuple(symbols[: max(n, 0) + 2])))
+    sys = dy.shift(3)
+    for n, p in ((1, 0), (5, 3), (20, 6)):
+        for m in range(0, 40):
+            word = tuple(space.decode(x.approx_index(m)))
+            if any(len(word) - j <= p for j in range(n)):
+                with pytest.raises(dy._WidthFailure):
+                    dy._enclose_segment(sys, x, n, p, m)
+            else:
+                assert dy._enclose_segment(sys, x, n, p, m).enclosures == tuple(
+                    word[j:] for j in range(n))
+        seg = dy.iterate(sys, x, n, p)
+        assert not seg.exact and [w[: p + 1] for w in seg.words] == [
+            tuple(symbols[j : j + p + 1]) for j in range(n)]
+
+
 def test_segments_cover_straddle_retry_and_blowup():
     sys = dy.doubling()
     # 1/2 + 2^-20 straddles the cut at the first input precision and
