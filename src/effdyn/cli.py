@@ -10,8 +10,8 @@ Configs are ini-style key = value sections naming a system, a measure, a
 partition, an estimator and its grids.  A run writes <output>.csv (frozen
 schema: method,system,param,n,value,diag) and <output>.json with run
 metadata (config hash, seed, generator).  Identical configs produce
-byte-identical CSVs.  EFFDYN_CACHE_DIR, when set, caches spanning-set
-counts between runs; it is the only environment the driver reads.
+byte-identical CSVs: a run reads its config and nothing else, no shell
+variable included.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ import argparse
 import configparser
 import hashlib
 import json
-import os
 import random
 import sys as _sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
 from effdyn import entropy as en
@@ -240,71 +237,11 @@ def build_points(cfg, system: dy.System, bits: int) -> List[Tuple[str, sp.Point]
 # ---------------------------------------------------------------------------
 
 
-def _spanning_cache_path() -> Optional[Path]:
-    cache_dir = os.environ.get("EFFDYN_CACHE_DIR")
-    if not cache_dir:
-        return None
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / "spanning_counts.json"
-
-
-def _spanning_cache_prefix(system: dy.System) -> Optional[str]:
-    """Cache key prefix: spanning algorithm version plus a canonical system
-    spec; None for a rotation by an angle given as a point, which has no
-    spec and is not cached."""
-    kind = system.map_kind
-    if kind is dy.MapKind.ROTATION:
-        if not isinstance(system.angle, F):
-            return None
-        spec = f"rotation({system.angle})"
-    elif kind is dy.MapKind.SHIFT:
-        spec = f"shift({system.space.alphabet})"
-    else:
-        spec = kind.value
-    return f"v{en.SPANNING_VERSION}:{spec}"
-
-
-def _write_atomically(path: Path, text: str) -> None:
-    """Write a temp file next to `path`, then rename it over `path`."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _h1_with_cache(system: dy.System, p_grid, n_grid) -> EntropyReport:
-    cache_path = _spanning_cache_path()
-    prefix = _spanning_cache_prefix(system)
-    if cache_path is None or prefix is None:
-        return en.h1_estimate(system, p_grid, n_grid)
-    cache: Dict[str, int] = json.loads(cache_path.read_text()) if cache_path.exists() else {}
-    fresh = []
-
-    def count(n: int, p: int) -> int:
-        key = f"{prefix}:{n}:{p}"
-        if key not in cache:
-            cache[key] = en.spanning_separated(system, n, p).count
-            fresh.append(key)
-        return cache[key]
-
-    report = en.h1_estimate(system, p_grid, n_grid, count)
-    if fresh:
-        _write_atomically(cache_path, json.dumps(cache, sort_keys=True))
-    return report
-
-
 def run_config(cfg) -> List[EntropyReport]:
     system = build_system(cfg)
     estimator = _get(cfg, "estimator", "kind", required=True).strip()
     if estimator not in ESTIMATORS:
         raise ConfigError("estimator", "kind", f"unknown estimator {estimator!r}")
-    reports: List[EntropyReport] = []
-    workers = _value(cfg, "run", "workers", int, "1")
 
     if estimator == "block-entropy":
         mu = build_measure(cfg, system)
@@ -317,7 +254,7 @@ def run_config(cfg) -> List[EntropyReport]:
         if not p_grid:
             raise ConfigError("grids", "p_grid", "empty grid")
         n_grid = _n_grid(cfg)
-        return [_h1_with_cache(system, p_grid, n_grid)]
+        return [en.h1_estimate(system, p_grid, n_grid)]
 
     n_grid = _n_grid(cfg)
     bits = max(n_grid) + 64
@@ -325,8 +262,8 @@ def run_config(cfg) -> List[EntropyReport]:
     if not points:
         raise ConfigError("grids", "seeds", "no seeds or points given")
 
-    def run_one(item) -> List[EntropyReport]:
-        label, point = item
+    reports: List[EntropyReport] = []
+    for label, point in points:
         if estimator == "symbol-rate":
             partition = build_partition(cfg, system)
             report = en.symbol_rate(system, point, partition, n_grid)
@@ -372,7 +309,7 @@ def run_config(cfg) -> List[EntropyReport]:
             report = EntropyReport("recurrence", system.name, tuple(rows), rows[-1][2], {})
         else:
             raise ConfigError("estimator", "kind", f"unhandled estimator {estimator!r}")
-        return [
+        reports.append(
             EntropyReport(
                 report.method,
                 report.system,
@@ -380,15 +317,7 @@ def run_config(cfg) -> List[EntropyReport]:
                 report.rate,
                 report.diagnostics,
             )
-        ]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_one, points):
-                reports.extend(result)
-    else:
-        for item in points:
-            reports.extend(run_one(item))
+        )
     return reports
 
 

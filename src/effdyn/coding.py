@@ -619,7 +619,6 @@ class PrefixFreeCompressor:
     """
 
     alphabet: int = 2
-    family: str = "enum-lz78-lz77-v1"
 
     def _costs(
         self, word: Word, budget: Optional[int] = None, lz77_tokens: Optional[list] = None

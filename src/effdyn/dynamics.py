@@ -50,9 +50,6 @@ class System:
     measure: object = None  # ComputableMeasure known invariant for the map
     name: str = ""
 
-    def with_measure(self, mu) -> "System":
-        return System(self.space, self.map_kind, self.angle, mu, self.name)
-
     @property
     def lipschitz_expanding(self) -> bool:
         return self.map_kind in (MapKind.DOUBLING, MapKind.TENT)

@@ -25,7 +25,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
 from effdyn import symbolic as sb
@@ -369,9 +369,8 @@ def orbit_rate(
 # ---------------------------------------------------------------------------
 
 
-# Version of spanning_separated's counts, for stored counts to key on;
-# bump it whenever a change alters any count.
-SPANNING_VERSION = 1
+# Largest witness whose positions spanning_separated materializes.
+SPANNING_MEMBER_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -388,15 +387,6 @@ class SpanningSet:
     count: int
     grid_level: int
     positions: Optional[Tuple] = None
-
-    def ideal_indices(self) -> Tuple[int, ...]:
-        if self.positions is None:
-            raise ValueError("positions not materialized")
-        space = self.system.space
-        if space.kind is Kind.CANTOR:
-            return tuple(space.encode_word(w) for w in self.positions)
-        cells = 1 << self.grid_level
-        return tuple(space.encode_dyadic(F(i, cells)) for i in self.positions)
 
 
 def _doubling_reject_set(g: int, n: int, p: int) -> List[int]:
@@ -442,9 +432,7 @@ def _doubling_dn_leq(a: int, b: int, g: int, n: int, threshold: int) -> bool:
     return True
 
 
-def spanning_separated(
-    sys: dy.System, n: int, p: int, member_cap: int = 1 << 17
-) -> SpanningSet:
+def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
     """Greedy scan over ideal points of resolution p+n+2: keep a point iff
     its d_n distance to every kept point exceeds 2**-(p+1).
 
@@ -479,13 +467,13 @@ def spanning_separated(
                 if j > i and not rejected[j] and _doubling_dn_leq(j, i, g, n, threshold):
                     rejected[j] = 1
             i = rejected.find(0, i + 1)
-        keep = tuple(positions) if len(positions) <= member_cap else None
+        keep = tuple(positions) if len(positions) <= SPANNING_MEMBER_CAP else None
         return SpanningSet(sys, n, p, len(positions), g, keep)
     if sys.map_kind is dy.MapKind.SHIFT:
         k = sys.space.alphabet
         length = n + p
         count = k**length
-        if count <= member_cap:
+        if count <= SPANNING_MEMBER_CAP:
             words = []
             for value in range(count):
                 w = []
@@ -497,11 +485,11 @@ def spanning_separated(
             return SpanningSet(sys, n, p, count, length, tuple(words))
         return SpanningSet(sys, n, p, count, length, None)
     if sys.map_kind is dy.MapKind.TENT:
-        return _spanning_window_scan(sys, n, p, member_cap)
+        return _spanning_window_scan(sys, n, p)
     raise SpaceMismatch(f"no spanning construction for {sys.map_kind}")
 
 
-def _spanning_window_scan(sys: dy.System, n: int, p: int, member_cap: int) -> SpanningSet:
+def _spanning_window_scan(sys: dy.System, n: int, p: int) -> SpanningSet:
     """Greedy scan on integer orbits over the 2**g grid.
 
     A kept point more than `threshold` below i already fails d_n at step
@@ -532,7 +520,7 @@ def _spanning_window_scan(sys: dy.System, n: int, p: int, member_cap: int) -> Sp
         if not close:
             positions.append(i)
             orbits.append(orbit)
-    keep = tuple(positions) if len(positions) <= member_cap else None
+    keep = tuple(positions) if len(positions) <= SPANNING_MEMBER_CAP else None
     return SpanningSet(sys, n, p, len(positions), g, keep)
 
 
@@ -574,26 +562,15 @@ def verify_separated(span: SpanningSet, pair_cap: int = 200_000) -> bool:
     return True
 
 
-def h1_estimate(
-    sys: dy.System,
-    p_grid: Sequence[int],
-    n_grid: Sequence[int],
-    count: Optional[Callable[[int, int], int]] = None,
-) -> EntropyReport:
+def h1_estimate(sys: dy.System, p_grid: Sequence[int], n_grid: Sequence[int]) -> EntropyReport:
     """Capacity slope: least-squares fit of log2 |S(n, p)| against n, per
-    scale; the headline value is the slope at the finest scale.
-
-    count(n, p) supplies |S(n, p)|, by default from spanning_separated; a
-    caller with stored counts passes its own.
-    """
-    if count is None:
-        count = lambda n, p: spanning_separated(sys, n, p).count
+    scale; the headline value is the slope at the finest scale."""
     rows = []
     slopes = {}
     for p in sorted(p_grid):
         ns, logs = [], []
         for n in sorted(n_grid):
-            value = math.log2(count(n, p))
+            value = math.log2(spanning_separated(sys, n, p).count)
             rows.append((f"eps=2^-{p}", n, value))
             ns.append(n)
             logs.append(value)

@@ -1,4 +1,7 @@
+import configparser
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -133,25 +136,26 @@ def test_compare_pass_and_fail(tmp_path, capsys):
     assert "MISSING" in capsys.readouterr().out
 
 
-def test_golden_report_reproduced(tmp_path):
-    import shutil
-    from pathlib import Path
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
-    golden = Path(__file__).parent / "golden" / "doubling-ks.csv"
-    cfg_src = Path(__file__).parent.parent / "scripts" / "doubling-ks.cfg"
-    shutil.copy(cfg_src, tmp_path / "doubling-ks.cfg")
-    assert cli.main(["run", str(tmp_path / "doubling-ks.cfg")]) == 0
-    produced = (tmp_path / "out" / "doubling-ks.csv").read_bytes()
-    assert produced == golden.read_bytes()
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.cfg")))
+def test_golden_report_reproduced(tmp_path, name):
+    """Every shipped config reproduces its committed CSV and JSON byte for byte."""
+    cfg = configparser.ConfigParser()
+    cfg.read(SCRIPTS / f"{name}.cfg")
+    output = cfg.get("run", "output")
+    shutil.copy(SCRIPTS / f"{name}.cfg", tmp_path / f"{name}.cfg")
+    assert cli.main(["run", str(tmp_path / f"{name}.cfg")]) == 0
+    for ext in ("csv", "json"):
+        produced = (tmp_path / f"{output}.{ext}").read_bytes()
+        assert produced == (SCRIPTS / f"{output}.{ext}").read_bytes(), ext
 
 
 @pytest.mark.parametrize(
     "name", ["block-doubling-n12", "block-tent-n12", "h1-doubling", "h1-tent"]
 )
 def test_grid_golden_reproduced(tmp_path, name):
-    import shutil
-    from pathlib import Path
-
     golden_dir = Path(__file__).parent / "golden"
     shutil.copy(golden_dir / f"{name}.cfg", tmp_path / f"{name}.cfg")
     assert cli.main(["run", str(tmp_path / f"{name}.cfg")]) == 0
@@ -224,34 +228,6 @@ output = out/mk
     assert abs(float(rate.split(",")[4]) - 0.5574963) < 1e-5
 
 
-def test_workers_do_not_change_output(tmp_path):
-    base = """
-[system]
-kind = doubling
-
-[partition]
-kind = halves
-
-[estimator]
-kind = symbol-rate
-
-[grids]
-n_grid = 2^5..2^9
-seeds = 0,1,2
-
-[run]
-output = out/w{n}
-workers = {n}
-"""
-    cfg1 = write_cfg(tmp_path, base.format(n=1), "w1.cfg")
-    cfg3 = write_cfg(tmp_path, base.format(n=3), "w3.cfg")
-    assert cli.main(["run", str(cfg1)]) == 0
-    assert cli.main(["run", str(cfg3)]) == 0
-    rows1 = (tmp_path / "out" / "w1.csv").read_text()
-    rows3 = (tmp_path / "out" / "w3.csv").read_text()
-    assert rows1 == rows3
-
-
 H1_CFG = """
 [system]
 kind = {kind}
@@ -283,49 +259,16 @@ def _counting_spanning(monkeypatch):
     return calls
 
 
-def test_spanning_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("EFFDYN_CACHE_DIR", str(tmp_path / "cache"))
+def test_h1_run_counts_each_pair_once(tmp_path, monkeypatch):
     calls = _counting_spanning(monkeypatch)
     cfg = write_cfg(tmp_path, H1_CFG.format(kind="shift", extra="alphabet = 2", name="h1"))
-    assert cli.main(["run", str(cfg)]) == 0
-    # every count computed exactly once, and stored under a versioned spec
-    assert len(calls) == 2 * 5 and len(set(calls)) == len(calls)
-    first = (tmp_path / "out" / "h1.csv").read_bytes()
-    cache_file = tmp_path / "cache" / "spanning_counts.json"
-    keys = sorted(json.loads(cache_file.read_text()))
-    assert keys[0] == "v1:shift(2):2:1" and len(keys) == 10
-    # the temp file was renamed over the cache, not left beside it
-    assert [f.name for f in (tmp_path / "cache").iterdir()] == ["spanning_counts.json"]
-    del calls[:]
-    assert cli.main(["run", str(cfg)]) == 0  # second run served from cache
-    assert calls == []
-    assert (tmp_path / "out" / "h1.csv").read_bytes() == first
-    # the same run without a cache gives the same bytes
-    monkeypatch.delenv("EFFDYN_CACHE_DIR")
-    assert cli.main(["run", str(cfg)]) == 0
-    assert (tmp_path / "out" / "h1.csv").read_bytes() == first
-
-
-def test_spanning_cache_keys_rotations_by_angle(tmp_path, monkeypatch):
-    monkeypatch.setenv("EFFDYN_CACHE_DIR", str(tmp_path / "cache"))
-    calls = _counting_spanning(monkeypatch)
-    cache_file = tmp_path / "cache" / "spanning_counts.json"
-    for i, angle in enumerate(("1/3", "2/5")):
-        cfg = write_cfg(
-            tmp_path, H1_CFG.format(kind="rotation", extra=f"angle = {angle}", name=f"r{i}")
-        )
-        assert cli.main(["run", str(cfg)]) == 0
-    assert len(calls) == 2 * 10  # 2/5 did not reuse the counts of 1/3
-    specs = {key.split(":")[1] for key in json.loads(cache_file.read_text())}
-    assert specs == {"rotation(1/3)", "rotation(2/5)"}
-    # an angle given as a point has no canonical spec: computed, never cached
-    before = cache_file.read_bytes()
-    cfg = write_cfg(tmp_path, H1_CFG.format(kind="rotation", extra="angle = sqrt2-1", name="r2"))
+    produced = []
     for _ in range(2):
         del calls[:]
         assert cli.main(["run", str(cfg)]) == 0
-        assert len(calls) == 10
-    assert cache_file.read_bytes() == before
+        assert sorted(calls) == [("shift(2)", n, p) for n in range(2, 7) for p in (1, 2)]
+        produced.append((tmp_path / "out" / "h1.csv").read_bytes())
+    assert produced[0] == produced[1]
 
 
 @pytest.mark.parametrize(
