@@ -66,7 +66,6 @@ from effdyn.space import (
     word_point,
 )
 from effdyn.stats import (
-    EmpiricalMeasure,
     birkhoff_average,
     dyadic_ball_family,
     recurrence_stat,

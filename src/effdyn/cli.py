@@ -63,6 +63,16 @@ ESTIMATORS = {
     "recurrence": "min certified upper bound on d(x, T^n x)",
 }
 
+# The options each section may hold; run_config rejects any other.
+OPTIONS = {
+    "system": ("kind", "angle", "alphabet", "rows"),
+    "measure": ("kind", "base_weight", "atoms", "probs", "rows"),
+    "partition": ("kind", "level", "length"),
+    "estimator": ("kind",),
+    "grids": ("n_grid", "p_grid", "n_max", "seeds", "point", "scales", "target", "level", "tol"),
+    "run": ("output",),
+}
+
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -238,6 +248,10 @@ def build_points(cfg, system: dy.System, bits: int) -> List[Tuple[str, sp.Point]
 
 
 def run_config(cfg) -> List[EntropyReport]:
+    for section, known in OPTIONS.items():
+        for option in cfg.options(section) if cfg.has_section(section) else ():
+            if option not in known:
+                raise ConfigError(section, option, "unknown option")
     system = build_system(cfg)
     estimator = _get(cfg, "estimator", "kind", required=True).strip()
     if estimator not in ESTIMATORS:

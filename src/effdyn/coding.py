@@ -22,9 +22,9 @@ dynamic blocks:
   with slowly growing factor complexity collapse to a handful of copies.
 
 The emitted stream is elias_delta(length+1), an economy-coded selector,
-then the shortest payload.  The enumerative and dictionary branches also
-support exact incremental per-prefix costs, used by the deficiency
-screen.
+then the shortest payload.  `bits_len` is the one code length: the
+deficiency screen reads it at dyadic prefixes rather than keeping
+per-prefix costs of its own.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def phased_decode(bits: str, pos: int, size: int) -> Tuple[int, int]:
 class _DiffCache:
     """Two most recent distinct back-reference distances.
 
-    Hit on the first entry costs "10", on the second "11" (which then
-    moves to front); a miss costs the escape bit "0" plus the index.
+    A hit on the first entry is coded "10", on the second "11" (which then
+    moves to front); a miss is the escape bit "0" plus the index.
     """
 
     __slots__ = ("first", "second")
@@ -163,28 +163,15 @@ class _DiffCache:
         self.first = 0
         self.second = 1
 
-    def cost(self, diff: int, index: int, size: int) -> int:
-        if diff == self.first or diff == self.second:
-            return 2
-        return 1 + phased_len(index, size)
-
-    def emit(self, diff: int, index: int, size: int) -> str:
+    def update(self, diff: int) -> int:
+        """Slot of `diff` (0 first, 1 second, 2 miss), moved to front."""
         if diff == self.first:
-            return "10"
+            return 0
         if diff == self.second:
             self.first, self.second = self.second, self.first
-            return "11"
-        out = "0" + phased_encode(index, size)
+            return 1
         self.first, self.second = diff, self.first
-        return out
-
-    def absorb(self, diff: int):
-        if diff == self.first:
-            return
-        if diff == self.second:
-            self.first, self.second = self.second, self.first
-        else:
-            self.first, self.second = diff, self.first
+        return 2
 
     def read(self, bits: str, pos: int, size: int) -> Tuple[int, int]:
         if pos >= len(bits):
@@ -192,10 +179,8 @@ class _DiffCache:
         if bits[pos] == "1":
             if pos + 1 >= len(bits):
                 raise CodeError("truncated cache flag")
-            hit_second = bits[pos + 1] == "1"
-            diff = self.second if hit_second else self.first
-            if hit_second:
-                self.first, self.second = self.second, self.first
+            diff = self.second if bits[pos + 1] == "1" else self.first
+            self.update(diff)
             index = (size - 1) - diff
             if index < 0:
                 raise CodeError("cache distance outside the dictionary")
@@ -230,7 +215,8 @@ def _lz_payload(word: Word, alphabet: int) -> str:
     cache = _DiffCache()
     for t, index in _lz_tokens(word, alphabet):
         size = alphabet + t - 1
-        parts.append(cache.emit((size - 1) - index, index, size))
+        slot = cache.update((size - 1) - index)
+        parts.append("0" + phased_encode(index, size) if slot == 2 else ("10", "11")[slot])
     return "".join(parts)
 
 
@@ -241,38 +227,10 @@ def _lz_payload_len(word: Word, alphabet: int, budget: Optional[int] = None) -> 
     cache = _DiffCache()
     for t, index in _lz_tokens(word, alphabet):
         size = alphabet + t - 1
-        total += cache.cost((size - 1) - index, index, size)
-        cache.absorb((size - 1) - index)
+        total += 1 + phased_len(index, size) if cache.update((size - 1) - index) == 2 else 2
         if budget is not None and total >= budget:
             break
     return total
-
-
-def _lz_prefix_lens(word: Word, alphabet: int) -> List[int]:
-    """Payload cost of every prefix; the parse of a prefix shares all
-    complete phrases with the full parse, so only the pending match is
-    re-costed at each step."""
-    out = [0]
-    trie = {(-1, c): c for c in range(alphabet)}
-    next_id = alphabet
-    node = -1
-    t = 1
-    complete = 0
-    cache = _DiffCache()
-    for c in word:
-        child = trie.get((node, c))
-        if child is None:
-            size = alphabet + t - 1
-            complete += cache.cost((size - 1) - node, node, size)
-            cache.absorb((size - 1) - node)
-            trie[(node, c)] = next_id
-            next_id += 1
-            t += 1
-            child = trie[(-1, c)]
-        node = child
-        size = alphabet + t - 1
-        out.append(complete + cache.cost((size - 1) - node, node, size))
-    return out
 
 
 def _lz_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Word, int]:
@@ -310,33 +268,6 @@ def _lz_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Word
 # positions p_1 < ... < p_r its rank sum C(p_t, t) is a bijection onto
 # [0, C(m_j, r_j)) (the combinatorial number system), coded economy-style
 # in that range.
-
-
-class _CombinadicLayer:
-    """Rank of a growing layer within its weight class.
-
-    Appending a bit updates rank and class size with O(1) big-integer
-    operations; the per-prefix costs grow their layers this way.
-    """
-
-    __slots__ = ("length", "ones", "rank", "size")
-
-    def __init__(self):
-        self.length = 0
-        self.ones = 0
-        self.rank = 0
-        self.size = 1  # C(length, ones)
-
-    def append(self, bit: int):
-        m, r = self.length, self.ones
-        if bit:
-            # C(m, r+1) from C(m, r)
-            self.rank += self.size * (m - r) // (r + 1)
-            self.size = self.size * (m + 1) // (r + 1)
-            self.ones += 1
-        else:
-            self.size = self.size * (m + 1) // (m + 1 - r)
-        self.length += 1
 
 
 def _layer_rank(word: Word, j: int, size: int, m: int, r: int, cut: Optional[int] = None) -> int:
@@ -426,26 +357,6 @@ def _enum_payload(word: Word, alphabet: int) -> str:
         size = math.comb(m, r)
         parts.append(phased_encode(_layer_rank(word, j, size, m, r), size))
     return "".join(parts)
-
-
-def _enum_prefix_lens(word: Word, alphabet: int) -> List[int]:
-    layers = [_CombinadicLayer() for _ in range(alphabet)]
-    counts = [0] * alphabet
-    out = [0]
-    m = 0
-    for c in word:
-        counts[c] += 1
-        m += 1
-        for j in range(max(c, 1), alphabet):
-            layers[j].append(1 if c == j else 0)
-        total = 0
-        rem = m
-        for j in range(alphabet - 1, 0, -1):
-            total += phased_len(counts[j], rem + 1)
-            rem -= counts[j]
-            total += phased_len(layers[j].rank, layers[j].size)
-        out.append(total)
-    return out
 
 
 def _enum_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Word, int]:
@@ -670,23 +581,6 @@ class PrefixFreeCompressor:
             return header + phased_len(0, 3)
         return header + min(self._costs(word, None if budget is None else budget - header))
 
-    def screen_bits(self, word: Sequence[int]) -> List[int]:
-        """Per-prefix code lengths from the enumerative and dictionary
-        branches, computed incrementally in one pass.
-
-        Valid self-delimiting lengths for every prefix, equal to bits_len
-        except on strongly quasi-periodic words where the copy branch
-        undercuts them; the deficiency screen uses this table.
-        """
-        word = _check_word(word, self.alphabet)
-        lz = _lz_prefix_lens(word, self.alphabet)
-        enum = _enum_prefix_lens(word, self.alphabet)
-        return [
-            elias_len(m + 1)
-            + min(enum[m] + phased_len(0, 3), lz[m] + phased_len(1, 3))
-            for m in range(len(word) + 1)
-        ]
-
     def decode_stream(self, bits: str, pos: int = 0) -> Tuple[Word, int]:
         header, pos = elias_decode(bits, pos)
         n = header - 1
@@ -701,16 +595,13 @@ class PrefixFreeCompressor:
             raise CodeError(f"{len(bits) - pos} trailing bits")
         return word
 
-    def rate(self, word: Sequence[int]) -> F:
-        word = _check_word(word, self.alphabet)
-        if not word:
-            raise ValueError("rate needs a nonempty word")
-        return F(self.bits_len(word), len(word))
-
 
 def lz_rate(word: Sequence[int], alphabet: int = 2) -> F:
     """Bits per symbol under the default prefix-free compressor."""
-    return PrefixFreeCompressor(alphabet).rate(word)
+    word = _check_word(word, alphabet)
+    if not word:
+        raise ValueError("rate needs a nonempty word")
+    return F(PrefixFreeCompressor(alphabet)._bits_len(word), len(word))
 
 
 # ---------------------------------------------------------------------------
@@ -807,21 +698,23 @@ def neg_log2(q) -> float:
 
 
 def deficiency_proxy(word: Sequence[int], cylinder_measure, alphabet: int = 2) -> float:
-    """Screening statistic: max over prefixes of -log2(mu[prefix]) - bits(prefix).
+    """Screening statistic: max of -log2(mu[w[:m]]) - bits_len(w[:m]) over the
+    prefix lengths m = 1, 2, 4, ... below n, and m = n.
 
     Large values flag compressible (hence measure-atypical) words; this is
     a code-length surrogate, not a true universal deficiency.  Returns
-    +inf when some prefix has measure zero.
+    +inf when some prefix has measure zero: cylinder masses only shrink
+    as prefixes grow, so the whole word then has measure zero.
     """
-    compressor = PrefixFreeCompressor(alphabet)
-    bits = compressor.screen_bits(word)
+    bits_len = PrefixFreeCompressor(alphabet)._bits_len
+    word = _check_word(word, alphabet)
+    n = len(word)
     worst = -math.inf
-    word = tuple(word)
-    for m in range(1, len(word) + 1):
+    for m in [1 << e for e in range((n - 1).bit_length())] + [n] if n else []:
         p = cylinder_measure(word[:m])
         if p == 0:
             return math.inf
-        worst = max(worst, neg_log2(p) - bits[m])
+        worst = max(worst, neg_log2(p) - bits_len(word[:m]))
     return worst
 
 

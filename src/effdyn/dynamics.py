@@ -446,10 +446,3 @@ def preimage_pieces(sys: System, pieces: Sequence[Tuple[F, F]]):
         else:
             raise SpaceMismatch("preimage_pieces is for interval/circle maps")
     return out
-
-
-def preimage_words(sys: System, words: Sequence[Tuple[int, ...]]):
-    if sys.map_kind is not MapKind.SHIFT:
-        raise SpaceMismatch("preimage_words is for shifts")
-    k = sys.space.alphabet
-    return [(c,) + tuple(w) for w in words for c in range(k)]

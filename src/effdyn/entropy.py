@@ -372,6 +372,9 @@ def orbit_rate(
 # Largest witness whose positions spanning_separated materializes.
 SPANNING_MEMBER_CAP = 1 << 17
 
+# Most point pairs verify_separated checks exhaustively.
+SEPARATION_PAIR_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class SpanningSet:
@@ -524,14 +527,14 @@ def _spanning_window_scan(sys: dy.System, n: int, p: int) -> SpanningSet:
     return SpanningSet(sys, n, p, len(positions), g, keep)
 
 
-def verify_separated(span: SpanningSet, pair_cap: int = 200_000) -> bool:
+def verify_separated(span: SpanningSet) -> bool:
     """Exact check that all pairs have d_n > 2**-(p+2); quadratic, so the
     caller should pass desk-size witnesses."""
     sys = span.system
     if span.positions is None:
         raise ValueError("positions not materialized")
     pts = span.positions
-    if len(pts) * (len(pts) - 1) // 2 > pair_cap:
+    if len(pts) * (len(pts) - 1) // 2 > SEPARATION_PAIR_CAP:
         raise ValueError("witness too large for exhaustive verification")
     if sys.map_kind is dy.MapKind.SHIFT:
         bound = F(1, 1 << (span.p + 2))

@@ -269,10 +269,6 @@ def sqrt2_minus_1(space: Space) -> Point:
     return Point(space, approximator)
 
 
-def from_fast_sequence(space: Space, fn: Callable[[int], int]) -> Point:
-    return Point(space, fn)
-
-
 def approx(x: Point, n: int) -> IdealBall:
     """Ball around the n-th approximant that is guaranteed to contain x."""
     if n < 0:

@@ -85,18 +85,6 @@ def birkhoff_average(
 
 
 @dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Visit frequencies of one orbit, queried per almost decidable set."""
-
-    system: dy.System
-    base: Point
-    horizon: int
-
-    def frequency(self, target: AlmostDecidableSet) -> BirkhoffResult:
-        return birkhoff_average(self.system, self.base, target, self.horizon)
-
-
-@dataclass(frozen=True)
 class TypicalityResult:
     residuals: Tuple[Tuple[str, float], ...]
     max_residual: float
@@ -138,7 +126,10 @@ def typicality_test(
     if sys.map_kind is dy.MapKind.DOUBLING and isinstance(x.exact, F):
         finest = _dyadic_level(family)
         if finest is not None:
-            return _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest)
+            fast = _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest)
+            # an undecided step sits exactly on the grid, maybe inside a coarser set
+            if not fast.undecided_fraction:
+                return fast
     residuals = []
     worst_undecided = 0
     for label, ad in family:

@@ -21,7 +21,6 @@ covers everything else.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -459,40 +458,6 @@ def cylinder_measure(
     if sys.map_kind is dy.MapKind.SHIFT:
         return F(0) if region is None else mu.word_measure(region)
     return mu.model.region_measure(_circle_region(region))
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    value: float
-    half_width: float
-    samples: int
-    seed: int
-
-
-def mc_cylinder_estimate(
-    sys: dy.System,
-    partition: ComputablePartition,
-    word,
-    samples: int = 2000,
-    seed: int = 0,
-) -> MCEstimate:
-    """Seeded Monte-Carlo fallback: frequency of sampled orbits coding to
-    the word, with a two-sigma binomial half-width."""
-    from effdyn.space import rational_point
-
-    word = tuple(word)
-    rng = random.Random(seed)
-    hits = 0
-    n = len(word)
-    for _ in range(samples):
-        q = F(rng.getrandbits(48), 1 << 48)  # uniform dyadic seed
-        x = rational_point(sys.space, q)
-        coded = code_orbit(sys, x, partition, n)
-        if coded.symbols == word:
-            hits += 1
-    p = hits / samples
-    half = 2 * (max(p * (1 - p), 1.0 / samples) / samples) ** 0.5
-    return MCEstimate(p, half, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,29 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         assert err.startswith("config error: [") and f"] {option}:" in err, err
 
 
+def test_unknown_options_are_config_errors(tmp_path, capsys, monkeypatch):
+    def unreachable(cfg):
+        raise AssertionError("built a system from a config with an unknown option")
+
+    monkeypatch.setattr(cli, "build_system", unreachable)
+    stale = (SCRIPTS / "ksym-doubling.cfg").read_text().replace(
+        "[run]\n", "[run]\nworkers = 3\n"
+    )
+    bad = {
+        ("system", "angel"): "[system]\nkind = rotation\nangel = 1/3\n\n"
+        "[estimator]\nkind = recurrence\n\n[grids]\nn_grid = 4\npoint = 1/3\n",
+        ("grids", "sedes"): "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
+        "[grids]\nn_grid = 8\nsedes = 5\n",
+        ("run", "workers"): stale,
+    }
+    for (section, option), text in bad.items():
+        cfg = write_cfg(tmp_path, text, f"{option}.cfg")
+        assert cli.main(["run", str(cfg)]) == 2, option
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] {option}: unknown option"), err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 def test_estimator_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     from effdyn import entropy as en
 

@@ -148,23 +148,6 @@ def test_lz_engine_roundtrip(data):
     assert cd._lz_decode_payload(payload, 0, len(word), k) == (word, len(payload))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=250))
-def test_screen_bits_consistent_and_dominating(symbols):
-    comp = cd.PrefixFreeCompressor(2)
-    word = tuple(symbols)
-    table = comp.screen_bits(word)
-    for m in range(0, len(word) + 1, max(1, len(word) // 7)):
-        prefix = word[:m]
-        expected = cd.elias_len(m + 1) + min(
-            cd._enum_cost(prefix, 2) + cd.phased_len(0, 3),
-            cd._lz_payload_len(prefix, 2) + cd.phased_len(1, 3),
-        )
-        assert table[m] == expected
-        # a valid code length for the prefix: never below the 3-branch min
-        assert table[m] >= comp.bits_len(prefix)
-
-
 def test_compressor_streams_chain_componentwise():
     comp = cd.PrefixFreeCompressor(2)
     words = [(0, 1, 1), (), (1,) * 40, tuple(random.Random(5).randrange(2) for _ in range(100))]
@@ -329,6 +312,106 @@ def test_deficiency_single_symbol():
 def test_deficiency_zero_measure_prefix():
     value = cd.deficiency_proxy((1, 1), lambda p: F(0))
     assert value == math.inf
+
+
+def _reference_deficiency(word, mu):
+    comp = cd.PrefixFreeCompressor(2)
+    n = len(word)
+    lengths = sorted({1 << e for e in range(n.bit_length()) if 1 << e <= n} | {n})
+    return max(cd.neg_log2(mu(word[:m])) - comp.bits_len(word[:m]) for m in lengths)
+
+
+def biased_cylinder(p):
+    ones = sum(p)
+    return F(1, 3) ** ones * F(2, 3) ** (len(p) - ones)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=300))
+def test_deficiency_is_bits_len_at_dyadic_prefixes(symbols):
+    word = tuple(symbols)
+    for mu in (uniform_cylinder, biased_cylinder):
+        assert cd.deficiency_proxy(word, mu) == _reference_deficiency(word, mu)
+
+
+def test_deficiency_late_zero_measure_prefix():
+    # only prefixes longer than 37 have mass zero; no dyadic length below
+    # n = 48 reaches one, the full word does
+    word = (0,) * 37 + (1,) + (0,) * 10
+    seen = []
+
+    def late_zero(p):
+        seen.append(len(p))
+        return F(0) if len(p) > 37 else uniform_cylinder(p)
+
+    assert cd.deficiency_proxy(word, late_zero) == math.inf
+    assert seen == [1, 2, 4, 8, 16, 32, 48]
+
+
+def test_deficiency_flags_periodic_word():
+    word = (0, 1, 1) * 1365
+    assert cd.deficiency_proxy(word, uniform_cylinder) >= 0.9 * len(word)
+
+
+class _SwapCache:
+    """The dictionary cache's reader with explicit swaps, the reference
+    for `_DiffCache.read`: a hit on the second entry swaps it to the
+    front, a miss always pushes the decoded distance."""
+
+    def __init__(self):
+        self.first = 0
+        self.second = 1
+
+    def read(self, bits, pos, size):
+        if pos >= len(bits):
+            raise cd.CodeError("truncated token")
+        if bits[pos] == "1":
+            if pos + 1 >= len(bits):
+                raise cd.CodeError("truncated cache flag")
+            hit_second = bits[pos + 1] == "1"
+            diff = self.second if hit_second else self.first
+            if hit_second:
+                self.first, self.second = self.second, self.first
+            index = (size - 1) - diff
+            if index < 0:
+                raise cd.CodeError("cache distance outside the dictionary")
+            return index, pos + 2
+        index, pos = cd.phased_decode(bits, pos + 1, size)
+        self.first, self.second = (size - 1) - index, self.first
+        return index, pos
+
+
+def _lz_outcome(bits, n, k):
+    try:
+        return cd._lz_decode_payload(bits, 0, n, k)
+    except cd.CodeError:
+        return "CodeError"
+
+
+def test_lz_decoder_bit_flips_match_swap_reference():
+    rng = random.Random(11)
+    corpus = []
+    for k in (2, 3):
+        corpus += [
+            (tuple(rng.randrange(k) for _ in range(60)), k),
+            ((0,) * 50, k),
+            ((0, 1, 1) * 20, k),
+            (tuple(rng.randrange(k) for _ in range(8)) * 6, k),
+        ]
+    flips = differing = 0
+    for word, k in corpus:
+        payload = cd._lz_payload(word, k)
+        variants = [payload[:i] + "01"[payload[i] == "0"] + payload[i + 1 :] for i in range(len(payload))]
+        variants += [payload[:i] for i in range(len(payload))]
+        for bits in variants:
+            got = _lz_outcome(bits, len(word), k)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cd, "_DiffCache", _SwapCache)
+                want = _lz_outcome(bits, len(word), k)
+            assert got == want, (word, bits)
+            flips += 1
+            differing += got != (word, len(payload))
+    assert flips > 1000 and differing > 500
 
 
 def test_neg_log2_handles_tiny_rationals():

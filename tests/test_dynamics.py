@@ -58,7 +58,7 @@ def test_enclosure_path_contains_exact_orbit():
 
         return sys.space.encode_dyadic(dyadic_floor(q, n + 2))
 
-    x = sp.from_fast_sequence(sys.space, approximator)
+    x = sp.Point(sys.space, approximator)
     seg = dy.iterate(sys, x, 8, 12)
     assert not seg.exact
     for enclosure, value in zip(seg.enclosures, dy.exact_orbit(sys, q, 8)):
@@ -85,7 +85,7 @@ def test_precision_blowup_at_discontinuity():
     def approximator(n):
         return sys.space.encode_dyadic(F(1, 2))
 
-    x = sp.from_fast_sequence(sys.space, approximator)
+    x = sp.Point(sys.space, approximator)
     with pytest.raises(dy.PrecisionBlowup):
         dy.iterate(sys, x, 3, 8, precision_cap=4096)
 
@@ -182,7 +182,8 @@ def test_tagged_measure_invariance_exact():
     chain = ms.ComputableMeasure.markov(seq, [[F(9, 10), F(1, 10)], [F(1, 2), F(1, 2)]])
     words = [(0, 1), (1,)]
     direct = sum(chain.word_measure(w) for w in words)
-    pulled = sum(chain.word_measure(w) for w in dy.preimage_words(dy.shift(2), words))
+    preimages = [(c,) + w for w in words for c in range(2)]  # T^-1[w] = union of [cw]
+    pulled = sum(chain.word_measure(w) for w in preimages)
     assert direct == pulled
 
 

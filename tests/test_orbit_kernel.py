@@ -12,6 +12,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdyn import coding as cd
 from effdyn import dynamics as dy
@@ -90,7 +92,7 @@ def _ref_iterate(sys, x, n, p, precision_cap):
 
 def _hidden(space, q):
     """The rational q known only through its dyadic approximations."""
-    return sp.from_fast_sequence(space, lambda n: space.encode_dyadic(dyadic_floor(q, n + 2)))
+    return sp.Point(space, lambda n: space.encode_dyadic(dyadic_floor(q, n + 2)))
 
 
 # -- cases ---------------------------------------------------------------------
@@ -184,7 +186,7 @@ def test_shift_enclosure_words_match_reference():
     space = sp.cantor(3)
     rng = random.Random(31)
     symbols = [rng.randrange(3) for _ in range(200)]
-    x = sp.from_fast_sequence(space, lambda n: space.encode_word(tuple(symbols[: max(n, 0) + 2])))
+    x = sp.Point(space, lambda n: space.encode_word(tuple(symbols[: max(n, 0) + 2])))
     sys = dy.shift(3)
     for n, p in ((1, 0), (5, 3), (20, 6)):
         for m in range(0, 40):
@@ -276,6 +278,19 @@ def test_code_orbit_generic_path_matches_fast_doubling():
         fast = sb._fast_doubling_symbols(q.numerator, 2000, partition, 2000)
         assert sb._code_segment(partition, seg) == fast
         assert sb.code_orbit(sys, sp.rational_point(LINE, q), partition, 2000).symbols == tuple(fast)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=96), st.data())
+def test_fast_doubling_symbols_match_generic_path_on_random_dyadics(bits, data):
+    q = F(data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1)), 1 << bits)
+    level = data.draw(st.integers(min_value=1, max_value=6), label="level")
+    n = data.draw(st.integers(min_value=1, max_value=160), label="n")
+    partition = sb.dyadic_intervals(LINE, level)
+    fast = sb._fast_doubling_symbols(q.numerator, q.denominator.bit_length() - 1, partition, n)
+    seg = dy.iterate(dy.doubling(), sp.rational_point(LINE, q), n, 24)
+    assert fast is not None
+    assert sb._code_segment(partition, seg) == fast
 
 
 # -- quantizing ------------------------------------------------------------------

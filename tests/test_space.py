@@ -100,7 +100,7 @@ def test_approx_dyadic_truncation_of_reference(line):
         num = int(math.pi / 4 * 2**m)  # desk-scale reference truncation
         return line.encode_dyadic(F(num, 2**m))
 
-    x = sp.from_fast_sequence(line, approximator)
+    x = sp.Point(line, approximator)
     ball = sp.approx(x, 5)
     assert ball.radius == F(1, 16)
     assert abs(ball.center_desc - F(785398, 10**6)) < F(1, 64)

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from effdyn import dynamics as dy
 from effdyn import measure as ms
 from effdyn import space as sp
@@ -67,12 +70,6 @@ def test_birkhoff_rational_rotation_exact_frequency():
     # an orbit through the cut point 0 reports it undecided on the circle
     through_zero = stt.birkhoff_average(sys, sp.rational_point(WHEEL, 0), left_half(WHEEL), 5)
     assert through_zero.undecided == 1
-
-
-def test_empirical_measure_wrapper():
-    sys = dy.doubling()
-    emp = stt.EmpiricalMeasure(sys, sp.rational_point(LINE, F(1, 3)), 100)
-    assert emp.frequency(left_half(LINE)).average == F(1, 2)
 
 
 def test_typicality_seeded_doubling_passes():
@@ -164,3 +161,28 @@ def test_typicality_dyadic_family_takes_fast_path_and_agrees(monkeypatch):
     monkeypatch.undo()
     for (label, got), (_, ad) in zip(result.residuals, family):
         assert got == _general_residual(sys, mu, x, ad, 500), label
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=320), st.data())
+def test_typicality_dyadic_fast_matches_birkhoff_on_random_dyadics(bits, data):
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    q = F(data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1)), 1 << bits)
+    level = data.draw(st.integers(min_value=1, max_value=3), label="level")
+    n = data.draw(st.integers(min_value=1, max_value=240), label="n")
+    x = sp.rational_point(LINE, q)
+    family = stt.dyadic_ball_family(LINE, level)
+    result = stt.typicality_test(sys, mu, x, family, n, 0.1, n_min=1)
+    expected = [(label, _general_residual(sys, mu, x, ad, n)) for label, ad in family]
+    assert list(result.residuals) == expected
+    undecided = max(stt.birkhoff_average(sys, x, ad, n).undecided for _, ad in family)
+    assert result.undecided_fraction == undecided / n
+    # the fast path answers unless some step lands exactly on its grid,
+    # which for q = a/2^b (a odd) are the nonzero steps b - finest .. b - 1
+    finest = stt._dyadic_level(family)
+    fast = stt._typicality_dyadic_fast(sys, mu, x, family, n, 0.1, 1, finest)
+    b = q.denominator.bit_length() - 1
+    assert (fast.undecided_fraction == 0) == (b == 0 or b - finest >= n)
+    if fast.undecided_fraction == 0:
+        assert fast == result
