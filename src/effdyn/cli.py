@@ -69,8 +69,19 @@ OPTIONS = {
     "measure": ("kind", "base_weight", "atoms", "probs", "rows"),
     "partition": ("kind", "level", "length"),
     "estimator": ("kind",),
-    "grids": ("n_grid", "p_grid", "n_max", "seeds", "point", "scales", "target", "level", "tol"),
     "run": ("output",),
+}
+
+# The [grids] options each estimator reads; run_config rejects any other.
+_POINT_GRIDS = ("n_grid", "seeds", "point")
+GRIDS = {
+    "block-entropy": ("n_max",),
+    "h1": ("p_grid", "n_grid"),
+    "symbol-rate": _POINT_GRIDS,
+    "orbit-rate": _POINT_GRIDS + ("scales",),
+    "birkhoff": _POINT_GRIDS + ("target",),
+    "typicality": _POINT_GRIDS + ("level", "tol"),
+    "recurrence": _POINT_GRIDS,
 }
 
 
@@ -252,10 +263,13 @@ def run_config(cfg) -> List[EntropyReport]:
         for option in cfg.options(section) if cfg.has_section(section) else ():
             if option not in known:
                 raise ConfigError(section, option, "unknown option")
-    system = build_system(cfg)
     estimator = _get(cfg, "estimator", "kind", required=True).strip()
     if estimator not in ESTIMATORS:
         raise ConfigError("estimator", "kind", f"unknown estimator {estimator!r}")
+    for option in cfg.options("grids") if cfg.has_section("grids") else ():
+        if option not in GRIDS[estimator]:
+            raise ConfigError("grids", option, "unknown option")
+    system = build_system(cfg)
 
     if estimator == "block-entropy":
         mu = build_measure(cfg, system)

@@ -211,7 +211,8 @@ def grid_orbit(kind: MapKind, v: int, den: int, n: int, a: int = 0) -> List[int]
 
 
 def grid_preimage(kind: MapKind, pieces: Sequence[Tuple[int, int]], den: int):
-    """Exact preimage of open intervals (a/den, b/den), as pieces over 2*den.
+    """Exact preimage of intervals with ends a/den, b/den, as pieces over
+    2*den; open and closed intervals pull back alike.
 
     `pieces` are sorted, disjoint and inside [0, den]; so is the result.
     The branch x/2 keeps every numerator; the other branch is x/2 + 1/2
@@ -223,6 +224,48 @@ def grid_preimage(kind: MapKind, pieces: Sequence[Tuple[int, int]], den: int):
         top = 2 * den
         return list(pieces) + [(top - b, top - a) for a, b in reversed(pieces)]
     raise SpaceMismatch(f"no integer preimage for {kind}")
+
+
+def grid_ball(kind: MapKind, v: int, g: int, n: int, t: int) -> List[Tuple[int, int]]:
+    """Closed Bowen ball of v on the 2**g grid, as sorted inclusive ranges.
+
+    These are the grid points 0 <= j < 2**g with |T^k j - T^k v| <= t for
+    every k < n.  The window around T^(n-1) v is pulled back through
+    `grid_preimage` and cut to the window around each earlier T^k v; the
+    map sends the grid into itself, so a grid point j is the even
+    numerator 2j of a preimage piece.  Tent orbit values may be 2**g
+    (the point 1), so windows reach it and only the result is clipped.
+
+    For doubling with 4t <= 2**g and n <= g the ball is one range: while
+    |x - y| <= t, a doubling takes the gap to 2(x - y) if x and y lie in
+    the same half and beyond t if not, so d_n(v, j) <= t iff v and j
+    share their top n-1 bits and |v - j| * 2**(n-1) <= t.
+    """
+    cells = 1 << g
+    if n < 1:
+        return [(0, cells - 1)]  # d_0 has no steps
+    if kind is MapKind.DOUBLING and t << 2 <= cells and n <= g:
+        shift = g - n + 1
+        base = v >> shift << shift
+        reach = t >> (n - 1)
+        return [(max(v - reach, base), min(v + reach, base + (1 << shift) - 1))]
+    orbit = grid_orbit(kind, v, cells, n)
+    top = cells if kind is MapKind.TENT else cells - 1
+    ranges = [(max(orbit[-1] - t, 0), min(orbit[-1] + t, top))]
+    for u in reversed(orbit[:-1]):
+        lo, hi = max(u - t, 0), min(u + t, top)
+        pulled = grid_preimage(kind, ranges, cells)
+        ranges = []
+        for a, b in pulled:
+            a, b = max((a + 1) >> 1, lo), min(b >> 1, hi)
+            if a > b:
+                continue
+            # the pieces come out ordered; the tent branches touch at 1/2
+            if ranges and a <= ranges[-1][1] + 1:
+                ranges[-1] = (ranges[-1][0], b)
+            else:
+                ranges.append((a, b))
+    return [(a, min(b, cells - 1)) for a, b in ranges if a < cells]
 
 
 def _angle_enclosure(sys: System, precision: int) -> Interval:

@@ -372,8 +372,12 @@ def orbit_rate(
 # Largest witness whose positions spanning_separated materializes.
 SPANNING_MEMBER_CAP = 1 << 17
 
-# Most point pairs verify_separated checks exhaustively.
-SEPARATION_PAIR_CAP = 200_000
+#: Largest doubling or tent grid 2**(p+n+2) the greedy scan walks; a larger
+#: one raises PrecisionBlowup before anything is allocated.  The scan marks
+#: one byte per grid point, so at the cap it holds 1 MB of marks; tent
+#: there takes 5-10 s and at most 6 MB more peak memory (n = 15, p = 3
+#: keeps 133,744 points), doubling at most 3 s (CPython 3.11, 2-vCPU VM).
+SPANNING_GRID_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -392,49 +396,6 @@ class SpanningSet:
     positions: Optional[Tuple] = None
 
 
-def _doubling_reject_set(g: int, n: int, p: int) -> List[int]:
-    """Wrap-metric Bowen ball of 0 on the 2**g grid: all offsets whose
-    first n doublings stay within 2**(g-p-1) of 0 (mod wrap).  A superset
-    filter for the interval-metric rejection test."""
-    size = 1 << g
-    threshold = 1 << (g - p - 1)
-    out = []
-    for delta in range(-threshold, threshold + 1):
-        value = delta % size
-        ok = True
-        v = value
-        for _ in range(n):
-            wrapped = min(v, size - v)
-            if wrapped > threshold:
-                ok = False
-                break
-            v = (v << 1) % size
-        if ok:
-            out.append(value)
-    return out
-
-
-def _doubling_dn_leq(a: int, b: int, g: int, n: int, threshold: int) -> bool:
-    """Exact interval-metric d_n comparison on the 2**g doubling grid.
-
-    While |x - y| <= threshold <= 2**g / 4, a doubling takes the gap to
-    2(x - y) if x and y lie in the same half, and beyond the threshold if
-    not.  So for 1 <= n <= g, d_n <= threshold iff a and b share their top
-    n-1 bits and |a - b| * 2**(n-1) <= threshold.
-    """
-    size = 1 << g
-    if threshold << 2 <= size and 1 <= n <= g:
-        shift = g - n + 1
-        return a >> shift == b >> shift and abs(a - b) << (n - 1) <= threshold
-    x, y = a, b
-    for _ in range(n):
-        if abs(x - y) > threshold:
-            return False
-        x = (x << 1) % size
-        y = (y << 1) % size
-    return True
-
-
 def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
     """Greedy scan over ideal points of resolution p+n+2: keep a point iff
     its d_n distance to every kept point exceeds 2**-(p+1).
@@ -443,35 +404,21 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
     exceeds 2**-p-1) and (n, 2**-p)-spanning: a rejected grid point is
     2**-p-1-close to a kept one and an arbitrary point is grid-close to
     its nearest grid point even through n expansions.
+
+    For doubling and tent each kept point marks the later points of its
+    grid Bowen ball, so the scan reaches every grid point with its
+    verdict already set and jumps from one unmarked point to the next.
     """
     g = p + n + 2
+    size = 1 << g
+    threshold = 1 << (g - p - 1)
     if sys.map_kind is dy.MapKind.ROTATION:
-        size = 1 << g
-        threshold = 1 << (g - p - 1)
         positions = list(range(0, size, threshold + 1))
         while positions and min(positions[-1], size - positions[-1]) <= threshold:
             positions.pop()
         if not positions:
             positions = [0]
         return SpanningSet(sys, n, p, len(positions), g, tuple(positions))
-    if sys.map_kind is dy.MapKind.DOUBLING:
-        size = 1 << g
-        threshold = 1 << (g - p - 1)
-        reject = _doubling_reject_set(g, n, p)
-        # each kept point marks the later points of its ball when it is
-        # kept, so the scan reaches every grid point with its verdict set
-        rejected = bytearray(size)
-        positions = []
-        i = rejected.find(0)
-        while i >= 0:
-            positions.append(i)
-            for delta in reject:
-                j = (i + delta) % size
-                if j > i and not rejected[j] and _doubling_dn_leq(j, i, g, n, threshold):
-                    rejected[j] = 1
-            i = rejected.find(0, i + 1)
-        keep = tuple(positions) if len(positions) <= SPANNING_MEMBER_CAP else None
-        return SpanningSet(sys, n, p, len(positions), g, keep)
     if sys.map_kind is dy.MapKind.SHIFT:
         k = sys.space.alphabet
         length = n + p
@@ -487,81 +434,59 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
                 words.append(tuple(reversed(w)))
             return SpanningSet(sys, n, p, count, length, tuple(words))
         return SpanningSet(sys, n, p, count, length, None)
-    if sys.map_kind is dy.MapKind.TENT:
-        return _spanning_window_scan(sys, n, p)
-    raise SpaceMismatch(f"no spanning construction for {sys.map_kind}")
-
-
-def _spanning_window_scan(sys: dy.System, n: int, p: int) -> SpanningSet:
-    """Greedy scan on integer orbits over the 2**g grid.
-
-    A kept point more than `threshold` below i already fails d_n at step
-    0, so only the kept points in [i - threshold, i) are compared, newest
-    first.  Doubling keeps its reject-set scan instead: doubling commutes
-    with translation mod 1, so the offsets that stay close form one small
-    fixed set, while a kept point here must be compared with every kept
-    point of its window.
-    """
-    g = p + n + 2
-    if g > 16:
-        raise dy.PrecisionBlowup("tent spanning scan capped at grid 2**16")
-    cells = 1 << g
-    threshold = 1 << (g - p - 1)
-    if n < 1:
-        return SpanningSet(sys, n, p, 1, g, (0,))  # d_0 has no steps: one ball
-    positions: List[int] = []
-    orbits: List[List[int]] = []
-    for i in range(cells):
-        orbit = dy.grid_orbit(sys.map_kind, i, cells, n)
-        close = False
-        for k in range(len(positions) - 1, -1, -1):
-            if i - positions[k] > threshold:
-                break
-            if all(abs(a - b) <= threshold for a, b in zip(orbit, orbits[k])):
-                close = True
-                break
-        if not close:
-            positions.append(i)
-            orbits.append(orbit)
+    if sys.map_kind not in (dy.MapKind.DOUBLING, dy.MapKind.TENT):
+        raise SpaceMismatch(f"no spanning construction for {sys.map_kind}")
+    size = 1 << g
+    if size > SPANNING_GRID_CAP:
+        cap = SPANNING_GRID_CAP.bit_length() - 1
+        raise dy.PrecisionBlowup(f"spanning scan capped at grid 2**{cap}, needs 2**{g}")
+    marked = bytearray(size)
+    positions = []
+    i = 0
+    while i >= 0:
+        positions.append(i)
+        for lo, hi in dy.grid_ball(sys.map_kind, i, g, n, threshold):
+            lo = max(lo, i + 1)
+            if lo <= hi:
+                marked[lo : hi + 1] = b"\x01" * (hi + 1 - lo)
+        i = marked.find(0, i + 1)
     keep = tuple(positions) if len(positions) <= SPANNING_MEMBER_CAP else None
     return SpanningSet(sys, n, p, len(positions), g, keep)
 
 
 def verify_separated(span: SpanningSet) -> bool:
-    """Exact check that all pairs have d_n > 2**-(p+2); quadratic, so the
-    caller should pass desk-size witnesses."""
+    """Exact check that all pairs have d_n > 2**-(p+2).
+
+    Linear in the witness size after a sort: shift words and rotation
+    points need only their sorted (for rotations, circular) neighbours,
+    and a doubling or tent point's grid Bowen ball of radius 2**-(p+2)
+    must hold no other position.
+    """
     sys = span.system
     if span.positions is None:
         raise ValueError("positions not materialized")
-    pts = span.positions
-    if len(pts) * (len(pts) - 1) // 2 > SEPARATION_PAIR_CAP:
-        raise ValueError("witness too large for exhaustive verification")
+    pts = sorted(span.positions)
     if sys.map_kind is dy.MapKind.SHIFT:
-        bound = F(1, 1 << (span.p + 2))
-        for i, u in enumerate(pts):
-            for v in pts[i + 1 :]:
-                t = next((j for j in range(min(len(u), len(v))) if u[j] != v[j]), None)
-                if t is None:
-                    return False
-                dn = F(1, 1 << max(t - span.n + 1, 0))
-                if dn <= bound:
-                    return False
+        # d_n(u, v) = 2**-max(t-n+1, 0) for a first difference at t, so
+        # d_n <= 2**-(p+2) iff u and v agree on their first n+p+1 symbols;
+        # the longest common prefix of a sorted list is between neighbours
+        for u, v in zip(pts, pts[1:]):
+            t = next((j for j in range(min(len(u), len(v))) if u[j] != v[j]), None)
+            if t is None or t >= span.n + span.p + 1:
+                return False
         return True
     # grid units: d <= 2**-(p+2) iff d * 2**g <= floor(2**g / 2**(p+2))
     cells = 1 << span.grid_level
     bound = cells >> (span.p + 2)
     if sys.map_kind is dy.MapKind.ROTATION:
-        for i, u in enumerate(pts):
-            for v in pts[i + 1 :]:
-                m = abs(u - v)
-                if min(m, cells - m) <= bound:
-                    return False
-        return True
-    orbits = [dy.grid_orbit(sys.map_kind, i, cells, span.n) for i in pts]
-    for i, u in enumerate(orbits):
-        for v in orbits[i + 1 :]:
-            if all(abs(a - b) <= bound for a, b in zip(u, v)):
-                return False
+        ring = pts[1:] + [q + cells for q in pts[:1]]
+        return all(b - a > bound for a, b in zip(pts, ring))
+    for u in pts:
+        ranges = dy.grid_ball(sys.map_kind, u, span.grid_level, span.n, bound)
+        # u lies in its own ball, so any second position breaks separation
+        inside = sum(bisect.bisect_right(pts, hi) - bisect.bisect_left(pts, lo) for lo, hi in ranges)
+        if inside > 1:
+            return False
     return True
 
 

@@ -141,17 +141,19 @@ def typicality_test(
 
 
 def _dyadic_level(family) -> Optional[int]:
-    """Level of the finest dyadic grid carrying every ball center and
-    endpoint of the family's sets, or None when some point is not dyadic.
+    """Level of the finest dyadic grid carrying both ends c - r and c + r
+    of every ball of the family's sets, or None when some end is not
+    dyadic.
 
-    On that grid each set is a union of cells, which the fast path
-    counts by their midpoints.
+    On that grid each set is a union of cells, up to grid points, which
+    the fast path counts by their midpoints; a ball's center need not lie
+    on it.
     """
     finest = 1
     for _, ad in family:
         for ball in ad.inside.enumerate(4) + ad.outside.enumerate(4):
             c = ball.center_desc
-            for q in (c, c - ball.radius, c + ball.radius):
+            for q in (c - ball.radius, c + ball.radius):
                 den = q.denominator
                 if den & (den - 1):
                     return None

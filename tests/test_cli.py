@@ -271,6 +271,16 @@ def test_h1_run_counts_each_pair_once(tmp_path, monkeypatch):
     assert produced[0] == produced[1]
 
 
+@pytest.mark.parametrize("kind", ["doubling", "tent"])
+def test_h1_over_the_spanning_grid_cap_exits_1(tmp_path, capsys, kind):
+    # n = 16 at p = 3 needs the 2**21 grid
+    text = H1_CFG.format(kind=kind, extra="", name="capped").replace("p_grid = 1,2", "p_grid = 3")
+    cfg = write_cfg(tmp_path, text.replace("n_grid = 2..6", "n_grid = 16"))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert "estimator error: spanning scan capped at grid 2**20" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -351,7 +361,11 @@ def test_unknown_options_are_config_errors(tmp_path, capsys, monkeypatch):
         ("grids", "sedes"): "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
         "[grids]\nn_grid = 8\nsedes = 5\n",
         ("run", "workers"): stale,
+        # valid for other estimators, but symbol-rate reads neither
+        ("grids", "scales"): "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
+        "[grids]\nn_grid = 8\nseeds = 1\nscales = 4\nn_max = 9\n",
     }
+    assert set(cli.GRIDS) == set(cli.ESTIMATORS)
     for (section, option), text in bad.items():
         cfg = write_cfg(tmp_path, text, f"{option}.cfg")
         assert cli.main(["run", str(cfg)]) == 2, option

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -217,6 +218,13 @@ def test_spanning_sets_verified_separated():
     for sysm, n, p in cases:
         span = en.spanning_separated(sysm, n, p)
         assert en.verify_separated(span)
+
+
+def test_verify_separated_rejects_a_repeated_shift_word():
+    span = en.spanning_separated(dy.shift(2), 3, 2)
+    words = list(span.positions)
+    words[-1] = words[len(words) // 2]
+    assert not en.verify_separated(dataclasses.replace(span, positions=tuple(words)))
 
 
 def test_spanning_rotation_count_constant_in_n():

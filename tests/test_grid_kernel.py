@@ -57,20 +57,36 @@ def test_spanning_positions_match_fraction_greedy(system):
         assert span.count == len(span.positions)
 
 
-def test_doubling_dn_shortcut_matches_stepping():
-    def stepped(a, b, g, n, threshold):
-        x, y = a, b
-        for _ in range(n):
-            if abs(x - y) > threshold:
-                return False
-            x, y = (2 * x) % (1 << g), (2 * y) % (1 << g)
-        return True
+@pytest.mark.parametrize("kind", [dy.MapKind.DOUBLING, dy.MapKind.TENT], ids=["doubling", "tent"])
+def test_grid_ball_matches_stepped_dn(kind):
+    """Every ball on grids up to 2**7 against the pairwise d_n of stepped
+    orbits, radii 2**g >> k from beyond the whole grid down to 0."""
+    for g in range(1, 8):
+        cells = 1 << g
+        for n in range(g + 1):
+            orbits = [dy.grid_orbit(kind, j, cells, n) for j in range(cells)]
+            for t in (cells >> k for k in range(g + 2)):
+                for i, orbit in enumerate(orbits):
+                    ranges = dy.grid_ball(kind, i, g, n, t)
+                    if kind is dy.MapKind.DOUBLING and 4 * t <= cells and n >= 1:
+                        assert len(ranges) == 1  # the one-range lemma
+                    ball = [j for lo, hi in ranges for j in range(lo, hi + 1)]
+                    assert ball == [
+                        j
+                        for j, other in enumerate(orbits)
+                        if all(abs(a - b) <= t for a, b in zip(orbit, other))
+                    ], (g, n, t, i)
 
-    for g in range(1, 6):
-        size = 1 << g
-        for n, threshold in itertools.product(range(g + 2), range(size + 1)):
-            for a, b in itertools.product(range(size), repeat=2):
-                assert en._doubling_dn_leq(a, b, g, n, threshold) == stepped(a, b, g, n, threshold)
+
+@pytest.mark.parametrize("system", [dy.tent(), dy.doubling()], ids=["tent", "doubling"])
+def test_spanning_grid_cap_raises_before_allocating(system, monkeypatch):
+    def no_marks(size):
+        raise AssertionError(f"allocated {size} marks past the cap")
+
+    monkeypatch.setattr(en, "bytearray", no_marks, raising=False)
+    assert en.SPANNING_GRID_CAP == 1 << 20
+    with pytest.raises(dy.PrecisionBlowup):
+        en.spanning_separated(system, 16, 3)  # grid 2**21
 
 
 def test_grid_orbit_matches_exact_step():
@@ -105,6 +121,12 @@ def test_verify_separated_catches_a_moved_witness(system):
         bad = dataclasses.replace(span, positions=tuple(moved))
         assert not _fraction_separated(bad)
         assert not en.verify_separated(bad)
+
+
+def test_verify_separated_doubling_witness_n14_p3():
+    span = en.spanning_separated(dy.doubling(), 14, 3)
+    assert span.count == len(span.positions) == 106_496
+    assert en.verify_separated(span)
 
 
 def test_verify_separated_rotation_wraps():

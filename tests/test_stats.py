@@ -163,6 +163,23 @@ def test_typicality_dyadic_family_takes_fast_path_and_agrees(monkeypatch):
         assert got == _general_residual(sys, mu, x, ad, 500), label
 
 
+def test_typicality_level_comes_from_ball_ends(monkeypatch):
+    # the outer ball of [0,1/2) is centred at 3/4, but its ends 1/2 and 1
+    # lie on the level-1 grid, so the orbit point 1/4 is decided there
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    x = sp.rational_point(LINE, F(1, 8))
+    family = stt.dyadic_ball_family(LINE, 1)
+    assert stt._dyadic_level(family) == 1
+    monkeypatch.setattr(stt, "birkhoff_average", None)  # must not be called
+    result = stt.typicality_test(sys, mu, x, family, 2, tol=0.5, n_min=1)
+    monkeypatch.undo()
+    assert result.undecided_fraction == 0
+    assert list(result.residuals) == [
+        (label, _general_residual(sys, mu, x, ad, 2)) for label, ad in family
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=320), st.data())
 def test_typicality_dyadic_fast_matches_birkhoff_on_random_dyadics(bits, data):
