@@ -222,6 +222,8 @@ def build_partition(cfg, system: dy.System) -> sb.ComputablePartition:
             return sb.dyadic_intervals(system.space, level)
     if kind == "cylinders":
         length = _value(cfg, "partition", "length", int, "1")
+        if length < 0:
+            raise ConfigError("partition", "length", f"invalid value ({length} is below 0)")
         with _bad_value("partition", "kind"):
             return sb.cylinders(system.space, length)
     raise ConfigError("partition", "kind", f"unknown partition {kind!r}")
@@ -451,6 +453,7 @@ def cmd_list_systems(_args) -> int:
 def cmd_list_estimators(_args) -> int:
     for name, desc in ESTIMATORS.items():
         print(f"{name:14s} {desc}")
+        print(f"{'':14s} [grids] {', '.join(GRIDS[name])}")
     return 0
 
 

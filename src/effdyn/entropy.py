@@ -22,6 +22,7 @@ max/min), keeping runs reproducible.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,69 +98,18 @@ def _rotation_gap_entropies(sys: dy.System, partition, ns: Sequence[int]) -> Dic
 
 def _pullback_level_entropies(sys, mu, partition, ns: Sequence[int]) -> Dict[int, float]:
     """H(xi_n) by suffix pullback: level d holds every positive-mass
-    length-d cylinder as an exact region."""
-    n_max = max(ns)
+    length-d cylinder as an exact region with its mass, ordered by the
+    level-(d-1) cylinder it extends and then by its first symbol."""
+    atoms, step, mass = sb.pullback(sys, mu, partition)
     wanted = set(ns)
     out = {}
-    if sys.map_kind is dy.MapKind.SHIFT:
-        level = [tuple(atom[0]) for atom in partition.atoms]
-        if any(len(atom) != 1 for atom in partition.atoms):
-            raise OracleUnavailable("shift entropy needs single-cylinder atoms")
-        masses = [mu.word_measure(w) for w in level]
-        depth = 1
-        while True:
-            if depth in wanted:
-                out[depth] = _entropy_bits(masses)
-            if depth == n_max:
-                return out
-            new_level, new_masses = [], []
-            for word in level:
-                for atom in partition.atoms:
-                    cyl = atom[0]
-                    # prepend: constraint = atom word at 0.., old word at 1..
-                    candidate = list(cyl) + [None] * max(0, 1 + len(word) - len(cyl))
-                    ok = True
-                    for pos, c in enumerate(word):
-                        slot = pos + 1
-                        if slot < len(cyl):
-                            if cyl[slot] != c:
-                                ok = False
-                                break
-                        else:
-                            candidate[slot] = c
-                    if not ok:
-                        continue
-                    new_word = tuple(c for c in candidate if c is not None)
-                    mass = mu.word_measure(new_word)
-                    if mass > 0:
-                        new_level.append(new_word)
-                        new_masses.append(mass)
-            level, masses = new_level, new_masses
-            depth += 1
-    # doubling and tent: regions as integer pieces over D * 2**(depth-1)
-    den, atoms = sb.integer_atoms(partition)
     level = []
-    for atom in atoms:
-        mass = sb.interval_mass(mu, atom, den)
-        if mass > 0:
-            level.append((atom, mass))
-    depth = 1
-    while True:
-        if depth in wanted:
-            out[depth] = _entropy_bits(m for _, m in level)
-        if depth == n_max:
-            return out
-        scaled = [[(a << depth, b << depth) for a, b in atom] for atom in atoms]
-        new_level = []
-        for region, _ in level:
-            for pieces in sb.pull_back_into(sys.map_kind, region, den, scaled):
-                if pieces:
-                    mass = sb.interval_mass(mu, pieces, 2 * den)
-                    if mass > 0:
-                        new_level.append((pieces, mass))
-        level = new_level
-        den *= 2
-        depth += 1
+    for d in range(1, max(ns) + 1):
+        regions = atoms if d == 1 else (r for region, _ in level for r in step(region, d - 1))
+        level = [(r, m) for r in regions if r is not None for m in [mass(r, d)] if m > 0]
+        if d in wanted:
+            out[d] = _entropy_bits(m for _, m in level)
+    return out
 
 
 def block_entropy(
@@ -424,14 +374,7 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
         length = n + p
         count = k**length
         if count <= SPANNING_MEMBER_CAP:
-            words = []
-            for value in range(count):
-                w = []
-                v = value
-                for _ in range(length):
-                    w.append(v % k)
-                    v //= k
-                words.append(tuple(reversed(w)))
+            words = itertools.product(range(k), repeat=length)
             return SpanningSet(sys, n, p, count, length, tuple(words))
         return SpanningSet(sys, n, p, count, length, None)
     if sys.map_kind not in (dy.MapKind.DOUBLING, dy.MapKind.TENT):

@@ -16,6 +16,7 @@ mass by lower-bounding the measure of the annulus complement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
@@ -442,16 +443,10 @@ def exhaustion_lower(mu: ComputableMeasure, balls: Sequence[IdealBall], budget: 
             return total
         return covered
     if kind is Kind.CANTOR:
-        k = mu.space.alphabet
         total = F(0)
-        word = [0] * budget
-        for index in range(k**budget):
-            value = index
-            for pos in range(budget - 1, -1, -1):
-                word[pos] = value % k
-                value //= k
-            if region.contains_prefix(tuple(word)):
-                total += model.word_measure(tuple(word))
+        for word in itertools.product(range(mu.space.alphabet), repeat=budget):
+            if region.contains_prefix(word):
+                total += model.word_measure(word)
         return total
     raise SpaceMismatch(f"no exhaustion route for {mu.space}")
 

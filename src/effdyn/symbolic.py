@@ -13,13 +13,17 @@ certifiably sits inside an atom, and the first-class Unknown symbol
 precision.  An exactly rational orbit therefore gets Unknown precisely at
 true boundary hits.
 
-Cylinder sets are computed exactly by backward pullback for the interval
-zoo and by window consistency for shifts; a seeded Monte-Carlo estimate
-covers everything else.
+Cylinder sets are computed exactly by one backward pullback step per map
+(`pullback`): integer pieces for doubling and tent, prepended words for
+shifts whose atoms are single cylinders, and rational arcs for rational
+rotations.  Every other pair (irrational rotations, shift atoms that are
+unions of several cylinders) raises UnsupportedCylinder.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,16 +197,8 @@ def dyadic_intervals(space: Space, level: int) -> ComputablePartition:
 def cylinders(space: Space, length: int) -> ComputablePartition:
     if space.kind is not Kind.CANTOR:
         raise SpaceMismatch("cylinder partitions need sequence space")
-    k = space.alphabet
-    words = []
-    for value in range(k**length):
-        w = []
-        v = value
-        for _ in range(length):
-            w.append(v % k)
-            v //= k
-        words.append(tuple(reversed(w)))
-    atoms = tuple((w,) for w in sorted(words))
+    words = itertools.product(range(space.alphabet), repeat=length)
+    atoms = tuple((w,) for w in words)
     return ComputablePartition(space, atoms, (), name=f"cylinders-{length}")
 
 
@@ -339,17 +335,8 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
 
 
 # ---------------------------------------------------------------------------
-# Cylinder measures
+# Cylinder pullback
 # ---------------------------------------------------------------------------
-
-
-def integer_atoms(partition: ComputablePartition) -> Tuple[int, List[List[Tuple[int, int]]]]:
-    """(D, atoms): each atom's merged pieces as integer endpoint pairs over
-    D, the lcm of the endpoint denominators.  Interval atoms lie in [0, 1]."""
-    merged = [_merge_pieces(atom) for atom in partition.atoms]
-    den = math.lcm(*(F(q).denominator for atom in merged for piece in atom for q in piece))
-    atoms = [[(int(F(a) * den), int(F(b) * den)) for a, b in atom] for atom in merged]
-    return den, atoms
 
 
 def _intersect_pieces(xs, ys) -> List[Tuple[int, int]]:
@@ -370,74 +357,115 @@ def _intersect_pieces(xs, ys) -> List[Tuple[int, int]]:
     return out
 
 
-def pull_back_into(kind: dy.MapKind, region, den: int, atoms) -> List[List[Tuple[int, int]]]:
-    """atom n T^-1(region) for each atom, for doubling or tent: `region`
-    over den, the atoms and the results over 2*den, all as sorted disjoint
-    integer pieces."""
-    pulled = dy.grid_preimage(kind, region, den)
-    return [_intersect_pieces(pulled, atom) for atom in atoms]
+def _prepend(cyl, word):
+    """The word fixed by [cyl] n shift^-1 [word]: cyl from position 0 and
+    word from position 1, or None when the two disagree where they overlap."""
+    if cyl[1 : 1 + len(word)] != word[: len(cyl) - 1]:
+        return None
+    return cyl + word[len(cyl) - 1 :]
 
 
-def interval_mass(mu: ComputableMeasure, pieces, den: int) -> F:
-    """Exact mass of the open pieces (a/den, b/den); Lebesgue stays on
-    integers, other models receive the region as a LineRegion."""
-    if isinstance(mu.model, _LebesgueModel):
-        return F(sum(b - a for a, b in pieces), den)
-    return mu.model.region_measure(LineRegion(tuple((F(a, den), F(b, den)) for a, b in pieces)))
+def _endpoint_den(partition: ComputablePartition) -> int:
+    return math.lcm(*(F(q).denominator for atom in partition.atoms for piece in atom for q in piece))
 
 
-def _interval_cylinder(sys: dy.System, partition: ComputablePartition, word):
-    """(pieces, den): the cylinder of a nonempty word for doubling or tent,
-    pulled back one symbol at a time from the last."""
-    den, atoms = integer_atoms(partition)
-    pieces = atoms[word[-1]]
-    for j in range(len(word) - 2, -1, -1):
-        shift = len(word) - 1 - j
-        atom = [(a << shift, b << shift) for a, b in atoms[word[j]]]
-        (pieces,) = pull_back_into(sys.map_kind, pieces, den, [atom])
-        den *= 2
-        if not pieces:
+def _fractions(pieces, den: int) -> List[Tuple[F, F]]:
+    return [(F(a, den), F(b, den)) for a, b in pieces]
+
+
+def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition):
+    """(atoms, step, mass): the exact cylinders of a partition under a map.
+
+    atoms[i] is atom i as a length-1 cylinder region.  step(region, d)
+    takes the region of a length-d cylinder C to [atom n T^-1(C) for each
+    atom], the length-(d+1) cylinders that extend C by one symbol in
+    front, with None where one is empty.  mass(region, d) is the exact
+    mu-mass of a length-d region; only mass reads mu.  A region is
+
+    * doubling and tent: sorted disjoint integer pieces over D * 2**(d-1),
+      D the lcm of the endpoint denominators, pulled back by grid_preimage;
+    * shifts: the word the cylinder fixes, pulled back by prepending an
+      atom's word; each atom must be a single cylinder;
+    * rational rotations: arcs, pulled back by preimage_pieces.
+    """
+    kind = sys.map_kind
+    if kind is dy.MapKind.SHIFT:
+        if any(len(atom) != 1 for atom in partition.atoms):
+            raise UnsupportedCylinder("shift cylinders need single-cylinder atoms")
+        words = [tuple(atom[0]) for atom in partition.atoms]
+
+        def shift_step(word, d):
+            return [_prepend(cyl, word) for cyl in words]
+
+        return words, shift_step, lambda word, d: mu.word_measure(word)
+    if kind is dy.MapKind.ROTATION:
+        if not isinstance(sys.angle, F):
+            raise UnsupportedCylinder("irrational rotation has no exact pullback here")
+        arcs = [_circle_region(atom) for atom in partition.atoms]
+
+        def circle_step(pieces, d):
+            pulled = _circle_region(dy.preimage_pieces(sys, pieces))
+            out = []
+            for arc in arcs:
+                region = pulled.intersect(arc)
+                out.append([(F(0), F(1))] if region.full else list(region.pieces) or None)
+            return out
+
+        def arc_mass(pieces, d):
+            return mu.model.region_measure(_circle_region(pieces))
+
+        return [list(atom) for atom in partition.atoms], circle_step, arc_mass
+    den = _endpoint_den(partition)
+    atoms = [[(int(a * den), int(b * den)) for a, b in _merge_pieces(atom)] for atom in partition.atoms]
+
+    @functools.cache
+    def scaled(d):
+        return [[(a << d, b << d) for a, b in atom] for atom in atoms]
+
+    def grid_step(pieces, d):
+        pulled = dy.grid_preimage(kind, pieces, den << (d - 1))
+        return [_intersect_pieces(pulled, atom) or None for atom in scaled(d)]
+
+    def grid_mass(pieces, d):
+        if isinstance(mu.model, _LebesgueModel):
+            return F(sum(b - a for a, b in pieces), den << (d - 1))
+        return mu.model.region_measure(LineRegion(tuple(_fractions(pieces, den << (d - 1)))))
+
+    return atoms, grid_step, grid_mass
+
+
+def _fold(atoms, step, word):
+    """Region of the cylinder of a nonempty word, None when it is empty:
+    the last symbol's atom, pulled back once per earlier symbol."""
+    region = atoms[word[-1]]
+    for d, symbol in enumerate(reversed(word[:-1]), 1):
+        region = step(region, d)[symbol]
+        if region is None:
             break
-    return pieces, den
+    return region
+
+
+def _known(word) -> Tuple[int, ...]:
+    word = tuple(word)
+    if any(s is None for s in word):
+        raise ValueError("cylinder of a word with Unknown symbols")
+    return word
 
 
 def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
     """Exact region of the cylinder: points whose first len(word) symbols
-    match.  Backward pullback through exact preimages."""
-    word = tuple(word)
-    if any(s is None for s in word):
-        raise ValueError("cylinder of a word with Unknown symbols")
+    match.  Shifts give the word it fixes (None when empty); interval and
+    circle maps give rational pieces ([] when empty)."""
+    word = _known(word)
+    atoms, step, _ = pullback(sys, None, partition)
     if sys.map_kind is dy.MapKind.SHIFT:
-        merged: List[Optional[int]] = []
-        for j, a in enumerate(word):
-            for offset, c in enumerate(partition.atoms[a][0]):
-                pos = j + offset
-                while len(merged) <= pos:
-                    merged.append(None)
-                if merged[pos] is not None and merged[pos] != c:
-                    return None  # inconsistent overlap: empty cylinder
-                merged[pos] = c
-        return tuple(0 if c is None else c for c in merged)
-    if sys.map_kind is dy.MapKind.ROTATION and not isinstance(sys.angle, F):
-        raise UnsupportedCylinder("irrational rotation has no exact pullback here")
+        return _fold(atoms, step, word) if word else ()
     if not word:
         return [(F(0), F(1))]
-    pieces = list(partition.atoms[word[-1]])
-    if len(word) == 1:
-        return pieces
-    if sys.space.kind is Kind.UNIT_INTERVAL:
-        pieces, den = _interval_cylinder(sys, partition, word)
-        return [(F(a, den), F(b, den)) for a, b in pieces]
-    for j in range(len(word) - 2, -1, -1):
-        pulled = dy.preimage_pieces(sys, pieces)
-        region = _circle_region(pulled).intersect(_circle_region(partition.atoms[word[j]]))
-        if region.full:
-            pieces = [(F(0), F(1))]
-        else:
-            pieces = list(region.pieces)
-        if not pieces:
-            return []
-    return pieces
+    region = _fold(atoms, step, word) or []
+    if sys.map_kind is dy.MapKind.ROTATION:
+        return region
+    return _fractions(region, _endpoint_den(partition) << (len(word) - 1))
 
 
 def cylinder_measure(
@@ -447,17 +475,12 @@ def cylinder_measure(
     word,
 ) -> F:
     """Exact cylinder mass for zoo system/partition pairs."""
-    word = tuple(word)
-    if any(s is None for s in word):
-        raise ValueError("cylinder of a word with Unknown symbols")
+    word = _known(word)
     if not word:
         return F(1)
-    if sys.space.kind is Kind.UNIT_INTERVAL:
-        return interval_mass(mu, *_interval_cylinder(sys, partition, word))
-    region = cylinder_region(sys, partition, word)
-    if sys.map_kind is dy.MapKind.SHIFT:
-        return F(0) if region is None else mu.word_measure(region)
-    return mu.model.region_measure(_circle_region(region))
+    atoms, step, mass = pullback(sys, mu, partition)
+    region = _fold(atoms, step, word)
+    return F(0) if region is None else mass(region, len(word))
 
 
 # ---------------------------------------------------------------------------
@@ -491,29 +514,11 @@ def _ball_candidates(space: Space, center_desc, eps: F):
         while F(1, 1 << length) >= eps:
             length += 1
         prefix = word[:length] + (0,) * max(0, length - len(word))
-        k = space.alphabet
-        extension = 0
-        while True:
-            # enumerate extensions of the forced prefix by total length
-            yield prefix + _int_to_word(extension, k)
-            extension += 1
+        # enumerate extensions of the forced prefix by total length
+        for extension in itertools.count():
+            yield prefix + space.decode(extension)
     else:
         raise SpaceMismatch(f"no candidate enumeration for {space}")
-
-
-def _int_to_word(value: int, k: int):
-    length = 0
-    block = 1
-    v = value
-    while v >= block:
-        v -= block
-        block *= k
-        length += 1
-    word = []
-    for _ in range(length):
-        word.append(v % k)
-        v //= k
-    return tuple(reversed(word))
 
 
 def reconstruct_symbols(

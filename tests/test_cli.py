@@ -170,6 +170,8 @@ def test_list_commands(capsys):
     assert cli.main(["list-estimators"]) == 0
     out = capsys.readouterr().out
     assert "block-entropy" in out and "recurrence" in out
+    for options in cli.GRIDS.values():
+        assert f"[grids] {', '.join(options)}\n" in out
 
 
 def test_seeded_symbol_rate_run(tmp_path):
@@ -339,6 +341,8 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         "[grids]\nn_grid = 8\npoint = 3/2\n",
         "kind": "[system]\nkind = shift\n\n[estimator]\nkind = symbol-rate\n\n"
         "[grids]\nn_grid = 8\nseeds = 1\n",
+        "length": "[system]\nkind = shift\n\n[partition]\nkind = cylinders\nlength = -1\n\n"
+        "[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n",
     }
     for option, text in bad.items():
         cfg = write_cfg(tmp_path, text, f"{option}.cfg")

@@ -1,0 +1,197 @@
+"""Differential tests: the one cylinder pullback against the paths it replaced.
+
+`symbolic.pullback` gives each map one preimage step, and both the word
+fold (`cylinder_region`, `cylinder_measure`) and the block-entropy level
+walk run on it.  The references below are the separate computations they
+replace: the forward merge of a shift word's atoms, the shift level walk
+with its hand merge, and the `Fraction` circle loop over
+`preimage_pieces`.  Regions, masses and entropies must agree exactly.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+from effdyn import dynamics as dy
+from effdyn import entropy as en
+from effdyn import measure as ms
+from effdyn import space as sp
+from effdyn import symbolic as sb
+
+SEQ2 = sp.cantor(2)
+SEQ3 = sp.cantor(3)
+WHEEL = sp.circle()
+MAX_LENGTH = 6
+
+
+def _words(k, max_length):
+    for length in range(1, max_length + 1):
+        yield from itertools.product(range(k), repeat=length)
+
+
+# -- references ----------------------------------------------------------------
+
+
+def _forward_merge(partition, word):
+    """The word a shift cylinder fixes, merged from the front: atom word[j]
+    constrains positions j, j+1, ...; None on a clash."""
+    merged = []
+    for j, a in enumerate(word):
+        for offset, c in enumerate(partition.atoms[a][0]):
+            pos = j + offset
+            while len(merged) <= pos:
+                merged.append(None)
+            if merged[pos] is not None and merged[pos] != c:
+                return None
+            merged[pos] = c
+    return tuple(0 if c is None else c for c in merged)
+
+
+def _shift_level_entropies(mu, partition, n_max):
+    """The shift level walk: prepend each atom's word to each level word by
+    filling a candidate list slot by slot."""
+    level = [tuple(atom[0]) for atom in partition.atoms]
+    masses = [mu.word_measure(w) for w in level]
+    out = {}
+    for depth in range(1, n_max + 1):
+        out[depth] = en._entropy_bits(masses)
+        new_level, new_masses = [], []
+        for word in level:
+            for atom in partition.atoms:
+                cyl = atom[0]
+                candidate = list(cyl) + [None] * max(0, 1 + len(word) - len(cyl))
+                ok = True
+                for pos, c in enumerate(word):
+                    slot = pos + 1
+                    if slot < len(cyl):
+                        if cyl[slot] != c:
+                            ok = False
+                            break
+                    else:
+                        candidate[slot] = c
+                if not ok:
+                    continue
+                new_word = tuple(c for c in candidate if c is not None)
+                mass = mu.word_measure(new_word)
+                if mass > 0:
+                    new_level.append(new_word)
+                    new_masses.append(mass)
+        level, masses = new_level, new_masses
+    return out
+
+
+def _circle_loop(sys, partition, word):
+    """The cylinder of a rotation word as arcs, pulled back one symbol at a
+    time through `preimage_pieces` and `CircleRegion.intersect`."""
+    pieces = list(partition.atoms[word[-1]])
+    for j in range(len(word) - 2, -1, -1):
+        pulled = dy.preimage_pieces(sys, pieces)
+        region = ms._circle_region(pulled).intersect(ms._circle_region(partition.atoms[word[j]]))
+        pieces = [(F(0), F(1))] if region.full else list(region.pieces)
+        if not pieces:
+            return []
+    return pieces
+
+
+def _walk_from_masses(mass_of, k, n_max):
+    """Entropies of the positive-mass words of each length, in the walk's
+    order: by the word they extend, then by their first symbol."""
+    level = [(a,) for a in range(k) if mass_of((a,)) > 0]
+    out = {1: en._entropy_bits(mass_of(w) for w in level)}
+    for depth in range(2, n_max + 1):
+        level = [(a,) + w for w in level for a in range(k) if mass_of((a,) + w) > 0]
+        out[depth] = en._entropy_bits(mass_of(w) for w in level)
+    return out
+
+
+# -- shifts --------------------------------------------------------------------
+
+
+def _shift_cases():
+    mixed = sb.ComputablePartition(SEQ2, (((0,),), ((1, 0),), ((1, 1),)), name="mixed")
+    seq2_measures = [
+        ms.ComputableMeasure.bernoulli(SEQ2, [F(1, 3), F(2, 3)]),
+        ms.ComputableMeasure.markov(SEQ2, [[F(1, 2), F(1, 2)], [F(1), F(0)]]),
+    ]
+    seq3_measures = [
+        ms.ComputableMeasure.bernoulli(SEQ3, [F(1, 2), F(1, 3), F(1, 6)]),
+        ms.ComputableMeasure.markov(
+            SEQ3, [[F(1, 2), F(1, 2), F(0)], [F(1, 3), F(1, 3), F(1, 3)], [F(0), F(1, 4), F(3, 4)]]
+        ),
+    ]
+    for partition in (sb.cylinders(SEQ2, 1), sb.cylinders(SEQ2, 2), mixed):
+        for mu in seq2_measures:
+            yield dy.shift(2), mu, partition
+    for mu in seq3_measures:
+        yield dy.shift(3), mu, sb.cylinders(SEQ3, 2)
+
+
+SHIFT_CASES = list(_shift_cases())
+SHIFT_IDS = [f"{p.name}-{p.space.alphabet}-{mu.name}" for _, mu, p in SHIFT_CASES]
+
+
+@pytest.mark.parametrize("sys, mu, partition", SHIFT_CASES, ids=SHIFT_IDS)
+def test_shift_fold_matches_forward_merge(sys, mu, partition):
+    # the 9**6 six-symbol words of cylinders(cantor(3), 2) take 18 s per measure
+    k = partition.alphabet
+    for word in _words(k, MAX_LENGTH if k <= 4 else 5):
+        region = _forward_merge(partition, word)
+        assert sb.cylinder_region(sys, partition, word) == region, word
+        mass = F(0) if region is None else mu.word_measure(region)
+        assert sb.cylinder_measure(sys, mu, partition, word) == mass, word
+
+
+@pytest.mark.parametrize("sys, mu, partition", SHIFT_CASES, ids=SHIFT_IDS)
+def test_shift_walk_matches_hand_merge(sys, mu, partition):
+    table = en._pullback_level_entropies(sys, mu, partition, range(1, MAX_LENGTH + 1))
+    assert table == _shift_level_entropies(mu, partition, MAX_LENGTH)
+
+
+def test_multi_cylinder_shift_atoms_are_refused():
+    # the parity partition {00, 11}, {01, 10}: the cylinder of (0,) has
+    # mass 1/2 under fair Bernoulli, which the first cylinder alone misses
+    sys = dy.shift(2)
+    parity = sb.ComputablePartition(SEQ2, (((0, 0), (1, 1)), ((0, 1), (1, 0))), name="parity")
+    fair = ms.ComputableMeasure.bernoulli(SEQ2, [F(1, 2), F(1, 2)])
+    x = sp.word_point(SEQ2, (1, 1), repeat=True)
+    for call in (
+        lambda: sb.cylinder_measure(sys, fair, parity, (0,)),
+        lambda: sb.cylinder_region(sys, parity, (0, 0)),
+        lambda: en.local_info(sys, fair, x, parity, 3),
+        lambda: en.block_entropy(sys, fair, parity, 3),
+    ):
+        with pytest.raises(sb.UnsupportedCylinder):
+            call()
+
+
+# -- rational rotations --------------------------------------------------------
+
+ROTATIONS = [dy.rotation(F(1, 3)), dy.rotation(F(2, 5)), dy.rotation(F(3, 7))]
+# the one-atom partition makes every cylinder the full circle
+WHOLE = sb.ComputablePartition(WHEEL, (((F(0), F(1)),),), name="whole")
+CIRCLE_PARTITIONS = [sb.halves(WHEEL), sb.dyadic_intervals(WHEEL, 2), WHOLE]
+CIRCLE_MEASURES = [
+    ms.ComputableMeasure.lebesgue(WHEEL),
+    ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(3, 4), [(F(0), F(1, 4))]),
+]
+
+
+@pytest.mark.parametrize("sys", ROTATIONS, ids=[s.name for s in ROTATIONS])
+def test_rotation_fold_and_walk_match_circle_loop(sys):
+    for partition in CIRCLE_PARTITIONS:
+        k = partition.alphabet
+        # Fraction arcs are slow: the 4**6 six-symbol dyadic-2 words take 11 s
+        n_max = MAX_LENGTH if k <= 2 else 5
+        regions = {word: _circle_loop(sys, partition, word) for word in _words(k, n_max)}
+        for word, region in regions.items():
+            assert sb.cylinder_region(sys, partition, word) == region, word
+        for mu in CIRCLE_MEASURES:
+
+            def mass_of(word):
+                return mu.model.region_measure(ms._circle_region(regions[word]))
+
+            for word in regions:
+                assert sb.cylinder_measure(sys, mu, partition, word) == mass_of(word), word
+            table = en._pullback_level_entropies(sys, mu, partition, range(1, n_max + 1))
+            assert table == _walk_from_masses(mass_of, k, n_max), (partition.name, mu.name)
