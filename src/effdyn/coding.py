@@ -22,13 +22,20 @@ dynamic blocks:
   with slowly growing factor complexity collapse to a handful of copies.
 
 The emitted stream is elias_delta(length+1), an economy-coded selector,
-then the shortest payload.  `bits_len` is the one code length: the
-deficiency screen reads it at dyadic prefixes rather than keeping
-per-prefix costs of its own.
+then the shortest payload.  Costing is one fold per branch over a sorted
+list of prefix ends, each with an optional budget: `prefix_bits_len`
+gives bits_len(word[:m]) for every end from one lz78 parse and one lz77
+parse, with the enumerative length taken per prefix, and `bits_len` is
+its one-end case.  A budgeted cost is exact below its budget and a
+lower bound at least the budget otherwise; the enumerative branch skips
+its class sizes once a certified binomial lower bound reaches the
+budget.  The rate estimators and the deficiency screen read every grid
+prefix of a word from one such fold.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,47 +197,71 @@ class _DiffCache:
         return index, pos
 
 
-def _lz_tokens(word: Word, alphabet: int):
-    """(t, index) phrases of the seeded-dictionary longest-match parse."""
+def _lz_tokens(word: Word, alphabet: int, ends: Sequence[int]):
+    """(t, index, end) phrases of the seeded-dictionary longest-match parse
+    of word[:ends[-1]], for sorted ends: each phrase closed on the way with
+    end 0, and at each end m >= 1 the phrase still open there with end m.
+    The parse of word[:m] is the phrases closed before m plus that one."""
     trie = {(-1, c): c for c in range(alphabet)}
     next_id = alphabet
     node = -1
     t = 1
-    for c in word:
-        child = trie.get((node, c))
-        if child is not None:
-            node = child
-            continue
-        yield t, node
-        trie[(node, c)] = next_id
-        next_id += 1
-        t += 1
-        node = trie[(-1, c)]
-    if node != -1:
-        yield t, node
+    start = 0
+    for end in ends:
+        for c in word[start:end]:
+            child = trie.get((node, c))
+            if child is not None:
+                node = child
+                continue
+            yield t, node, 0
+            trie[(node, c)] = next_id
+            next_id += 1
+            t += 1
+            node = trie[(-1, c)]
+        start = end
+        if end:
+            yield t, node, end
 
 
 def _lz_payload(word: Word, alphabet: int) -> str:
     parts = []
     cache = _DiffCache()
-    for t, index in _lz_tokens(word, alphabet):
+    for t, index, _ in _lz_tokens(word, alphabet, (len(word),)):
         size = alphabet + t - 1
         slot = cache.update((size - 1) - index)
         parts.append("0" + phased_encode(index, size) if slot == 2 else ("10", "11")[slot])
     return "".join(parts)
 
 
-def _lz_payload_len(word: Word, alphabet: int, budget: Optional[int] = None) -> int:
-    """Payload length; with a budget, folded only until it reaches it, so
-    that a result >= budget is only a lower bound."""
+def _lz_costs(word: Word, alphabet: int, ends: Sequence[int], budgets: Sequence) -> List[int]:
+    """Payload length of word[:m] for each end m, from one parse.  The fold
+    stops once the closed phrases reach every budget left, so a cost is
+    exact below its budget and otherwise a lower bound at least the budget.
+    The phrase open at m is costed from the cache without updating it."""
+    limits = _suffix_max(budgets)
+    limit = limits[0]
+    costs: List[int] = []
     total = 0
     cache = _DiffCache()
-    for t, index in _lz_tokens(word, alphabet):
+    for t, index, end in _lz_tokens(word, alphabet, ends):
         size = alphabet + t - 1
+        if end:
+            diff = (size - 1) - index
+            hit = diff == cache.first or diff == cache.second
+            costs.append(total + (2 if hit else 1 + phased_len(index, size)))
+            limit = limits[len(costs)]
+            continue
         total += 1 + phased_len(index, size) if cache.update((size - 1) - index) == 2 else 2
-        if budget is not None and total >= budget:
+        if total >= limit:
             break
-    return total
+    return costs + [total] * (len(ends) - len(costs))
+
+
+def _suffix_max(budgets: Sequence) -> list:
+    """limits[i] = max(budgets[i:]): a fold may stop once its total reaches
+    limits[i], i ends being costed.  Past the last end nothing is left to
+    cost, so every total reaches the limit there."""
+    return list(itertools.accumulate(reversed(budgets), max))[::-1] + [-math.inf]
 
 
 def _lz_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Word, int]:
@@ -334,13 +365,71 @@ def _enum_layers(word: Word, alphabet: int):
         rem -= r
 
 
-def _enum_cost(word: Word, alphabet: int) -> int:
-    """Exact payload length.  Each class size C(m_j, r_j) fixes the economy
-    width k; the one bit left, whether the rank is below 2^k - size, comes
-    from a rank walk that stops once it is decided."""
-    total = 0
-    for j, m, r in _enum_layers(word, alphabet):
-        total += phased_len(r, m + 1)
+# fixed-point logs: fractional bits kept, and the working precision of the
+# mantissa, whose rounding then costs well under 2**-_LOG_FRAC in total
+_LOG_FRAC = 16
+_LOG_PREC = _LOG_FRAC + 8
+
+
+def _log2_fixed(x: int) -> int:
+    """lo with lo <= 2**_LOG_FRAC * log2(x) < lo + 2, for an integer x >= 1.
+
+    The mantissa z = x / 2**e in [1, 2) is squared _LOG_FRAC times, and
+    the i-th square, halved when it is at least 2, gives bit i of log2(z):
+    log2(z) = sum(bit_i 2**-i) + 2**-n log2(z_n) after n steps.  Rounding
+    z down at every step lowers that sum by less than 4.4 * 2**-_LOG_PREC
+    in all, and the last z_n lies in [1, 2), so the bits fall short of
+    log2(z) by less than two units of 2**-_LOG_FRAC.
+    """
+    e = x.bit_length() - 1
+    shift = _LOG_PREC - e
+    z = x << shift if shift >= 0 else x >> -shift
+    two = 2 << _LOG_PREC
+    bits = 0
+    for _ in range(_LOG_FRAC):
+        z = z * z >> _LOG_PREC
+        bits <<= 1
+        if z >= two:
+            z >>= 1
+            bits |= 1
+    return (e << _LOG_FRAC) + bits
+
+
+def _log2_comb_floor(m: int, r: int) -> int:
+    """A certified integer lower bound on log2 C(m, r).
+
+    With p = r/m, C(m, r) p^r (1-p)^(m-r) is the largest of the m + 1
+    terms that sum to 1, so C(m, r) >= 2**(m h(p)) / (m + 1), where
+    m h(p) = m log2 m - r log2 r - (m - r) log2(m - r) (the size of a
+    type class, Cover & Thomas §11.1).  Each log is a fixed-point bound on
+    the side that keeps the whole a lower bound, and log2(m + 1) is taken
+    as its bit length.
+    """
+    if r == 0 or r == m:
+        return 0
+    s = m - r
+    bits = m * _log2_fixed(m) - r * _log2_fixed(r) - s * _log2_fixed(s) - 2 * m
+    return (bits >> _LOG_FRAC) - (m + 1).bit_length()
+
+
+def _enum_cost(word: Word, alphabet: int, budget=math.inf) -> int:
+    """Payload length, exact below `budget` and otherwise a lower bound at
+    least the budget.
+
+    A layer's economy code takes at least ceil(log2 C(m, r)) - 1 bits, so
+    the counts' length plus one bit less than each layer's binomial bound
+    is a lower bound; where it can reach the budget it is taken, and once
+    it does no class size is computed.  Otherwise each class size C(m_j, r_j) fixes the economy
+    width k, and the one bit left, whether the rank is below 2^k - size,
+    comes from a rank walk that stops once it is decided.
+    """
+    layers = list(_enum_layers(word, alphabet))
+    total = sum(phased_len(r, m + 1) for _, m, r in layers)
+    if total + sum(m for _, m, _ in layers) >= budget:  # else log2 C(m, r) <= m falls short
+        bound = total + sum(max(_log2_comb_floor(m, r) - 1, 0) for _, m, r in layers)
+        if bound >= budget:
+            return bound
+    for j, m, r in layers:
         size = math.comb(m, r)
         if size > 1:
             k = (size - 1).bit_length()
@@ -394,8 +483,10 @@ def _enum_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Wo
 _LZ77_MIN_MATCH = 3
 
 
-def _lz77_tokens(word: Word, alphabet: int):
-    """Exact-greedy parse: (offset, length) copies and (0, symbol) literals.
+def _lz77_tokens(word: Word, alphabet: int, ends: Sequence[int]):
+    """Exact-greedy parse of word[:ends[-1]], for sorted ends: (offset,
+    value, cuts) per token, a copy (offset, length) or a literal
+    (0, symbol).
 
     Longest in-history matches come from an online suffix automaton over
     the consumed prefix (Blumer et al.), stored flat: the successor of
@@ -403,13 +494,21 @@ def _lz77_tokens(word: Word, alphabet: int):
     the suffix links, lengths and first end positions.  Once the
     in-history match is maximal the copy may keep reading its own output
     periodically, so copies may overlap onward.
+
+    The parse of a prefix word[:m] shares every token that ends by m, so
+    `cuts` holds, for each end m the token reaches, the tokens that finish
+    the prefix's parse from the token's start: the token itself when it
+    ends at m, else the copy cut at m.  Its offset is the token's unless
+    the automaton walk went past m; then the walk of the cut alone gives
+    it.  A cut shorter than the minimum copy becomes literals.
     """
-    n, k = len(word), alphabet
+    n, k = ends[-1], alphabet
     trans = [-1] * k
     links, lens, firstpos = [-1], [0], [-1]
     blank = [-1] * k
     last = 0
     pos = 0
+    e = 0
     while pos < n:
         state, end = 0, pos
         while end < n:
@@ -418,15 +517,35 @@ def _lz77_tokens(word: Word, alphabet: int):
                 break
             state = nxt
             end += 1
+        walked = end
         if end > pos:
             src = firstpos[state] - (end - pos) + 1
             while end < n and word[src + end - pos] == word[end]:
                 end += 1
         if end - pos >= _LZ77_MIN_MATCH:
-            yield pos - src, end - pos
+            token = (pos - src, end - pos)
         else:
             end = pos + 1
-            yield 0, word[pos]
+            token = (0, word[pos])
+        cuts = ()
+        if end >= ends[e]:
+            cuts = []
+            while e < len(ends) and ends[e] <= end:
+                m = ends[e]
+                e += 1
+                if m == end:
+                    cuts.append((token,))
+                elif m - pos < _LZ77_MIN_MATCH:
+                    cuts.append(tuple((0, word[i]) for i in range(pos, m)))
+                else:
+                    cut_src = src
+                    if walked > m:
+                        at = 0
+                        for i in range(pos, m):
+                            at = trans[at * k + word[i]]
+                        cut_src = firstpos[at] - (m - pos) + 1
+                    cuts.append(((pos - cut_src, m - pos),))
+        yield token[0], token[1], cuts
         for i in range(pos, end):
             c = word[i]
             cur = len(lens)
@@ -462,30 +581,45 @@ def _lz77_tokens(word: Word, alphabet: int):
         pos = end
 
 
-def _lz77_cost(word: Word, alphabet: int, budget: int, tokens: Optional[list] = None) -> int:
-    """Payload length, folded token by token until it reaches `budget`;
-    a result >= budget is only a lower bound.  `tokens`, if given,
-    receives every token folded."""
+def _lz77_token_len(offset: int, value: int, alphabet: int) -> int:
+    if offset:
+        return 1 + elias_len(offset) + elias_len(value - _LZ77_MIN_MATCH + 1)
+    return 1 + phased_len(value, alphabet)
+
+
+def _lz77_costs(
+    word: Word, alphabet: int, ends: Sequence[int], budgets: Sequence, tokens: Optional[list] = None
+) -> List[int]:
+    """Payload length of word[:m] for each end m, from one parse: the
+    tokens before the one that reaches m, plus that token's cut at m.  The
+    fold stops once the tokens folded reach every budget left, so a cost
+    is exact below its budget and otherwise a lower bound at least the
+    budget.  `tokens`, if given, receives every token folded."""
+    limits = _suffix_max(budgets)
+    limit = limits[0]
+    costs: List[int] = []
     total = 0
-    for offset, value in _lz77_tokens(word, alphabet):
+    for offset, value, cuts in _lz77_tokens(word, alphabet, ends):
         if tokens is not None:
             tokens.append((offset, value))
-        if offset:
-            total += 1 + elias_len(offset) + elias_len(value - _LZ77_MIN_MATCH + 1)
-        else:
-            total += 1 + phased_len(value, alphabet)
-        if total >= budget:
+        if cuts:
+            costs.extend(total + sum(_lz77_token_len(o, v, alphabet) for o, v in cut) for cut in cuts)
+            limit = limits[len(costs)]
+        total += _lz77_token_len(offset, value, alphabet)
+        if total >= limit:
             break
-    return total
+    return costs + [total] * (len(ends) - len(costs))
 
 
 def _lz77_payload(word: Word, alphabet: int, tokens=None) -> str:
     """Payload from the word's tokens, parsed here unless given."""
+    if tokens is None:
+        tokens = [(offset, value) for offset, value, _ in _lz77_tokens(word, alphabet, (len(word),))]
     return "".join(
         "1" + elias_encode(offset) + elias_encode(value - _LZ77_MIN_MATCH + 1)
         if offset
         else "0" + phased_encode(value, alphabet)
-        for offset, value in (_lz77_tokens(word, alphabet) if tokens is None else tokens)
+        for offset, value in tokens
     )
 
 
@@ -532,29 +666,38 @@ class PrefixFreeCompressor:
     alphabet: int = 2
 
     def _costs(
-        self, word: Word, budget: Optional[int] = None, lz77_tokens: Optional[list] = None
-    ) -> List[int]:
-        """Selector plus payload bits of the enum, lz78 and lz77 branches.
+        self,
+        word: Word,
+        ends: Sequence[int],
+        budgets: Sequence,
+        lz77_tokens: Optional[list] = None,
+    ) -> List[Tuple[int, int, int]]:
+        """Selector plus payload bits of the enum, lz78 and lz77 branches of
+        word[:m], for each m in the sorted ends (all >= 1).
 
-        lz78 is costed first, being cheapest, then enum; lz77 is folded
-        only until it reaches the best of those two, so its entry is exact
-        when it wins and otherwise a lower bound that still loses (ties
-        go to the lower branch).  With a `budget`, lz78 and lz77 also stop
-        once they reach it: the minimum is then exact below the budget and
-        at least the budget otherwise.  `lz77_tokens`, if given, receives
-        the lz77 tokens folded, all of them when that branch wins.
+        lz78 is costed first, being cheapest, by one parse for every end.
+        enum is then costed per prefix only until it reaches lz78 plus one,
+        and lz77, by one parse for every end, only until it reaches the best
+        of those two, so each entry is exact when its branch wins and
+        otherwise a lower bound that still loses (ties go to the lower
+        branch).  With finite budgets every branch also stops at the
+        budget: the minimum is then exact below the budget and at least the
+        budget otherwise.  `lz77_tokens`, if given, receives the lz77 tokens
+        folded, all of them when that branch wins at the last end.
         """
         k = self.alphabet
-        lz78 = phased_len(1, 3)
-        lz78 += _lz_payload_len(word, k, None if budget is None else budget - lz78)
-        enum = phased_len(0, 3) + _enum_cost(word, k)
-        selector = phased_len(2, 3)
-        bound = min(enum, lz78) if budget is None else min(enum, lz78, budget)
-        lz77 = selector + _lz77_cost(word, k, bound - selector, lz77_tokens)
-        return [enum, lz78, lz77]
+        enum_sel, lz78_sel, lz77_sel = (phased_len(i, 3) for i in range(3))
+        lz78 = [lz78_sel + c for c in _lz_costs(word, k, ends, [b - lz78_sel for b in budgets])]
+        enum = [
+            enum_sel + _enum_cost(word[:m], k, min(d + 1, b) - enum_sel)
+            for m, d, b in zip(ends, lz78, budgets)
+        ]
+        bounds = [min(e, d, b) - lz77_sel for e, d, b in zip(enum, lz78, budgets)]
+        lz77 = [lz77_sel + c for c in _lz77_costs(word, k, ends, bounds, lz77_tokens)]
+        return list(zip(enum, lz78, lz77))
 
     def _best(self, word: Word, lz77_tokens: Optional[list] = None) -> int:
-        costs = self._costs(word, lz77_tokens=lz77_tokens)
+        costs = self._costs(word, (len(word),), (math.inf,), lz77_tokens)[0]
         return min(range(3), key=lambda i: (costs[i], i))
 
     def encode(self, word: Sequence[int]) -> str:
@@ -573,13 +716,31 @@ class PrefixFreeCompressor:
     def bits_len(self, word: Sequence[int]) -> int:
         return self._bits_len(_check_word(word, self.alphabet))
 
+    def prefix_bits_len(self, word: Sequence[int], ends: Sequence[int]) -> List[int]:
+        """bits_len(word[:m]) for every m in the sorted `ends`, each branch
+        parsing the word once for all of them."""
+        return self._prefix_bits_len(_check_word(word, self.alphabet), ends)
+
     def _bits_len(self, word: Word, budget: Optional[int] = None) -> int:
         """bits_len of a checked word.  With a budget it is exact below the
         budget and otherwise only a lower bound, at least the budget."""
-        header = elias_len(len(word) + 1)
-        if not word:
-            return header + phased_len(0, 3)
-        return header + min(self._costs(word, None if budget is None else budget - header))
+        return self._prefix_bits_len(word, (len(word),), (budget,))[0]
+
+    def _prefix_bits_len(
+        self, word: Word, ends: Sequence[int], budgets: Optional[Sequence[Optional[int]]] = None
+    ) -> List[int]:
+        """bits_len(word[:m]) of a checked word for every m in the sorted
+        `ends`.  With budgets (None for none), each is exact below its
+        budget and otherwise a lower bound at least the budget."""
+        empty = sum(1 for m in ends if m == 0)
+        out = [elias_len(1) + phased_len(0, 3)] * empty
+        ends = ends[empty:]
+        if ends:
+            budgets = [None] * len(ends) if budgets is None else budgets[empty:]
+            headers = [elias_len(m + 1) for m in ends]
+            limits = [math.inf if b is None else b - h for b, h in zip(budgets, headers)]
+            out += [h + min(c) for h, c in zip(headers, self._costs(word, ends, limits))]
+        return out
 
     def decode_stream(self, bits: str, pos: int = 0) -> Tuple[Word, int]:
         header, pos = elias_decode(bits, pos)
@@ -706,16 +867,16 @@ def deficiency_proxy(word: Sequence[int], cylinder_measure, alphabet: int = 2) -
     +inf when some prefix has measure zero: cylinder masses only shrink
     as prefixes grow, so the whole word then has measure zero.
     """
-    bits_len = PrefixFreeCompressor(alphabet)._bits_len
     word = _check_word(word, alphabet)
     n = len(word)
-    worst = -math.inf
-    for m in [1 << e for e in range((n - 1).bit_length())] + [n] if n else []:
-        p = cylinder_measure(word[:m])
-        if p == 0:
+    lengths = [1 << e for e in range((n - 1).bit_length())] + [n] if n else []
+    masses = []
+    for m in lengths:
+        masses.append(cylinder_measure(word[:m]))
+        if masses[-1] == 0:
             return math.inf
-        worst = max(worst, neg_log2(p) - bits_len(word[:m]))
-    return worst
+    bits = PrefixFreeCompressor(alphabet)._prefix_bits_len(word, lengths)
+    return max((neg_log2(p) - b for p, b in zip(masses, bits)), default=-math.inf)
 
 
 def kraft_sum(codes: Iterable[str]) -> F:

@@ -100,12 +100,19 @@ def _pullback_level_entropies(sys, mu, partition, ns: Sequence[int]) -> Dict[int
     """H(xi_n) by suffix pullback: level d holds every positive-mass
     length-d cylinder as an exact region with its mass, ordered by the
     level-(d-1) cylinder it extends and then by its first symbol."""
-    atoms, step, mass = sb.pullback(sys, mu, partition)
+    atoms, pull, cut, mass = sb.pullback(sys, mu, partition)
+
+    def extensions(level, d):
+        for region, _ in level:
+            pulled = pull(region, d)
+            for i in range(len(atoms)):
+                yield cut(pulled, i, d)
+
     wanted = set(ns)
     out = {}
     level = []
     for d in range(1, max(ns) + 1):
-        regions = atoms if d == 1 else (r for region, _ in level for r in step(region, d - 1))
+        regions = atoms if d == 1 else extensions(level, d - 1)
         level = [(r, m) for r in regions if r is not None for m in [mass(r, d)] if m > 0]
         if d in wanted:
             out[d] = _entropy_bits(m for _, m in level)
@@ -182,9 +189,8 @@ def symbol_rate(
     grid = [n for n in n_grid if n <= len(usable)]
     if not grid:
         raise sb.UnsupportedCylinder("orbit coding unresolved before the first grid point")
-    rows = tuple(
-        ("bits_per_step", n, compressor.bits_len(usable[:n]) / n) for n in grid
-    )
+    bits = compressor.prefix_bits_len(usable, grid)
+    rows = tuple(("bits_per_step", n, b / n) for n, b in zip(grid, bits))
     values = [v for _, _, v in rows]
     rate = limsup_proxy(values)
     diag["liminf"] = liminf_proxy(values)
@@ -227,10 +233,28 @@ def _zigzag(v: int) -> int:
     return 2 * v if v >= 0 else -2 * v - 1
 
 
+def _packed_bits(values: List[int], width: int) -> Tuple[int, ...]:
+    """The bits of the values, each at `width` bits, first value first.
+
+    The values become one integer by merging neighbours pairwise, which
+    keeps every merge level linear in the total size; a zero put in front
+    of an odd level only adds leading zero bits, which the fixed-width
+    format drops again.
+    """
+    total = len(values) * width
+    while len(values) > 1:
+        if len(values) % 2:
+            values = [0] + values
+        values = [a << width | b for a, b in zip(values[::2], values[1::2])]
+        width *= 2
+    return tuple(format(values[0], f"0{total}b").encode().translate(_BIT_VALUES))
+
+
 def pseudo_orbit_code_bits(
-    indices: Sequence[int], modulus: int, compressor: PrefixFreeCompressor
-) -> int:
-    """Self-delimiting code length for a grid pseudo-orbit.
+    indices: Sequence[int], modulus: int, compressor: PrefixFreeCompressor, ends: Sequence[int]
+) -> List[int]:
+    """Self-delimiting code length of the grid pseudo-orbit indices[:m], for
+    each m in the sorted `ends` (all >= 1).
 
     Format: predictor coefficient c (from a fixed small family), the
     centered residual offset and bit-width, the first index, then the
@@ -239,36 +263,55 @@ def pseudo_orbit_code_bits(
     step structure exposed by c = 2, 3, ...; the best coefficient is the
     one minimizing the total, ties to the smallest.
 
-    The packed streams are costed shortest first, and each later one only
-    against the best total so far: its compressed length is exact while it
-    can still win and a lower bound once it cannot, so the minimum is the
-    same as with every stream costed in full.
+    For one predictor the stream of a prefix is a prefix of the stream of
+    a longer one while the offset and width stay the same, so the ends are
+    grouped by (offset, width) and each group's stream is packed once and
+    costed once for all its ends.  The predictors are costed narrowest
+    first, each against the best total so far at every end: a stream's
+    compressed length is exact while it can still win and a lower bound
+    once it cannot, so the minimum is the same as with every stream
+    costed in full.
     """
     from effdyn.coding import elias_len, phased_len
 
     first_cost = phased_len(indices[0] % modulus, modulus)
-    if len(indices) < 2:
-        return elias_len(1) + first_cost  # no residuals: c = 0 has the shortest header
+    # no residuals: c = 0 has the shortest header
+    best: List[Optional[int]] = [elias_len(1) + first_cost if m < 2 else None for m in ends]
     half = modulus // 2
-    streams = []
+    last = ends[-1]
+    predictors = []
     for ci, c in enumerate(_PREDICTOR_FAMILY):
         residuals = [
-            ((b - c * a + half) % modulus) - half for a, b in zip(indices, indices[1:])
+            ((b - c * a + half) % modulus) - half
+            for a, b in zip(indices[: last - 1], indices[1:last])
         ]
-        offset = min(residuals)
-        width = (max(residuals) - offset).bit_length()
-        fixed = first_cost + elias_len(ci + 1) + elias_len(_zigzag(offset) + 1)
-        fixed += elias_len(width + 1)
-        bits: Tuple[int, ...] = ()
-        if width:
-            packed = "".join(format(r - offset, f"0{width}b") for r in residuals)
-            bits = tuple(packed.encode().translate(_BIT_VALUES))
-        streams.append((fixed, bits))
-    best = None
-    for fixed, bits in sorted(streams, key=lambda stream: len(stream[1])):
-        cost = fixed + compressor._bits_len(bits, None if best is None else best - fixed)
-        if best is None or cost < best:
-            best = cost
+        # the ends m >= 2 by the offset and width of residuals[:m - 1]
+        lows = list(itertools.accumulate(residuals, min))
+        highs = list(itertools.accumulate(residuals, max))
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for i, m in enumerate(ends):
+            if m >= 2:
+                offset = lows[m - 2]
+                groups.setdefault((offset, (highs[m - 2] - offset).bit_length()), []).append(i)
+        # the width only grows with m, so the last group's is the widest
+        width = next(reversed(groups))[1] if groups else 0
+        predictors.append((width, ci, residuals, groups))
+    for _, ci, residuals, groups in sorted(predictors, key=lambda predictor: predictor[0]):
+        for (offset, width), members in groups.items():
+            fixed = first_cost + elias_len(ci + 1) + elias_len(_zigzag(offset) + 1)
+            fixed += elias_len(width + 1)
+            count = ends[members[-1]] - 1
+            bits: Tuple[int, ...] = ()
+            if width:
+                bits = _packed_bits([r - offset for r in residuals[:count]], width)
+            costs = compressor._prefix_bits_len(
+                bits,
+                [(ends[i] - 1) * width for i in members],
+                [None if best[i] is None else best[i] - fixed for i in members],
+            )
+            for i, cost in zip(members, costs):
+                if best[i] is None or fixed + cost < best[i]:
+                    best[i] = fixed + cost
     return best
 
 
@@ -282,9 +325,10 @@ def orbit_rate(
     """Information rate of grid-quantized pseudo-orbits, per scale.
 
     For each scale 2**-p the orbit is quantized once at the largest n and
-    every grid prefix is coded standalone; bits/n per (scale, n) fill the
-    report.  The headline rate is the upper proxy at the finest scale;
-    diagnostics carry per-scale upper/lower proxies for the scale trend.
+    every grid prefix is coded standalone, all in one pass of
+    `pseudo_orbit_code_bits`; bits/n per (scale, n) fill the report.  The
+    headline rate is the upper proxy at the finest scale; diagnostics
+    carry per-scale upper/lower proxies for the scale trend.
     """
     compressor = compressor or PrefixFreeCompressor(2)
     n_grid = sorted(n_grid)
@@ -298,12 +342,9 @@ def orbit_rate(
             modulus = sys.space.alphabet ** (p + 1)
         else:
             modulus = 1 << p
-        values = []
-        for n in n_grid:
-            bits = pseudo_orbit_code_bits(indices[:n], modulus, compressor)
-            value = bits / n
-            values.append(value)
-            rows.append((f"eps=2^-{p}", n, value))
+        bits = pseudo_orbit_code_bits(indices, modulus, compressor, n_grid)
+        values = [b / n for n, b in zip(n_grid, bits)]
+        rows.extend((f"eps=2^-{p}", n, value) for n, value in zip(n_grid, values))
         upper[p] = limsup_proxy(values)
         lower[p] = liminf_proxy(values)
     finest = max(scale_exponents)

@@ -22,6 +22,7 @@ unions of several cylinders) raises UnsupportedCylinder.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -303,6 +304,12 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
     piece also appears one turn down, for the lift t = 1, and lo is taken
     mod L.  Pieces stay unmerged, so that an enclosure across a shared
     endpoint of two pieces is not certified.
+
+    The pieces are sorted by a, so those with a < lo are a prefix found
+    by bisect; the scan walks that prefix back while the furthest b left
+    in it passes hi, keeping the lowest atom among the pieces holding the
+    enclosure.  Disjoint pieces end that walk after one piece, so a step
+    costs one bisect whatever the partition's size.
     """
     ends = [F(q) for atom in partition.atoms for piece in atom for q in piece]
     den = math.lcm(seg.den, *(q.denominator for q in ends))
@@ -316,6 +323,9 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
                 pieces += [(a, b, i), (a - den, b - den, i)]
             else:
                 pieces.append((-1 if a == 0 else a, den + 1 if b == den else b, i))
+    pieces.sort()
+    starts = [a for a, _, _ in pieces]
+    reach = list(itertools.accumulate((b for _, b, _ in pieces), max))
     out: List[Optional[int]] = []
     for lo, hi in zip(seg.lows, seg.highs):
         if scale != 1:
@@ -326,10 +336,12 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
             lo -= wraps * den
             hi -= wraps * den
         symbol = None
-        for a, b, i in pieces:
-            if a < lo and hi < b:
+        t = bisect.bisect_left(starts, lo) - 1
+        while t >= 0 and hi < reach[t]:
+            _, b, i = pieces[t]
+            if hi < b and (symbol is None or i < symbol):
                 symbol = i
-                break
+            t -= 1
         out.append(symbol)
     return out
 
@@ -374,13 +386,14 @@ def _fractions(pieces, den: int) -> List[Tuple[F, F]]:
 
 
 def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition):
-    """(atoms, step, mass): the exact cylinders of a partition under a map.
+    """(atoms, pull, cut, mass): the exact cylinders of a partition under a map.
 
-    atoms[i] is atom i as a length-1 cylinder region.  step(region, d)
-    takes the region of a length-d cylinder C to [atom n T^-1(C) for each
-    atom], the length-(d+1) cylinders that extend C by one symbol in
-    front, with None where one is empty.  mass(region, d) is the exact
-    mu-mass of a length-d region; only mass reads mu.  A region is
+    atoms[i] is atom i as a length-1 cylinder region.  pull(region, d)
+    takes the region of a length-d cylinder C to T^-1(C), once, and
+    cut(pulled, i, d) cuts that to atom i: the length-(d+1) cylinder that
+    extends C by symbol i in front, None when it is empty.  mass(region, d)
+    is the exact mu-mass of a length-d region; only mass reads mu.  A
+    region is
 
     * doubling and tent: sorted disjoint integer pieces over D * 2**(d-1),
       D the lcm of the endpoint denominators, pulled back by grid_preimage;
@@ -394,27 +407,29 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
             raise UnsupportedCylinder("shift cylinders need single-cylinder atoms")
         words = [tuple(atom[0]) for atom in partition.atoms]
 
-        def shift_step(word, d):
-            return [_prepend(cyl, word) for cyl in words]
+        def shift_pull(word, d):
+            return word
 
-        return words, shift_step, lambda word, d: mu.word_measure(word)
+        def shift_cut(word, i, d):
+            return _prepend(words[i], word)
+
+        return words, shift_pull, shift_cut, lambda word, d: mu.word_measure(word)
     if kind is dy.MapKind.ROTATION:
         if not isinstance(sys.angle, F):
             raise UnsupportedCylinder("irrational rotation has no exact pullback here")
         arcs = [_circle_region(atom) for atom in partition.atoms]
 
-        def circle_step(pieces, d):
-            pulled = _circle_region(dy.preimage_pieces(sys, pieces))
-            out = []
-            for arc in arcs:
-                region = pulled.intersect(arc)
-                out.append([(F(0), F(1))] if region.full else list(region.pieces) or None)
-            return out
+        def circle_pull(pieces, d):
+            return _circle_region(dy.preimage_pieces(sys, pieces))
+
+        def circle_cut(pulled, i, d):
+            region = pulled.intersect(arcs[i])
+            return [(F(0), F(1))] if region.full else list(region.pieces) or None
 
         def arc_mass(pieces, d):
             return mu.model.region_measure(_circle_region(pieces))
 
-        return [list(atom) for atom in partition.atoms], circle_step, arc_mass
+        return [list(atom) for atom in partition.atoms], circle_pull, circle_cut, arc_mass
     den = _endpoint_den(partition)
     atoms = [[(int(a * den), int(b * den)) for a, b in _merge_pieces(atom)] for atom in partition.atoms]
 
@@ -422,24 +437,27 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     def scaled(d):
         return [[(a << d, b << d) for a, b in atom] for atom in atoms]
 
-    def grid_step(pieces, d):
-        pulled = dy.grid_preimage(kind, pieces, den << (d - 1))
-        return [_intersect_pieces(pulled, atom) or None for atom in scaled(d)]
+    def grid_pull(pieces, d):
+        return dy.grid_preimage(kind, pieces, den << (d - 1))
+
+    def grid_cut(pulled, i, d):
+        return _intersect_pieces(pulled, scaled(d)[i]) or None
 
     def grid_mass(pieces, d):
         if isinstance(mu.model, _LebesgueModel):
             return F(sum(b - a for a, b in pieces), den << (d - 1))
         return mu.model.region_measure(LineRegion(tuple(_fractions(pieces, den << (d - 1)))))
 
-    return atoms, grid_step, grid_mass
+    return atoms, grid_pull, grid_cut, grid_mass
 
 
-def _fold(atoms, step, word):
+def _fold(atoms, pull, cut, word):
     """Region of the cylinder of a nonempty word, None when it is empty:
-    the last symbol's atom, pulled back once per earlier symbol."""
+    the last symbol's atom, pulled back and cut to the named atom once per
+    earlier symbol."""
     region = atoms[word[-1]]
     for d, symbol in enumerate(reversed(word[:-1]), 1):
-        region = step(region, d)[symbol]
+        region = cut(pull(region, d), symbol, d)
         if region is None:
             break
     return region
@@ -457,12 +475,12 @@ def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
     match.  Shifts give the word it fixes (None when empty); interval and
     circle maps give rational pieces ([] when empty)."""
     word = _known(word)
-    atoms, step, _ = pullback(sys, None, partition)
+    atoms, pull, cut, _ = pullback(sys, None, partition)
     if sys.map_kind is dy.MapKind.SHIFT:
-        return _fold(atoms, step, word) if word else ()
+        return _fold(atoms, pull, cut, word) if word else ()
     if not word:
         return [(F(0), F(1))]
-    region = _fold(atoms, step, word) or []
+    region = _fold(atoms, pull, cut, word) or []
     if sys.map_kind is dy.MapKind.ROTATION:
         return region
     return _fractions(region, _endpoint_den(partition) << (len(word) - 1))
@@ -478,8 +496,8 @@ def cylinder_measure(
     word = _known(word)
     if not word:
         return F(1)
-    atoms, step, mass = pullback(sys, mu, partition)
-    region = _fold(atoms, step, word)
+    atoms, pull, cut, mass = pullback(sys, mu, partition)
+    region = _fold(atoms, pull, cut, word)
     return F(0) if region is None else mass(region, len(word))
 
 

@@ -144,7 +144,7 @@ def test_lz_engine_roundtrip(data):
         data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=300))
     )
     payload = cd._lz_payload(word, k)
-    assert len(payload) == cd._lz_payload_len(word, k)
+    assert [len(payload)] == cd._lz_costs(word, k, (len(word),), (math.inf,))
     assert cd._lz_decode_payload(payload, 0, len(word), k) == (word, len(payload))
 
 

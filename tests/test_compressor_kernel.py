@@ -215,14 +215,18 @@ def check_word(word, k, full_lz77=True):
     word against the references.  The reference lz77 payload is rebuilt
     only when `full_lz77` is set or that branch wins."""
     comp = cd.PrefixFreeCompressor(k)
+    ends = (len(word),)
     enum = _enum_payload_len(word, k)
-    lz78 = cd._lz_payload_len(word, k)
+    lz78 = cd._lz_costs(word, k, ends, (math.inf,))[0]
     lz77 = _lz77_payload_len(word, k)
     assert cd._enum_cost(word, k) == enum
-    assert cd._lz77_cost(word, k, lz77 + 1) == lz77
+    assert cd._lz77_costs(word, k, ends, (lz77 + 1,)) == [lz77]
     for budget in (lz77 - 1, lz77, 0, 1, enum):
         if budget <= lz77:
-            assert cd._lz77_cost(word, k, budget) >= budget
+            assert cd._lz77_costs(word, k, ends, (budget,))[0] >= budget
+    for budget in (enum - 1, enum, enum + 1, 0, lz78):
+        got = cd._enum_cost(word, k, budget)
+        assert got == enum if enum < budget else budget <= got <= enum
     ref = [enum + cd.phased_len(0, 3), lz78 + cd.phased_len(1, 3), lz77 + cd.phased_len(2, 3)]
     header = cd.elias_encode(len(word) + 1)
     if not word:
@@ -230,8 +234,10 @@ def check_word(word, k, full_lz77=True):
         assert comp.bits_len(word) == len(header) + 1
     else:
         best = min(range(3), key=lambda i: (ref[i], i))
-        costs = comp._costs(word)
-        assert costs[:2] == ref[:2]
+        costs = comp._costs(word, ends, (math.inf,))[0]
+        # enum is exact while it can tie lz78, and lz77 while it can win
+        assert costs[0] == ref[0] if ref[0] <= ref[1] else ref[1] < costs[0] <= ref[0]
+        assert costs[1] == ref[1]
         assert costs[2] == ref[2] if best == 2 else costs[2] >= ref[best]
         assert comp._best(word) == best
         assert comp.bits_len(word) == len(header) + ref[best]
@@ -259,6 +265,59 @@ def test_every_short_word_matches_references(k, max_len, winners):
 def test_seeded_words_match_references(k):
     won = {check_word(word, k) for _, alphabet, word in corpus() if alphabet == k}
     assert 0 in won and 2 in won
+
+
+# -- per-prefix costs and budgets ---------------------------------------------
+
+
+@pytest.mark.parametrize("k, max_len", [(2, 12), (3, 8)])
+def test_prefix_costs_match_bits_len_on_every_short_word(k, max_len):
+    # every shorter word is a prefix of some word of the largest length
+    comp = cd.PrefixFreeCompressor(k)
+    words = [w for n in range(max_len + 1) for w in itertools.product(range(k), repeat=n)]
+    ref = {w: comp.bits_len(w) for w in words}
+    rng = random.Random(29)
+    for word in itertools.product(range(k), repeat=max_len):
+        ends = range(max_len + 1)
+        assert comp.prefix_bits_len(word, ends) == [ref[word[:m]] for m in ends]
+        some = sorted(rng.sample(range(max_len + 1), rng.randint(1, 4)))
+        assert comp.prefix_bits_len(word, some) == [ref[word[:m]] for m in some]
+
+
+def _corpus_ends(n):
+    return sorted({1 << e for e in range(n.bit_length())} | {3, 5, n // 3, n - 1, n} - {0}) if n else [0]
+
+
+def test_budgeted_prefix_costs_on_the_seeded_corpus():
+    """Budgets just below, at and just above each exact cost, mixed across
+    the ends of one call: a cost below its budget is exact, and any other
+    is a lower bound at least the budget."""
+    for _, k, word in corpus():
+        comp = cd.PrefixFreeCompressor(k)
+        ends = [m for m in _corpus_ends(len(word)) if m <= len(word)]
+        exact = comp._prefix_bits_len(word, ends)
+        assert exact == [comp.bits_len(word[:m]) for m in ends]
+        for shift in range(3):
+            budgets = [e + (-1, 0, 1)[(i + shift) % 3] for i, e in enumerate(exact)]
+            got = comp._prefix_bits_len(word, ends, budgets)
+            for e, b, g in zip(exact, budgets, got):
+                assert g == e if e < b else b <= g <= e
+
+
+def test_binomial_bound_is_certified():
+    def check(m, r):
+        bound, size = cd._log2_comb_floor(m, r), math.comb(m, r)
+        assert bound <= size.bit_length() and (bound <= 0 or 1 << bound <= size), (m, r)
+        assert size.bit_length() - bound <= m.bit_length() + 4, (m, r)
+
+    for m in range(1, 301):
+        for r in range(m + 1):
+            check(m, r)
+    rng = random.Random(31)
+    for _ in range(40):
+        m = rng.randrange(301, 1 << 16)
+        check(m, rng.randrange(m + 1))
+        check(m, rng.choice((1, 2, m // 2, m - 1)))
 
 
 def _layer_cases():

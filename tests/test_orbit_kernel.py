@@ -7,6 +7,7 @@ midpoint, and the pseudo-orbit code length with every predictor costed in
 full.  The integer paths must agree with them exactly.
 """
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -293,6 +294,73 @@ def test_fast_doubling_symbols_match_generic_path_on_random_dyadics(bits, data):
     assert sb._code_segment(partition, seg) == fast
 
 
+def _linear_code_segment(partition, seg):
+    """_code_segment by testing every piece at every step, in atom order."""
+    ends = [F(q) for atom in partition.atoms for piece in atom for q in piece]
+    den = math.lcm(seg.den, *(q.denominator for q in ends))
+    scale = den // seg.den
+    circle = partition.space.kind is sp.Kind.CIRCLE
+    pieces = []
+    for i, atom in enumerate(partition.atoms):
+        for a, b in atom:
+            a, b = int(F(a) * den), int(F(b) * den)
+            if circle:
+                pieces += [(a, b, i), (a - den, b - den, i)]
+            else:
+                pieces.append((-1 if a == 0 else a, den + 1 if b == den else b, i))
+    out = []
+    for lo, hi in zip(seg.lows, seg.highs):
+        lo, hi = lo * scale, hi * scale
+        if circle:
+            wraps = lo // den
+            lo, hi = lo - wraps * den, hi - wraps * den
+        out.append(next((i for a, b, i in pieces if a < lo and hi < b), None))
+    return out
+
+
+@pytest.mark.parametrize("space", [LINE, WHEEL], ids=["interval", "circle"])
+def test_code_segment_bisect_matches_linear_scan(space):
+    """Random enclosures, many of them starting or ending on a piece
+    endpoint, against every partition of the coding tests and a few finer
+    dyadic ones; the overlapping arcs of "arc-lift-down" must still code
+    to the lowest atom."""
+    rng = random.Random(37)
+    system = dy.doubling() if space is LINE else dy.rotation(F(2, 7))
+    partitions = _partitions(space) + [sb.dyadic_intervals(space, level) for level in (1, 5, 7)]
+    coded = 0
+    for partition in partitions:
+        den = 3 << 8
+        grid = sorted({int(F(q) * den) for atom in partition.atoms for piece in atom for q in piece})
+        lows, highs = [], []
+        for _ in range(400):
+            lo = rng.choice(grid) + rng.choice((-1, 0, 0, 1)) if rng.random() < 0.5 else rng.randrange(-den, 2 * den)
+            hi = lo + rng.choice((0, 0, 1, 2, rng.randrange(den // 4 + 1)))
+            if rng.random() < 0.3:
+                hi = max(lo, rng.choice(grid))
+            lows.append(lo)
+            highs.append(hi)
+        if space is LINE:  # interval enclosures stay in [0, 1]
+            pairs = [(min(max(lo, 0), den), min(max(hi, lo, 0), den)) for lo, hi in zip(lows, highs)]
+            lows, highs = [lo for lo, _ in pairs], [hi for _, hi in pairs]
+        seg = dy.OrbitSegment(system, len(lows), 8, tuple(lows), tuple(highs), den)
+        symbols = sb._code_segment(partition, seg)
+        assert symbols == _linear_code_segment(partition, seg), partition.name
+        coded += len(symbols) - symbols.count(None)
+    assert coded > 1000
+
+
+def test_fine_partition_codes_in_bounded_time():
+    # one bisect per step: a level-10 partition (1024 atoms) at n = 2**14
+    # codes in about 0.03 s where a scan over every piece took about 1 s
+    # (CPython 3.11, 2-vCPU VM); the bound leaves room for a loaded machine
+    partition = sb.dyadic_intervals(WHEEL, 10)
+    x = sp.rational_point(WHEEL, F(random.Random(41).getrandbits(60), 1 << 60))
+    start = time.perf_counter()
+    word = sb.code_orbit(dy.rotation(), x, partition, 1 << 14)
+    assert time.perf_counter() - start < 0.5
+    assert len(word) == 1 << 14 and word.known_prefix
+
+
 # -- quantizing ------------------------------------------------------------------
 
 
@@ -359,14 +427,33 @@ def _index_lists(rng):
                 walk.append(v)
                 v = (v + rng.choice((-1, 0, 1, 3))) % modulus
             yield modulus, walk
+            # constant, then uniform: the residual offset and width of a
+            # prefix change past the middle
+            calm = [rng.randrange(modulus)] * (n // 2)
+            yield modulus, calm + [rng.randrange(modulus) for _ in range(n - n // 2)]
+
+
+def _prefix_ends(n):
+    return sorted({m for m in (1, 2, 3, 5, 8, 13, n // 4, n // 2, n // 2 + 1, n - 1, n) if 1 <= m <= n})
+
+
+def _offset_width(indices, modulus, c):
+    half = modulus // 2
+    residuals = [((b - c * a + half) % modulus) - half for a, b in zip(indices, indices[1:])]
+    return min(residuals), (max(residuals) - min(residuals)).bit_length()
 
 
 def test_pruned_pseudo_orbit_bits_match_unpruned():
     rng = random.Random(17)
+    regrouped = 0
     for compressor in (cd.PrefixFreeCompressor(2), cd.PrefixFreeCompressor(3)):
         for modulus, indices in _index_lists(rng):
-            expected = _unpruned_code_bits(indices, modulus, compressor)
-            assert en.pseudo_orbit_code_bits(indices, modulus, compressor) == expected
+            ends = _prefix_ends(len(indices))
+            expected = [_unpruned_code_bits(indices[:m], modulus, compressor) for m in ends]
+            assert en.pseudo_orbit_code_bits(indices, modulus, compressor, ends) == expected
+            groups = {_offset_width(indices[:m], modulus, 1) for m in ends if m >= 2}
+            regrouped += len(groups) > 1
+    assert regrouped > 20
 
 
 # -- budgeted compressor costs -------------------------------------------------
@@ -386,17 +473,18 @@ def test_budgeted_costs_exact_below_budget_and_bounded_above():
     for k, word in _words(rng):
         comp = cd.PrefixFreeCompressor(k)
         full = comp.bits_len(word)
-        lz78 = cd._lz_payload_len(word, k)
+        ends = (len(word),)
+        lz78 = cd._lz_costs(word, k, ends, (math.inf,))[0]
         for budget in sorted({0, 1, 2, full // 2, full - 1, full, full + 1, 2 * full + 5}):
             got = comp._bits_len(word, budget)
             if full < budget:
                 assert got == full
             else:
                 assert budget <= got <= full
-            part = cd._lz_payload_len(word, k, budget)
+            part = cd._lz_costs(word, k, ends, (budget,))[0]
             assert part == lz78 if lz78 < budget else budget <= part <= lz78
             if word:
-                costs = comp._costs(word, budget - cd.elias_len(len(word) + 1))
+                costs = comp._costs(word, ends, (budget - cd.elias_len(len(word) + 1),))[0]
                 assert min(costs) == got - cd.elias_len(len(word) + 1)
 
 
@@ -420,6 +508,40 @@ def test_encode_parses_the_copy_branch_once(monkeypatch):
     assert cd.phased_decode(code, cd.elias_decode(code, 0)[1], 3)[0] == 2  # the copy branch won
     assert code == expected and len(parses) == 1
     assert comp.decode(code) == tuple(word)
+
+
+def test_rates_parse_each_stream_once(monkeypatch):
+    """One lz78 trie and one lz77 automaton per (scale, predictor, offset
+    and width group) in orbit_rate, and per orbit in symbol_rate, not one
+    per grid prefix."""
+    parses = {"lz78": 0, "lz77": 0}
+
+    def counted(name, tokens):
+        def wrapper(*args):
+            parses[name] += 1
+            return tokens(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cd, "_lz_tokens", counted("lz78", cd._lz_tokens))
+    monkeypatch.setattr(cd, "_lz77_tokens", counted("lz77", cd._lz77_tokens))
+    sys = dy.doubling()
+    x = sp.rational_point(LINE, F(random.Random(43).getrandbits(1 << 12) | 1, 1 << (1 << 12)))
+    grid = [2, 3, 5] + [1 << e for e in range(6, 11)]  # short prefixes change groups
+    scales = (4, 6)
+    en.orbit_rate(sys, x, scales, grid)
+    groups = 0
+    for p in scales:
+        indices = en._quantize_orbit(sys, x, grid[-1], p)
+        for c in en._PREDICTOR_FAMILY:
+            keys = {_offset_width(indices[:n], 1 << p, c) for n in grid}
+            groups += sum(1 for _, width in keys if width)
+    assert groups < len(scales) * len(en._PREDICTOR_FAMILY) * len(grid)
+    assert len(scales) * len(en._PREDICTOR_FAMILY) < groups
+    assert parses == {"lz78": groups, "lz77": groups}
+    parses.update(lz78=0, lz77=0)
+    en.symbol_rate(sys, x, sb.halves(LINE), grid)
+    assert parses == {"lz78": 1, "lz77": 1}
 
 
 # -- failing fast ------------------------------------------------------------------
