@@ -47,7 +47,7 @@ from effdyn.measure import (
     measure_of_ad_set,
     prokhorov,
 )
-from effdyn.numerics import Interval, Rational, eval_f, eval_J, iv_arith, log2
+from effdyn.numerics import Interval, Rational, eval_f, eval_J, log2
 from effdyn.space import (
     EnumeratedOpenSet,
     IdealBall,

@@ -20,6 +20,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import random
 import sys as _sys
 from contextlib import contextmanager
@@ -113,13 +114,21 @@ def _positive(text: str) -> int:
     return value
 
 
-def _n_grid(cfg) -> List[int]:
-    n_grid = _int_list(_get(cfg, "grids", "n_grid", required=True), "n_grid")
-    if not n_grid:
-        raise ConfigError("grids", "n_grid", "empty grid")
-    if min(n_grid) < 1:
-        raise ConfigError("grids", "n_grid", "horizons must be at least 1")
-    return n_grid
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # nan fails both comparisons
+        raise ValueError(f"{value} is not a finite positive number")
+    return value
+
+
+def _grid(cfg, option: str, least: int) -> List[int]:
+    """The required [grids] list `option`: nonempty, every entry >= least."""
+    grid = _int_list(_get(cfg, "grids", option, required=True), option)
+    if not grid:
+        raise ConfigError("grids", option, "empty grid")
+    if min(grid) < least:
+        raise ConfigError("grids", option, f"entries must be at least {least}")
+    return grid
 
 
 def _int_list(text: str, option: str) -> List[int]:
@@ -271,22 +280,27 @@ def run_config(cfg) -> List[EntropyReport]:
     for option in cfg.options("grids") if cfg.has_section("grids") else ():
         if option not in GRIDS[estimator]:
             raise ConfigError("grids", option, "unknown option")
-    system = build_system(cfg)
 
+    # every grid is checked before anything is built
     if estimator == "block-entropy":
+        n_max = _value(cfg, "grids", "n_max", _positive, required=True)
+        system = build_system(cfg)
         mu = build_measure(cfg, system)
         partition = build_partition(cfg, system)
-        n_max = _value(cfg, "grids", "n_max", _positive, required=True)
         return [en.block_entropy(system, mu, partition, n_max)]
 
     if estimator == "h1":
-        p_grid = _int_list(_get(cfg, "grids", "p_grid", required=True), "p_grid")
-        if not p_grid:
-            raise ConfigError("grids", "p_grid", "empty grid")
-        n_grid = _n_grid(cfg)
-        return [en.h1_estimate(system, p_grid, n_grid)]
+        p_grid = _grid(cfg, "p_grid", 0)
+        n_grid = _grid(cfg, "n_grid", 1)
+        return [en.h1_estimate(build_system(cfg), p_grid, n_grid)]
 
-    n_grid = _n_grid(cfg)
+    n_grid = _grid(cfg, "n_grid", 1)
+    if estimator == "orbit-rate":
+        scales = _grid(cfg, "scales", 0)
+    elif estimator == "typicality":
+        level = _value(cfg, "grids", "level", _positive, "4")
+        tol = _value(cfg, "grids", "tol", _tolerance, "0.02")
+    system = build_system(cfg)
     bits = max(n_grid) + 64
     points = build_points(cfg, system, bits)
     if not points:
@@ -298,7 +312,6 @@ def run_config(cfg) -> List[EntropyReport]:
             partition = build_partition(cfg, system)
             report = en.symbol_rate(system, point, partition, n_grid)
         elif estimator == "orbit-rate":
-            scales = _int_list(_get(cfg, "grids", "scales", required=True), "scales")
             report = en.orbit_rate(system, point, scales, n_grid)
         elif estimator == "birkhoff":
             text = _get(cfg, "grids", "target", "0,1/2")
@@ -313,8 +326,6 @@ def run_config(cfg) -> List[EntropyReport]:
             report = EntropyReport("birkhoff", system.name, tuple(rows), rows[-2][2], {})
         elif estimator == "typicality":
             mu = build_measure(cfg, system)
-            level = _value(cfg, "grids", "level", _positive, "4")
-            tol = _value(cfg, "grids", "tol", float, "0.02")
             with _bad_value("grids", "level"):
                 family = stt.dyadic_ball_family(system.space, level)
             result = stt.typicality_test(system, mu, point, family, max(n_grid), tol)

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from effdyn.numerics import log2_fixed
+
 F = Fraction
 
 Word = Tuple[int, ...]
@@ -365,34 +367,8 @@ def _enum_layers(word: Word, alphabet: int):
         rem -= r
 
 
-# fixed-point logs: fractional bits kept, and the working precision of the
-# mantissa, whose rounding then costs well under 2**-_LOG_FRAC in total
+# fractional bits of the fixed-point logs in the binomial bound
 _LOG_FRAC = 16
-_LOG_PREC = _LOG_FRAC + 8
-
-
-def _log2_fixed(x: int) -> int:
-    """lo with lo <= 2**_LOG_FRAC * log2(x) < lo + 2, for an integer x >= 1.
-
-    The mantissa z = x / 2**e in [1, 2) is squared _LOG_FRAC times, and
-    the i-th square, halved when it is at least 2, gives bit i of log2(z):
-    log2(z) = sum(bit_i 2**-i) + 2**-n log2(z_n) after n steps.  Rounding
-    z down at every step lowers that sum by less than 4.4 * 2**-_LOG_PREC
-    in all, and the last z_n lies in [1, 2), so the bits fall short of
-    log2(z) by less than two units of 2**-_LOG_FRAC.
-    """
-    e = x.bit_length() - 1
-    shift = _LOG_PREC - e
-    z = x << shift if shift >= 0 else x >> -shift
-    two = 2 << _LOG_PREC
-    bits = 0
-    for _ in range(_LOG_FRAC):
-        z = z * z >> _LOG_PREC
-        bits <<= 1
-        if z >= two:
-            z >>= 1
-            bits |= 1
-    return (e << _LOG_FRAC) + bits
 
 
 def _log2_comb_floor(m: int, r: int) -> int:
@@ -401,14 +377,19 @@ def _log2_comb_floor(m: int, r: int) -> int:
     With p = r/m, C(m, r) p^r (1-p)^(m-r) is the largest of the m + 1
     terms that sum to 1, so C(m, r) >= 2**(m h(p)) / (m + 1), where
     m h(p) = m log2 m - r log2 r - (m - r) log2(m - r) (the size of a
-    type class, Cover & Thomas §11.1).  Each log is a fixed-point bound on
-    the side that keeps the whole a lower bound, and log2(m + 1) is taken
-    as its bit length.
+    type class, Cover & Thomas §11.1).  Each log is a `numerics.log2_fixed`
+    bound in units of 2**-_LOG_FRAC, taken on the side that keeps the whole
+    a lower bound, and log2(m + 1) is taken as its bit length.
     """
     if r == 0 or r == m:
         return 0
     s = m - r
-    bits = m * _log2_fixed(m) - r * _log2_fixed(r) - s * _log2_fixed(s) - 2 * m
+    bits = (
+        m * log2_fixed(m, 1, _LOG_FRAC)
+        - r * log2_fixed(r, 1, _LOG_FRAC)
+        - s * log2_fixed(s, 1, _LOG_FRAC)
+        - 2 * m
+    )
     return (bits >> _LOG_FRAC) - (m + 1).bit_length()
 
 

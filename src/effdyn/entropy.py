@@ -124,15 +124,13 @@ def block_entropy(
     mu: ComputableMeasure,
     partition,
     n_max: int,
-    ns: Optional[Sequence[int]] = None,
 ) -> EntropyReport:
     """Exact block entropies and the conditional-entropy rate estimate."""
-    if ns is None:
-        if n_max <= 32:
-            ns = list(range(1, n_max + 1))
-        else:
-            ns = sorted({1 << j for j in range((n_max).bit_length())} | {n_max - 1, n_max})
-            ns = [n for n in ns if n <= n_max]
+    if n_max <= 32:
+        ns = list(range(1, n_max + 1))
+    else:
+        ns = sorted({1 << j for j in range((n_max).bit_length())} | {n_max - 1, n_max})
+        ns = [n for n in ns if n <= n_max]
     if sys.map_kind is dy.MapKind.ROTATION:
         table = _rotation_gap_entropies(sys, partition, ns)
     else:

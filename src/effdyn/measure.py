@@ -480,7 +480,7 @@ class IdealMeasure:
         return cls(space, tuple(support), tuple(weights))
 
 
-def prokhorov(mu: IdealMeasure, nu: IdealMeasure, precision: int = 20) -> Interval:
+def prokhorov(mu: IdealMeasure, nu: IdealMeasure) -> Interval:
     """Exact Prokhorov distance between ideal measures (degenerate interval).
 
     Sweeps every support subset A, and for each finds the least eps with
@@ -520,9 +520,7 @@ def prokhorov(mu: IdealMeasure, nu: IdealMeasure, precision: int = 20) -> Interv
     forward = one_sided(mu.weights, nu.weights, dist_rows)
     transposed = [[dist_rows[j][i] for j in range(len(nu_desc))] for i in range(len(mu_desc))]
     backward = one_sided(nu.weights, mu.weights, transposed)
-    value = max(forward, backward)
-    del precision  # the sweep is exact; any requested width is satisfied
-    return Interval.point(value)
+    return Interval.point(max(forward, backward))
 
 
 def total_variation(mu: IdealMeasure, nu: IdealMeasure) -> F:

@@ -5,16 +5,17 @@ code-length bounds) bottoms out in `fractions.Fraction` endpoints, so
 enclosure guarantees are unconditional: floating point only appears when
 results are reported.
 
-Logarithms are base 2 throughout.  Certified enclosures of log2 are
-produced by binary-digit extraction with outward dyadic rounding, with no
-dependence on libm semantics.
+Logarithms are base 2 throughout.  One integer kernel, `log2_fixed`,
+extracts the binary digits of log2 by repeated squaring of a floor-rounded
+fixed-point mantissa, with no dependence on libm semantics; `log2` and the
+enumerative coder's binomial bound both read their logs from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Optional, Union
 
 Rational = Fraction
 
@@ -30,15 +31,21 @@ def dyadic_floor(q: Fraction, grid_bits: int) -> Fraction:
     return Fraction(scaled.numerator // scaled.denominator, 1 << grid_bits)
 
 
-def dyadic_ceil(q: Fraction, grid_bits: int) -> Fraction:
-    """Smallest multiple of 2**-grid_bits that is >= q."""
-    scaled = q * (1 << grid_bits)
-    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << grid_bits)
-
-
 def is_power_of_two(q: Fraction) -> bool:
     n, d = q.numerator, q.denominator
     return n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0
+
+
+def dyadic_level(qs: Iterable[RationalLike]) -> Optional[int]:
+    """Largest k with 2**k a denominator of some q (0 when qs is empty),
+    or None when some denominator is not a power of two."""
+    level = 0
+    for q in qs:
+        den = Fraction(q).denominator
+        if den & (den - 1):
+            return None
+        level = max(level, den.bit_length() - 1)
+    return level
 
 
 @dataclass(frozen=True)
@@ -120,89 +127,62 @@ class Interval:
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
-    def outward(self, grid_bits: int) -> "Interval":
-        """Round endpoints outward to the dyadic grid 2**-grid_bits."""
-        return Interval(dyadic_floor(self.lo, grid_bits), dyadic_ceil(self.hi, grid_bits))
 
+def log2_fixed(num: int, den: int, k: int) -> int:
+    """lo with lo <= 2**k * log2(num / den) < lo + 2, for integers
+    num >= den >= 1.
 
-_IV_OPS = {
-    "add": Interval.__add__,
-    "sub": Interval.__sub__,
-    "mul": Interval.__mul__,
-    "dist": Interval.dist,
-    "min": Interval.min_with,
-    "max": Interval.max_with,
-}
-
-
-def iv_arith(a: Interval, b: Interval, op: str) -> Interval:
-    """Dispatch table entry point for the six supported binary operations."""
-    try:
-        fn = _IV_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown interval op {op!r}") from None
-    return fn(a, b)
-
-
-def _log2_digits(m: Fraction, steps: int, guard_bits: int):
-    """Binary digits of log2(m) for m in [1, 2), via repeated squaring.
-
-    Squaring is done on a dyadic lower/upper bound pair with outward
-    rounding at guard_bits, so every extracted digit is certified.  Returns
-    (prefix, slack): log2(m) lies in [prefix, prefix + slack].  slack is
-    2**-steps on completion, larger if a digit could not be resolved at
-    this guard precision.
+    The mantissa z = num / (den 2**e) in [1, 2) is held as a floor-rounded
+    fixed-point integer with k + 8 fractional bits and squared k times; the
+    i-th square, halved when it is at least 2, gives bit i of log2(z):
+    log2(z) = sum(bit_i 2**-i) + 2**-n log2(z_n) after n steps.  Rounding
+    z down at every step lowers that sum by less than 4.4 * 2**-(k + 8) in
+    all, and the last z_n lies in [1, 2), so the bits fall short of
+    log2(z) by less than two units of 2**-k.
     """
-    lo = dyadic_floor(m, guard_bits)
-    hi = dyadic_ceil(m, guard_bits)
-    prefix = Fraction(0)
-    w = Fraction(1)
-    two = Fraction(2)
-    for _ in range(steps):
-        w /= 2
-        lo = dyadic_floor(lo * lo, guard_bits)
-        hi = dyadic_ceil(hi * hi, guard_bits)
-        if lo >= two:
-            prefix += w
-            lo /= 2
-            hi /= 2
-        elif hi < two:
-            pass
-        else:
-            return prefix, 2 * w
-        # the true value is always in [1, 2); clamping keeps bounds tight
-        if lo < 1:
-            lo = Fraction(1)
-        if hi > two:
-            hi = two
-    return prefix, w
+    e = num.bit_length() - den.bit_length()
+    if num < den << e:
+        e -= 1
+    prec = k + 8
+    shift = prec - e
+    z = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    two = 2 << prec
+    bits = 0
+    for _ in range(k):
+        z = z * z >> prec
+        bits <<= 1
+        if z >= two:
+            z >>= 1
+            bits |= 1
+    return (e << k) + bits
 
 
 def log2(q: RationalLike, precision: int = DEFAULT_LOG_PRECISION) -> Interval:
     """Certified enclosure of log2(q), width <= 2**-precision.
 
-    Exact (degenerate) for q a power of two.
+    Exact (degenerate) for q a power of two.  Otherwise log2(q) is
+    irrational, so its first precision + 1 binary digits are unique: they
+    are read off `log2_fixed`, with guard bits below them, once its
+    two-unit uncertainty stays inside one digit, with more guard bits on
+    each retry.  Below 1, floor(-t) = -1 - floor(t) for the irrational
+    t = 2**(precision + 1) * log2(1 / q).
     """
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log2 requires a positive argument")
     if is_power_of_two(q):
         return Interval.point(q.numerator.bit_length() - q.denominator.bit_length())
-    exponent = q.numerator.bit_length() - q.denominator.bit_length()
-    m = q / Fraction(1 << exponent) if exponent >= 0 else q * (1 << -exponent)
-    if m >= 2:
-        m /= 2
-        exponent += 1
-    elif m < 1:
-        m *= 2
-        exponent -= 1
+    num, den = q.numerator, q.denominator
+    below_one = num < den  # then log2(q) = -log2(den / num)
+    if below_one:
+        num, den = den, num
     steps = precision + 1
-    guard = 2 * steps + 12
-    target = Fraction(1, 1 << precision)
+    guard = 12
     for _ in range(8):
-        prefix, slack = _log2_digits(m, steps, guard)
-        if slack <= target:
-            return Interval(exponent + prefix, exponent + prefix + slack)
+        lo = log2_fixed(num, den, steps + guard)
+        if lo >> guard == (lo + 1) >> guard:
+            digits = -1 - (lo >> guard) if below_one else lo >> guard
+            return Interval(Fraction(digits, 1 << steps), Fraction(digits + 1, 1 << steps))
         guard *= 2
     raise ArithmeticError(f"log2 enclosure did not converge for {q}")
 

@@ -138,9 +138,9 @@ class Space:
             return F(0)
         return max(self.left.dist_desc(u[0], v[0]), self.right.dist_desc(u[1], v[1]))
 
-    def ideal_dist(self, i: int, j: int, precision: int = 0) -> Interval:
-        """Enclosure of d(s_i, s_j); exact (width zero) for every kind."""
-        del precision  # distances between ideal points are exact rationals
+    def ideal_dist(self, i: int, j: int) -> Interval:
+        """d(s_i, s_j) as a degenerate interval: distances between ideal
+        points are exact rationals for every kind."""
         return Interval.point(self.dist_desc(self.decode(i), self.decode(j)))
 
     @property

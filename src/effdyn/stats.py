@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from effdyn import dynamics as dy
 from effdyn import symbolic as sb
 from effdyn.measure import AlmostDecidableSet, ComputableMeasure, measure_of_ad_set
+from effdyn.numerics import dyadic_level
 from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
@@ -149,16 +150,13 @@ def _dyadic_level(family) -> Optional[int]:
     the fast path counts by their midpoints; a ball's center need not lie
     on it.
     """
-    finest = 1
-    for _, ad in family:
-        for ball in ad.inside.enumerate(4) + ad.outside.enumerate(4):
-            c = ball.center_desc
-            for q in (c - ball.radius, c + ball.radius):
-                den = q.denominator
-                if den & (den - 1):
-                    return None
-                finest = max(finest, den.bit_length() - 1)
-    return finest
+    finest = dyadic_level(
+        q
+        for _, ad in family
+        for ball in ad.inside.enumerate(4) + ad.outside.enumerate(4)
+        for q in (ball.center_desc - ball.radius, ball.center_desc + ball.radius)
+    )
+    return None if finest is None else max(finest, 1)
 
 
 def _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest) -> TypicalityResult:

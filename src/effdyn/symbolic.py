@@ -39,7 +39,7 @@ from effdyn.measure import (
     _merge_pieces,
     interval_as_balls,
 )
-from effdyn.numerics import Interval
+from effdyn.numerics import Interval, dyadic_level
 from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
@@ -210,15 +210,7 @@ def cylinders(space: Space, length: int) -> ComputablePartition:
 
 def _dyadic_level(partition: ComputablePartition) -> Optional[int]:
     """Largest denominator exponent if all pieces are dyadic, else None."""
-    level = 0
-    for atom in partition.atoms:
-        for a, b in atom:
-            for q in (a, b):
-                den = F(q).denominator
-                if den & (den - 1):
-                    return None
-                level = max(level, den.bit_length() - 1)
-    return level
+    return dyadic_level(q for atom in partition.atoms for a, b in atom for q in (a, b))
 
 
 def _fast_doubling_symbols(

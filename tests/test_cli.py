@@ -328,27 +328,46 @@ def test_compare_checks_every_seed(tmp_path, capsys):
 
 
 def test_bad_values_are_config_errors(tmp_path, capsys):
-    bad = {
-        "angle": "[system]\nkind = rotation\nangle = 1/0\n\n[estimator]\nkind = recurrence\n\n"
-        "[grids]\nn_grid = 4\npoint = 1/3\n",
-        "probs": "[system]\nkind = shift\n\n[measure]\nkind = bernoulli\nprobs = 1/2,1/3\n\n"
-        "[partition]\nkind = cylinders\n\n[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n",
-        "n_max": "[system]\nkind = doubling\n\n[estimator]\nkind = block-entropy\n\n"
-        "[grids]\nn_max = 0\n",
-        "n_grid": "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
-        "[grids]\nn_grid = 0,8\nseeds = 1\n",
-        "point": "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
-        "[grids]\nn_grid = 8\npoint = 3/2\n",
-        "kind": "[system]\nkind = shift\n\n[estimator]\nkind = symbol-rate\n\n"
-        "[grids]\nn_grid = 8\nseeds = 1\n",
-        "length": "[system]\nkind = shift\n\n[partition]\nkind = cylinders\nlength = -1\n\n"
-        "[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n",
-    }
-    for option, text in bad.items():
-        cfg = write_cfg(tmp_path, text, f"{option}.cfg")
-        assert cli.main(["run", str(cfg)]) == 2, option
+    orbit_rate = (
+        "[system]\nkind = doubling\n\n[estimator]\nkind = orbit-rate\n\n"
+        "[grids]\nn_grid = 8\nseeds = 1\n"
+    )
+    h1 = "[system]\nkind = doubling\n\n[estimator]\nkind = h1\n\n[grids]\nn_grid = 4\n"
+    typicality = (
+        "[system]\nkind = doubling\n\n[estimator]\nkind = typicality\n\n"
+        "[grids]\nn_grid = 128\nseeds = 1\nlevel = 2\n"
+    )
+    bad = [
+        ("angle", "[system]\nkind = rotation\nangle = 1/0\n\n[estimator]\nkind = recurrence\n\n"
+         "[grids]\nn_grid = 4\npoint = 1/3\n"),
+        ("probs", "[system]\nkind = shift\n\n[measure]\nkind = bernoulli\nprobs = 1/2,1/3\n\n"
+         "[partition]\nkind = cylinders\n\n[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n"),
+        ("n_max", "[system]\nkind = doubling\n\n[estimator]\nkind = block-entropy\n\n"
+         "[grids]\nn_max = 0\n"),
+        ("n_grid", "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
+         "[grids]\nn_grid = 0,8\nseeds = 1\n"),
+        ("point", "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n"
+         "[grids]\nn_grid = 8\npoint = 3/2\n"),
+        ("kind", "[system]\nkind = shift\n\n[estimator]\nkind = symbol-rate\n\n"
+         "[grids]\nn_grid = 8\nseeds = 1\n"),
+        ("length", "[system]\nkind = shift\n\n[partition]\nkind = cylinders\nlength = -1\n\n"
+         "[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n"),
+        ("scales", orbit_rate + "scales = -1\n"),
+        ("scales", orbit_rate + "scales = 2,-1\n"),
+        ("scales", orbit_rate + "scales =\n"),
+        ("p_grid", h1 + "p_grid = -5\n"),
+        ("p_grid", h1 + "p_grid =\n"),
+        ("tol", typicality + "tol = nan\n"),
+        ("tol", typicality + "tol = -0.5\n"),
+        ("tol", typicality + "tol = 0\n"),
+        ("tol", typicality + "tol = inf\n"),
+    ]
+    for i, (option, text) in enumerate(bad):
+        cfg = write_cfg(tmp_path, text, f"{option}-{i}.cfg")
+        assert cli.main(["run", str(cfg)]) == 2, text
         err = capsys.readouterr().err
         assert err.startswith("config error: [") and f"] {option}:" in err, err
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".cfg"] * len(bad)
 
 
 def test_unknown_options_are_config_errors(tmp_path, capsys, monkeypatch):
