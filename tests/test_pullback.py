@@ -9,10 +9,12 @@ with its hand merge, and the `Fraction` circle loop over
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from effdyn import coding as cd
 from effdyn import dynamics as dy
 from effdyn import entropy as en
 from effdyn import measure as ms
@@ -195,3 +197,20 @@ def test_rotation_fold_and_walk_match_circle_loop(sys):
                 assert sb.cylinder_measure(sys, mu, partition, word) == mass_of(word), word
             table = en._pullback_level_entropies(sys, mu, partition, range(1, n_max + 1))
             assert table == _walk_from_masses(mass_of, k, n_max), (partition.name, mu.name)
+
+
+# the angles of the benchmark's local-info shapes have denominators 3..16
+LOCAL_ROTATIONS = [dy.rotation(F(a, q)) for a, q in ((1, 3), (3, 7), (3, 16), (5, 12), (11, 16))]
+
+
+@pytest.mark.parametrize("sys", LOCAL_ROTATIONS, ids=[s.name for s in LOCAL_ROTATIONS])
+def test_rotation_local_info_matches_circle_loop(sys):
+    rng = random.Random(f"local-info:{sys.name}")
+    partition = sb.halves(WHEEL)
+    points = [sp.rational_point(WHEEL, F(rng.getrandbits(64) | 1, 1 << 64)) for _ in range(8)]
+    for x, n in zip(points, range(8, 16)):
+        word = sb.code_orbit(sys, x, partition, n).symbols
+        region = ms._circle_region(_circle_loop(sys, partition, word))
+        for mu in CIRCLE_MEASURES:
+            expected = cd.neg_log2(mu.model.region_measure(region))
+            assert en.local_info(sys, mu, x, partition, n) == expected, (n, mu.name)
