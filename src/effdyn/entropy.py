@@ -131,7 +131,7 @@ def block_entropy(
     else:
         ns = sorted({1 << j for j in range((n_max).bit_length())} | {n_max - 1, n_max})
         ns = [n for n in ns if n <= n_max]
-    if sys.map_kind is dy.MapKind.ROTATION:
+    if sys.map_kind is dy.MapKind.ROTATION and mu.is_lebesgue:
         table = _rotation_gap_entropies(sys, partition, ns)
     else:
         table = _pullback_level_entropies(sys, mu, partition, ns)

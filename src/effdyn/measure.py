@@ -269,13 +269,10 @@ def cylinder_as_ball(space: Space, word) -> IdealBall:
 # ---------------------------------------------------------------------------
 
 
-class _LebesgueModel:
-    def region_measure(self, region) -> F:
-        return region.length()
-
-
 @dataclass(frozen=True)
 class _MixtureModel:
+    """base_weight times Lebesgue plus point masses; Lebesgue is (1, ())."""
+
     base_weight: F
     atoms: Tuple[Tuple[F, F], ...]  # (position, weight)
 
@@ -356,6 +353,10 @@ class ComputableMeasure:
     name: str
     model: object
 
+    @property
+    def is_lebesgue(self) -> bool:
+        return self.model == _MixtureModel(F(1), ())
+
     def region(self, balls: Sequence[IdealBall]):
         return region_of_balls(self.space, balls)
 
@@ -371,7 +372,7 @@ class ComputableMeasure:
     def lebesgue(cls, space: Space) -> "ComputableMeasure":
         if space.kind not in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
             raise SpaceMismatch("lebesgue lives on the interval or circle")
-        return cls(space, "lebesgue", _LebesgueModel())
+        return cls(space, "lebesgue", _MixtureModel(F(1), ()))
 
     @classmethod
     def lebesgue_with_atoms(cls, space: Space, base_weight, atoms) -> "ComputableMeasure":
@@ -473,11 +474,6 @@ class IdealMeasure:
             raise ValueError("support entries must be distinct")
         if sum(self.weights, F(0)) != 1 or any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive and sum to 1")
-
-    @classmethod
-    def from_points(cls, space: Space, pairs) -> "IdealMeasure":
-        support, weights = zip(*((space.encode_dyadic(F(q)), F(w)) for q, w in pairs))
-        return cls(space, tuple(support), tuple(weights))
 
 
 def prokhorov(mu: IdealMeasure, nu: IdealMeasure) -> Interval:

@@ -121,9 +121,6 @@ class Interval:
         spread = max(self.hi - other.lo, other.hi - self.lo)
         return Interval(gap, spread)
 
-    def min_with(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
-
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 

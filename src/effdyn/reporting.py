@@ -26,9 +26,6 @@ class EntropyReport:
     rate: float
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
-    def values_for(self, param: str) -> List[Tuple[int, float]]:
-        return [(n, v) for p, n, v in self.rows if p == param]
-
     def to_rows(self) -> List[Tuple[str, str, str, int, float, str]]:
         diag = ";".join(f"{k}={self.diagnostics[k]}" for k in sorted(self.diagnostics))
         out = [

@@ -307,10 +307,6 @@ class EnumeratedOpenSet:
         balls = tuple(balls)
         return cls(space, lambda budget: balls)
 
-    @classmethod
-    def from_stages(cls, space: Space, stage_fn: Callable[[int], tuple]) -> "EnumeratedOpenSet":
-        return cls(space, stage_fn)
-
 
 def member_semidecide(x: Point, open_set: EnumeratedOpenSet, budget: int) -> Optional[IdealBall]:
     """Budgeted dovetail: the witness ball if membership certifies, else None.

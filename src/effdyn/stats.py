@@ -35,10 +35,6 @@ class BirkhoffResult:
     def average(self) -> F:
         return F(self.inside, self.horizon)
 
-    @property
-    def complement_average(self) -> F:
-        return F(self.outside, self.horizon)
-
 
 def _ad_partition(ad: AlmostDecidableSet, budget: int = 16) -> sb.ComputablePartition:
     """Two-atom partition {inner, outer} of an almost decidable set."""

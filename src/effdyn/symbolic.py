@@ -14,10 +14,13 @@ precision.  An exactly rational orbit therefore gets Unknown precisely at
 true boundary hits.
 
 Cylinder sets are computed exactly by one backward pullback step per map
-(`pullback`): integer pieces for doubling and tent, prepended words for
-shifts whose atoms are single cylinders, and rational arcs for rational
-rotations.  Every other pair (irrational rotations, shift atoms that are
-unions of several cylinders) raises UnsupportedCylinder.
+(`pullback`): prepended words for shifts whose atoms are single
+cylinders, and integer pieces over one common denominator for doubling,
+tent and rational rotations (lifted arcs on the circle).  Their masses
+are exact under Lebesgue and its mixtures with point masses.  Every
+other case (irrational rotations, shift atoms that are unions of several
+cylinders, other measures on the interval or circle) raises
+UnsupportedCylinder.
 """
 
 from __future__ import annotations
@@ -31,15 +34,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
-from effdyn.measure import (
-    ComputableMeasure,
-    LineRegion,
-    _circle_region,
-    _LebesgueModel,
-    _merge_pieces,
-    interval_as_balls,
-)
-from effdyn.numerics import Interval, dyadic_level
+from effdyn.measure import ComputableMeasure, _merge_pieces, _MixtureModel, interval_as_balls
+from effdyn.numerics import dyadic_level
 from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
@@ -117,17 +113,6 @@ class ComputablePartition:
         q = q - (q.numerator // q.denominator)
         return any(a < q + t < b for t in (0, 1))
 
-    def _piece_contains_enclosure(self, piece, box: Interval) -> bool:
-        a, b = piece
-        if self.space.kind is Kind.UNIT_INTERVAL:
-            left = box.lo > a or (a <= 0 <= box.lo)
-            right = box.hi < b or (b >= 1 and box.hi <= 1)
-            return left and right
-        width = box.width
-        lo = box.lo - (box.lo.numerator // box.lo.denominator)
-        hi = lo + width
-        return any(a < lo + t and hi + t < b for t in (0, 1))
-
     def atom_of_value(self, q) -> Optional[int]:
         """Exact membership of a rational value (interval/circle kinds)."""
         q = F(q)
@@ -143,30 +128,12 @@ class ComputablePartition:
                     return i
         return None
 
-    def atom_of_enclosure(self, enclosure) -> Optional[int]:
-        """Certified atom of an orbit enclosure, or None."""
-        if self.space.kind is Kind.CANTOR:
-            return self.atom_of_word(tuple(enclosure))
-        for i, atom in enumerate(self.atoms):
-            if any(self._piece_contains_enclosure(piece, enclosure) for piece in atom):
-                return i
-        return None
-
     def boundary_neighborhood_measure(self, mu: ComputableMeasure, radius: F) -> F:
         """Exact mass of the union of radius-balls around boundary points."""
         balls = []
         for q in self.boundary_points:
             balls.extend(interval_as_balls(self.space, F(q) - radius, F(q) + radius))
         return mu.exact_union(balls)
-
-    def min_boundary_distance(self, values) -> F:
-        """Exact min distance from the given values to the boundary set."""
-        best = None
-        for v in values:
-            for q in self.boundary_points:
-                d = self.space.dist_desc(F(v), F(q))
-                best = d if best is None else min(best, d)
-        return best
 
 
 def halves(space: Space) -> ComputablePartition:
@@ -287,7 +254,8 @@ def code_orbit(
 
 
 def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[Optional[int]]:
-    """atom_of_enclosure of every step of an interval or circle segment,
+    """The certified atom (the lowest one with a piece holding the whole
+    enclosure), or None, of every step of an interval or circle segment,
     on integers over the lcm L of the segment's and the pieces' denominators.
 
     The open-atom rules become plain open pieces (a, b) with a < lo and
@@ -369,12 +337,46 @@ def _prepend(cyl, word):
     return cyl + word[len(cyl) - 1 :]
 
 
-def _endpoint_den(partition: ComputablePartition) -> int:
-    return math.lcm(*(F(q).denominator for atom in partition.atoms for piece in atom for q in piece))
+def _grid_den(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition) -> int:
+    """D: the lcm of the denominators of the partition's endpoints, of a
+    rotation's angle and of mu's point masses, which all lie on 1/D."""
+    dens = [F(q).denominator for atom in partition.atoms for piece in atom for q in piece]
+    if sys.map_kind is dy.MapKind.ROTATION:
+        dens.append(sys.angle.denominator)
+    if mu is not None and isinstance(mu.model, _MixtureModel):
+        dens.extend(q.denominator for q, _ in mu.model.atoms)
+    return math.lcm(*dens)
 
 
-def _fractions(pieces, den: int) -> List[Tuple[F, F]]:
-    return [(F(a, den), F(b, den)) for a, b in pieces]
+def _whole(arcs, den: int) -> bool:
+    """Is the circle region one arc of length den, the whole circle?"""
+    return len(arcs) == 1 and arcs[0][1] - arcs[0][0] == den
+
+
+def _piece_mass(mu: ComputableMeasure, circle: bool):
+    """mass(pieces, den): the exact mu-mass of open integer pieces over den.
+
+    Lebesgue is the mixture with weight 1 and no atoms, and costs one
+    Fraction.  A mixture adds each atom strictly inside a piece: on the
+    circle at its lifted position p or p + den, and anywhere on the whole
+    circle.  Other models raise UnsupportedCylinder.
+    """
+    model = mu.model
+    if not isinstance(model, _MixtureModel):
+        raise UnsupportedCylinder(f"no exact cylinder masses under {mu.name}")
+    if not model.atoms:
+        return lambda pieces, den: F(sum(b - a for a, b in pieces), den)
+
+    def mixture_mass(pieces, den):
+        total = model.base_weight * F(sum(b - a for a, b in pieces), den)
+        for q, weight in model.atoms:
+            p = q.numerator * (den // q.denominator)
+            lifts = (p % den, p % den + den) if circle else (p,)
+            if circle and _whole(pieces, den) or any(a < x < b for a, b in pieces for x in lifts):
+                total += weight
+        return total
+
+    return mixture_mass
 
 
 def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition):
@@ -384,14 +386,16 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     takes the region of a length-d cylinder C to T^-1(C), once, and
     cut(pulled, i, d) cuts that to atom i: the length-(d+1) cylinder that
     extends C by symbol i in front, None when it is empty.  mass(region, d)
-    is the exact mu-mass of a length-d region; only mass reads mu.  A
-    region is
+    is the exact mu-mass of a length-d region, by `_piece_mass` for interval
+    and circle maps; only mass reads mu, which may be None.  A region is
 
-    * doubling and tent: sorted disjoint integer pieces over D * 2**(d-1),
-      D the lcm of the endpoint denominators, pulled back by grid_preimage;
     * shifts: the word the cylinder fixes, pulled back by prepending an
       atom's word; each atom must be a single cylinder;
-    * rational rotations: arcs, pulled back by preimage_pieces.
+    * doubling and tent: sorted disjoint integer pieces over D * 2**(d-1),
+      D = `_grid_den`, pulled back by grid_preimage;
+    * rotations by a/q: sorted disjoint arcs over D, which q divides, each
+      lifted to a start in [0, D) and an end at most start + D; a preimage
+      subtracts a*D/q mod D, and an arc of length D is the whole circle.
     """
     kind = sys.map_kind
     if kind is dy.MapKind.SHIFT:
@@ -406,24 +410,26 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
             return _prepend(words[i], word)
 
         return words, shift_pull, shift_cut, lambda word, d: mu.word_measure(word)
+    if kind is dy.MapKind.ROTATION and not isinstance(sys.angle, F):
+        raise UnsupportedCylinder("irrational rotation has no exact pullback here")
+    piece_mass = None if mu is None else _piece_mass(mu, kind is dy.MapKind.ROTATION)
+    den = _grid_den(sys, mu, partition)
+    atoms = [[(int(a * den), int(b * den)) for a, b in _merge_pieces(atom)] for atom in partition.atoms]
     if kind is dy.MapKind.ROTATION:
-        if not isinstance(sys.angle, F):
-            raise UnsupportedCylinder("irrational rotation has no exact pullback here")
-        arcs = [_circle_region(atom) for atom in partition.atoms]
+        step = sys.angle.numerator * (den // sys.angle.denominator)
+        # an atom over three turns meets a lifted arc in one line cut
+        turns = [[(a + t, b + t) for t in (-den, 0, den) for a, b in atom] for atom in atoms]
 
-        def circle_pull(pieces, d):
-            return _circle_region(dy.preimage_pieces(sys, pieces))
+        def circle_pull(region, d):
+            return sorted((s, s + b - a) for a, b in region for s in [(a - step) % den])
 
         def circle_cut(pulled, i, d):
-            region = pulled.intersect(arcs[i])
-            return [(F(0), F(1))] if region.full else list(region.pieces) or None
+            if _whole(atoms[i], den):  # the whole circle cuts nothing
+                return pulled
+            region = _intersect_pieces(pulled, turns[i])
+            return sorted((a - den, b - den) if a >= den else (a, b) for a, b in region) or None
 
-        def arc_mass(pieces, d):
-            return mu.model.region_measure(_circle_region(pieces))
-
-        return [list(atom) for atom in partition.atoms], circle_pull, circle_cut, arc_mass
-    den = _endpoint_den(partition)
-    atoms = [[(int(a * den), int(b * den)) for a, b in _merge_pieces(atom)] for atom in partition.atoms]
+        return atoms, circle_pull, circle_cut, lambda region, d: piece_mass(region, den)
 
     @functools.cache
     def scaled(d):
@@ -435,12 +441,7 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     def grid_cut(pulled, i, d):
         return _intersect_pieces(pulled, scaled(d)[i]) or None
 
-    def grid_mass(pieces, d):
-        if isinstance(mu.model, _LebesgueModel):
-            return F(sum(b - a for a, b in pieces), den << (d - 1))
-        return mu.model.region_measure(LineRegion(tuple(_fractions(pieces, den << (d - 1)))))
-
-    return atoms, grid_pull, grid_cut, grid_mass
+    return atoms, grid_pull, grid_cut, lambda pieces, d: piece_mass(pieces, den << (d - 1))
 
 
 def _fold(atoms, pull, cut, word):
@@ -465,7 +466,8 @@ def _known(word) -> Tuple[int, ...]:
 def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
     """Exact region of the cylinder: points whose first len(word) symbols
     match.  Shifts give the word it fixes (None when empty); interval and
-    circle maps give rational pieces ([] when empty)."""
+    circle maps give rational pieces ([] when empty), circle arcs with a
+    start in [0, 1) and the whole circle as [(0, 1)]."""
     word = _known(word)
     atoms, pull, cut, _ = pullback(sys, None, partition)
     if sys.map_kind is dy.MapKind.SHIFT:
@@ -473,9 +475,12 @@ def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
     if not word:
         return [(F(0), F(1))]
     region = _fold(atoms, pull, cut, word) or []
-    if sys.map_kind is dy.MapKind.ROTATION:
-        return region
-    return _fractions(region, _endpoint_den(partition) << (len(word) - 1))
+    den = _grid_den(sys, None, partition)
+    if sys.map_kind is not dy.MapKind.ROTATION:
+        den <<= len(word) - 1
+    elif _whole(region, den):
+        return [(F(0), F(1))]
+    return [(F(a, den), F(b, den)) for a, b in region]
 
 
 def cylinder_measure(

@@ -284,6 +284,45 @@ def test_h1_over_the_spanning_grid_cap_exits_1(tmp_path, capsys, kind):
     assert not list(tmp_path.glob("**/*.csv"))
 
 
+INVARIANT_ATOMS_CFG = """
+[system]
+kind = rotation
+angle = {angle}
+
+[measure]
+kind = lebesgue-atoms
+base_weight = 1/2
+atoms = 1/10:1/6,13/30:1/6,23/30:1/6
+
+[partition]
+kind = halves
+
+[estimator]
+kind = block-entropy
+
+[grids]
+n_max = 4
+
+[run]
+output = out/atoms
+"""
+
+
+def test_rotation_block_entropy_under_atoms(tmp_path, capsys):
+    # the atoms form one orbit of the rotation by 1/3; Lebesgue would give
+    # log2(6) = 2.585 bits at n = 3
+    cfg = write_cfg(tmp_path, INVARIANT_ATOMS_CFG.format(angle="1/3"))
+    assert cli.main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "atoms.csv").read_text().splitlines()
+    assert "block-entropy,rotation(1/3),H_bits,3,2.396240625,rate_avg=0.5990601562950723" in rows
+    # an irrational angle has no exact cylinders under point masses
+    cfg = write_cfg(tmp_path, INVARIANT_ATOMS_CFG.format(angle="sqrt2-1"), name="irrational.cfg")
+    (tmp_path / "out" / "atoms.csv").unlink()
+    assert cli.main(["run", str(cfg)]) == 1
+    assert "estimator error: irrational rotation" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -63,18 +64,42 @@ def test_block_entropy_rotation_low_complexity():
 
 def test_block_entropy_gap_method_matches_cylinders():
     mu = ms.ComputableMeasure.lebesgue(WHEEL)
-    sys = dy.rotation(F(2, 5))
-    report = en.block_entropy(sys, mu, sb.halves(WHEEL), 4)
     partition = sb.halves(WHEEL)
-    for n in (1, 2, 3, 4):
-        total = 0.0
-        for value in range(2**n):
-            word = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
-            mass = sb.cylinder_measure(sys, mu, partition, word)
-            if mass > 0:
-                total -= float(mass) * math.log2(float(mass))
-        got = next(v for _, m, v in report.rows if m == n)
-        assert abs(got - total) < 1e-9
+    for angle in (F(2, 5), F(1, 3), F(3, 7), F(3, 16)):
+        sys = dy.rotation(angle)
+        report = en.block_entropy(sys, mu, partition, 4)
+        walk = en._pullback_level_entropies(sys, mu, partition, range(1, 5))
+        for n in (1, 2, 3, 4):
+            total = 0.0
+            for value in range(2**n):
+                word = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+                mass = sb.cylinder_measure(sys, mu, partition, word)
+                if mass > 0:
+                    total -= float(mass) * math.log2(float(mass))
+            got = next(v for _, m, v in report.rows if m == n)
+            assert abs(got - total) < 1e-9
+            # the gaps and the walk sum the same masses in different orders,
+            # one ULP apart at 3/16, n = 2
+            assert abs(got - walk[n]) < 1e-12, (angle, n)
+
+
+def test_block_entropy_of_rotations_reads_the_measure():
+    # three atoms on one orbit of the rotation by 1/3: the measure is
+    # invariant, and its cylinders are not their Lebesgue lengths
+    atoms = [(F(1, 10), F(1, 6)), (F(13, 30), F(1, 6)), (F(23, 30), F(1, 6))]
+    mu = ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(1, 2), atoms)
+    partition = sb.halves(WHEEL)
+    sys = dy.rotation(F(1, 3))
+    values = dict((n, v) for _, n, v in en.block_entropy(sys, mu, partition, 4).rows)
+    assert values[3] == values[4] == pytest.approx(2.396240625)
+    lebesgue = ms.ComputableMeasure.lebesgue(WHEEL)
+    masses = [sb.cylinder_measure(sys, mu, partition, w) for w in itertools.product((0, 1), repeat=3)]
+    assert values[3] == pytest.approx(en._entropy_bits(masses), abs=1e-12)
+    assert dict((n, v) for _, n, v in en.block_entropy(sys, lebesgue, partition, 3).rows)[3] == (
+        pytest.approx(math.log2(6))
+    )
+    with pytest.raises(sb.UnsupportedCylinder):
+        en.block_entropy(dy.rotation(sp.sqrt2_minus_1(WHEEL)), mu, partition, 4)
 
 
 def test_block_entropy_subadditive():
@@ -116,7 +141,7 @@ def test_symbol_rate_rotation_low():
     x = sp.rational_point(WHEEL, F(1, 7))
     report = en.symbol_rate(sys, x, sb.halves(WHEEL), GRID12)
     assert report.rate <= 0.2
-    assert report.values_for("bits_per_step")[-1][1] <= 0.12
+    assert [v for p, _, v in report.rows if p == "bits_per_step"][-1] <= 0.12
 
 
 def test_symbol_rate_periodic_compresses():

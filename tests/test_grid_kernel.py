@@ -189,6 +189,11 @@ MEASURES = [
     ms.ComputableMeasure.lebesgue_with_atoms(
         LINE, F(3, 4), [(F(1, 3), F(1, 8)), (F(2, 3), F(1, 8))]
     ),
+    # an atom on the cut point 1/2 of halves and dyadic-2
+    ms.ComputableMeasure.lebesgue_with_atoms(LINE, F(3, 4), [(F(1, 2), F(1, 4))]),
+    ms.ComputableMeasure.lebesgue_with_atoms(
+        LINE, F(1, 2), [(F(1, 10), F(1, 6)), (F(13, 30), F(1, 6)), (F(23, 30), F(1, 6))]
+    ),
 ]
 
 

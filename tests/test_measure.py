@@ -171,7 +171,8 @@ def test_circle_region_length_matches_grid_count(raw):
 
 
 def ideal(space, pairs):
-    return ms.IdealMeasure.from_points(space, pairs)
+    support, weights = zip(*((space.encode_dyadic(F(q)), F(w)) for q, w in pairs))
+    return ms.IdealMeasure(space, support, weights)
 
 
 def test_prokhorov_identity(lebesgue):

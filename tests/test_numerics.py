@@ -57,7 +57,6 @@ POINTWISE = [
     (Interval.__sub__, operator.sub),
     (Interval.__mul__, operator.mul),
     (Interval.dist, lambda x, y: abs(x - y)),
-    (Interval.min_with, min),
     (Interval.max_with, max),
 ]
 

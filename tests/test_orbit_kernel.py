@@ -2,7 +2,7 @@
 
 The references below are the Fraction computations the integer paths
 replace: per-step `Interval` images with a retry loop (`_ref_iterate`),
-coding by `ComputablePartition.atom_of_enclosure`, quantizing by the
+coding each enclosure by its pieces (`_atom_of_enclosure`), quantizing by the
 midpoint, and the pseudo-orbit code length with every predictor costed in
 full.  The integer paths must agree with them exactly.
 """
@@ -88,6 +88,23 @@ def _ref_iterate(sys, x, n, p, precision_cap):
             return False, _ref_enclose(sys, x, n, p, m)
         except _RefStraddle:
             m = 2 * m + 8
+    return None
+
+
+def _atom_of_enclosure(partition, box):
+    """The lowest atom with a piece certified to hold the enclosure, or
+    None.  Pieces are open, but 0 and 1 count as interior on the unit
+    interval; on the circle the box, taken mod 1, may sit one turn up."""
+    for i, atom in enumerate(partition.atoms):
+        for a, b in atom:
+            if partition.space.kind is sp.Kind.UNIT_INTERVAL:
+                inside = (box.lo > a or a <= 0 <= box.lo) and (box.hi < b or b >= 1 >= box.hi)
+            else:
+                lo = box.lo - (box.lo.numerator // box.lo.denominator)
+                hi = lo + box.width
+                inside = any(a < lo + t and hi + t < b for t in (0, 1))
+            if inside:
+                return i
     return None
 
 
@@ -264,7 +281,7 @@ def test_code_segment_matches_atom_of_enclosure(system):
     for _, seg, (_, ref) in _segments(system, 12):
         for partition in partitions:
             symbols = sb._code_segment(partition, seg)
-            assert symbols == [partition.atom_of_enclosure(box) for box in ref], partition.name
+            assert symbols == [_atom_of_enclosure(partition, box) for box in ref], partition.name
             unknown += symbols.count(None)
             known += len(symbols) - symbols.count(None)
     assert unknown and known

@@ -4,8 +4,10 @@
 fold (`cylinder_region`, `cylinder_measure`) and the block-entropy level
 walk run on it.  The references below are the separate computations they
 replace: the forward merge of a shift word's atoms, the shift level walk
-with its hand merge, and the `Fraction` circle loop over
-`preimage_pieces`.  Regions, masses and entropies must agree exactly.
+with its hand merge, and, for the integer arcs of rational rotations, the
+`Fraction` circle loop over `preimage_pieces` with masses from the
+measure's `CircleRegion` oracle.  Regions, masses and entropies must agree
+exactly.
 """
 
 import itertools
@@ -172,10 +174,20 @@ def test_multi_cylinder_shift_atoms_are_refused():
 ROTATIONS = [dy.rotation(F(1, 3)), dy.rotation(F(2, 5)), dy.rotation(F(3, 7))]
 # the one-atom partition makes every cylinder the full circle
 WHOLE = sb.ComputablePartition(WHEEL, (((F(0), F(1)),),), name="whole")
-CIRCLE_PARTITIONS = [sb.halves(WHEEL), sb.dyadic_intervals(WHEEL, 2), WHOLE]
+# an atom given as a lifted arc across 0, so that cylinders hold 0 inside
+ACROSS = sb.ComputablePartition(
+    WHEEL, (((F(1, 4), F(3, 4)),), ((F(3, 4), F(5, 4)),)), (F(1, 4), F(3, 4)), name="across"
+)
+CIRCLE_PARTITIONS = [sb.halves(WHEEL), sb.dyadic_intervals(WHEEL, 2), WHOLE, ACROSS]
 CIRCLE_MEASURES = [
     ms.ComputableMeasure.lebesgue(WHEEL),
     ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(3, 4), [(F(0), F(1, 4))]),
+    # an atom on the cut point 1/2 of halves and dyadic-2
+    ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(3, 4), [(F(1, 2), F(1, 4))]),
+    # invariant under the rotation by 1/3: one orbit of three atoms
+    ms.ComputableMeasure.lebesgue_with_atoms(
+        WHEEL, F(1, 2), [(F(1, 10), F(1, 6)), (F(13, 30), F(1, 6)), (F(23, 30), F(1, 6))]
+    ),
 ]
 
 
@@ -214,3 +226,15 @@ def test_rotation_local_info_matches_circle_loop(sys):
         for mu in CIRCLE_MEASURES:
             expected = cd.neg_log2(mu.model.region_measure(region))
             assert en.local_info(sys, mu, x, partition, n) == expected, (n, mu.name)
+
+
+def test_conditioned_measures_are_refused():
+    # only Lebesgue and its mixtures with point masses have integer masses
+    line = sp.unit_interval()
+    for sys, space in ((dy.doubling(), line), (dy.rotation(F(1, 3)), WHEEL)):
+        mu = ms.ComputableMeasure.lebesgue(space)
+        half = ms.condition(mu, ms.AlmostDecidableSet.from_interval(space, 0, F(1, 2)))
+        with pytest.raises(sb.UnsupportedCylinder):
+            sb.cylinder_measure(sys, half, sb.halves(space), (0, 1))
+        with pytest.raises(sb.UnsupportedCylinder):
+            en.block_entropy(sys, half, sb.halves(space), 2)

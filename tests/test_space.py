@@ -154,7 +154,7 @@ def test_member_semidecide_boundary_never_halts(line):
             for j in range(3, budget + 3)
         )
 
-    u = sp.EnumeratedOpenSet.from_stages(line, stages)
+    u = sp.EnumeratedOpenSet(line, stages)
     for budget in (4, 8, 16):
         assert sp.member_semidecide(x, u, budget) is None
 

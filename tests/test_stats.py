@@ -56,7 +56,7 @@ def test_birkhoff_counts_partition_horizon():
     result = stt.birkhoff_average(sys, x, left_half(LINE), 6)
     assert result.inside + result.outside + result.undecided == 6
     assert result.undecided == 1
-    assert result.average + result.complement_average + F(result.undecided, 6) == 1
+    assert result.average + F(result.outside, 6) + F(result.undecided, 6) == 1
 
 
 def test_birkhoff_rational_rotation_exact_frequency():

@@ -217,9 +217,3 @@ def test_boundary_neighborhood_measure():
     wheel_partition = sb.halves(WHEEL)
     mu_wheel = ms.ComputableMeasure.lebesgue(WHEEL)
     assert wheel_partition.boundary_neighborhood_measure(mu_wheel, F(1, 16)) == F(1, 4)
-
-
-def test_min_boundary_distance():
-    partition = sb.halves(LINE)
-    values = dy.exact_orbit(dy.doubling(), F(1, 3), 8)
-    assert partition.min_boundary_distance(values) == F(1, 6)
