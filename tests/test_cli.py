@@ -154,7 +154,14 @@ def test_golden_report_reproduced(tmp_path, name):
 
 @pytest.mark.parametrize(
     "name",
-    ["block-doubling-n12", "block-tent-n12", "block-rotation-3-16", "h1-doubling", "h1-tent"],
+    [
+        "block-doubling-n12",
+        "block-tent-n12",
+        "block-rotation-3-16",
+        "block-rotation-sqrt2",
+        "h1-doubling",
+        "h1-tent",
+    ],
 )
 def test_grid_golden_reproduced(tmp_path, name):
     golden_dir = Path(__file__).parent / "golden"
