@@ -48,51 +48,64 @@ class OracleUnavailable(ValueError):
 
 
 def _entropy_bits(masses) -> float:
-    # cylinder masses repeat heavily (all 2**-n under Lebesgue doubling,
-    # three gap lengths for a rotation), so each distinct term is computed
-    # once; the sum keeps its order, hence its rounding (adding 0.0 for a
-    # null mass leaves it unchanged)
+    """Entropy in bits of masses given as integer pairs (numerator, denominator).
+
+    Cylinder masses repeat heavily (all 2**-n under Lebesgue doubling,
+    three gap lengths for a rotation), so each distinct term is computed
+    once, from the pair reduced by gcd; the sum keeps its order, hence its
+    rounding (adding 0.0 for a null mass leaves it unchanged).
+    """
     total = 0.0
-    terms: Dict[Fraction, float] = {}
-    for mass in masses:
-        term = terms.get(mass)
+    terms: Dict[Tuple[int, int], float] = {}
+    for num, den in masses:
+        g = math.gcd(num, den)
+        key = (num // g, den // g)
+        term = terms.get(key)
         if term is None:
-            term = terms[mass] = float(mass) * neg_log2(mass) if mass > 0 else 0.0
+            q = F(*key)
+            term = terms[key] = float(q) * neg_log2(q) if num else 0.0
         total += term
     return total
 
 
+def _gaps_are_cylinders(partition) -> bool:
+    """Is each gap between consecutive cuts one cylinder of a rotation?  It
+    is when every atom is one arc of length at most 1/2, so that each join
+    of atoms is one arc, and the arcs fill the circle."""
+    lengths = [b - a for atom in partition.atoms for a, b in atom]
+    one_arc = all(len(atom) == 1 for atom in partition.atoms)
+    return one_arc and sum(lengths) == 1 and 2 * max(lengths) <= 1
+
+
 def _rotation_gap_entropies(sys: dy.System, partition, ns: Sequence[int]) -> Dict[int, float]:
-    """H(xi_n) for circle rotations from the boundary-orbit gap structure.
+    """H(xi_n) for circle rotations under Lebesgue from the boundary-orbit
+    gap structure, for partitions that pass `_gaps_are_cylinders`.
 
     The join of the first n coded partitions cuts the circle exactly at
-    the backward angle-orbit of the atom endpoints; cylinder masses are
-    the gaps between consecutive cut points.
+    the backward angle-orbit of the atoms' piece ends; cylinder masses are
+    the gaps between consecutive cut points.  The cuts are integers mod L,
+    the lcm of the denominators of the angle and the ends.  An irrational
+    angle is taken at its 80-bit approximant, the midpoint of its
+    enclosure: gap perturbations are far below the minimal three-gap scale
+    at desk-size n.
     """
-    if isinstance(sys.angle, F):
-        alpha = sys.angle
-    else:
-        # 80 fractional bits: gap perturbations are far below the minimal
-        # three-gap scale at desk-size n
-        box = sys.angle.enclosure(80)
-        alpha = box.midpoint
-    cuts = [F(e) for e in partition.boundary_points]
+    alpha = sys.angle if isinstance(sys.angle, F) else sys.angle.approx_desc(80)
+    ends = [q for atom in partition.atoms for piece in atom for q in piece]
+    den = math.lcm(alpha.denominator, *(q.denominator for q in ends))
+    step = alpha.numerator * (den // alpha.denominator)
+    cuts = {q.numerator * (den // q.denominator) % den for q in ends}
     out = {}
-    n_max = max(ns)
     points = set()
-    shift = F(0)
+    shift = 0
     wanted = set(ns)
-    for j in range(n_max):
-        for e in cuts:
-            q = e - shift
-            points.add(q - (q.numerator // q.denominator))
-        shift += alpha
-        n = j + 1
+    for n in range(1, max(ns) + 1):
+        points.update((c - shift) % den for c in cuts)
+        shift = (shift + step) % den
         if n in wanted:
             ordered = sorted(points)
             gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-            gaps.append(1 - ordered[-1] + ordered[0])
-            out[n] = _entropy_bits(g for g in gaps if g > 0)
+            gaps.append(den - ordered[-1] + ordered[0])
+            out[n] = _entropy_bits((g, den) for g in gaps)
     return out
 
 
@@ -113,7 +126,7 @@ def _pullback_level_entropies(sys, mu, partition, ns: Sequence[int]) -> Dict[int
     level = []
     for d in range(1, max(ns) + 1):
         regions = atoms if d == 1 else extensions(level, d - 1)
-        level = [(r, m) for r in regions if r is not None for m in [mass(r, d)] if m > 0]
+        level = [(r, m) for r in regions if r is not None for m in [mass(r, d)] if m[0] > 0]
         if d in wanted:
             out[d] = _entropy_bits(m for _, m in level)
     return out
@@ -131,7 +144,7 @@ def block_entropy(
     else:
         ns = sorted({1 << j for j in range((n_max).bit_length())} | {n_max - 1, n_max})
         ns = [n for n in ns if n <= n_max]
-    if sys.map_kind is dy.MapKind.ROTATION and mu.is_lebesgue:
+    if sys.map_kind is dy.MapKind.ROTATION and mu.is_lebesgue and _gaps_are_cylinders(partition):
         table = _rotation_gap_entropies(sys, partition, ns)
     else:
         table = _pullback_level_entropies(sys, mu, partition, ns)

@@ -419,10 +419,14 @@ def exhaustion_lower(mu: ComputableMeasure, balls: Sequence[IdealBall], budget: 
 
     Uses only certified inclusions of closed dyadic cells (or cylinders)
     in the open union, so it converges from below without consulting the
-    merged-geometry length computation.
+    merged-geometry length computation.  Only Lebesgue, its mixtures with
+    point masses and the word measures have this route; any other model (a
+    conditioned measure) raises ValueError.
     """
-    region = mu.region(balls)
     model = mu.model
+    if not isinstance(model, (_MixtureModel, _ProductWordModel)):
+        raise ValueError(f"no exhaustion route under {mu.name}")
+    region = mu.region(balls)
     kind = mu.space.kind
     if kind in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
         cells = 1 << budget
@@ -436,13 +440,11 @@ def exhaustion_lower(mu: ComputableMeasure, balls: Sequence[IdealBall], budget: 
                 inside = any(a < lo + 1 and hi + 1 < b for a, b in region.pieces)
             if inside:
                 covered += step
-        if isinstance(model, _MixtureModel):
-            total = model.base_weight * covered
-            for position, weight in model.atoms:
-                if region.contains(position):
-                    total += weight
-            return total
-        return covered
+        total = model.base_weight * covered
+        for position, weight in model.atoms:
+            if region.contains(position):
+                total += weight
+        return total
     if kind is Kind.CANTOR:
         total = F(0)
         for word in itertools.product(range(mu.space.alphabet), repeat=budget):

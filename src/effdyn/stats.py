@@ -19,7 +19,7 @@ from effdyn import dynamics as dy
 from effdyn import symbolic as sb
 from effdyn.measure import AlmostDecidableSet, ComputableMeasure, measure_of_ad_set
 from effdyn.numerics import dyadic_level
-from effdyn.space import Kind, Point, Space, SpaceMismatch
+from effdyn.space import Point, Space, SpaceMismatch
 
 F = Fraction
 
@@ -36,30 +36,15 @@ class BirkhoffResult:
         return F(self.inside, self.horizon)
 
 
-def _ad_partition(ad: AlmostDecidableSet, budget: int = 16) -> sb.ComputablePartition:
+def _ad_partition(ad: AlmostDecidableSet) -> sb.ComputablePartition:
     """Two-atom partition {inner, outer} of an almost decidable set."""
-    space = ad.space
 
     def pieces_of(balls):
-        out = []
-        for ball in balls:
-            c = ball.center_desc
-            out.append((c - ball.radius, c + ball.radius))
-        return tuple(out)
+        return tuple((b.center_desc - b.radius, b.center_desc + b.radius) for b in balls)
 
-    inner = pieces_of(ad.inside.enumerate(budget))
-    outer = pieces_of(ad.outside.enumerate(budget))
-    boundary = set()
-    for a, b in inner + outer:
-        for q in (a, b):
-            q = F(q)
-            if space.kind is Kind.CIRCLE:
-                boundary.add(q - (q.numerator // q.denominator))
-            elif 0 < q < 1:
-                boundary.add(q)
-    return sb.ComputablePartition(
-        space, (inner, outer), tuple(sorted(boundary)), name="ad-indicator"
-    )
+    inner = pieces_of(ad.inside.enumerate(16))
+    outer = pieces_of(ad.outside.enumerate(16))
+    return sb.ComputablePartition(ad.space, (inner, outer), name="ad-indicator")
 
 
 def birkhoff_average(

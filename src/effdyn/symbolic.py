@@ -29,7 +29,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -86,16 +86,15 @@ class SymbolicWord:
 
 @dataclass(frozen=True)
 class ComputablePartition:
-    """Finitely many disjoint open atoms with an explicit boundary set.
+    """Finitely many disjoint open atoms; the boundary is what they leave out.
 
     Interval/circle atoms are tuples of (a, b) pieces; sequence-space
-    atoms are tuples of cylinder words.  The complement of the union is
-    the declared boundary set (finite, measure zero for the zoo).
+    atoms are tuples of cylinder words.
     """
 
     space: Space
     atoms: Tuple[Tuple, ...]
-    boundary_points: Tuple = ()
+    _: KW_ONLY
     name: str = ""
 
     @property
@@ -129,37 +128,27 @@ class ComputablePartition:
         return None
 
     def boundary_neighborhood_measure(self, mu: ComputableMeasure, radius: F) -> F:
-        """Exact mass of the union of radius-balls around boundary points."""
+        """Exact mass of the union of radius-balls around the atoms' piece
+        ends, taken mod 1 on the circle; 0 and 1 are interior on the interval."""
+        circle = self.space.kind is Kind.CIRCLE
+        ends = {F(q) for atom in self.atoms for piece in atom for q in piece}
         balls = []
-        for q in self.boundary_points:
-            balls.extend(interval_as_balls(self.space, F(q) - radius, F(q) + radius))
+        for q in sorted({q % 1 for q in ends} if circle else ends):
+            if circle or 0 < q < 1:
+                balls.extend(interval_as_balls(self.space, q - radius, q + radius))
         return mu.exact_union(balls)
 
 
 def halves(space: Space) -> ComputablePartition:
-    if space.kind is Kind.UNIT_INTERVAL:
-        return ComputablePartition(
-            space,
-            (((F(0), F(1, 2)),), ((F(1, 2), F(1)),)),
-            boundary_points=(F(1, 2),),
-            name="halves",
-        )
-    if space.kind is Kind.CIRCLE:
-        return ComputablePartition(
-            space,
-            (((F(0), F(1, 2)),), ((F(1, 2), F(1)),)),
-            boundary_points=(F(0), F(1, 2)),
-            name="halves",
-        )
-    raise SpaceMismatch("halves needs an interval or circle")
+    if space.kind not in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
+        raise SpaceMismatch("halves needs an interval or circle")
+    return ComputablePartition(space, (((F(0), F(1, 2)),), ((F(1, 2), F(1)),)), name="halves")
 
 
 def dyadic_intervals(space: Space, level: int) -> ComputablePartition:
     cells = 1 << level
     atoms = tuple(((F(j, cells), F(j + 1, cells)),) for j in range(cells))
-    interior = tuple(F(j, cells) for j in range(1, cells))
-    boundary = interior if space.kind is Kind.UNIT_INTERVAL else (F(0),) + interior
-    return ComputablePartition(space, atoms, boundary, name=f"dyadic-{level}")
+    return ComputablePartition(space, atoms, name=f"dyadic-{level}")
 
 
 def cylinders(space: Space, length: int) -> ComputablePartition:
@@ -167,7 +156,7 @@ def cylinders(space: Space, length: int) -> ComputablePartition:
         raise SpaceMismatch("cylinder partitions need sequence space")
     words = itertools.product(range(space.alphabet), repeat=length)
     atoms = tuple((w,) for w in words)
-    return ComputablePartition(space, atoms, (), name=f"cylinders-{length}")
+    return ComputablePartition(space, atoms, name=f"cylinders-{length}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +343,33 @@ def _whole(arcs, den: int) -> bool:
 
 
 def _piece_mass(mu: ComputableMeasure, circle: bool):
-    """mass(pieces, den): the exact mu-mass of open integer pieces over den.
+    """mass(pieces, den): the exact mu-mass of open integer pieces over den,
+    as an integer pair (numerator, denominator).
 
-    Lebesgue is the mixture with weight 1 and no atoms, and costs one
-    Fraction.  A mixture adds each atom strictly inside a piece: on the
-    circle at its lifted position p or p + den, and anywhere on the whole
-    circle.  Other models raise UnsupportedCylinder.
+    A mixture's weights are held over their common denominator W, so the
+    mass is (base * length + den * inside) / (W * den), where inside sums
+    the weights of the atoms strictly inside a piece: on the circle at the
+    lifted position p or p + den, and anywhere on the whole circle.
+    Lebesgue is base 1 over W = 1 with no atoms.  Other models raise
+    UnsupportedCylinder.
     """
     model = mu.model
     if not isinstance(model, _MixtureModel):
         raise UnsupportedCylinder(f"no exact cylinder masses under {mu.name}")
-    if not model.atoms:
-        return lambda pieces, den: F(sum(b - a for a, b in pieces), den)
+    scale = math.lcm(model.base_weight.denominator, *(w.denominator for _, w in model.atoms))
+    base = model.base_weight.numerator * (scale // model.base_weight.denominator)
+    atoms = [(q.numerator, q.denominator, w.numerator * scale // w.denominator) for q, w in model.atoms]
 
-    def mixture_mass(pieces, den):
-        total = model.base_weight * F(sum(b - a for a, b in pieces), den)
-        for q, weight in model.atoms:
-            p = q.numerator * (den // q.denominator)
+    def mass(pieces, den):
+        inside = 0
+        for num, qden, weight in atoms:
+            p = num * (den // qden)
             lifts = (p % den, p % den + den) if circle else (p,)
             if circle and _whole(pieces, den) or any(a < x < b for a, b in pieces for x in lifts):
-                total += weight
-        return total
+                inside += weight
+        return base * sum(b - a for a, b in pieces) + den * inside, scale * den
 
-    return mixture_mass
+    return mass
 
 
 def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition):
@@ -386,8 +379,10 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     takes the region of a length-d cylinder C to T^-1(C), once, and
     cut(pulled, i, d) cuts that to atom i: the length-(d+1) cylinder that
     extends C by symbol i in front, None when it is empty.  mass(region, d)
-    is the exact mu-mass of a length-d region, by `_piece_mass` for interval
-    and circle maps; only mass reads mu, which may be None.  A region is
+    is the exact mu-mass of a length-d region as an integer pair
+    (numerator, denominator): by `_piece_mass` for interval and circle
+    maps, and the word measure's ratio for shifts; only mass reads mu,
+    which may be None.  A region is
 
     * shifts: the word the cylinder fixes, pulled back by prepending an
       atom's word; each atom must be a single cylinder;
@@ -409,7 +404,10 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
         def shift_cut(word, i, d):
             return _prepend(words[i], word)
 
-        return words, shift_pull, shift_cut, lambda word, d: mu.word_measure(word)
+        def shift_mass(word, d):
+            return mu.word_measure(word).as_integer_ratio()
+
+        return words, shift_pull, shift_cut, shift_mass
     if kind is dy.MapKind.ROTATION and not isinstance(sys.angle, F):
         raise UnsupportedCylinder("irrational rotation has no exact pullback here")
     piece_mass = None if mu is None else _piece_mass(mu, kind is dy.MapKind.ROTATION)
@@ -495,7 +493,7 @@ def cylinder_measure(
         return F(1)
     atoms, pull, cut, mass = pullback(sys, mu, partition)
     region = _fold(atoms, pull, cut, word)
-    return F(0) if region is None else mass(region, len(word))
+    return F(0) if region is None else F(*mass(region, len(word)))
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,40 @@ def test_rotation_block_entropy_under_atoms(tmp_path, capsys):
     assert not list(tmp_path.glob("**/*.csv"))
 
 
+ONE_ATOM_CFG = """
+[system]
+kind = rotation
+angle = {angle}
+
+[partition]
+kind = dyadic
+level = 0
+
+[estimator]
+kind = block-entropy
+
+[grids]
+n_max = 4
+
+[run]
+output = out/one-atom
+"""
+
+
+def test_rotation_block_entropy_of_one_atom(tmp_path, capsys):
+    # one atom codes every orbit as 0000: no gap between cuts is a cylinder
+    cfg = write_cfg(tmp_path, ONE_ATOM_CFG.format(angle="2/5"))
+    assert cli.main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "one-atom.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["0"] * 5
+    # an irrational angle has neither the gap method nor an exact pullback
+    cfg = write_cfg(tmp_path, ONE_ATOM_CFG.format(angle="sqrt2-1"), name="irrational.cfg")
+    (tmp_path / "out" / "one-atom.csv").unlink()
+    assert cli.main(["run", str(cfg)]) == 1
+    assert "estimator error: irrational rotation" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from effdyn import coding as cd
 from effdyn import dynamics as dy
 from effdyn import entropy as en
 from effdyn import measure as ms
@@ -83,6 +86,81 @@ def test_block_entropy_gap_method_matches_cylinders():
             assert abs(got - walk[n]) < 1e-12, (angle, n)
 
 
+def _arcs(*ends):
+    """The partition of the circle into the arcs between consecutive ends."""
+    atoms = tuple(((F(a), F(b)),) for a, b in zip(ends, ends[1:]))
+    return sb.ComputablePartition(WHEEL, atoms, name="arcs")
+
+
+def test_block_entropy_takes_gaps_only_when_they_are_cylinders():
+    # the gap method counts each gap between cuts as one cylinder, which
+    # needs one arc of length <= 1/2 per atom and arcs that fill the circle
+    mu = ms.ComputableMeasure.lebesgue(WHEEL)
+    whole = sb.ComputablePartition(WHEEL, (((F(0), F(1)),),), name="whole")
+    across = sb.ComputablePartition(WHEEL, (((F(1, 4), F(3, 4)),), ((F(3, 4), F(5, 4)),)))
+    gapped = [
+        sb.halves(WHEEL),
+        sb.dyadic_intervals(WHEEL, 2),
+        sb.dyadic_intervals(WHEEL, 3),
+        across,
+        _arcs(0, F(1, 5), F(1, 2), 1),
+    ]
+    # two arcs per atom; an arc longer than 1/2; one atom; arcs with holes
+    two_arcs = (((F(0), F(1, 4)), (F(1, 2), F(3, 4))), ((F(1, 4), F(1, 2)), (F(3, 4), F(1))))
+    holes = (((F(0), F(1, 4)),), ((F(1, 2), F(3, 4)),))
+    walked = [sb.ComputablePartition(WHEEL, two_arcs), _arcs(0, F(3, 4), 1), whole]
+    walked.append(sb.ComputablePartition(WHEEL, holes))
+    for partition in gapped + walked:
+        for angle in (F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(3, 16)):
+            sys = dy.rotation(angle)
+            report = en.block_entropy(sys, mu, partition, 6)
+            walk = en._pullback_level_entropies(sys, mu, partition, range(1, 7))
+            for _, n, value in report.rows[:-1]:
+                if partition in walked:
+                    assert value == walk[n], (partition.atoms, angle, n)
+                else:
+                    assert abs(value - walk[n]) < 1e-12, (partition.atoms, angle, n)
+    third = dict((n, v) for _, n, v in en.block_entropy(dy.rotation(F(1, 3)), mu, walked[0], 1).rows)
+    assert third[1] == 1.0
+    half = dict((n, v) for _, n, v in en.block_entropy(dy.rotation(F(1, 2)), mu, walked[1], 2).rows)
+    assert half[2] == 1.5
+    irrational = dy.rotation(sp.sqrt2_minus_1(WHEEL))
+    for partition in walked:
+        with pytest.raises(sb.UnsupportedCylinder):
+            en.block_entropy(irrational, mu, partition, 4)
+
+
+def _fraction_entropy_bits(masses) -> float:
+    """The entropy sum on Fraction masses, one term per distinct Fraction."""
+    total = 0.0
+    terms = {}
+    for mass in masses:
+        term = terms.get(mass)
+        if term is None:
+            term = terms[mass] = float(mass) * cd.neg_log2(mass) if mass > 0 else 0.0
+        total += term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entropy_bits_on_pairs_matches_fractions(data):
+    den = data.draw(st.sampled_from([1, 3, 1 << 12, 3 << 40, 1 << 4096, 5**300]))
+    nums = data.draw(st.lists(st.integers(min_value=0, max_value=den), min_size=1, max_size=12))
+    # repeats, each written over its own multiple of den
+    nums += data.draw(st.lists(st.sampled_from(nums), max_size=6))
+    scales = data.draw(st.lists(st.integers(1, 1 << 70), min_size=len(nums), max_size=len(nums)))
+    pairs = [(num * k, den * k) for num, k in zip(nums, scales)]
+    assert en._entropy_bits(pairs) == _fraction_entropy_bits(F(*pair) for pair in pairs)
+
+
+def test_entropy_bits_of_tiny_masses():
+    tiny = [(1, 1 << 4096), (3, 1 << 4097), (0, 7), (1, 1 << 1074), (1, 2), (2, 4)]
+    assert en._entropy_bits(tiny) == _fraction_entropy_bits(F(*pair) for pair in tiny)
+    # two halves, and terms that underflow to 0.0 or to a subnormal
+    assert en._entropy_bits(tiny) == 1.0
+
+
 def test_block_entropy_of_rotations_reads_the_measure():
     # three atoms on one orbit of the rotation by 1/3: the measure is
     # invariant, and its cylinders are not their Lebesgue lengths
@@ -94,7 +172,8 @@ def test_block_entropy_of_rotations_reads_the_measure():
     assert values[3] == values[4] == pytest.approx(2.396240625)
     lebesgue = ms.ComputableMeasure.lebesgue(WHEEL)
     masses = [sb.cylinder_measure(sys, mu, partition, w) for w in itertools.product((0, 1), repeat=3)]
-    assert values[3] == pytest.approx(en._entropy_bits(masses), abs=1e-12)
+    pairs = [m.as_integer_ratio() for m in masses]
+    assert values[3] == pytest.approx(en._entropy_bits(pairs), abs=1e-12)
     assert dict((n, v) for _, n, v in en.block_entropy(sys, lebesgue, partition, 3).rows)[3] == (
         pytest.approx(math.log2(6))
     )

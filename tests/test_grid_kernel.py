@@ -165,7 +165,7 @@ def _fraction_level_entropies(sys, mu, partition, n_max):
     level = [(r, mass(r)) for r in level if mass(r) > 0]
     out = {}
     for depth in range(1, n_max + 1):
-        out[depth] = en._entropy_bits(m for _, m in level)
+        out[depth] = en._entropy_bits(m.as_integer_ratio() for _, m in level)
         new_level = []
         for region, _ in level:
             pulled = dy.preimage_pieces(sys, region)
@@ -180,9 +180,7 @@ def _fraction_level_entropies(sys, mu, partition, n_max):
 
 
 LINE = sp.unit_interval()
-THIRDS = sb.ComputablePartition(
-    LINE, (((F(0), F(1, 3)),), ((F(1, 3), F(1)),)), boundary_points=(F(1, 3),), name="thirds"
-)
+THIRDS = sb.ComputablePartition(LINE, (((F(0), F(1, 3)),), ((F(1, 3), F(1)),)), name="thirds")
 PARTITIONS = [sb.halves(LINE), THIRDS, sb.dyadic_intervals(LINE, 2)]
 MEASURES = [
     ms.ComputableMeasure.lebesgue(LINE),

@@ -129,6 +129,19 @@ def test_exhaustion_route_on_circle():
     assert F(1, 4) - F(1, 32) <= low <= F(1, 4)
 
 
+def test_exhaustion_route_refuses_conditioned_measures(lebesgue, coin):
+    # under Lebesgue on [0, 1/2) the ball around 3/4 has mass 0, where the
+    # unconditioned cells would give 31/128
+    half = ms.condition(lebesgue, ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 2)))
+    balls = [ball(LINE, F(3, 4), F(1, 8))]
+    assert half.exact_union(balls) == 0
+    with pytest.raises(ValueError, match="no exhaustion route"):
+        ms.exhaustion_lower(half, balls, 8)
+    heads = ms.condition(coin, ms.AlmostDecidableSet.from_cylinder(SEQ2, (0,)))
+    with pytest.raises(ValueError, match="no exhaustion route"):
+        ms.exhaustion_lower(heads, [ms.cylinder_as_ball(SEQ2, (1,))], 4)
+
+
 def arcs_strategy():
     return st.lists(
         st.tuples(

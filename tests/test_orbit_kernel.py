@@ -259,18 +259,18 @@ def _partitions(space):
     out = [sb.halves(space), sb.dyadic_intervals(space, 3)]
     if space.kind is sp.Kind.UNIT_INTERVAL:
         thirds = (((F(0), F(1, 3)),), ((F(1, 3), F(1)),))
-        out.append(sb.ComputablePartition(space, thirds, (F(1, 3),), "thirds"))
+        out.append(sb.ComputablePartition(space, thirds, name="thirds"))
         # unmerged pieces: an enclosure across 1/4 is in neither piece
         split = (((F(0), F(1, 4)), (F(1, 4), F(1, 2))), ((F(1, 2), F(1)),))
-        out.append(sb.ComputablePartition(space, split, (F(1, 4), F(1, 2)), "split"))
+        out.append(sb.ComputablePartition(space, split, name="split"))
     else:
         # arcs through 0, as a lift past 1 and as a lift below 0
         through = (((F(3, 4), F(5, 4)),), ((F(1, 4), F(3, 4)),))
-        out.append(sb.ComputablePartition(space, through, (F(1, 4), F(3, 4)), "arc-lift-up"))
+        out.append(sb.ComputablePartition(space, through, name="arc-lift-up"))
         below = (((F(-1, 4), F(1, 4)),), ((F(1, 4), F(3, 4)),), ((F(2, 3), F(4, 5)),))
-        out.append(sb.ComputablePartition(space, below, (), "arc-lift-down"))
+        out.append(sb.ComputablePartition(space, below, name="arc-lift-down"))
         thirds = (((F(0), F(1, 3)),), ((F(1, 3), F(1)),))
-        out.append(sb.ComputablePartition(space, thirds, (F(0), F(1, 3)), "thirds"))
+        out.append(sb.ComputablePartition(space, thirds, name="thirds"))
     return out
 
 

@@ -59,7 +59,7 @@ def _shift_level_entropies(mu, partition, n_max):
     masses = [mu.word_measure(w) for w in level]
     out = {}
     for depth in range(1, n_max + 1):
-        out[depth] = en._entropy_bits(masses)
+        out[depth] = en._entropy_bits(m.as_integer_ratio() for m in masses)
         new_level, new_masses = [], []
         for word in level:
             for atom in partition.atoms:
@@ -102,10 +102,10 @@ def _walk_from_masses(mass_of, k, n_max):
     """Entropies of the positive-mass words of each length, in the walk's
     order: by the word they extend, then by their first symbol."""
     level = [(a,) for a in range(k) if mass_of((a,)) > 0]
-    out = {1: en._entropy_bits(mass_of(w) for w in level)}
+    out = {1: en._entropy_bits(mass_of(w).as_integer_ratio() for w in level)}
     for depth in range(2, n_max + 1):
         level = [(a,) + w for w in level for a in range(k) if mass_of((a,) + w) > 0]
-        out[depth] = en._entropy_bits(mass_of(w) for w in level)
+        out[depth] = en._entropy_bits(mass_of(w).as_integer_ratio() for w in level)
     return out
 
 
@@ -175,9 +175,7 @@ ROTATIONS = [dy.rotation(F(1, 3)), dy.rotation(F(2, 5)), dy.rotation(F(3, 7))]
 # the one-atom partition makes every cylinder the full circle
 WHOLE = sb.ComputablePartition(WHEEL, (((F(0), F(1)),),), name="whole")
 # an atom given as a lifted arc across 0, so that cylinders hold 0 inside
-ACROSS = sb.ComputablePartition(
-    WHEEL, (((F(1, 4), F(3, 4)),), ((F(3, 4), F(5, 4)),)), (F(1, 4), F(3, 4)), name="across"
-)
+ACROSS = sb.ComputablePartition(WHEEL, (((F(1, 4), F(3, 4)),), ((F(3, 4), F(5, 4)),)), name="across")
 CIRCLE_PARTITIONS = [sb.halves(WHEEL), sb.dyadic_intervals(WHEEL, 2), WHOLE, ACROSS]
 CIRCLE_MEASURES = [
     ms.ComputableMeasure.lebesgue(WHEEL),

@@ -191,12 +191,7 @@ def test_reconstruct_mismatch_density_bound():
 
 def test_reconstruct_stalls_when_ball_misses_atoms():
     # a partition with a hole around 1/2: the eps-ball sits inside the hole
-    partition = sb.ComputablePartition(
-        LINE,
-        (((F(0), F(1, 4)),), ((F(3, 4), F(1)),)),
-        boundary_points=(F(1, 4), F(3, 4)),
-        name="holey",
-    )
+    partition = sb.ComputablePartition(LINE, (((F(0), F(1, 4)),), ((F(3, 4), F(1)),)), name="holey")
     index = LINE.encode_dyadic(F(1, 2))
     with pytest.raises(sb.ReconstructStalled) as info:
         sb.reconstruct_symbols(partition, F(1, 16), [index], budget=600)
