@@ -159,6 +159,8 @@ def test_golden_report_reproduced(tmp_path, name):
         "block-tent-n12",
         "block-rotation-3-16",
         "block-rotation-sqrt2",
+        "block-rotation-3-7-atoms",
+        "block-markov-n10",
         "h1-doubling",
         "h1-tent",
     ],
