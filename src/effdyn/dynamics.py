@@ -210,19 +210,20 @@ def grid_orbit(kind: MapKind, v: int, den: int, n: int, a: int = 0) -> List[int]
     return out
 
 
-def grid_preimage(kind: MapKind, pieces: Sequence[Tuple[int, int]], den: int):
-    """Exact preimage of intervals with ends a/den, b/den, as pieces over
-    2*den; open and closed intervals pull back alike.
+def grid_preimage(kind: MapKind, pieces: List[Tuple[int, int, int]], den: int):
+    """Exact preimage of labelled intervals (a, b, label) with ends a/den,
+    b/den, as pieces over 2*den that keep their labels; open and closed
+    intervals pull back alike.
 
     `pieces` are sorted, disjoint and inside [0, den]; so is the result.
     The branch x/2 keeps every numerator; the other branch is x/2 + 1/2
     for doubling and 1 - x/2 for the tent map.
     """
     if kind is MapKind.DOUBLING:
-        return list(pieces) + [(a + den, b + den) for a, b in pieces]
+        return pieces + [(a + den, b + den, c) for a, b, c in pieces]
     if kind is MapKind.TENT:
         top = 2 * den
-        return list(pieces) + [(top - b, top - a) for a, b in reversed(pieces)]
+        return pieces + [(top - b, top - a, c) for a, b, c in reversed(pieces)]
     raise SpaceMismatch(f"no integer preimage for {kind}")
 
 
@@ -251,21 +252,21 @@ def grid_ball(kind: MapKind, v: int, g: int, n: int, t: int) -> List[Tuple[int, 
         return [(max(v - reach, base), min(v + reach, base + (1 << shift) - 1))]
     orbit = grid_orbit(kind, v, cells, n)
     top = cells if kind is MapKind.TENT else cells - 1
-    ranges = [(max(orbit[-1] - t, 0), min(orbit[-1] + t, top))]
+    ranges = [(max(orbit[-1] - t, 0), min(orbit[-1] + t, top), 0)]
     for u in reversed(orbit[:-1]):
         lo, hi = max(u - t, 0), min(u + t, top)
         pulled = grid_preimage(kind, ranges, cells)
         ranges = []
-        for a, b in pulled:
+        for a, b, _ in pulled:
             a, b = max((a + 1) >> 1, lo), min(b >> 1, hi)
             if a > b:
                 continue
             # the pieces come out ordered; the tent branches touch at 1/2
             if ranges and a <= ranges[-1][1] + 1:
-                ranges[-1] = (ranges[-1][0], b)
+                ranges[-1] = (ranges[-1][0], b, 0)
             else:
-                ranges.append((a, b))
-    return [(a, min(b, cells - 1)) for a, b in ranges if a < cells]
+                ranges.append((a, b, 0))
+    return [(a, min(b, cells - 1)) for a, b, _ in ranges if a < cells]
 
 
 def _angle_enclosure(sys: System, precision: int) -> Interval:

@@ -3,9 +3,10 @@
 Five estimator families:
 
 * block_entropy: exact Shannon block entropies H(xi_n) of the coded
-  process, by backward region pullback (interval maps, shifts) or by the
-  boundary-orbit gap structure (rotations); the rate is the conditional
-  entropy H(xi_n) - H(xi_{n-1}).
+  process, by backward pullback of whole cylinder levels (interval maps,
+  shifts, rational rotations) or by the boundary-orbit gap structure
+  (rotations under Lebesgue); the rate is the conditional entropy
+  H(xi_n) - H(xi_{n-1}).
 * local_info: -log2 of the exact mass of one orbit's length-n cylinder.
 * symbol_rate (symbolic orbit information): compressed bits per step of
   the coded orbit, with limsup proxied by the top quarter of the n-grid.
@@ -51,19 +52,25 @@ def _entropy_bits(masses) -> float:
     """Entropy in bits of masses given as integer pairs (numerator, denominator).
 
     Cylinder masses repeat heavily (all 2**-n under Lebesgue doubling,
-    three gap lengths for a rotation), so each distinct term is computed
-    once, from the pair reduced by gcd; the sum keeps its order, hence its
-    rounding (adding 0.0 for a null mass leaves it unchanged).
+    three gap lengths for a rotation), so each distinct pair is looked up
+    once, and each distinct term is computed once, from the pair reduced
+    by gcd; the sum keeps its order, hence its rounding (adding 0.0 for a
+    null mass leaves it unchanged).
     """
     total = 0.0
+    seen: Dict[Tuple[int, int], float] = {}
     terms: Dict[Tuple[int, int], float] = {}
-    for num, den in masses:
-        g = math.gcd(num, den)
-        key = (num // g, den // g)
-        term = terms.get(key)
+    for pair in masses:
+        term = seen.get(pair)
         if term is None:
-            q = F(*key)
-            term = terms[key] = float(q) * neg_log2(q) if num else 0.0
+            num, den = pair
+            g = math.gcd(num, den)
+            key = (num // g, den // g)
+            term = terms.get(key)
+            if term is None:
+                q = F(*key)
+                term = terms[key] = float(q) * neg_log2(q) if num else 0.0
+            seen[pair] = term
         total += term
     return total
 
@@ -110,25 +117,20 @@ def _rotation_gap_entropies(sys: dy.System, partition, ns: Sequence[int]) -> Dic
 
 
 def _pullback_level_entropies(sys, mu, partition, ns: Sequence[int]) -> Dict[int, float]:
-    """H(xi_n) by suffix pullback: level d holds every positive-mass
-    length-d cylinder as an exact region with its mass, ordered by the
-    level-(d-1) cylinder it extends and then by its first symbol."""
-    atoms, pull, cut, mass = sb.pullback(sys, mu, partition)
-
-    def extensions(level, d):
-        for region, _ in level:
-            pulled = pull(region, d)
-            for i in range(len(atoms)):
-                yield cut(pulled, i, d)
-
+    """H(xi_n) by suffix pullback, a whole level at a time: level d holds
+    every positive-mass length-d cylinder (`symbolic.pullback`), labelled
+    in the order of the level-(d-1) cylinder it extends and then of its
+    first symbol, which is the order its masses are summed in.  A level
+    that could exceed `symbolic.BLOCK_LEVEL_CAP` pieces raises
+    PrecisionBlowup before it is built."""
+    step, weigh = sb.pullback(sys, mu, partition)
     wanted = set(ns)
     out = {}
-    level = []
-    for d in range(1, max(ns) + 1):
-        regions = atoms if d == 1 else extensions(level, d - 1)
-        level = [(r, m) for r in regions if r is not None for m in [mass(r, d)] if m[0] > 0]
-        if d in wanted:
-            out[d] = _entropy_bits(m for _, m in level)
+    level = None
+    for d in range(max(ns)):
+        level, masses = weigh(step(level, d, None), d + 1)
+        if d + 1 in wanted:
+            out[d + 1] = _entropy_bits(masses)
     return out
 
 

@@ -102,8 +102,12 @@ def typicality_test(
 ) -> TypicalityResult:
     """Max deviation of orbit frequencies from mu over the family.
 
-    Fails closed: an undecided fraction above tol/2 yields an inconclusive
-    verdict, as does a horizon below n_min.
+    The residuals are reported against the midpoint of a 2**-20 enclosure
+    of each mu(A); the verdict compares the exact frequencies with tol
+    against the enclosures themselves (`_within_tol`).  Fails closed: an
+    undecided fraction above tol/2 yields an inconclusive verdict, as do a
+    horizon below n_min and a residual that no enclosure separates from
+    tol.
     """
     if sys.map_kind is dy.MapKind.DOUBLING and isinstance(x.exact, F):
         finest = _dyadic_level(family)
@@ -113,13 +117,15 @@ def typicality_test(
             if not fast.undecided_fraction:
                 return fast
     residuals = []
+    targets = []
     worst_undecided = 0
     for label, ad in family:
         result = birkhoff_average(sys, x, ad, n, precision)
         worst_undecided = max(worst_undecided, result.undecided)
-        target = measure_of_ad_set(mu, ad, 20).midpoint
-        residuals.append((label, abs(float(result.average) - float(target))))
-    return _verdict(residuals, worst_undecided / n, tol, n >= n_min)
+        target = measure_of_ad_set(mu, ad, _TARGET_PRECISIONS[0])
+        residuals.append((label, abs(float(result.average) - float(target.midpoint))))
+        targets.append((ad, result.inside, target))
+    return _verdict(mu, residuals, targets, n, worst_undecided / n, tol, n >= n_min)
 
 
 def _dyadic_level(family) -> Optional[int]:
@@ -153,6 +159,7 @@ def _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest) -> Typica
         else:
             counts[s] += 1
     residuals = []
+    targets = []
     for label, ad in family:
         region = mu.region(ad.inside.enumerate(4))
         hits = sum(
@@ -160,18 +167,53 @@ def _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest) -> Typica
             for j in range(cells)
             if region.contains(F(2 * j + 1, 2 * cells))
         )
-        target = measure_of_ad_set(mu, ad, 20).midpoint
-        residuals.append((label, abs(hits / n - float(target))))
-    return _verdict(residuals, undecided / n, tol, n >= n_min)
+        target = measure_of_ad_set(mu, ad, _TARGET_PRECISIONS[0])
+        residuals.append((label, abs(hits / n - float(target.midpoint))))
+        targets.append((ad, hits, target))
+    return _verdict(mu, residuals, targets, n, undecided / n, tol, n >= n_min)
 
 
-def _verdict(residuals, undecided_fraction, tol, horizon_ok) -> TypicalityResult:
+#: Precisions of the enclosures of mu(A) that decide a verdict: the
+#: reported residuals use the first, and a set is enclosed at the next only
+#: while its residual interval still holds tol.
+_TARGET_PRECISIONS = (20, 40, 80, 160)
+
+
+def _within_tol(mu, targets, n, tol) -> Optional[bool]:
+    """Is |hits/n - mu(A)| <= tol for every set A, decided exactly?
+
+    targets holds (A, hits, enclosure of mu(A)).  With mu(A) in [lo, hi],
+    the residual lies between the distance from hits/n to [lo, hi] and
+    the distance to its far end: a set whose near distance exceeds tol
+    decides False, and one whose far distance does is enclosed again at
+    the next precision.  None when some set still straddles tol at the
+    last precision.
+    """
+    tol = F(tol)
+    precisions = iter(_TARGET_PRECISIONS[1:])
+    while True:
+        open_sets = []
+        for ad, hits, target in targets:
+            q = F(hits, n)
+            if max(target.lo - q, q - target.hi) > tol:
+                return False
+            if max(q - target.lo, target.hi - q) > tol:
+                open_sets.append((ad, hits))
+        if not open_sets:
+            return True
+        precision = next(precisions, None)
+        if precision is None:
+            return None
+        targets = [(ad, hits, measure_of_ad_set(mu, ad, precision)) for ad, hits in open_sets]
+
+
+def _verdict(mu, residuals, targets, n, undecided_fraction, tol, horizon_ok) -> TypicalityResult:
+    """The residuals and the verdict: exact (`_within_tol`), or None below
+    the horizon or with too many undecided steps."""
     worst = max(r for _, r in residuals)
-    verdict: Optional[bool]
-    if not horizon_ok or undecided_fraction > tol / 2:
-        verdict = None
-    else:
-        verdict = worst <= tol
+    verdict: Optional[bool] = None
+    if horizon_ok and undecided_fraction <= tol / 2:
+        verdict = _within_tol(mu, targets, n, tol)
     return TypicalityResult(tuple(residuals), worst, undecided_fraction, tol, verdict)
 
 

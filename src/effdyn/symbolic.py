@@ -13,22 +13,24 @@ certifiably sits inside an atom, and the first-class Unknown symbol
 precision.  An exactly rational orbit therefore gets Unknown precisely at
 true boundary hits.
 
-Cylinder sets are computed exactly by one backward pullback step per map
-(`pullback`): prepended words for shifts whose atoms are single
-cylinders, and integer pieces over one common denominator for doubling,
-tent and rational rotations (lifted arcs on the circle).  Their masses
-are exact under Lebesgue and its mixtures with point masses.  Every
-other case (irrational rotations, shift atoms that are unions of several
-cylinders, other measures on the interval or circle) raises
-UnsupportedCylinder.
+Cylinder sets are computed exactly a whole level at a time (`pullback`):
+one list of the words of a level for shifts whose atoms are single
+cylinders, extended by prepending, and one sorted list of labelled
+integer pieces over a common denominator for doubling, tent and rational
+rotations (lifted arcs on the circle), pulled back and cut to the atoms
+in one sweep.  The block-entropy walk extends a level by every atom, and
+the fold of one word by the atom each symbol names.  Masses are exact
+under Lebesgue and its mixtures with point masses.  Every other case
+(irrational rotations, shift atoms that are unions of several cylinders,
+other measures on the interval or circle) raises UnsupportedCylinder.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import itertools
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -285,7 +287,7 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
             lo -= wraps * den
             hi -= wraps * den
         symbol = None
-        t = bisect.bisect_left(starts, lo) - 1
+        t = bisect_left(starts, lo) - 1
         while t >= 0 and hi < reach[t]:
             _, b, i = pieces[t]
             if hi < b and (symbol is None or i < symbol):
@@ -300,22 +302,26 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
 # ---------------------------------------------------------------------------
 
 
-def _intersect_pieces(xs, ys) -> List[Tuple[int, int]]:
-    """Intersection of two sorted lists of disjoint open integer pieces."""
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        a, b = xs[i]
-        c, d = ys[j]
-        lo = a if a > c else c
-        hi = b if b < d else d
-        if lo < hi:
-            out.append((lo, hi))
-        if b < d:
-            i += 1
-        else:
-            j += 1
-    return out
+#: Largest number of pieces (words, for shifts) that one cylinder level may
+#: reach: `pullback`'s step refuses a level that could hold more with
+#: PrecisionBlowup before it builds it.  Criterion 1's deepest level holds
+#: 2**16 pieces.  At the cap, block entropy of doubling with halves under
+#: Lebesgue runs n = 19 (2**19 pieces in its last level) in 1.6 s and
+#: 226 MB peak memory and refuses n = 20; tent with dyadic-2 is refused at
+#: n = 19 after 2.4 s and 263 MB.  A binary shift reaches the cap at
+#: n = 20; from n = 16 (2.9 s, 51 MB) that extrapolates to about 50 s and
+#: 0.6 GB, not run (CPython 3.11, 2-vCPU VM).
+BLOCK_LEVEL_CAP = 1 << 20
+
+_START = operator.itemgetter(0)
+_END = operator.itemgetter(1)
+
+
+def _check_level(count: int, d: int) -> None:
+    if count > BLOCK_LEVEL_CAP:
+        raise dy.PrecisionBlowup(
+            f"cylinder level {d} could hold {count} pieces, above BLOCK_LEVEL_CAP = {BLOCK_LEVEL_CAP}"
+        )
 
 
 def _prepend(cyl, word):
@@ -329,7 +335,7 @@ def _prepend(cyl, word):
 def _grid_den(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition) -> int:
     """D: the lcm of the denominators of the partition's endpoints, of a
     rotation's angle and of mu's point masses, which all lie on 1/D."""
-    dens = [F(q).denominator for atom in partition.atoms for piece in atom for q in piece]
+    dens = [q.denominator for atom in partition.atoms for piece in atom for q in piece]
     if sys.map_kind is dy.MapKind.ROTATION:
         dens.append(sys.angle.denominator)
     if mu is not None and isinstance(mu.model, _MixtureModel):
@@ -342,116 +348,194 @@ def _whole(arcs, den: int) -> bool:
     return len(arcs) == 1 and arcs[0][1] - arcs[0][0] == den
 
 
-def _piece_mass(mu: ComputableMeasure, circle: bool):
-    """mass(pieces, den): the exact mu-mass of open integer pieces over den,
-    as an integer pair (numerator, denominator).
+def _cut(pulled, cuts, width: int, shift: int = 0):
+    """Labelled pieces (start, end, label) cut to labelled pieces (s, e, t).
 
-    A mixture's weights are held over their common denominator W, so the
-    mass is (base * length + den * inside) / (W * den), where inside sums
-    the weights of the atoms strictly inside a piece: on the circle at the
-    lifted position p or p + den, and anywhere on the whole circle.
-    Lebesgue is base 1 over W = 1 with no atoms.  Other models raise
-    UnsupportedCylinder.
+    Each overlap of a piece and a cut becomes the piece
+    (max(start, s), min(end, e), label * width + t), in order of position;
+    the cut ends are taken times 2**shift.  Both lists are sorted and
+    disjoint, so their ends are sorted too: the pieces meeting a cut are
+    one run, found by two bisects, and only its first and last piece can
+    stick out of the cut.
     """
+    out = []
+    if not pulled:
+        return out
+    low, high = pulled[0][0], pulled[-1][1]
+    for s, e, t in cuts:
+        if shift:
+            s <<= shift
+            e <<= shift
+        if e <= low or s >= high:
+            continue
+        i = bisect_right(pulled, s, key=_END)
+        j = bisect_left(pulled, e, i, key=_START)
+        if i == j:
+            continue
+        first = len(out)
+        out += [(a, b, c * width + t) for a, b, c in pulled[i:j]]
+        a, b, c = out[first]
+        if a < s:
+            out[first] = (s, b, c)
+        a, b, c = out[-1]
+        if b > e:
+            out[-1] = (a, e, c)
+    return out
+
+
+def _mixture_weights(mu: ComputableMeasure):
+    """(base, atoms, W): a mixture's weights over their common denominator
+    W, with atoms as (position numerator, position denominator, weight).
+    Lebesgue is base 1 over W = 1 with no atoms.  Other models raise
+    UnsupportedCylinder."""
     model = mu.model
     if not isinstance(model, _MixtureModel):
         raise UnsupportedCylinder(f"no exact cylinder masses under {mu.name}")
     scale = math.lcm(model.base_weight.denominator, *(w.denominator for _, w in model.atoms))
     base = model.base_weight.numerator * (scale // model.base_weight.denominator)
     atoms = [(q.numerator, q.denominator, w.numerator * scale // w.denominator) for q, w in model.atoms]
-
-    def mass(pieces, den):
-        inside = 0
-        for num, qden, weight in atoms:
-            p = num * (den // qden)
-            lifts = (p % den, p % den + den) if circle else (p,)
-            if circle and _whole(pieces, den) or any(a < x < b for a, b in pieces for x in lifts):
-                inside += weight
-        return base * sum(b - a for a, b in pieces) + den * inside, scale * den
-
-    return mass
+    return base, atoms, scale
 
 
 def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition):
-    """(atoms, pull, cut, mass): the exact cylinders of a partition under a map.
+    """(step, weigh): the exact cylinders of a partition under a map, one
+    level at a time.
 
-    atoms[i] is atom i as a length-1 cylinder region.  pull(region, d)
-    takes the region of a length-d cylinder C to T^-1(C), once, and
-    cut(pulled, i, d) cuts that to atom i: the length-(d+1) cylinder that
-    extends C by symbol i in front, None when it is empty.  mass(region, d)
-    is the exact mu-mass of a length-d region as an integer pair
-    (numerator, denominator): by `_piece_mass` for interval and circle
-    maps, and the word measure's ratio for shifts; only mass reads mu,
-    which may be None.  A region is
+    A level holds disjoint cylinders of one length d, each under a label.
+    step(level, d, symbol) extends every cylinder C of a length-d level in
+    front, to atom s n T^-1(C): by every symbol s when `symbol` is None,
+    under the label label(C) * k + s, and else by the named symbol only,
+    under C's label; step(None, 0, symbol) gives the atoms, the length-1
+    cylinders, labelled the same way.  Before it builds a level, step
+    checks the count that level could reach against BLOCK_LEVEL_CAP.
+    weigh(level, d) gives (level, masses): the level without its null
+    cylinders, relabelled 0, 1, ... in the order of its labels, and the
+    exact mu-mass of each as an integer pair (numerator, denominator).
+    Only weigh reads mu, which may be None.  A level is
 
-    * shifts: the word the cylinder fixes, pulled back by prepending an
-      atom's word; each atom must be a single cylinder;
-    * doubling and tent: sorted disjoint integer pieces over D * 2**(d-1),
-      D = `_grid_den`, pulled back by grid_preimage;
-    * rotations by a/q: sorted disjoint arcs over D, which q divides, each
-      lifted to a start in [0, D) and an end at most start + D; a preimage
-      subtracts a*D/q mod D, and an arc of length D is the whole circle.
+    * shifts: the words its cylinders fix, labelled by position, extended
+      by prepending an atom's word; each atom must be a single cylinder,
+      and a mass is the word measure's ratio;
+    * doubling and tent: sorted disjoint integer pieces (start, end, label)
+      over D * 2**(d-1), D = `_grid_den`, pulled back by grid_preimage and
+      cut to the atoms in one sweep (`_cut`);
+    * rotations by a/q: sorted disjoint arcs (start, end, label) over D,
+      which q divides, each lifted to a start in [0, D) and an end at most
+      start + D; a preimage subtracts a*D/q mod D, the atoms cut over three
+      turns, and an arc of length D is the whole circle.
+
+    On the interval and circle a mass is (base * length + N * inside) /
+    (W * N) over N = D * 2**(d-1) or D, with `_mixture_weights`: inside
+    sums the weights of the point masses strictly inside one of the
+    cylinder's pieces, each found by one bisect (on the circle at the
+    lifted position p or p + N, and anywhere on the whole circle).
     """
     kind = sys.map_kind
+    k = partition.alphabet
     if kind is dy.MapKind.SHIFT:
         if any(len(atom) != 1 for atom in partition.atoms):
             raise UnsupportedCylinder("shift cylinders need single-cylinder atoms")
         words = [tuple(atom[0]) for atom in partition.atoms]
 
-        def shift_pull(word, d):
-            return word
+        def shift_step(level, d, symbol):
+            named = words if symbol is None else [words[symbol]]
+            _check_level(len(named) * (1 if level is None else len(level)), d + 1)
+            if level is None:
+                return list(named)
+            return [w for word in level for cyl in named for w in [_prepend(cyl, word)] if w is not None]
 
-        def shift_cut(word, i, d):
-            return _prepend(words[i], word)
+        def shift_weigh(level, d):
+            masses = [mu.word_measure(word).as_integer_ratio() for word in level]
+            kept = [(word, m) for word, m in zip(level, masses) if m[0] > 0]
+            return [word for word, _ in kept], [m for _, m in kept]
 
-        def shift_mass(word, d):
-            return mu.word_measure(word).as_integer_ratio()
-
-        return words, shift_pull, shift_cut, shift_mass
+        return shift_step, shift_weigh
     if kind is dy.MapKind.ROTATION and not isinstance(sys.angle, F):
         raise UnsupportedCylinder("irrational rotation has no exact pullback here")
-    piece_mass = None if mu is None else _piece_mass(mu, kind is dy.MapKind.ROTATION)
+    circle = kind is dy.MapKind.ROTATION
+    base, point_masses, scale = (1, [], 1) if mu is None else _mixture_weights(mu)
     den = _grid_den(sys, mu, partition)
-    atoms = [[(int(a * den), int(b * den)) for a, b in _merge_pieces(atom)] for atom in partition.atoms]
-    if kind is dy.MapKind.ROTATION:
-        step = sys.angle.numerator * (den // sys.angle.denominator)
-        # an atom over three turns meets a lifted arc in one line cut
-        turns = [[(a + t, b + t) for t in (-den, 0, den) for a, b in atom] for atom in atoms]
 
-        def circle_pull(region, d):
-            return sorted((s, s + b - a) for a, b in region for s in [(a - step) % den])
+    def on_grid(q):
+        return q.numerator * (den // q.denominator)
 
-        def circle_cut(pulled, i, d):
-            if _whole(atoms[i], den):  # the whole circle cuts nothing
-                return pulled
-            region = _intersect_pieces(pulled, turns[i])
-            return sorted((a - den, b - den) if a >= den else (a, b) for a, b in region) or None
+    atoms = [_merge_pieces((on_grid(a), on_grid(b)) for a, b in atom) for atom in partition.atoms]
+    cuts = atoms
+    if circle:
+        angle = on_grid(sys.angle) % den
+        # lifted arcs lie in [0, 2D), where an atom over three turns meets
+        # them in line cuts; the whole circle, as one cut, cuts nothing
+        cuts = [
+            [(-den, 3 * den)]
+            if _whole(atom, den)
+            else [(a + t, b + t) for t in (-den, 0, den) for a, b in atom if b + t > 0 and a + t < 2 * den]
+            for atom in atoms
+        ]
+    every = sorted((a, b, i) for i, atom in enumerate(cuts) for a, b in atom)
+    each = [[(a, b, 0) for a, b in sorted(atom)] for atom in cuts]
 
-        return atoms, circle_pull, circle_cut, lambda region, d: piece_mass(region, den)
+    def step(level, d, symbol):
+        if level is None:
+            named = list(enumerate(atoms)) if symbol is None else [(0, atoms[symbol])]
+            _check_level(sum(len(atom) for _, atom in named), 1)
+            return sorted((a, b, i) for i, atom in named for a, b in atom)
+        cut, width = (every, k) if symbol is None else (each[symbol], 1)
+        _check_level(len(level) * (1 if circle else 2) + len(cut), d + 1)
+        if not circle:
+            return _cut(dy.grid_preimage(kind, level, den << (d - 1)), cut, width, d)
+        pulled = [(s, s + b - a, c) for a, b, c in level for s in [(a - angle) % den]]
+        pulled.sort()
+        pulled = _cut(pulled, cut, width)
+        if pulled and pulled[-1][0] >= den:
+            # the pieces past D, all cut from the one arc across D, go one
+            # turn down, to the front
+            i = bisect_left(pulled, den, key=_START)
+            pulled = [(a - den, b - den, c) for a, b, c in pulled[i:]] + pulled[:i]
+        return pulled
 
-    @functools.cache
-    def scaled(d):
-        return [[(a << d, b << d) for a, b in atom] for atom in atoms]
+    def weigh(level, d):
+        span = den if circle else den << (d - 1)
+        level_keys = sorted({c for _, _, c in level})
+        lengths = dict.fromkeys(level_keys, 0)
+        for a, b, c in level:
+            lengths[c] += b - a
+        inside = {}
+        whole = circle and _whole(level, span)
+        for num, qden, weight in point_masses:
+            p = num * (span // qden)
+            for x in (p % span, p % span + span) if circle else (p,):
+                i = bisect_left(level, x, key=_START) - 1
+                if whole or i >= 0 and x < level[i][1]:
+                    # the whole circle is the one piece level[-1] = level[0]
+                    c = level[i][2]
+                    inside[c] = inside.get(c, 0) + weight
+                    break
+        total = scale * span
+        if inside:
+            nums = [base * length + span * inside.get(c, 0) for c, length in lengths.items()]
+        else:
+            nums = [base * length for length in lengths.values()]
+        if not all(nums):
+            dense = {c: j for j, c in enumerate(c for c, num in zip(lengths, nums) if num)}
+            level = [(a, b, dense[c]) for a, b, c in level if c in dense]
+        elif level and level_keys[-1] != len(level_keys) - 1:
+            dense = {c: j for j, c in enumerate(level_keys)}
+            level = [(a, b, dense[c]) for a, b, c in level]
+        return level, [(num, total) for num in nums if num]
 
-    def grid_pull(pieces, d):
-        return dy.grid_preimage(kind, pieces, den << (d - 1))
-
-    def grid_cut(pulled, i, d):
-        return _intersect_pieces(pulled, scaled(d)[i]) or None
-
-    return atoms, grid_pull, grid_cut, lambda pieces, d: piece_mass(pieces, den << (d - 1))
+    return step, weigh
 
 
-def _fold(atoms, pull, cut, word):
-    """Region of the cylinder of a nonempty word, None when it is empty:
-    the last symbol's atom, pulled back and cut to the named atom once per
-    earlier symbol."""
-    region = atoms[word[-1]]
+def _fold(step, word):
+    """The cylinder of a nonempty word as a level: the last symbol's atom,
+    pulled back and cut to the named atom once per earlier symbol; empty
+    when the cylinder is."""
+    level = step(None, 0, word[-1])
     for d, symbol in enumerate(reversed(word[:-1]), 1):
-        region = cut(pull(region, d), symbol, d)
-        if region is None:
+        if not level:
             break
-    return region
+        level = step(level, d, symbol)
+    return level
 
 
 def _known(word) -> Tuple[int, ...]:
@@ -467,18 +551,21 @@ def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
     circle maps give rational pieces ([] when empty), circle arcs with a
     start in [0, 1) and the whole circle as [(0, 1)]."""
     word = _known(word)
-    atoms, pull, cut, _ = pullback(sys, None, partition)
+    step, _ = pullback(sys, None, partition)
     if sys.map_kind is dy.MapKind.SHIFT:
-        return _fold(atoms, pull, cut, word) if word else ()
+        if not word:
+            return ()
+        level = _fold(step, word)
+        return level[0] if level else None
     if not word:
         return [(F(0), F(1))]
-    region = _fold(atoms, pull, cut, word) or []
+    region = _fold(step, word)
     den = _grid_den(sys, None, partition)
     if sys.map_kind is not dy.MapKind.ROTATION:
         den <<= len(word) - 1
     elif _whole(region, den):
         return [(F(0), F(1))]
-    return [(F(a, den), F(b, den)) for a, b in region]
+    return [(F(a, den), F(b, den)) for a, b, _ in region]
 
 
 def cylinder_measure(
@@ -491,9 +578,9 @@ def cylinder_measure(
     word = _known(word)
     if not word:
         return F(1)
-    atoms, pull, cut, mass = pullback(sys, mu, partition)
-    region = _fold(atoms, pull, cut, word)
-    return F(0) if region is None else F(*mass(region, len(word)))
+    step, weigh = pullback(sys, mu, partition)
+    _, masses = weigh(_fold(step, word), len(word))
+    return F(*masses[0]) if masses else F(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,307 @@
+"""Differential tests: the level walk against the per-region walk it replaced.
+
+`symbolic.pullback` holds each level of cylinders as one labelled piece
+list and pulls, cuts and weighs it whole.  The reference below is the
+walk it replaced, kept here as it was: one region per cylinder, pulled
+back, cut to one atom and weighed on its own, with the level built by
+extending each region by each atom in turn.  Entropies must agree float
+for float, and regions and masses exactly.  The walk is also bounded:
+a level that could exceed `symbolic.BLOCK_LEVEL_CAP` pieces is refused
+before it is built.
+"""
+
+import itertools
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from effdyn import cli
+from effdyn import dynamics as dy
+from effdyn import entropy as en
+from effdyn import measure as ms
+from effdyn import space as sp
+from effdyn import symbolic as sb
+
+LINE = sp.unit_interval()
+WHEEL = sp.circle()
+SEQ2 = sp.cantor(2)
+
+
+# -- the per-region reference -------------------------------------------------
+
+
+def _intersect_pieces(xs, ys):
+    """Intersection of two sorted lists of disjoint open integer pieces."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        a, b = xs[i]
+        c, d = ys[j]
+        lo = a if a > c else c
+        hi = b if b < d else d
+        if lo < hi:
+            out.append((lo, hi))
+        if b < d:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _grid_preimage(kind, pieces, den):
+    if kind is dy.MapKind.DOUBLING:
+        return list(pieces) + [(a + den, b + den) for a, b in pieces]
+    return list(pieces) + [(2 * den - b, 2 * den - a) for a, b in reversed(pieces)]
+
+
+def _grid_den(sys, mu, partition):
+    dens = [F(q).denominator for atom in partition.atoms for piece in atom for q in piece]
+    if sys.map_kind is dy.MapKind.ROTATION:
+        dens.append(sys.angle.denominator)
+    if mu is not None:
+        dens.extend(q.denominator for q, _ in mu.model.atoms)
+    return math.lcm(*dens)
+
+
+def _whole(arcs, den):
+    return len(arcs) == 1 and arcs[0][1] - arcs[0][0] == den
+
+
+def _piece_mass(mu, circle):
+    """mass(pieces, den) of one region, as an integer pair."""
+    model = mu.model
+    scale = math.lcm(model.base_weight.denominator, *(w.denominator for _, w in model.atoms))
+    base = model.base_weight.numerator * (scale // model.base_weight.denominator)
+    atoms = [(q.numerator, q.denominator, w.numerator * scale // w.denominator) for q, w in model.atoms]
+
+    def mass(pieces, den):
+        inside = 0
+        for num, qden, weight in atoms:
+            p = num * (den // qden)
+            lifts = (p % den, p % den + den) if circle else (p,)
+            if circle and _whole(pieces, den) or any(a < x < b for a, b in pieces for x in lifts):
+                inside += weight
+        return base * sum(b - a for a, b in pieces) + den * inside, scale * den
+
+    return mass
+
+
+def _region_pullback(sys, mu, partition):
+    """(atoms, pull, cut, mass) on one region at a time."""
+    kind = sys.map_kind
+    if kind is dy.MapKind.SHIFT:
+        words = [tuple(atom[0]) for atom in partition.atoms]
+        return (
+            words,
+            lambda word, d: word,
+            lambda word, i, d: sb._prepend(words[i], word),
+            lambda word, d: mu.word_measure(word).as_integer_ratio(),
+        )
+    piece_mass = None if mu is None else _piece_mass(mu, kind is dy.MapKind.ROTATION)
+    den = _grid_den(sys, mu, partition)
+    atoms = [[(int(a * den), int(b * den)) for a, b in ms._merge_pieces(atom)] for atom in partition.atoms]
+    if kind is dy.MapKind.ROTATION:
+        step = sys.angle.numerator * (den // sys.angle.denominator)
+        turns = [[(a + t, b + t) for t in (-den, 0, den) for a, b in atom] for atom in atoms]
+
+        def circle_pull(region, d):
+            return sorted((s, s + b - a) for a, b in region for s in [(a - step) % den])
+
+        def circle_cut(pulled, i, d):
+            if _whole(atoms[i], den):
+                return pulled
+            region = _intersect_pieces(pulled, turns[i])
+            return sorted((a - den, b - den) if a >= den else (a, b) for a, b in region) or None
+
+        return atoms, circle_pull, circle_cut, lambda region, d: piece_mass(region, den)
+
+    def grid_pull(pieces, d):
+        return _grid_preimage(kind, pieces, den << (d - 1))
+
+    def grid_cut(pulled, i, d):
+        return _intersect_pieces(pulled, [(a << d, b << d) for a, b in atoms[i]]) or None
+
+    return atoms, grid_pull, grid_cut, lambda pieces, d: piece_mass(pieces, den << (d - 1))
+
+
+def _region_fold(atoms, pull, cut, word):
+    region = atoms[word[-1]]
+    for d, symbol in enumerate(reversed(word[:-1]), 1):
+        region = cut(pull(region, d), symbol, d)
+        if region is None:
+            break
+    return region
+
+
+def _region_cylinder(sys, partition, word):
+    atoms, pull, cut, _ = _region_pullback(sys, None, partition)
+    if sys.map_kind is dy.MapKind.SHIFT:
+        return _region_fold(atoms, pull, cut, word)
+    region = _region_fold(atoms, pull, cut, word) or []
+    den = _grid_den(sys, None, partition)
+    if sys.map_kind is not dy.MapKind.ROTATION:
+        den <<= len(word) - 1
+    elif _whole(region, den):
+        return [(F(0), F(1))]
+    return [(F(a, den), F(b, den)) for a, b in region]
+
+
+def _region_measure(sys, mu, partition, word):
+    atoms, pull, cut, mass = _region_pullback(sys, mu, partition)
+    region = _region_fold(atoms, pull, cut, word)
+    return F(0) if region is None else F(*mass(region, len(word)))
+
+
+def _region_level_entropies(sys, mu, partition, n_max):
+    """Level d holds every positive-mass length-d cylinder as one region,
+    extended by each atom in turn."""
+    atoms, pull, cut, mass = _region_pullback(sys, mu, partition)
+    out = {}
+    level = []
+    for d in range(1, n_max + 1):
+        if d == 1:
+            regions = atoms
+        else:
+            regions = [cut(pull(r, d - 1), i, d - 1) for r, _ in level for i in range(len(atoms))]
+        level = [(r, m) for r in regions if r is not None for m in [mass(r, d)] if m[0] > 0]
+        out[d] = en._entropy_bits(m for _, m in level)
+    return out
+
+
+# -- random systems, partitions and measures ----------------------------------
+
+
+@st.composite
+def _partitions(draw, space):
+    """Atoms from the arcs (pieces on the interval) between random cuts on
+    the grid 1/q: each piece goes to an atom or to a hole, so atoms may be
+    several pieces; on the circle the cuts start at a random offset, so
+    one arc may run across 0, lifted to an end beyond 1."""
+    q = draw(st.integers(min_value=2, max_value=12), label="q")
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=q - 1), min_size=1, max_size=5), label="cuts"))
+    ends = [0] + cuts + [q]
+    if space.kind is sp.Kind.CIRCLE:
+        ends = cuts + [cuts[0] + q]
+    arcs = list(zip(ends, ends[1:]))
+    owners = draw(st.lists(st.integers(min_value=-1, max_value=2), min_size=len(arcs), max_size=len(arcs)))
+    atoms = {}
+    for (a, b), owner in zip(arcs, owners):
+        if owner >= 0:
+            atoms.setdefault(owner, []).append((F(a, q), F(b, q)))
+    if not atoms:
+        atoms[0] = [(F(a, q), F(b, q)) for a, b in arcs[:1]]
+    return sb.ComputablePartition(space, tuple(map(tuple, atoms.values())), name="drawn")
+
+
+@st.composite
+def _measures(draw, space, partition):
+    """Lebesgue, or a mixture with point masses on cut points, at 0 and at
+    random rationals, with a base weight that may be 0."""
+    if draw(st.booleans(), label="lebesgue"):
+        return ms.ComputableMeasure.lebesgue(space)
+    ends = sorted({F(q) % 1 for atom in partition.atoms for piece in atom for q in piece})
+    spots = st.sampled_from(ends + [F(0)]) | st.fractions(min_value=0, max_value=1, max_denominator=9)
+    positions = draw(st.lists(spots, min_size=1, max_size=3, unique=True), label="positions")
+    base = draw(st.sampled_from([F(0), F(1, 2), F(3, 4)]), label="base")
+    weights = [(1 - base) / len(positions)] * len(positions)
+    return ms.ComputableMeasure.lebesgue_with_atoms(space, base, list(zip(positions, weights)))
+
+
+@st.composite
+def _cases(draw):
+    kind = draw(st.sampled_from(["doubling", "tent", "rotation"]), label="kind")
+    if kind == "rotation":
+        q = draw(st.integers(min_value=1, max_value=16), label="angle q")
+        a = draw(st.integers(min_value=0, max_value=q - 1), label="angle a")
+        sys, space = dy.rotation(F(a, q)), WHEEL
+    else:
+        sys, space = getattr(dy, kind)(), LINE
+    partition = draw(_partitions(space))
+    return sys, partition, draw(_measures(space, partition))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(), st.integers(min_value=1, max_value=7))
+def test_level_walk_matches_region_walk(case, n_max):
+    sys, partition, mu = case
+    table = en._pullback_level_entropies(sys, mu, partition, range(1, n_max + 1))
+    assert table == _region_level_entropies(sys, mu, partition, n_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cases())
+def test_level_fold_matches_region_fold(case):
+    sys, partition, mu = case
+    for length in range(1, 6):
+        for word in itertools.product(range(partition.alphabet), repeat=length):
+            assert sb.cylinder_region(sys, partition, word) == _region_cylinder(sys, partition, word), word
+            assert sb.cylinder_measure(sys, mu, partition, word) == _region_measure(sys, mu, partition, word), word
+
+
+def test_null_cylinders_are_dropped_with_their_extensions():
+    # base weight 0: the cylinders missing the point masses have positive
+    # length but no mass, so the walk drops them and relabels the rest
+    mu = ms.ComputableMeasure.lebesgue_with_atoms(LINE, 0, [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+    for sys in (dy.doubling(), dy.tent()):
+        table = en._pullback_level_entropies(sys, mu, sb.dyadic_intervals(LINE, 2), range(1, 7))
+        assert table == _region_level_entropies(sys, mu, sb.dyadic_intervals(LINE, 2), 6)
+        assert table[1] == 1.0
+
+
+# -- the level cap ------------------------------------------------------------
+
+
+def test_level_cap_value():
+    # above criterion 1's 2**16 pieces and every shipped size
+    assert sb.BLOCK_LEVEL_CAP == 1 << 20
+
+
+def _record_levels(monkeypatch):
+    """Record the size of every pulled and cut level."""
+    sizes = []
+    grid_preimage, cut = dy.grid_preimage, sb._cut
+
+    def recorded_preimage(*args):
+        sizes.append(len(result := grid_preimage(*args)))
+        return result
+
+    def recorded_cut(*args):
+        sizes.append(len(result := cut(*args)))
+        return result
+
+    monkeypatch.setattr(dy, "grid_preimage", recorded_preimage)
+    monkeypatch.setattr(sb, "_cut", recorded_cut)
+    return sizes
+
+
+def test_level_cap_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(sb, "BLOCK_LEVEL_CAP", 64)
+    sizes = _record_levels(monkeypatch)
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    # level 5 holds 32 pieces; level 6 could hold 2 * 32 + 2 > 64
+    with pytest.raises(dy.PrecisionBlowup, match="level 6 could hold 66 pieces, above BLOCK_LEVEL_CAP = 64"):
+        en.block_entropy(dy.doubling(), mu, sb.halves(LINE), 12)
+    assert max(sizes) == 32
+    assert en.block_entropy(dy.doubling(), mu, sb.halves(LINE), 5).rows[-1][2] == 5.0
+    # shifts count words: level 6 holds 2 * 32 = 64, level 7 could hold 128
+    fair = ms.ComputableMeasure.bernoulli(SEQ2, [F(1, 2), F(1, 2)])
+    with pytest.raises(dy.PrecisionBlowup, match="level 7 could hold 128 pieces"):
+        en.block_entropy(dy.shift(2), fair, sb.cylinders(SEQ2, 1), 7)
+    assert en.block_entropy(dy.shift(2), fair, sb.cylinders(SEQ2, 1), 6).rows[-1][2] == 6.0
+
+
+def test_level_cap_exits_1_from_a_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sb, "BLOCK_LEVEL_CAP", 64)
+    sizes = _record_levels(monkeypatch)
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(
+        "[system]\nkind = tent\n\n[partition]\nkind = dyadic\nlevel = 2\n\n"
+        "[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 30\n\n[run]\noutput = out/deep\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 1
+    assert "BLOCK_LEVEL_CAP = 64" in capsys.readouterr().err
+    assert max(sizes) <= 64
+    assert not list(tmp_path.glob("**/*.csv"))

@@ -1,6 +1,6 @@
 """Differential tests: the one cylinder pullback against the paths it replaced.
 
-`symbolic.pullback` gives each map one preimage step, and both the word
+`symbolic.pullback` gives each map one level step, and both the word
 fold (`cylinder_region`, `cylinder_measure`) and the block-entropy level
 walk run on it.  The references below are the separate computations they
 replace: the forward merge of a shift word's atoms, the shift level walk

@@ -203,3 +203,51 @@ def test_typicality_dyadic_fast_matches_birkhoff_on_random_dyadics(bits, data):
     assert (fast.undecided_fraction == 0) == (b == 0 or b - finest >= n)
     if fast.undecided_fraction == 0:
         assert fast == result
+
+
+def _between(exact, reported):
+    """A float tol within 2**-21 of the exact residual, strictly between it
+    and the residual reported from the midpoint of mu(A)'s enclosure."""
+    tol = float((exact + F(reported)) / 2)
+    assert min(exact, F(reported)) < F(tol) < max(exact, F(reported))
+    assert abs(F(tol) - exact) < F(1, 1 << 21)
+    return tol
+
+
+def test_typicality_verdict_is_exact_within_enclosure_width():
+    # the orbit of 0 stays at 0, so each residual is |hits/n - mu(A)| with
+    # hits/n in {0, 1}; mu(A) is not dyadic, so the midpoint of its 2**-20
+    # enclosure misses it, and a tol between the two splits the verdicts
+    sys = dy.doubling()
+    lebesgue = ms.ComputableMeasure.lebesgue(LINE)
+    mixture = ms.ComputableMeasure.lebesgue_with_atoms(LINE, F(1, 3), [(F(3, 4), F(2, 3))])
+    cases = [
+        # general path: [1/3, 2/3) is missed, [0, 1/3) always hit
+        (lebesgue, ms.AlmostDecidableSet.from_interval(LINE, F(1, 3), F(2, 3)), F(1, 3)),
+        (lebesgue, ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 3)), F(2, 3)),
+        # dyadic fast path: mu([0, 1/2)) = 1/6, always hit
+        (mixture, left_half(LINE), F(5, 6)),
+    ]
+    x = sp.rational_point(LINE, 0)
+    for mu, ad, exact in cases:
+        reported = stt.typicality_test(sys, mu, x, [("A", ad)], 4, 1.0, n_min=1).max_residual
+        tol = _between(exact, reported)
+        result = stt.typicality_test(sys, mu, x, [("A", ad)], 4, tol, n_min=1)
+        assert result.max_residual == reported
+        assert result.verdict is (exact <= F(tol))
+        assert result.verdict is not (reported <= tol)
+
+
+def test_typicality_verdict_is_none_when_tol_is_never_separated():
+    # the orbit of 1/7 visits [0, 1/2) at 1/7 and 2/7, not at 4/7; with
+    # mu([0, 1/2)) = 1/6 both residuals are exactly 1/2, and no dyadic
+    # enclosure of 1/6 or 5/6 decides whether they exceed tol = 1/2
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue_with_atoms(LINE, F(1, 3), [(F(3, 4), F(2, 3))])
+    x = sp.rational_point(LINE, F(1, 7))
+    family = stt.dyadic_ball_family(LINE, 1)
+    result = stt.typicality_test(sys, mu, x, family, 3, 0.5, n_min=1)
+    assert result.undecided_fraction == 0
+    assert result.verdict is None
+    assert stt.typicality_test(sys, mu, x, family, 3, 0.51, n_min=1).verdict is True
+    assert stt.typicality_test(sys, mu, x, family, 3, 0.49, n_min=1).verdict is False
