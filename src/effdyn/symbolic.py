@@ -495,8 +495,7 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
 
     def weigh(level, d):
         span = den if circle else den << (d - 1)
-        level_keys = sorted({c for _, _, c in level})
-        lengths = dict.fromkeys(level_keys, 0)
+        lengths = dict.fromkeys(sorted({c for _, _, c in level}), 0)
         for a, b, c in level:
             lengths[c] += b - a
         inside = {}
@@ -511,16 +510,11 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
                     inside[c] = inside.get(c, 0) + weight
                     break
         total = scale * span
-        if inside:
-            nums = [base * length + span * inside.get(c, 0) for c, length in lengths.items()]
-        else:
-            nums = [base * length for length in lengths.values()]
-        if not all(nums):
-            dense = {c: j for j, c in enumerate(c for c, num in zip(lengths, nums) if num)}
+        nums = [base * length + span * inside.get(c, 0) for c, length in lengths.items()]
+        kept = [c for c, num in zip(lengths, nums) if num]
+        if len(kept) < len(lengths) or kept and kept[-1] != len(kept) - 1:
+            dense = {c: j for j, c in enumerate(kept)}
             level = [(a, b, dense[c]) for a, b, c in level if c in dense]
-        elif level and level_keys[-1] != len(level_keys) - 1:
-            dense = {c: j for j, c in enumerate(level_keys)}
-            level = [(a, b, dense[c]) for a, b, c in level]
         return level, [(num, total) for num in nums if num]
 
     return step, weigh
