@@ -280,6 +280,9 @@ def run_config(cfg) -> List[EntropyReport]:
     for option in cfg.options("grids") if cfg.has_section("grids") else ():
         if option not in GRIDS[estimator]:
             raise ConfigError("grids", option, "unknown option")
+    on_sequences = _get(cfg, "system", "kind", "").strip() in ("shift", "markov-shift")
+    if on_sequences and estimator in ("birkhoff", "typicality"):
+        raise ConfigError("system", "kind", f"{estimator} needs an interval or circle system")
 
     # every grid is checked before anything is built
     if estimator == "block-entropy":

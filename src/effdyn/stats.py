@@ -4,13 +4,17 @@ a family of almost decidable sets, and recurrence statistics.
 Orbit membership is certified through enclosures, so boundary-straddling
 steps are counted as undecided and reported, never silently assigned;
 exactly rational orbits leave undecided counts at zero except for honest
-boundary hits.  Pseudo-random seeds are dyadic rationals from a recorded
-generator and seed: algorithmically random points cannot be exhibited, so
-the experiments test their predicted consequences on such seeds instead.
+boundary hits.  However many sets are counted, the orbit is coded once,
+against the cells their boundaries cut the space into.  Pseudo-random
+seeds are dyadic rationals from a recorded generator and seed:
+algorithmically random points cannot be exhibited, so the experiments
+test their predicted consequences on such seeds instead.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -18,8 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from effdyn import dynamics as dy
 from effdyn import symbolic as sb
 from effdyn.measure import AlmostDecidableSet, ComputableMeasure, measure_of_ad_set
-from effdyn.numerics import dyadic_level
-from effdyn.space import Point, Space, SpaceMismatch
+from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
 
@@ -59,11 +62,51 @@ def birkhoff_average(
     Returns inside/outside/undecided counts; inside + outside + undecided
     equals the horizon exactly.
     """
-    partition = _ad_partition(target)
-    word = sb.code_orbit(sys, x, partition, n, precision)
-    inside = sum(1 for s in word.symbols if s == 0)
-    outside = sum(1 for s in word.symbols if s == 1)
-    return BirkhoffResult(inside, outside, n - inside - outside, n)
+    return _visits(sys, x, [target], n, precision)[0]
+
+
+def _visits(
+    sys: dy.System, x: Point, sets: Sequence[AlmostDecidableSet], n: int, precision: int = 24
+) -> List[BirkhoffResult]:
+    """The counts `code_orbit` gives on each set's own partition, from one
+    coding pass against their common refinement: the cells between
+    consecutive piece ends, clipped to [0, 1] on the interval and taken
+    mod 1 on the circle, where the last cell runs across 0.
+
+    Every piece end is a cut, so a step certified inside a cell lies in a
+    set's piece exactly when the whole cell does, which coding the cell's
+    midpoint decides.  Only the steps on or across a cut, Unknown in the
+    refinement, are coded set by set, from one orbit segment.
+    """
+    if sys.space.kind is Kind.CANTOR or any(ad.space != sys.space for ad in sets):
+        raise SpaceMismatch(f"visit counts need sets on the interval or circle of {sys.name}")
+    partitions = [_ad_partition(ad) for ad in sets]
+    ends = {q for p in partitions for atom in p.atoms for piece in atom for q in piece}
+    if sys.space.kind is Kind.CIRCLE:
+        cuts = sorted({q % 1 for q in ends})
+        cuts.append(cuts[0] + 1)
+    else:
+        cuts = sorted({F(0), F(1)} | {q for q in ends if 0 < q < 1})
+    cells = tuple(((a, b),) for a, b in zip(cuts, cuts[1:]))
+    word = sb.code_orbit(sys, x, sb.ComputablePartition(sys.space, cells), n, precision)
+    per_cell = Counter(word.symbols)
+    den = 2 * math.lcm(*(q.denominator for (piece,) in cells for q in piece))
+    mids = [int((a + b) / 2 * den) for ((a, b),) in cells]
+    midpoints = dy.OrbitSegment(sys, len(cells), precision, mids, mids, den)
+    unknown = None
+    if per_cell[None]:
+        seg = dy.iterate(sys, x, n, precision)
+        steps = [j for j, s in enumerate(word.symbols) if s is None]
+        lows, highs = ([side[j] for j in steps] for side in (seg.lows, seg.highs))
+        unknown = dy.OrbitSegment(sys, len(steps), precision, lows, highs, seg.den)
+    results = []
+    for partition in partitions:
+        counts = Counter(sb._code_segment(partition, unknown) if unknown else ())
+        for cell, s in enumerate(sb._code_segment(partition, midpoints)):
+            counts[s] += per_cell[cell]
+        inside, outside = counts[0], counts[1]
+        results.append(BirkhoffResult(inside, outside, n - inside - outside, n))
+    return results
 
 
 @dataclass(frozen=True)
@@ -100,7 +143,8 @@ def typicality_test(
     n_min: int = 100,
     precision: int = 24,
 ) -> TypicalityResult:
-    """Max deviation of orbit frequencies from mu over the family.
+    """Max deviation of orbit frequencies from mu over the family, whose
+    visits are counted in one coding pass (`_visits`).
 
     The residuals are reported against the midpoint of a 2**-20 enclosure
     of each mu(A); the verdict compares the exact frequencies with tol
@@ -109,67 +153,13 @@ def typicality_test(
     horizon below n_min and a residual that no enclosure separates from
     tol.
     """
-    if sys.map_kind is dy.MapKind.DOUBLING and isinstance(x.exact, F):
-        finest = _dyadic_level(family)
-        if finest is not None:
-            fast = _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest)
-            # an undecided step sits exactly on the grid, maybe inside a coarser set
-            if not fast.undecided_fraction:
-                return fast
-    residuals = []
-    targets = []
-    worst_undecided = 0
-    for label, ad in family:
-        result = birkhoff_average(sys, x, ad, n, precision)
-        worst_undecided = max(worst_undecided, result.undecided)
+    results = _visits(sys, x, [ad for _, ad in family], n, precision)
+    residuals, targets = [], []
+    for (label, ad), result in zip(family, results):
         target = measure_of_ad_set(mu, ad, _TARGET_PRECISIONS[0])
         residuals.append((label, abs(float(result.average) - float(target.midpoint))))
         targets.append((ad, result.inside, target))
-    return _verdict(mu, residuals, targets, n, worst_undecided / n, tol, n >= n_min)
-
-
-def _dyadic_level(family) -> Optional[int]:
-    """Level of the finest dyadic grid carrying both ends c - r and c + r
-    of every ball of the family's sets, or None when some end is not
-    dyadic.
-
-    On that grid each set is a union of cells, up to grid points, which
-    the fast path counts by their midpoints; a ball's center need not lie
-    on it.
-    """
-    finest = dyadic_level(
-        q
-        for _, ad in family
-        for ball in ad.inside.enumerate(4) + ad.outside.enumerate(4)
-        for q in (ball.center_desc - ball.radius, ball.center_desc + ball.radius)
-    )
-    return None if finest is None else max(finest, 1)
-
-
-def _typicality_dyadic_fast(sys, mu, x, family, n, tol, n_min, finest) -> TypicalityResult:
-    """One coding pass at the finest level; coarser sets aggregate counts."""
-    partition = sb.dyadic_intervals(sys.space, finest)
-    word = sb.code_orbit(sys, x, partition, n)
-    cells = 1 << finest
-    counts = [0] * cells
-    undecided = 0
-    for s in word.symbols:
-        if s is None:
-            undecided += 1
-        else:
-            counts[s] += 1
-    residuals = []
-    targets = []
-    for label, ad in family:
-        region = mu.region(ad.inside.enumerate(4))
-        hits = sum(
-            counts[j]
-            for j in range(cells)
-            if region.contains(F(2 * j + 1, 2 * cells))
-        )
-        target = measure_of_ad_set(mu, ad, _TARGET_PRECISIONS[0])
-        residuals.append((label, abs(hits / n - float(target.midpoint))))
-        targets.append((ad, hits, target))
+    undecided = max(result.undecided for result in results)
     return _verdict(mu, residuals, targets, n, undecided / n, tol, n >= n_min)
 
 

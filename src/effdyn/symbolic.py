@@ -91,13 +91,19 @@ class ComputablePartition:
     """Finitely many disjoint open atoms; the boundary is what they leave out.
 
     Interval/circle atoms are tuples of (a, b) pieces; sequence-space
-    atoms are tuples of cylinder words.
+    atoms are tuples of cylinder words.  A circle arc is stored with its
+    start taken into [0, 1): (-1/4, 1/4) becomes (3/4, 5/4).
     """
 
     space: Space
     atoms: Tuple[Tuple, ...]
     _: KW_ONLY
     name: str = ""
+
+    def __post_init__(self):
+        if self.space.kind is Kind.CIRCLE:
+            lift = [[(a - math.floor(a), b - math.floor(a)) for a, b in atom] for atom in self.atoms]
+            object.__setattr__(self, "atoms", tuple(map(tuple, lift)))
 
     @property
     def alphabet(self) -> int:
@@ -166,11 +172,6 @@ def cylinders(space: Space, length: int) -> ComputablePartition:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_level(partition: ComputablePartition) -> Optional[int]:
-    """Largest denominator exponent if all pieces are dyadic, else None."""
-    return dyadic_level(q for atom in partition.atoms for a, b in atom for q in (a, b))
-
-
 def _fast_doubling_symbols(
     num: int, bits_total: int, partition: ComputablePartition, n: int
 ) -> Optional[List[Optional[int]]]:
@@ -180,7 +181,7 @@ def _fast_doubling_symbols(
     atom reduces to an integer window comparison plus an exact boundary
     check via the suffix-nonzero table.
     """
-    level = _dyadic_level(partition)
+    level = dyadic_level(q for atom in partition.atoms for piece in atom for q in piece)
     if level is None:
         return None
     bits = format(num, f"0{bits_total}b") if bits_total else ""

@@ -494,3 +494,35 @@ def test_estimator_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     )
     with pytest.raises(ValueError, match="estimator bug"):
         cli.main(["run", str(cfg)])
+
+
+def test_visit_estimators_on_shift_systems_are_config_errors(tmp_path, capsys, monkeypatch):
+    def unreachable(cfg):
+        raise AssertionError("built a shift system for a visit count")
+
+    monkeypatch.setattr(cli, "build_system", unreachable)
+    grids = {"birkhoff": "target = 0,1/2\n", "typicality": "level = 2\n"}
+    for system in ("shift", "markov-shift"):
+        for estimator, extra in grids.items():
+            cfg = write_cfg(
+                tmp_path,
+                f"[system]\nkind = {system}\n\n[estimator]\nkind = {estimator}\n\n"
+                f"[grids]\nn_grid = 64\nseeds = 1\n{extra}\n[run]\noutput = out/{estimator}\n",
+                f"{system}-{estimator}.cfg",
+            )
+            assert cli.main(["run", str(cfg)]) == 2, (system, estimator)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [system] kind:"), err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
+def test_birkhoff_on_an_arc_whose_outer_arc_crosses_zero_decides_every_step(tmp_path):
+    # the outer arc of [1/2, 3/4) runs from 3/4 across 0 to 1/2
+    cfg = write_cfg(
+        tmp_path,
+        "[system]\nkind = rotation\nangle = sqrt2-1\n\n[estimator]\nkind = birkhoff\n\n"
+        "[grids]\nn_grid = 5000\nseeds = 1\ntarget = 1/2,3/4\n\n[run]\noutput = out/arc\n",
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "arc.csv").read_text().splitlines()
+    assert "birkhoff,rotation(point),seed=1;undecided,5000,0," in rows

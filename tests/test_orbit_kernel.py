@@ -274,6 +274,15 @@ def _partitions(space):
     return out
 
 
+def test_arc_lift_down_codes_seven_eighths_to_its_first_atom():
+    # the references read the partition's own atoms; this check does not:
+    # 7/8 lies on the arc (-1/4, 1/4) one turn down
+    below = next(p for p in _partitions(WHEEL) if p.name == "arc-lift-down")
+    assert below.atom_of_value(F(7, 8)) == 0
+    seg = dy.OrbitSegment(dy.rotation(F(1, 2)), 1, 8, (7,), (7,), 8)
+    assert sb._code_segment(below, seg) == [0]
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
 def test_code_segment_matches_atom_of_enclosure(system):
     partitions = _partitions(system.space)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from effdyn import dynamics as dy
 from effdyn import measure as ms
 from effdyn import space as sp
 from effdyn import stats as stt
+from effdyn import symbolic as sb
 
 F = Fraction
 
@@ -131,78 +133,130 @@ def test_recurrence_non_increasing():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def _general_residual(sys, mu, x, ad, n):
-    result = stt.birkhoff_average(sys, x, ad, n)
-    return abs(float(result.average) - float(ms.measure_of_ad_set(mu, ad, 20).midpoint))
+def _per_set(sys, x, ad, n):
+    """(inside, outside, undecided): `code_orbit` on the set's own partition."""
+    symbols = sb.code_orbit(sys, x, stt._ad_partition(ad), n).symbols
+    inside, outside = symbols.count(0), symbols.count(1)
+    return inside, outside, n - inside - outside
 
 
-def test_typicality_non_dyadic_set_matches_general_path(monkeypatch):
-    sys = dy.doubling()
-    mu = ms.ComputableMeasure.lebesgue(LINE)
-    x = seeded_point(4, 94)
-    third = ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 3))
-    family = stt.dyadic_ball_family(LINE, 2) + [("[0,1/3)", third)]
-    monkeypatch.setattr(stt, "_typicality_dyadic_fast", None)  # must not be taken
-    result = stt.typicality_test(sys, mu, x, family, 30, tol=0.5, n_min=1)
-    expected = [(label, _general_residual(sys, mu, x, ad, 30)) for label, ad in family]
-    assert list(result.residuals) == expected
+@st.composite
+def _visit_cases(draw):
+    """A map, a family of sets and a point, often one on a cut: 0, k/2^j,
+    or a point of the rotation's grid."""
+    kind = draw(st.sampled_from(["doubling", "tent", "rotation", "sqrt2-1"]))
+    q = draw(st.integers(min_value=1, max_value=16), label="q")
+    if kind == "rotation":
+        sys = dy.rotation(F(draw(st.integers(min_value=0, max_value=q - 1), label="a"), q))
+    elif kind == "sqrt2-1":
+        sys = dy.rotation(sp.sqrt2_minus_1(WHEEL))
+    else:
+        sys = dy.doubling() if kind == "doubling" else dy.tent()
+    space = sys.space
+    if draw(st.booleans(), label="dyadic family"):
+        family = stt.dyadic_ball_family(space, draw(st.integers(min_value=1, max_value=3)))
+    else:
+        family = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4), label="sets")):
+            den = draw(st.integers(min_value=1, max_value=16), label="den")
+            a = draw(st.integers(min_value=0, max_value=den - 1))
+            if space is WHEEL:  # arcs past 1 run across 0
+                b = a + draw(st.integers(min_value=1, max_value=den - 1 if den > 1 else 1))
+            else:
+                b = draw(st.integers(min_value=a + 1, max_value=den))
+            ad = ms.AlmostDecidableSet.from_interval(space, F(a, den), F(b, den))
+            family.append((f"[{a}/{den},{b}/{den})", ad))
+    point = draw(st.sampled_from(["zero", "dyadic", "grid", "seeded"]), label="point")
+    if point == "zero":
+        x = F(0)
+    elif point == "dyadic":
+        j = draw(st.integers(min_value=0, max_value=6))
+        x = F(draw(st.integers(min_value=0, max_value=(1 << j) - 1)), 1 << j)
+    elif point == "grid":
+        x = F(draw(st.integers(min_value=0, max_value=q - 1)), q)
+    else:
+        bits = draw(st.integers(min_value=1, max_value=200))
+        seed = draw(st.integers(min_value=0, max_value=1 << 16), label="seed")
+        x = F(random.Random(seed).getrandbits(bits), 1 << bits)
+    n = draw(st.integers(min_value=1, max_value=120), label="n")
+    return sys, family, sp.rational_point(space, x), n
 
 
-def test_typicality_dyadic_family_takes_fast_path_and_agrees(monkeypatch):
-    sys = dy.doubling()
-    mu = ms.ComputableMeasure.lebesgue(LINE)
-    x = seeded_point(4, 594)
-    family = stt.dyadic_ball_family(LINE, 3) + [
-        ("[0,1/4)", ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 4))),
-        ("[3/8,1)", ms.AlmostDecidableSet.from_interval(LINE, F(3, 8), 1)),
-    ]
-    monkeypatch.setattr(stt, "birkhoff_average", None)  # must not be called
-    result = stt.typicality_test(sys, mu, x, family, 500, tol=0.1)
-    monkeypatch.undo()
-    for (label, got), (_, ad) in zip(result.residuals, family):
-        assert got == _general_residual(sys, mu, x, ad, 500), label
-
-
-def test_typicality_level_comes_from_ball_ends(monkeypatch):
-    # the outer ball of [0,1/2) is centred at 3/4, but its ends 1/2 and 1
-    # lie on the level-1 grid, so the orbit point 1/4 is decided there
-    sys = dy.doubling()
-    mu = ms.ComputableMeasure.lebesgue(LINE)
-    x = sp.rational_point(LINE, F(1, 8))
-    family = stt.dyadic_ball_family(LINE, 1)
-    assert stt._dyadic_level(family) == 1
-    monkeypatch.setattr(stt, "birkhoff_average", None)  # must not be called
-    result = stt.typicality_test(sys, mu, x, family, 2, tol=0.5, n_min=1)
-    monkeypatch.undo()
-    assert result.undecided_fraction == 0
-    assert list(result.residuals) == [
-        (label, _general_residual(sys, mu, x, ad, 2)) for label, ad in family
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=320), st.data())
-def test_typicality_dyadic_fast_matches_birkhoff_on_random_dyadics(bits, data):
-    sys = dy.doubling()
-    mu = ms.ComputableMeasure.lebesgue(LINE)
-    q = F(data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1)), 1 << bits)
-    level = data.draw(st.integers(min_value=1, max_value=3), label="level")
-    n = data.draw(st.integers(min_value=1, max_value=240), label="n")
-    x = sp.rational_point(LINE, q)
-    family = stt.dyadic_ball_family(LINE, level)
+@settings(max_examples=150, deadline=None)
+@given(_visit_cases())
+def test_visits_match_per_set_coding(case):
+    """The one coding pass against the common refinement gives every set
+    the counts of its own coding pass, and typicality reports them."""
+    sys, family, x, n = case
+    expected = [_per_set(sys, x, ad, n) for _, ad in family]
+    got = stt._visits(sys, x, [ad for _, ad in family], n)
+    assert [(r.inside, r.outside, r.undecided) for r in got] == expected
+    mu = ms.ComputableMeasure.lebesgue(sys.space)
     result = stt.typicality_test(sys, mu, x, family, n, 0.1, n_min=1)
-    expected = [(label, _general_residual(sys, mu, x, ad, n)) for label, ad in family]
-    assert list(result.residuals) == expected
-    undecided = max(stt.birkhoff_average(sys, x, ad, n).undecided for _, ad in family)
-    assert result.undecided_fraction == undecided / n
-    # the fast path answers unless some step lands exactly on its grid,
-    # which for q = a/2^b (a odd) are the nonzero steps b - finest .. b - 1
-    finest = stt._dyadic_level(family)
-    fast = stt._typicality_dyadic_fast(sys, mu, x, family, n, 0.1, 1, finest)
-    b = q.denominator.bit_length() - 1
-    assert (fast.undecided_fraction == 0) == (b == 0 or b - finest >= n)
-    if fast.undecided_fraction == 0:
-        assert fast == result
+    residuals = [
+        (label, abs(float(F(inside, n)) - float(ms.measure_of_ad_set(mu, ad, 20).midpoint)))
+        for (label, ad), (inside, _, _) in zip(family, expected)
+    ]
+    assert list(result.residuals) == residuals
+    assert result.undecided_fraction == max(undecided for _, _, undecided in expected) / n
+
+
+@pytest.mark.parametrize(
+    "sys, clear, on_cut",
+    [
+        (dy.doubling(), F(7, 1 << 300), F(5, 16)),
+        (dy.tent(), F(1, 3), F(3, 16)),
+        (dy.rotation(F(3, 7)), F(1, 5), F(1, 8)),
+    ],
+    ids=["doubling", "tent", "rotation-3/7"],
+)
+def test_typicality_codes_the_orbit_once(monkeypatch, sys, clear, on_cut):
+    """One `code_orbit` call for a 30-set family, and one more orbit
+    segment only when a step meets a cut."""
+    calls = {"code_orbit": 0, "iterate": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sb, "code_orbit")
+    counted(dy, "iterate")
+    mu = ms.ComputableMeasure.lebesgue(sys.space)
+    family = stt.dyadic_ball_family(sys.space, 4)
+    assert len(family) == 30
+    iterates = []
+    for q in (clear, on_cut):
+        calls.update(code_orbit=0, iterate=0)
+        x = sp.rational_point(sys.space, q)
+        result = stt.typicality_test(sys, mu, x, family, 200, 0.1, n_min=1)
+        assert calls["code_orbit"] == 1
+        iterates.append(calls["iterate"])
+        assert (result.undecided_fraction > 0) == (q == on_cut)
+    coding = 0 if sys.map_kind is dy.MapKind.DOUBLING else 1  # dyadic points by bit windows
+    assert iterates == [coding, coding + 1]
+
+
+def test_visits_reject_sequence_space():
+    family = [ms.AlmostDecidableSet.from_cylinder(SEQ2, (0,))]
+    x = sp.sequence_point(SEQ2, lambda j: j % 2)
+    with pytest.raises(sp.SpaceMismatch):
+        stt._visits(dy.shift(2), x, family, 4)
+
+
+def test_typicality_seeded_irrational_rotation_gives_a_verdict():
+    # the outer arcs of [0, 1/8) and [7/8, 1) cross 0, and their points
+    # are decided there: no step of a seeded orbit is left undecided
+    sys = dy.rotation(sp.sqrt2_minus_1(WHEEL))
+    mu = ms.ComputableMeasure.lebesgue(WHEEL)
+    x = sp.rational_point(WHEEL, F(random.Random(1).getrandbits(64) | 1, 1 << 64))
+    result = stt.typicality_test(sys, mu, x, stt.dyadic_ball_family(WHEEL, 3), 2000, tol=0.05)
+    assert result.undecided_fraction == 0
+    assert result.verdict is True
 
 
 def _between(exact, reported):
@@ -222,10 +276,10 @@ def test_typicality_verdict_is_exact_within_enclosure_width():
     lebesgue = ms.ComputableMeasure.lebesgue(LINE)
     mixture = ms.ComputableMeasure.lebesgue_with_atoms(LINE, F(1, 3), [(F(3, 4), F(2, 3))])
     cases = [
-        # general path: [1/3, 2/3) is missed, [0, 1/3) always hit
+        # [1/3, 2/3) is missed, [0, 1/3) always hit
         (lebesgue, ms.AlmostDecidableSet.from_interval(LINE, F(1, 3), F(2, 3)), F(1, 3)),
         (lebesgue, ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 3)), F(2, 3)),
-        # dyadic fast path: mu([0, 1/2)) = 1/6, always hit
+        # mu([0, 1/2)) = 1/6, always hit
         (mixture, left_half(LINE), F(5, 6)),
     ]
     x = sp.rational_point(LINE, 0)

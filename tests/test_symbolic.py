@@ -102,6 +102,24 @@ def test_cylinder_measure_rotation_rational():
     assert sb.cylinder_measure(sys, mu, partition, (0, 0)) == F(1, 4)
 
 
+def test_circle_arc_below_zero_is_the_arc_past_one():
+    # (-1/4, 1/4) and (3/4, 5/4) are one arc: the start is taken into [0, 1)
+    spellings = [
+        sb.ComputablePartition(WHEEL, (((F(lo), F(lo) + F(1, 2)),), ((F(1, 4), F(3, 4)),)))
+        for lo in (F(-1, 4), F(3, 4))
+    ]
+    assert spellings[0] == spellings[1]
+    sys = dy.rotation(F(1, 8))
+    mu = ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(1, 2), [(F(7, 8), F(1, 2))])
+    seg = dy.OrbitSegment(sys, 3, 8, (7, 0, 1), (7, 0, 1), 8)
+    for partition in spellings:
+        assert partition.atom_of_value(F(7, 8)) == 0
+        assert partition.atom_of_value(F(1, 8)) == 0
+        assert sb._code_segment(partition, seg) == [0, 0, 0]
+        assert sb.cylinder_measure(sys, mu, partition, (0,)) == F(3, 4)
+        assert sb.cylinder_measure(sys, mu, partition, (1,)) == F(1, 4)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=6))
 def test_cylinder_additivity_doubling(n):
