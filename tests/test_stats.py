@@ -133,6 +133,75 @@ def test_recurrence_non_increasing():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def _general_residual(sys, mu, x, ad, n):
+    result = stt.birkhoff_average(sys, x, ad, n)
+    return abs(float(result.average) - float(ms.measure_of_ad_set(mu, ad, 20).midpoint))
+
+
+def test_typicality_non_dyadic_set_matches_general_path():
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    x = seeded_point(4, 94)
+    third = ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 3))
+    family = stt.dyadic_ball_family(LINE, 2) + [("[0,1/3)", third)]
+    result = stt.typicality_test(sys, mu, x, family, 30, tol=0.5, n_min=1)
+    expected = [(label, _general_residual(sys, mu, x, ad, 30)) for label, ad in family]
+    assert list(result.residuals) == expected
+
+
+def test_typicality_dyadic_family_takes_fast_path_and_agrees(monkeypatch):
+    # the family is counted in one coding pass, never set by set
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    x = seeded_point(4, 594)
+    family = stt.dyadic_ball_family(LINE, 3) + [
+        ("[0,1/4)", ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 4))),
+        ("[3/8,1)", ms.AlmostDecidableSet.from_interval(LINE, F(3, 8), 1)),
+    ]
+    monkeypatch.setattr(stt, "birkhoff_average", None)  # must not be called
+    result = stt.typicality_test(sys, mu, x, family, 500, tol=0.1)
+    monkeypatch.undo()
+    for (label, got), (_, ad) in zip(result.residuals, family):
+        assert got == _general_residual(sys, mu, x, ad, 500), label
+
+
+def test_typicality_level_comes_from_ball_ends(monkeypatch):
+    # the outer ball of [0,1/2) is centred at 3/4, but its ends 1/2 and 1
+    # lie on the level-1 grid, so the orbit point 1/4 is decided there
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    x = sp.rational_point(LINE, F(1, 8))
+    family = stt.dyadic_ball_family(LINE, 1)
+    monkeypatch.setattr(stt, "birkhoff_average", None)  # must not be called
+    result = stt.typicality_test(sys, mu, x, family, 2, tol=0.5, n_min=1)
+    monkeypatch.undo()
+    assert result.undecided_fraction == 0
+    assert list(result.residuals) == [
+        (label, _general_residual(sys, mu, x, ad, 2)) for label, ad in family
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=320), st.data())
+def test_typicality_dyadic_fast_matches_birkhoff_on_random_dyadics(bits, data):
+    sys = dy.doubling()
+    mu = ms.ComputableMeasure.lebesgue(LINE)
+    q = F(data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1)), 1 << bits)
+    level = data.draw(st.integers(min_value=1, max_value=3), label="level")
+    n = data.draw(st.integers(min_value=1, max_value=240), label="n")
+    x = sp.rational_point(LINE, q)
+    family = stt.dyadic_ball_family(LINE, level)
+    result = stt.typicality_test(sys, mu, x, family, n, 0.1, n_min=1)
+    expected = [(label, _general_residual(sys, mu, x, ad, n)) for label, ad in family]
+    assert list(result.residuals) == expected
+    undecided = max(stt.birkhoff_average(sys, x, ad, n).undecided for _, ad in family)
+    assert result.undecided_fraction == undecided / n
+    # every step is decided unless one lands exactly on the level grid,
+    # which for q = a/2^b (a odd) are the nonzero steps b - level .. b - 1
+    b = q.denominator.bit_length() - 1
+    assert (result.undecided_fraction == 0) == (b == 0 or b - level >= n)
+
+
 def _per_set(sys, x, ad, n):
     """(inside, outside, undecided): `code_orbit` on the set's own partition."""
     symbols = sb.code_orbit(sys, x, stt._ad_partition(ad), n).symbols
