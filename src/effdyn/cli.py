@@ -233,7 +233,7 @@ def build_partition(cfg, system: dy.System) -> sb.ComputablePartition:
         length = _value(cfg, "partition", "length", int, "1")
         if length < 0:
             raise ConfigError("partition", "length", f"invalid value ({length} is below 0)")
-        with _bad_value("partition", "kind"):
+        with _bad_value("partition", "length" if system.space.kind is sp.Kind.CANTOR else "kind"):
             return sb.cylinders(system.space, length)
     raise ConfigError("partition", "kind", f"unknown partition {kind!r}")
 

@@ -97,10 +97,10 @@ def _rotation_gap_entropies(sys: dy.System, partition, ns: Sequence[int]) -> Dic
     at desk-size n.
     """
     alpha = sys.angle if isinstance(sys.angle, F) else sys.angle.approx_desc(80)
-    ends = [q for atom in partition.atoms for piece in atom for q in piece]
-    den = math.lcm(alpha.denominator, *(q.denominator for q in ends))
+    pden, pieces = partition.layout
+    den = math.lcm(alpha.denominator, pden)
     step = alpha.numerator * (den // alpha.denominator)
-    cuts = {q.numerator * (den // q.denominator) % den for q in ends}
+    cuts = {q * (den // pden) % den for a, b, _ in pieces for q in (a, b)}
     out = {}
     points = set()
     shift = 0
@@ -118,9 +118,10 @@ def _rotation_gap_entropies(sys: dy.System, partition, ns: Sequence[int]) -> Dic
 
 def _pullback_level_entropies(sys, mu, partition, ns: Sequence[int]) -> Dict[int, float]:
     """H(xi_n) by suffix pullback, a whole level at a time: level d holds
-    every positive-mass length-d cylinder (`symbolic.pullback`), labelled
-    in the order of the level-(d-1) cylinder it extends and then of its
-    first symbol, which is the order its masses are summed in.  A level
+    every nonempty length-d cylinder (`symbolic.pullback`), null ones
+    too, labelled in the order of the level-(d-1) cylinder it extends and
+    then of its first symbol, which is the order its masses are summed
+    in; a null cylinder adds a 0.0 term.  A level
     that could exceed `symbolic.BLOCK_LEVEL_CAP` pieces raises
     PrecisionBlowup before it is built."""
     step, weigh = sb.pullback(sys, mu, partition)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Union
 
 Rational = Fraction
 
@@ -34,18 +34,6 @@ def dyadic_floor(q: Fraction, grid_bits: int) -> Fraction:
 def is_power_of_two(q: Fraction) -> bool:
     n, d = q.numerator, q.denominator
     return n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0
-
-
-def dyadic_level(qs: Iterable[RationalLike]) -> Optional[int]:
-    """Largest k with 2**k a denominator of some q (0 when qs is empty),
-    or None when some denominator is not a power of two."""
-    level = 0
-    for q in qs:
-        den = Fraction(q).denominator
-        if den & (den - 1):
-            return None
-        level = max(level, den.bit_length() - 1)
-    return level
 
 
 @dataclass(frozen=True)

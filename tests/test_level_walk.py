@@ -156,8 +156,8 @@ def _region_measure(sys, mu, partition, word):
 
 
 def _region_level_entropies(sys, mu, partition, n_max):
-    """Level d holds every positive-mass length-d cylinder as one region,
-    extended by each atom in turn."""
+    """Level d holds every length-d cylinder of positive length as one
+    region, null ones too, extended by each atom in turn."""
     atoms, pull, cut, mass = _region_pullback(sys, mu, partition)
     out = {}
     level = []
@@ -166,7 +166,7 @@ def _region_level_entropies(sys, mu, partition, n_max):
             regions = atoms
         else:
             regions = [cut(pull(r, d - 1), i, d - 1) for r, _ in level for i in range(len(atoms))]
-        level = [(r, m) for r in regions if r is not None for m in [mass(r, d)] if m[0] > 0]
+        level = [(r, mass(r, d)) for r in regions if r is not None]
         out[d] = en._entropy_bits(m for _, m in level)
     return out
 
@@ -197,21 +197,22 @@ def _partitions(draw, space):
 
 
 @st.composite
-def _measures(draw, space, partition):
+def _measures(draw, space, partition, bases=(F(0), F(1, 2), F(3, 4))):
     """Lebesgue, or a mixture with point masses on cut points, at 0 and at
-    random rationals, with a base weight that may be 0."""
-    if draw(st.booleans(), label="lebesgue"):
+    random rationals, with a base weight that may be 0; only mixtures
+    when `bases` is (0,)."""
+    if len(bases) > 1 and draw(st.booleans(), label="lebesgue"):
         return ms.ComputableMeasure.lebesgue(space)
     ends = sorted({F(q) % 1 for atom in partition.atoms for piece in atom for q in piece})
     spots = st.sampled_from(ends + [F(0)]) | st.fractions(min_value=0, max_value=1, max_denominator=9)
     positions = draw(st.lists(spots, min_size=1, max_size=3, unique=True), label="positions")
-    base = draw(st.sampled_from([F(0), F(1, 2), F(3, 4)]), label="base")
+    base = draw(st.sampled_from(bases), label="base")
     weights = [(1 - base) / len(positions)] * len(positions)
     return ms.ComputableMeasure.lebesgue_with_atoms(space, base, list(zip(positions, weights)))
 
 
 @st.composite
-def _cases(draw):
+def _cases(draw, **measure):
     kind = draw(st.sampled_from(["doubling", "tent", "rotation"]), label="kind")
     if kind == "rotation":
         q = draw(st.integers(min_value=1, max_value=16), label="angle q")
@@ -220,7 +221,7 @@ def _cases(draw):
     else:
         sys, space = getattr(dy, kind)(), LINE
     partition = draw(_partitions(space))
-    return sys, partition, draw(_measures(space, partition))
+    return sys, partition, draw(_measures(space, partition, **measure))
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,14 +242,42 @@ def test_level_fold_matches_region_fold(case):
             assert sb.cylinder_measure(sys, mu, partition, word) == _region_measure(sys, mu, partition, word), word
 
 
-def test_null_cylinders_are_dropped_with_their_extensions():
+def _word_entropies(sys, mu, partition, n_max):
+    """H_n summed over the cylinder masses of every word of length n."""
+    return {
+        n: en._entropy_bits(
+            sb.cylinder_measure(sys, mu, partition, word).as_integer_ratio()
+            for word in itertools.product(range(partition.alphabet), repeat=n)
+        )
+        for n in range(1, n_max + 1)
+    }
+
+
+def test_null_cylinders_are_kept_with_their_extensions():
     # base weight 0: the cylinders missing the point masses have positive
-    # length but no mass, so the walk drops them and relabels the rest
-    mu = ms.ComputableMeasure.lebesgue_with_atoms(LINE, 0, [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+    # length but no mass; the walk keeps them, and under a measure that
+    # is not invariant their extensions carry mass
+    invariant = ms.ComputableMeasure.lebesgue_with_atoms(LINE, 0, [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
     for sys in (dy.doubling(), dy.tent()):
-        table = en._pullback_level_entropies(sys, mu, sb.dyadic_intervals(LINE, 2), range(1, 7))
-        assert table == _region_level_entropies(sys, mu, sb.dyadic_intervals(LINE, 2), 6)
+        table = en._pullback_level_entropies(sys, invariant, sb.dyadic_intervals(LINE, 2), range(1, 7))
+        assert table == _region_level_entropies(sys, invariant, sb.dyadic_intervals(LINE, 2), 6)
         assert table[1] == 1.0
+    # 1/3 codes 0101... and 1/5 codes 0011...: [1] is null at n = 1, and
+    # dropping it lost its extension [01], which holds 1/3, from n = 2 on
+    moving = ms.ComputableMeasure.lebesgue_with_atoms(LINE, 0, [(F(1, 3), F(1, 2)), (F(1, 5), F(1, 2))])
+    halves = sb.halves(LINE)
+    table = en._pullback_level_entropies(dy.doubling(), moving, halves, range(1, 5))
+    assert table == {1: 0.0, 2: 1.0, 3: 1.0, 4: 1.0}
+    assert table == _word_entropies(dy.doubling(), moving, halves, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_cases(bases=(F(0),)))
+def test_level_walk_matches_every_word_under_point_masses(case):
+    sys, partition, mu = case
+    table = en._pullback_level_entropies(sys, mu, partition, range(1, 6))
+    words = _word_entropies(sys, mu, partition, 5)
+    assert all(abs(table[n] - words[n]) <= 1e-12 for n in table), (table, words)
 
 
 # -- the level cap ------------------------------------------------------------

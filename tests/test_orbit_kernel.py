@@ -2,9 +2,11 @@
 
 The references below are the Fraction computations the integer paths
 replace: per-step `Interval` images with a retry loop (`_ref_iterate`),
-coding each enclosure by its pieces (`_atom_of_enclosure`), quantizing by the
-midpoint, and the pseudo-orbit code length with every predictor costed in
-full.  The integer paths must agree with them exactly.
+coding each enclosure by its pieces (`_atom_of_enclosure`), the membership
+of a value by its pieces (`_ref_atom_of_value`), the doubling fast path's
+scan over every piece of every atom (`_scan_doubling_symbols`), quantizing
+by the midpoint, and the pseudo-orbit code length with every predictor
+costed in full.  The integer paths must agree with them exactly.
 """
 
 import math
@@ -305,6 +307,114 @@ def test_code_orbit_generic_path_matches_fast_doubling():
         fast = sb._fast_doubling_symbols(q.numerator, 2000, partition, 2000)
         assert sb._code_segment(partition, seg) == fast
         assert sb.code_orbit(sys, sp.rational_point(LINE, q), partition, 2000).symbols == tuple(fast)
+
+
+def _scan_doubling_symbols(num, bits_total, partition, n):
+    """The former doubling fast path: the bit window of every step against
+    every piece of every atom, with a table of which suffixes are nonzero."""
+    dens = [F(q).denominator for atom in partition.atoms for piece in atom for q in piece]
+    if any(d & (d - 1) for d in dens):
+        return None
+    level = max((d.bit_length() - 1 for d in dens), default=0)
+    bits = format(num, f"0{bits_total}b") if bits_total else ""
+    if n + level > len(bits):
+        bits = bits + "0" * (n + level - len(bits))
+    suffix_nonzero = [False] * (len(bits) + 1)
+    for i in range(len(bits) - 1, -1, -1):
+        suffix_nonzero[i] = suffix_nonzero[i + 1] or bits[i] == "1"
+    scaled_atoms = [[(int(a * (1 << level)), int(b * (1 << level))) for a, b in atom] for atom in partition.atoms]
+    out = []
+    for j in range(n):
+        window = int(bits[j : j + level], 2) if level else 0
+        tail = suffix_nonzero[j + level]
+        symbol = None
+        for i, pieces in enumerate(scaled_atoms):
+            if any(a <= window < b and not (window == a and not tail and a != 0) for a, b in pieces):
+                symbol = i
+                break
+        out.append(symbol)
+    return out
+
+
+def _ref_atom_of_value(partition, q):
+    """The former Fraction membership test: the lowest atom with a piece
+    holding q, with 0 and 1 interior on the interval and arcs tried at the
+    lifts t = 0 and t = 1 on the circle."""
+    q = F(q)
+    for i, atom in enumerate(partition.atoms):
+        for a, b in atom:
+            if partition.space.kind is sp.Kind.UNIT_INTERVAL:
+                if (q > a or a <= 0 <= q) and (q < b or b >= 1 >= q):
+                    return i
+            elif any(a < q % 1 + t < b for t in (0, 1)):
+                return i
+    return None
+
+
+def _dyadic_partitions():
+    """Dyadic partitions beyond `dyadic_intervals`: atoms of several pieces,
+    holes, overlapping atoms (the lowest index wins), unmerged pieces with a
+    shared end, a piece reaching below 0, and one-atom partitions."""
+    q = F(1, 8)
+    shapes = {
+        "multi": (((0, 2 * q), (4 * q, 5 * q)), ((2 * q, 4 * q), (5 * q, 1))),
+        "holes": (((q, 3 * q),), ((4 * q, 5 * q), (6 * q, 7 * q))),
+        "overlap": (((2 * q, 6 * q),), ((0, 4 * q),), ((3 * q, 1),)),
+        "shared-end": (((0, 2 * q), (2 * q, 4 * q)), ((4 * q, 1),)),
+        "below-zero": (((-2 * q, 3 * q),), ((F(3, 8), F(13, 16)),)),
+        "whole": (((0, 1),),),
+        "middle": (((F(1, 4), F(3, 4)),),),
+    }
+    out = [sb.ComputablePartition(LINE, atoms, name=name) for name, atoms in shapes.items()]
+    return out + [sb.dyadic_intervals(LINE, level) for level in (1, 2, 3, 5)]
+
+
+def test_fast_doubling_symbols_match_scan_on_every_short_dyadic():
+    # every start num/2**B with B <= 11, coded past the step where it reaches 0
+    partitions = _dyadic_partitions()
+    starts = [(0, 0)] + [(num, bits) for bits in range(1, 12) for num in range(1, 1 << bits, 2)]
+    for num, bits in starts:
+        for partition in partitions:
+            n = bits + 7
+            expected = _scan_doubling_symbols(num, bits, partition, n)
+            assert sb._fast_doubling_symbols(num, bits, partition, n) == expected, (num, bits, partition.name)
+
+
+def test_fast_doubling_symbols_refuse_ends_off_the_dyadic_grid():
+    thirds = _partitions(LINE)[2]
+    assert sb._fast_doubling_symbols(5, 4, thirds, 8) is None
+    assert _scan_doubling_symbols(5, 4, thirds, 8) is None
+
+
+@pytest.mark.parametrize("space", [LINE, WHEEL], ids=["interval", "circle"])
+def test_atom_of_value_matches_fraction_reference(space):
+    """Every piece end, 0 and 1, points next to them, a grid across
+    [-1, 2] and, on the circle, arcs through 0 lifted up and down."""
+    partitions = _partitions(space) + [sb.dyadic_intervals(space, 2)]
+    if space is LINE:
+        partitions += _dyadic_partitions()
+    checked = set()
+    for partition in partitions:
+        ends = {F(q) for atom in partition.atoms for piece in atom for q in piece} | {F(0), F(1)}
+        values = {e + d for e in ends for d in (0, F(1, 97), -F(1, 97))}
+        values |= {F(k, 24) for k in range(-24, 49)}
+        for q in sorted(values):
+            expected = _ref_atom_of_value(partition, q)
+            assert partition.atom_of_value(q) == expected, (partition.name, q)
+            checked.add(expected)
+    assert None in checked and {0, 1} <= checked
+
+
+def test_fine_dyadic_doubling_codes_in_bounded_time():
+    # one bisect per step: level 8 (256 atoms) at n = 30,000 codes in about
+    # 0.04 s where the scan over every piece took about 0.5 s (CPython 3.11,
+    # 2-vCPU VM); the bound leaves room for a loaded machine
+    partition = sb.dyadic_intervals(LINE, 8)
+    x = sp.rational_point(LINE, F(random.Random(43).getrandbits(30_064) | 1, 1 << 30_064))
+    start = time.perf_counter()
+    word = sb.code_orbit(dy.doubling(), x, partition, 30_000)
+    assert time.perf_counter() - start < 0.2
+    assert len(word) == 30_000 and not word.truncated
 
 
 @settings(max_examples=80, deadline=None)

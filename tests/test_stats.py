@@ -374,3 +374,12 @@ def test_typicality_verdict_is_none_when_tol_is_never_separated():
     assert result.verdict is None
     assert stt.typicality_test(sys, mu, x, family, 3, 0.51, n_min=1).verdict is True
     assert stt.typicality_test(sys, mu, x, family, 3, 0.49, n_min=1).verdict is False
+
+
+def test_family_set_cap():
+    # level 9 gives 1,022 sets and level 10 2,046; shipped levels go to 4
+    assert stt.FAMILY_SET_CAP == 1 << 10
+    assert len(stt.dyadic_ball_family(LINE, 9)) == 1022
+    for level in (10, 10**9):
+        with pytest.raises(ValueError, match="more than FAMILY_SET_CAP = 1024 sets"):
+            stt.dyadic_ball_family(LINE, level)

@@ -230,3 +230,19 @@ def test_boundary_neighborhood_measure():
     wheel_partition = sb.halves(WHEEL)
     mu_wheel = ms.ComputableMeasure.lebesgue(WHEEL)
     assert wheel_partition.boundary_neighborhood_measure(mu_wheel, F(1, 16)) == F(1, 4)
+
+
+def test_partition_atom_cap():
+    # above the largest shipped size, the dyadic level 10 of the coding tests
+    assert sb.PARTITION_ATOM_CAP == 1 << 10
+    assert sb.dyadic_intervals(LINE, 10).alphabet == 1 << 10
+    assert sb.cylinders(SEQ2, 10).alphabet == 1 << 10
+    over = [
+        lambda: sb.dyadic_intervals(LINE, 11),
+        lambda: sb.dyadic_intervals(WHEEL, 10**9),
+        lambda: sb.cylinders(sp.cantor(3), 7),
+        lambda: sb.cylinders(SEQ2, 10**9),
+    ]
+    for build in over:
+        with pytest.raises(ValueError, match="above PARTITION_ATOM_CAP = 1024"):
+            build()
