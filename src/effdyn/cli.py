@@ -309,18 +309,26 @@ def run_config(cfg) -> List[EntropyReport]:
     if not points:
         raise ConfigError("grids", "seeds", "no seeds or points given")
 
+    # none of these depends on the point: each is built once, for all points
+    if estimator == "symbol-rate":
+        partition = build_partition(cfg, system)
+    elif estimator == "birkhoff":
+        text = _get(cfg, "grids", "target", "0,1/2")
+        with _bad_value("grids", "target"):
+            a, b = (_fraction(t) for t in text.split(","))
+            target = ms.AlmostDecidableSet.from_interval(system.space, a, b)
+    elif estimator == "typicality":
+        mu = build_measure(cfg, system)
+        with _bad_value("grids", "level"):
+            family = stt.dyadic_ball_family(system.space, level)
+
     reports: List[EntropyReport] = []
     for label, point in points:
         if estimator == "symbol-rate":
-            partition = build_partition(cfg, system)
             report = en.symbol_rate(system, point, partition, n_grid)
         elif estimator == "orbit-rate":
             report = en.orbit_rate(system, point, scales, n_grid)
         elif estimator == "birkhoff":
-            text = _get(cfg, "grids", "target", "0,1/2")
-            with _bad_value("grids", "target"):
-                a, b = (_fraction(t) for t in text.split(","))
-                target = ms.AlmostDecidableSet.from_interval(system.space, a, b)
             rows = []
             for n in n_grid:
                 result = stt.birkhoff_average(system, point, target, n)
@@ -328,9 +336,6 @@ def run_config(cfg) -> List[EntropyReport]:
                 rows.append(("undecided", n, float(result.undecided)))
             report = EntropyReport("birkhoff", system.name, tuple(rows), rows[-2][2], {})
         elif estimator == "typicality":
-            mu = build_measure(cfg, system)
-            with _bad_value("grids", "level"):
-                family = stt.dyadic_ball_family(system.space, level)
             result = stt.typicality_test(system, mu, point, family, max(n_grid), tol)
             rows = tuple(
                 ("residual:" + label_set, max(n_grid), value)

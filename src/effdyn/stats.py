@@ -76,7 +76,8 @@ def _visits(
     Every piece end is a cut, so a step certified inside a cell lies in a
     set's piece exactly when the whole cell does, which coding the cell's
     midpoint decides.  Only the steps on or across a cut, Unknown in the
-    refinement, are coded set by set, from one orbit segment.
+    refinement, are coded set by set, from the segment the refinement was
+    coded from, so the orbit is computed once.
     """
     if sys.space.kind is Kind.CANTOR or any(ad.space != sys.space for ad in sets):
         raise SpaceMismatch(f"visit counts need sets on the interval or circle of {sys.name}")
@@ -90,13 +91,12 @@ def _visits(
     else:
         cuts = sorted({0, den} | {q for q in ends if 0 < q < den})
     cells = tuple(((F(a, den), F(b, den)),) for a, b in zip(cuts, cuts[1:]))
-    word = sb.code_orbit(sys, x, sb.ComputablePartition(sys.space, cells), n, precision)
+    word, seg = sb._code_orbit(sys, x, sb.ComputablePartition(sys.space, cells), n, precision)
     per_cell = Counter(word.symbols)
     mids = [a + b for a, b in zip(cuts, cuts[1:])]
     midpoints = dy.OrbitSegment(sys, len(cells), precision, mids, mids, 2 * den)
     unknown = None
     if per_cell[None]:
-        seg = dy.iterate(sys, x, n, precision)
         steps = [j for j, s in enumerate(word.symbols) if s is None]
         lows, highs = ([side[j] for j in steps] for side in (seg.lows, seg.highs))
         unknown = dy.OrbitSegment(sys, len(steps), precision, lows, highs, seg.den)

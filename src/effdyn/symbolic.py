@@ -16,14 +16,16 @@ true boundary hits.
 
 Cylinder sets are computed exactly a whole level at a time (`pullback`):
 one list of the words of a level for shifts whose atoms are single
-cylinders, extended by prepending, and one sorted list of labelled
-integer pieces over a common denominator for doubling, tent and rational
-rotations (lifted arcs on the circle), pulled back and cut to the atoms
-in one sweep.  The block-entropy walk extends a level by every atom, and
-the fold of one word by the atom each symbol names.  Masses are exact
-under Lebesgue and its mixtures with point masses.  Every other case
-(irrational rotations, shift atoms that are unions of several cylinders,
-other measures on the interval or circle) raises UnsupportedCylinder.
+cylinders, each with the integer product of its transitions, extended by
+prepending, and one sorted list of labelled integer pieces over a common
+denominator for doubling, tent and rational rotations (lifted arcs on the
+circle), pulled back and cut to the atoms in one sweep.  The
+block-entropy walk extends a level by every atom, and the fold of one
+word by the atom each symbol names.  Masses are exact integer pairs
+under Lebesgue and its mixtures with point masses, and under Bernoulli
+and Markov measures on shifts.  Every other case (irrational rotations,
+shift atoms that are unions of several cylinders, other measures) raises
+UnsupportedCylinder.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
-from effdyn.measure import ComputableMeasure, _merge_pieces, _MixtureModel, interval_as_balls
+from effdyn.measure import ComputableMeasure, _merge_pieces, _MixtureModel, _ProductWordModel, interval_as_balls
 from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
@@ -186,16 +188,17 @@ def cylinders(space: Space, length: int) -> ComputablePartition:
 # ---------------------------------------------------------------------------
 
 
-def _fast_doubling_symbols(
+def _doubling_windows(
     num: int, bits_total: int, partition: ComputablePartition, n: int
-) -> Optional[List[Optional[int]]]:
-    """Symbols of the doubling orbit of num/2**bits_total by bit windows,
-    or None when the layout's denominator is not a power of two, 2**level.
+) -> Optional[dy.OrbitSegment]:
+    """The doubling orbit of num/2**bits_total by bit windows, as a segment
+    that codes as the orbit does on the partition, or None when the
+    layout's denominator is not a power of two, 2**level.
 
     Step j, 0.bits[j:], lies in the cell of its window w = bits[j:j+level]:
     strictly inside when a 1 remains past the window, else on w/2**level.
-    No end lies inside a cell, so `_code_segment` codes it as 2w + 1 or 2w
-    over 2**(level+1)."""
+    No end lies inside a cell, so the step is 2w + 1 or 2w over
+    2**(level+1); a step on a cell's end is the orbit point itself."""
     den = partition.layout[0]
     if den & (den - 1):
         return None
@@ -204,7 +207,7 @@ def _fast_doubling_symbols(
     last = bits.rfind("1")
     bits += "0" * (n + level - len(bits))
     steps = [2 * int(bits[j : j + level] or "0", 2) + (last >= j + level) for j in range(n)]
-    return _code_segment(partition, dy.OrbitSegment(dy.doubling(), n, level + 1, steps, steps, 2 << level))
+    return dy.OrbitSegment(dy.doubling(), n, level + 1, steps, steps, 2 << level)
 
 
 def code_orbit(
@@ -212,19 +215,27 @@ def code_orbit(
 ) -> SymbolicWord:
     """Certified symbolic orbit of length n; Unknown where certification
     fails at the working precision."""
+    return _code_orbit(sys, x, partition, n, precision)[0]
+
+
+def _code_orbit(
+    sys: dy.System, x: Point, partition: ComputablePartition, n: int, precision: int
+) -> Tuple[SymbolicWord, dy.OrbitSegment]:
+    """`code_orbit`'s word and the orbit segment it was coded from: the bit
+    windows of a dyadic doubling orbit, or else `dy.iterate`'s segment."""
     if partition.space != sys.space:
         raise SpaceMismatch(f"{partition.space} vs {sys.space}")
+    seg = None
     q = x.exact
     if sys.map_kind is dy.MapKind.DOUBLING and isinstance(q, F) and not q.denominator & (q.denominator - 1):
-        fast = _fast_doubling_symbols(q.numerator, q.denominator.bit_length() - 1, partition, n)
-        if fast is not None:
-            return SymbolicWord(tuple(fast), partition.alphabet)
-    seg = dy.iterate(sys, x, n, precision)
+        seg = _doubling_windows(q.numerator, q.denominator.bit_length() - 1, partition, n)
+    if seg is None:
+        seg = dy.iterate(sys, x, n, precision)
     if sys.space.kind is Kind.CANTOR:
         symbols = tuple(partition.atom_of_word(word) for word in seg.words)
     else:
         symbols = tuple(_code_segment(partition, seg))
-    return SymbolicWord(symbols, partition.alphabet)
+    return SymbolicWord(symbols, partition.alphabet), seg
 
 
 def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[Optional[int]]:
@@ -286,8 +297,9 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
 #: Lebesgue runs n = 19 (2**19 pieces in its last level) in 1.6 s and
 #: 226 MB peak memory and refuses n = 20; tent with dyadic-2 is refused at
 #: n = 19 after 2.4 s and 263 MB.  A binary shift reaches the cap at
-#: n = 20; from n = 16 (2.9 s, 51 MB) that extrapolates to about 50 s and
-#: 0.6 GB, not run (CPython 3.11, 2-vCPU VM).
+#: n = 20; under fair Bernoulli it runs n = 16 in 0.2 s and 47 MB and
+#: n = 19 in 2.0 s and 272 MB, so n = 20 takes about 4 s and 0.55 GB
+#: (CPython 3.11, 2-vCPU VM).
 BLOCK_LEVEL_CAP = 1 << 20
 
 _START = operator.itemgetter(0)
@@ -374,6 +386,25 @@ def _mixture_weights(mu: ComputableMeasure):
     return base, atoms, scale
 
 
+def _word_weights(mu: ComputableMeasure):
+    """(initial, Q, rows, R): a Bernoulli or Markov measure on integers, its
+    initial vector as numerators over Q, their common denominator, and its
+    transition rows as numerators over R, the lcm of the row denominators.
+    A Bernoulli measure's every row is its initial vector, so R = Q.  The
+    mass of a word w is initial[w0] times the product of its transitions'
+    numerators, over Q * R**(len(w) - 1).  Other models raise
+    UnsupportedCylinder."""
+    model = mu.model
+    if not isinstance(model, _ProductWordModel):
+        raise UnsupportedCylinder(f"no exact cylinder masses under {mu.name}")
+    q = math.lcm(*(p.denominator for p in model.initial))
+    initial = [int(p * q) for p in model.initial]
+    if model.rows is None:
+        return initial, q, [initial] * len(initial), q
+    r = math.lcm(*(p.denominator for row in model.rows for p in row))
+    return initial, q, [[int(p * r) for p in row] for row in model.rows], r
+
+
 def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: ComputablePartition):
     """(step, weigh): the exact cylinders of a partition under a map, one
     level at a time.
@@ -390,11 +421,15 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     and the exact mu-mass of each cylinder as an integer pair (numerator,
     denominator).  Null cylinders stay: under a measure that is not
     invariant an extension of one can have positive mass.
-    Only weigh reads mu, which may be None.  A level is
+    Only weigh and a shift's step read mu, which may be None (a shift
+    cylinder then carries t = 1).  A level is
 
-    * shifts: the words its cylinders fix, labelled by position, extended
-      by prepending an atom's word; each atom must be a single cylinder,
-      and a mass is the word measure's ratio;
+    * shifts: pairs (w, t) of the word w its cylinder fixes, labelled by
+      position, and the integer product t of w's transition numerators
+      over R (`_word_weights`), extended by prepending an atom's word,
+      which multiplies t by the transitions it puts in front; each atom
+      must be a single cylinder, and a mass is
+      (initial[w0] * t, Q * R**(len(w) - 1));
     * doubling and tent: sorted disjoint integer pieces (start, end, label)
       over D * 2**(d-1), D = `_grid_den`, pulled back by grid_preimage and
       cut to the atoms in one sweep (`_cut`);
@@ -415,16 +450,34 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
         if any(len(atom) != 1 for atom in partition.atoms):
             raise UnsupportedCylinder("shift cylinders need single-cylinder atoms")
         words = [tuple(atom[0]) for atom in partition.atoms]
+        longest = max(map(len, words), default=1)
+        ones = [1] * sys.space.alphabet
+        initial, q, rows, r = (ones, 1, [ones] * len(ones), 1) if mu is None else _word_weights(mu)
+        gain = {(a, b): t for a, row in enumerate(rows) for b, t in enumerate(row)}
+
+        def product(word):
+            return math.prod(map(gain.__getitem__, zip(word, word[1:])))
 
         def shift_step(level, d, symbol):
             named = words if symbol is None else [words[symbol]]
             _check_level(len(named) * (1 if level is None else len(level)), d + 1)
             if level is None:
-                return list(named)
-            return [w for word in level for cyl in named for w in [_prepend(cyl, word)] if w is not None]
+                return [(cyl, product(cyl)) for cyl in named]
+            # w is word with one letter in front, and so one more transition,
+            # unless an atom reaches past word or is the empty cylinders-0
+            return [
+                (w, t * gain[w[0], w[1]] if len(w) == len(word) + 1 else product(w))
+                for word, t in level
+                for cyl in named
+                for w in [_prepend(cyl, word)]
+                if w is not None
+            ]
 
         def shift_weigh(level, d):
-            return level, [mu.word_measure(word).as_integer_ratio() for word in level]
+            # a word of a level of d symbols has at most d + longest - 1
+            # letters; the empty word of cylinders-0 has mass 1
+            dens = [q * r**j for j in range(d + longest - 1)]
+            return level, [(initial[w[0]] * t, dens[len(w) - 1]) if w else (1, 1) for w, t in level]
 
         return shift_step, shift_weigh
     if kind is dy.MapKind.ROTATION and not isinstance(sys.angle, F):
@@ -525,7 +578,7 @@ def cylinder_region(sys: dy.System, partition: ComputablePartition, word):
         if not word:
             return ()
         level = _fold(step, word)
-        return level[0] if level else None
+        return level[0][0] if level else None
     if not word:
         return [(F(0), F(1))]
     region = _fold(step, word)

@@ -161,6 +161,7 @@ def test_golden_report_reproduced(tmp_path, name):
         "block-rotation-sqrt2",
         "block-rotation-3-7-atoms",
         "block-markov-n10",
+        "block-bernoulli-n12",
         "h1-doubling",
         "h1-tent",
     ],
@@ -556,3 +557,31 @@ def test_birkhoff_on_an_arc_whose_outer_arc_crosses_zero_decides_every_step(tmp_
     assert cli.main(["run", str(cfg)]) == 0
     rows = (tmp_path / "out" / "arc.csv").read_text().splitlines()
     assert "birkhoff,rotation(point),seed=1;undecided,5000,0," in rows
+
+
+def test_typicality_builds_its_family_once_for_every_seed(tmp_path, monkeypatch):
+    """The family, measure, partition and target do not depend on the
+    point, so a run builds them once, whatever the number of seeds; the
+    CSV is the one the run gave when it built them per seed."""
+    import hashlib
+
+    from effdyn import stats as stt
+
+    builds = []
+    family = stt.dyadic_ball_family
+
+    def counted(space, level):
+        builds.append(level)
+        return family(space, level)
+
+    monkeypatch.setattr(stt, "dyadic_ball_family", counted)
+    cfg = write_cfg(
+        tmp_path,
+        "[system]\nkind = doubling\n\n[estimator]\nkind = typicality\n\n"
+        "[grids]\nn_grid = 4096\nseeds = 1,2,3,4\nlevel = 4\n\n[run]\noutput = out/typicality\n",
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    assert builds == [4]
+    produced = (tmp_path / "out" / "typicality.csv").read_bytes()
+    assert len(produced.splitlines()) == 1 + 4 * (30 + 1)  # 30 residuals and a rate per seed
+    assert hashlib.sha256(produced).hexdigest() == "b2b01f2964a5c1e80cb621a37fc2cbddd1c84d43efe9de2c3fbc74fb70318ec1"

@@ -304,9 +304,15 @@ def test_code_orbit_generic_path_matches_fast_doubling():
     q = F(rng.getrandbits(2000) | 1, 1 << 2000)
     seg = dy.iterate(sys, sp.rational_point(LINE, q), 2000, 24)
     for partition in _partitions(LINE)[:2]:
-        fast = sb._fast_doubling_symbols(q.numerator, 2000, partition, 2000)
+        fast = _fast_doubling_symbols(q.numerator, 2000, partition, 2000)
         assert sb._code_segment(partition, seg) == fast
         assert sb.code_orbit(sys, sp.rational_point(LINE, q), partition, 2000).symbols == tuple(fast)
+
+
+def _fast_doubling_symbols(num, bits_total, partition, n):
+    """The symbols of the bit-window segment, or None off the dyadic grid."""
+    seg = sb._doubling_windows(num, bits_total, partition, n)
+    return None if seg is None else sb._code_segment(partition, seg)
 
 
 def _scan_doubling_symbols(num, bits_total, partition, n):
@@ -377,12 +383,12 @@ def test_fast_doubling_symbols_match_scan_on_every_short_dyadic():
         for partition in partitions:
             n = bits + 7
             expected = _scan_doubling_symbols(num, bits, partition, n)
-            assert sb._fast_doubling_symbols(num, bits, partition, n) == expected, (num, bits, partition.name)
+            assert _fast_doubling_symbols(num, bits, partition, n) == expected, (num, bits, partition.name)
 
 
 def test_fast_doubling_symbols_refuse_ends_off_the_dyadic_grid():
     thirds = _partitions(LINE)[2]
-    assert sb._fast_doubling_symbols(5, 4, thirds, 8) is None
+    assert _fast_doubling_symbols(5, 4, thirds, 8) is None
     assert _scan_doubling_symbols(5, 4, thirds, 8) is None
 
 
@@ -424,7 +430,7 @@ def test_fast_doubling_symbols_match_generic_path_on_random_dyadics(bits, data):
     level = data.draw(st.integers(min_value=1, max_value=6), label="level")
     n = data.draw(st.integers(min_value=1, max_value=160), label="n")
     partition = sb.dyadic_intervals(LINE, level)
-    fast = sb._fast_doubling_symbols(q.numerator, q.denominator.bit_length() - 1, partition, n)
+    fast = _fast_doubling_symbols(q.numerator, q.denominator.bit_length() - 1, partition, n)
     seg = dy.iterate(dy.doubling(), sp.rational_point(LINE, q), n, 24)
     assert fast is not None
     assert sb._code_segment(partition, seg) == fast

@@ -4,7 +4,8 @@
 fold (`cylinder_region`, `cylinder_measure`) and the block-entropy level
 walk run on it.  The references below are the separate computations they
 replace: the forward merge of a shift word's atoms, the shift level walk
-with its hand merge, and, for the integer arcs of rational rotations, the
+with its hand merge, the `Fraction` word measure for the integer masses a
+shift level carries, and, for the integer arcs of rational rotations, the
 `Fraction` circle loop over `preimage_pieces` with masses from the
 measure's `CircleRegion` oracle.  Regions, masses and entropies must agree
 exactly.
@@ -15,6 +16,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from effdyn import coding as cd
 from effdyn import dynamics as dy
@@ -150,6 +153,91 @@ def test_shift_fold_matches_forward_merge(sys, mu, partition):
 def test_shift_walk_matches_hand_merge(sys, mu, partition):
     table = en._pullback_level_entropies(sys, mu, partition, range(1, MAX_LENGTH + 1))
     assert table == _shift_level_entropies(mu, partition, MAX_LENGTH)
+
+
+@st.composite
+def _probs(draw, k, label):
+    """k nonnegative rationals summing to 1, zeros often."""
+    weights = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=k, max_size=k), label=label)
+    assume(sum(weights))
+    return [F(w, sum(weights)) for w in weights]
+
+
+@st.composite
+def _tree(draw, k, depth):
+    """The words of a random complete prefix code on k letters, of length
+    at most depth: a shift partition whose atoms are single cylinders."""
+    if depth and draw(st.booleans()):
+        return [(a,) + w for a in range(k) for w in draw(_tree(k, depth - 1))]
+    return [()]
+
+
+@st.composite
+def _shift_measure_cases(draw):
+    """A shift, a Bernoulli or Markov measure (rows with zeros, initial
+    vector stationary or not) and a partition: cylinders of length 0 (the
+    one empty word), 1 or 2, the `mixed` shape, a `deep` shape with atoms
+    of length 1 to 3, or a random prefix code with atoms of such lengths."""
+    k = draw(st.sampled_from([2, 3]), label="k")
+    space = SEQ2 if k == 2 else SEQ3
+    kind = draw(st.sampled_from(["bernoulli", "markov", "markov-initial"]), label="measure")
+    if kind == "bernoulli":
+        mu = ms.ComputableMeasure.bernoulli(space, draw(_probs(k, "probs")))
+    else:
+        rows = [draw(_probs(k, f"row {a}")) for a in range(k)]
+        initial = draw(_probs(k, "initial")) if kind == "markov-initial" else None
+        try:
+            mu = ms.ComputableMeasure.markov(space, rows, initial)
+        except ValueError:  # no unique stationary law
+            assume(False)
+    shapes = ["cylinders-0", "cylinders-1", "cylinders-2", "mixed", "deep", "tree"]
+    shape = draw(st.sampled_from(shapes), label="partition")
+    if shape == "deep":
+        # (a, 0, b) put in front of (0,) reaches a letter past it
+        words = [(0,)] + [(a, c) for a in range(1, k) for c in range(1, k)]
+        words += [(a, 0, b) for a in range(1, k) for b in range(k)]
+    elif shape == "tree":
+        words = draw(_tree(k, 3))
+        assume(words != [()])
+    elif shape == "mixed":
+        words = [(a,) for a in range(k - 1)] + [(k - 1, b) for b in range(k)]
+    else:
+        words = list(itertools.product(range(k), repeat=int(shape[-1])))
+    partition = sb.ComputablePartition(space, tuple((w,) for w in words), name=shape)
+    return dy.shift(k), mu, partition
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shift_measure_cases())
+def test_shift_level_masses_match_word_measure(case):
+    """Every cylinder of every level, null ones too, carries the integer
+    mass of its word, which `word_measure` gives as a Fraction."""
+    sys, mu, partition = case
+    step, weigh = sb.pullback(sys, mu, partition)
+    level = None
+    for d in range(5 if partition.alphabet <= 4 else 3):
+        level, masses = weigh(step(level, d, None), d + 1)
+        expected = [mu.word_measure(word) for word, _ in level]
+        assert [F(*pair) for pair in masses] == expected, d + 1
+        assert en._entropy_bits(masses) == en._entropy_bits(m.as_integer_ratio() for m in expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shift_measure_cases(), st.integers(min_value=0, max_value=1 << 16), st.integers(1, 8))
+def test_shift_cylinder_measure_and_local_info_match_word_measure(case, seed, n):
+    """The fold of a coded word weighs its cylinder as `word_measure` does."""
+    sys, mu, partition = case
+    rng = random.Random(seed)
+    symbols = [rng.randrange(partition.space.alphabet) for _ in range(64)]
+    x = sp.sequence_point(partition.space, lambda j: symbols[j] if j < len(symbols) else 0)
+    word = sb.code_orbit(sys, x, partition, n).symbols
+    mass = mu.word_measure(sb.cylinder_region(sys, partition, word))
+    assert sb.cylinder_measure(sys, mu, partition, word) == mass
+    if mass:
+        assert en.local_info(sys, mu, x, partition, n) == cd.neg_log2(mass)
+    else:
+        with pytest.raises(en.OracleUnavailable):
+            en.local_info(sys, mu, x, partition, n)
 
 
 def test_multi_cylinder_shift_atoms_are_refused():

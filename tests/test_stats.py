@@ -280,9 +280,10 @@ def test_visits_match_per_set_coding(case):
     ids=["doubling", "tent", "rotation-3/7"],
 )
 def test_typicality_codes_the_orbit_once(monkeypatch, sys, clear, on_cut):
-    """One `code_orbit` call for a 30-set family, and one more orbit
-    segment only when a step meets a cut."""
-    calls = {"code_orbit": 0, "iterate": 0}
+    """One coding pass for a 30-set family, and no second orbit segment
+    when a step meets a cut: its steps are coded set by set from the
+    segment the pass coded."""
+    calls = {"_code_orbit": 0, "iterate": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -293,21 +294,44 @@ def test_typicality_codes_the_orbit_once(monkeypatch, sys, clear, on_cut):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(sb, "code_orbit")
+    counted(sb, "_code_orbit")
     counted(dy, "iterate")
     mu = ms.ComputableMeasure.lebesgue(sys.space)
     family = stt.dyadic_ball_family(sys.space, 4)
     assert len(family) == 30
     iterates = []
     for q in (clear, on_cut):
-        calls.update(code_orbit=0, iterate=0)
+        calls.update(_code_orbit=0, iterate=0)
         x = sp.rational_point(sys.space, q)
         result = stt.typicality_test(sys, mu, x, family, 200, 0.1, n_min=1)
-        assert calls["code_orbit"] == 1
+        assert calls["_code_orbit"] == 1
         iterates.append(calls["iterate"])
         assert (result.undecided_fraction > 0) == (q == on_cut)
     coding = 0 if sys.map_kind is dy.MapKind.DOUBLING else 1  # dyadic points by bit windows
-    assert iterates == [coding, coding + 1]
+    assert iterates == [coding, coding]
+
+
+def test_visits_on_an_irrational_rotation_iterate_the_orbit_once(monkeypatch):
+    """Level-4 visit counts on the sqrt2-1 rotation from 0, whose first
+    step lies on a cut: one `dy.iterate`, and every set's counts are those
+    of its own coding pass."""
+    sys = dy.rotation(sp.sqrt2_minus_1(WHEEL))
+    x = sp.rational_point(WHEEL, F(0))
+    sets = [ad for _, ad in stt.dyadic_ball_family(WHEEL, 4)]
+    n = 30_000
+    expected = [_per_set(sys, x, ad, n) for ad in sets]
+    assert any(undecided for _, _, undecided in expected)
+    iterate = dy.iterate
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[2])
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(dy, "iterate", counted)
+    got = stt._visits(sys, x, sets, n)
+    assert runs == [n]
+    assert [(r.inside, r.outside, r.undecided) for r in got] == expected
 
 
 def test_visits_reject_sequence_space():
