@@ -20,6 +20,8 @@ dynamic blocks:
 * a copy branch: LZ77 tokens (literal, or copy at delta-coded offset and
   length, overlap allowed), which captures long-range recurrence: words
   with slowly growing factor complexity collapse to a handful of copies.
+  Its greedy parse finds each earliest longest match by bit-parallel
+  shift-and steps on per-symbol history masks.
 
 The emitted stream is elias_delta(length+1), an economy-coded selector,
 then the shortest payload.  Costing is one fold per branch over a sorted
@@ -58,11 +60,12 @@ class CodeError(ValueError):
 
 def _check_word(word: Sequence[int], alphabet: int) -> Word:
     w = tuple(word)
-    for c in w:
-        if c is None:
-            raise UnknownSymbol("word contains an unresolved symbol")
-        if not 0 <= c < alphabet:
-            raise ValueError(f"symbol {c} outside alphabet of size {alphabet}")
+    if None in w or w and not (0 <= min(w) and max(w) < alphabet):
+        for c in w:  # name the first offending symbol
+            if c is None:
+                raise UnknownSymbol("word contains an unresolved symbol")
+            if not 0 <= c < alphabet:
+                raise ValueError(f"symbol {c} outside alphabet of size {alphabet}")
     return w
 
 
@@ -458,10 +461,23 @@ def _enum_decode_payload(bits: str, pos: int, n: int, alphabet: int) -> Tuple[Wo
 
 
 # ---------------------------------------------------------------------------
-# Copy branch (LZ77, greedy parse on a suffix automaton)
+# Copy branch (LZ77, greedy parse on bit-parallel history masks)
 # ---------------------------------------------------------------------------
 
 _LZ77_MIN_MATCH = 3
+
+
+def _add_masks(masks: list, word: Word, a: int, b: int) -> None:
+    """Set bit i of masks[word[i]] for a <= i < b: one translate per symbol
+    of the chunk on alphabets of at most 256 symbols, one bit at a time on
+    wider ones, where most masks are sparse."""
+    if len(masks) <= 256:
+        chunk = bytes(word[a:b])[::-1]
+        for c in set(chunk):
+            masks[c] |= int(chunk.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2) << a
+        return
+    for i in range(a, b):
+        masks[word[i]] |= 1 << i
 
 
 def _lz77_tokens(word: Word, alphabet: int, ends: Sequence[int]):
@@ -469,38 +485,47 @@ def _lz77_tokens(word: Word, alphabet: int, ends: Sequence[int]):
     value, cuts) per token, a copy (offset, length) or a literal
     (0, symbol).
 
-    Longest in-history matches come from an online suffix automaton over
-    the consumed prefix (Blumer et al.), stored flat: the successor of
-    state s on symbol c is trans[s * alphabet + c] (-1 if none), beside
-    the suffix links, lengths and first end positions.  Once the
-    in-history match is maximal the copy may keep reading its own output
-    periodically, so copies may overlap onward.
+    Longest in-history matches come from bit-parallel shift-and matching
+    (Baeza-Yates & Gonnet): bit i of masks[c] is set when word[i] == c,
+    and the masks grow in doubling chunks as the parse reaches them.  The
+    walk at pos keeps hits, the last positions of the occurrences of
+    word[pos:end] wholly inside word[:pos], steps hits = (hits << 1) &
+    masks[word[end]] below bit pos until none is left, and takes the
+    earliest occurrence from the lowest bit left.  Once the in-history
+    match is maximal the copy may keep reading its own output
+    periodically, so copies may overlap onward.  The masks hold at most
+    alphabet x n bits, and a step shifts and ands pos-bit integers, so a
+    parse takes time quadratic in n with a small constant.
 
     The parse of a prefix word[:m] shares every token that ends by m, so
     `cuts` holds, for each end m the token reaches, the tokens that finish
     the prefix's parse from the token's start: the token itself when it
     ends at m, else the copy cut at m.  Its offset is the token's unless
-    the automaton walk went past m; then the walk of the cut alone gives
-    it.  A cut shorter than the minimum copy becomes literals.
+    the walk went past m; then the walk of the cut alone gives it.  A cut
+    shorter than the minimum copy becomes literals.
     """
-    n, k = ends[-1], alphabet
-    trans = [-1] * k
-    links, lens, firstpos = [-1], [0], [-1]
-    blank = [-1] * k
-    last = 0
-    pos = 0
-    e = 0
+    n = ends[-1]
+    masks = [0] * alphabet
+    built = pos = e = 0
     while pos < n:
-        state, end = 0, pos
-        while end < n:
-            nxt = trans[state * k + word[end]]
-            if nxt < 0:
-                break
-            state = nxt
+        if pos > built:
+            built, a = min(n, 2 * pos), built
+            _add_masks(masks, word, a, built)
+        low = (1 << pos) - 1
+        hits = masks[word[pos]] & low
+        end = walked = pos
+        if hits:
             end += 1
-        walked = end
-        if end > pos:
-            src = firstpos[state] - (end - pos) + 1
+            while end < n:
+                nxt = (hits << 1) & masks[word[end]]
+                if nxt.bit_length() > pos:  # an occurrence ending at pos
+                    nxt &= low
+                if not nxt:
+                    break
+                hits = nxt
+                end += 1
+            src = (hits & -hits).bit_length() - (end - pos)
+            walked = end
             while end < n and word[src + end - pos] == word[end]:
                 end += 1
         if end - pos >= _LZ77_MIN_MATCH:
@@ -521,44 +546,12 @@ def _lz77_tokens(word: Word, alphabet: int, ends: Sequence[int]):
                 else:
                     cut_src = src
                     if walked > m:
-                        at = 0
-                        for i in range(pos, m):
-                            at = trans[at * k + word[i]]
-                        cut_src = firstpos[at] - (m - pos) + 1
+                        hits = masks[word[pos]] & low
+                        for i in range(pos + 1, m):
+                            hits = (hits << 1) & masks[word[i]] & low
+                        cut_src = (hits & -hits).bit_length() - (m - pos)
                     cuts.append(((pos - cut_src, m - pos),))
         yield token[0], token[1], cuts
-        for i in range(pos, end):
-            c = word[i]
-            cur = len(lens)
-            trans += blank
-            links.append(0)
-            lens.append(lens[last] + 1)
-            firstpos.append(i)
-            p = last
-            while p >= 0:
-                at = p * k + c
-                q = trans[at]
-                if q >= 0:
-                    break
-                trans[at] = cur
-                p = links[p]
-            else:  # c is new to the history: cur links to the root
-                last = cur
-                continue
-            if lens[p] + 1 == lens[q]:
-                links[cur] = q
-            else:
-                clone = cur + 1
-                trans += trans[q * k : q * k + k]
-                links.append(links[q])
-                lens.append(lens[p] + 1)
-                firstpos.append(firstpos[q])
-                while p >= 0 and trans[p * k + c] == q:
-                    trans[p * k + c] = clone
-                    p = links[p]
-                links[q] = clone
-                links[cur] = clone
-            last = cur
         pos = end
 
 

@@ -156,9 +156,9 @@ def halves(space: Space) -> ComputablePartition:
 #: Largest number of atoms `dyadic_intervals` and `cylinders` build; more
 #: raise ValueError before any atom is built.  The largest shipped size is
 #: the dyadic level 10 of the coding tests.  At the cap, a dyadic partition
-#: builds in 3 ms and codes a doubling orbit of n = 2**14 in 0.03 s, and
-#: symbol_rate at n = 2**12 takes 0.22 s and 79 MB peak memory, its lz77
-#: automaton growing with states x alphabet (CPython 3.11, 2-vCPU VM).
+#: builds in 4 ms and codes a doubling orbit of n = 2**14 in 0.03 s, and
+#: symbol_rate at n = 2**12 takes 0.10 s and 19 MB peak memory, its lz77
+#: history masks holding at most atoms x n bits (CPython 3.11, 2-vCPU VM).
 PARTITION_ATOM_CAP = 1 << 10
 
 

@@ -178,6 +178,23 @@ def test_rate_rejects_unknown_symbols():
         cd.lz_rate((0, 1, None, 0))
 
 
+def test_word_check_names_the_first_offending_symbol():
+    comp = cd.PrefixFreeCompressor(3)
+    with pytest.raises(ValueError, match=r"^symbol 5 outside alphabet of size 3$"):
+        comp.bits_len((0, 2, 5, -1, 7))
+    with pytest.raises(ValueError, match=r"^symbol -1 outside alphabet of size 3$"):
+        comp.encode((1, -1, 5))
+    with pytest.raises(ValueError, match=r"^symbol 3 outside alphabet of size 3$"):
+        comp.bits_len((2, 1, 3))
+    # an offending symbol before an unresolved one is named, not the None
+    with pytest.raises(ValueError, match=r"^symbol 3 outside alphabet of size 3$") as info:
+        comp.prefix_bits_len((0, 3, None), (1, 3))
+    assert not isinstance(info.value, cd.UnknownSymbol)
+    with pytest.raises(cd.UnknownSymbol):
+        comp.bits_len((0, None, 7))
+    assert comp.bits_len((0, 1, 2)) == comp.bits_len([0, 1, 2])
+
+
 def test_rate_on_constant_run():
     assert cd.lz_rate((0,) * 4096) <= F(8, 100)
 

@@ -22,6 +22,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdyn import coding as cd
 
@@ -265,6 +267,62 @@ def test_every_short_word_matches_references(k, max_len, winners):
 def test_seeded_words_match_references(k):
     won = {check_word(word, k) for _, alphabet, word in corpus() if alphabet == k}
     assert 0 in won and 2 in won
+
+
+def _as_pairs(tokens):
+    return [(0, a) if kind == "lit" else (a, b) for kind, a, b in tokens]
+
+
+def _parses_by_end(word, k, ends):
+    """The parse of word[:m] for every end m, read off one `_lz77_tokens`
+    pass: the tokens that finish by m plus m's cut."""
+    parses, done, pos = {}, [], 0
+    for offset, value, cuts in cd._lz77_tokens(word, k, ends):
+        end = pos + (value if offset else 1)
+        for cut, m in zip(cuts, [m for m in ends if pos < m <= end]):
+            parses[m] = done + list(cut)
+        done.append((offset, value))
+        pos = end
+    return parses
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from((2, 3, 5, 300)),
+    style=st.sampled_from(STYLES),
+    n=st.one_of(st.integers(1, 64), st.integers(65, 1 << 12)),
+    seed=st.integers(0, 1 << 32),
+)
+def test_lz77_tokens_and_cuts_match_the_automaton(k, style, n, seed):
+    """Bit-parallel tokens and cuts against the dict-per-state automaton:
+    for each end m the tokens finishing by m plus m's cut are the
+    reference parse of word[:m].  The ends include 1, 2, the word's end,
+    token ends, and ends three symbols into a copy and one before its
+    end, which the match walk may have passed."""
+    rng = random.Random(seed)
+    word = make_word(rng, k, style, n)
+    tokens = list(_lz77_tokens(word))
+    starts = list(itertools.accumulate((t[2] for t in tokens), initial=0))
+    ends = {1, 2, n} | set(rng.sample(starts[1:], min(len(tokens), 4)))
+    copies = [(starts[i], t[2]) for i, t in enumerate(tokens) if t[0] == "copy" and t[2] > 4]
+    for start, length in rng.sample(copies, min(len(copies), 3)):
+        ends |= {start + 3, start + length - 1}
+    ends = sorted(m for m in ends if m <= n)
+    parses = _parses_by_end(word, k, ends)
+    assert sorted(parses) == ends
+    for m in ends:
+        assert parses[m] == _as_pairs(_lz77_tokens(word[:m])), (m, parses[m])
+
+
+def test_lz77_tokens_on_a_wide_alphabet():
+    """4,096 uniform symbols over 1,024 letters: wider than a byte, so the
+    history masks are built one bit at a time."""
+    rng = random.Random(17)
+    word = tuple(rng.randrange(1024) for _ in range(4096))
+    got = [(offset, value) for offset, value, _ in cd._lz77_tokens(word, 1024, (len(word),))]
+    assert got == _as_pairs(_lz77_tokens(word))
+    comp = cd.PrefixFreeCompressor(1024)
+    assert comp.decode(comp.encode(word)) == word
 
 
 # -- per-prefix costs and budgets ---------------------------------------------

@@ -653,7 +653,7 @@ def test_encode_parses_the_copy_branch_once(monkeypatch):
 
 
 def test_rates_parse_each_stream_once(monkeypatch):
-    """One lz78 trie and one lz77 automaton per (scale, predictor, offset
+    """One lz78 trie and one lz77 parse per (scale, predictor, offset
     and width group) in orbit_rate, and per orbit in symbol_rate, not one
     per grid prefix."""
     parses = {"lz78": 0, "lz77": 0}
