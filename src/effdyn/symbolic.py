@@ -35,7 +35,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import KW_ONLY, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -124,9 +124,7 @@ class ComputablePartition:
     def atom_of_value(self, q) -> Optional[int]:
         """The atom holding a rational value (interval/circle kinds), or
         None: `_code_segment` on the one-step enclosure [q, q]."""
-        q = F(q)
-        seg = dy.OrbitSegment(None, 1, 0, (q.numerator,), (q.numerator,), q.denominator)
-        return _code_segment(self, seg)[0]
+        return _value_atom(self, F(q))
 
     def atom_of_word(self, word: Tuple[int, ...]) -> Optional[int]:
         for i, atom in enumerate(self.atoms):
@@ -238,7 +236,25 @@ def _code_orbit(
     return SymbolicWord(symbols, partition.alphabet), seg
 
 
-def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[Optional[int]]:
+def _scaled_layout(partition: ComputablePartition, den: int):
+    """(pieces, starts, reach): the layout's open pieces (a, b, atom) on
+    integers over den, a multiple of the layout's denominator, sorted by
+    a, with their starts and the running furthest b (see `_code_segment`)."""
+    pden, layout = partition.layout
+    up = den // pden
+    if partition.space.kind is Kind.CIRCLE:
+        pieces = [(a * up - t, b * up - t, i) for a, b, i in layout for t in (0, den)]
+    else:
+        pieces = [(a * up if a else -1, b * up if b != pden else den + 1, i) for a, b, i in layout]
+    pieces.sort()
+    starts = [a for a, _, _ in pieces]
+    reach = list(itertools.accumulate((b for _, b, _ in pieces), max))
+    return pieces, starts, reach
+
+
+def _code_segment(
+    partition: ComputablePartition, seg: dy.OrbitSegment, scaled: Optional[dict] = None
+) -> List[Optional[int]]:
     """The certified atom of every step of an interval or circle segment:
     the lowest atom with a piece holding the step's whole enclosure, or
     None.  This is the one membership test for interval and circle atoms.
@@ -255,18 +271,17 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
     the scan walks back while the furthest b left in it passes hi, keeping
     the lowest atom that holds the step; disjoint pieces end the walk after
     one piece, so a step costs one bisect whatever the partition's size.
+    `scaled`, if given, keeps these tables per L across calls.
     """
-    pden, layout = partition.layout
-    den = math.lcm(seg.den, pden)
-    up, scale = den // pden, den // seg.den
+    den = math.lcm(seg.den, partition.layout[0])
+    scale = den // seg.den
     circle = partition.space.kind is Kind.CIRCLE
-    if circle:
-        pieces = [(a * up - t, b * up - t, i) for a, b, i in layout for t in (0, den)]
-    else:
-        pieces = [(a * up if a else -1, b * up if b != pden else den + 1, i) for a, b, i in layout]
-    pieces.sort()
-    starts = [a for a, _, _ in pieces]
-    reach = list(itertools.accumulate((b for _, b, _ in pieces), max))
+    tables = None if scaled is None else scaled.get(den)
+    if tables is None:
+        tables = _scaled_layout(partition, den)
+        if scaled is not None:
+            scaled[den] = tables
+    pieces, starts, reach = tables
     out: List[Optional[int]] = []
     for lo, hi in zip(seg.lows, seg.highs):
         if scale != 1:
@@ -283,6 +298,14 @@ def _code_segment(partition: ComputablePartition, seg: dy.OrbitSegment) -> List[
             t -= 1
         out.append(symbol)
     return out
+
+
+def _value_atom(
+    partition: ComputablePartition, q: F, scaled: Optional[dict] = None
+) -> Optional[int]:
+    """`_code_segment` on the one-step enclosure [q, q]."""
+    seg = dy.OrbitSegment(None, 1, 0, (q.numerator,), (q.numerator,), q.denominator)
+    return _code_segment(partition, seg, scaled)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +684,10 @@ def reconstruct_symbols(
     if eps <= 0:
         raise ValueError("eps must be positive")
     space = partition.space
-    atom_of = partition.atom_of_word if space.kind is Kind.CANTOR else partition.atom_of_value
+    if space.kind is Kind.CANTOR:
+        atom_of = partition.atom_of_word
+    else:  # the scaled layout is built once per candidate denominator
+        atom_of = partial(_value_atom, partition, scaled={})
     out: List[int] = []
     for j, index in enumerate(pseudo_orbit):
         found = None

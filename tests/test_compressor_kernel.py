@@ -1,11 +1,12 @@
 """The default compressor against its references and a golden file.
 
 The references below are the full walks the lazy branch costs replace:
-the enumerative length from ranks grown one symbol at a time, and the
-copy-branch parse on a suffix automaton with one dict per state.  The
-costs, the selector, `bits_len` and every codeword must agree with them
-exactly; the copy branch's budgeted cost must be exact below its budget
-and at least the budget otherwise.
+the enumerative length from ranks grown one symbol at a time, the
+per-position combinadic rank and unrank walks the block walks replace,
+and the copy-branch parse on a suffix automaton with one dict per state.
+The costs, the selector, `bits_len` and every codeword must agree with
+them exactly; the copy branch's budgeted cost must be exact below its
+budget and at least the budget otherwise.
 
 `tests/golden/codewords.txt` holds, for every word of a seeded corpus, the
 length and sha256 of its `PrefixFreeCompressor` codeword.  The codeword
@@ -22,7 +23,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effdyn import coding as cd
@@ -120,6 +121,54 @@ def _enum_payload(word, alphabet):
     for j in range(alphabet - 1, 0, -1):
         parts.append(cd.phased_encode(layers[j].rank, layers[j].size))
     return "".join(parts)
+
+
+def _layer_rank(word, j, size, m, r, cut=None):
+    """Rank of layer j by one multiply and one floor-divide per position,
+    stopping once [s, s + c) lies on one side of `cut`."""
+    s = 0
+    t = r
+    p = m
+    c = size
+    for symbol in reversed(word):
+        if symbol > j:
+            continue
+        if symbol == j:
+            below = c * t // p
+            s += c - below
+            c = below
+            t -= 1
+            p -= 1
+            if t == 0 or cut is not None and (s >= cut or s + c <= cut):
+                return s
+        else:
+            c = c * (p - t) // p
+            p -= 1
+    return s
+
+
+def _combinadic_unrank(rank, m, r):
+    """Positions of the r ones, from rank in [0, C(m, r)), by one step per
+    position."""
+    if r == 0:
+        if rank != 0:
+            raise cd.CodeError("combinadic rank out of range")
+        return []
+    positions = []
+    p = m - 1
+    c = math.comb(m - 1, r)
+    for t in range(r, 0, -1):
+        while c > rank:
+            c = c * (p - t) // p  # C(p-1, t) from C(p, t)
+            p -= 1
+        rank -= c
+        positions.append(p)
+        if t > 1:
+            c = c * t // p  # C(p-1, t-1) from C(p, t)
+            p -= 1
+    if rank != 0:
+        raise cd.CodeError("combinadic rank out of range")
+    return positions[::-1]
 
 
 class _SuffixAutomaton:
@@ -323,6 +372,77 @@ def test_lz77_tokens_on_a_wide_alphabet():
     assert got == _as_pairs(_lz77_tokens(word))
     comp = cd.PrefixFreeCompressor(1024)
     assert comp.decode(comp.encode(word)) == word
+
+
+# -- enumerative block walks ---------------------------------------------------
+
+# lengths on both sides of the narrow width (a uniform binary layer of n
+# positions has a class size of about n bits), and 2**14
+ENUM_LENGTHS = (1, 2, 7, 64, 1000, 1900, 2300, 4000, 1 << 14)
+
+
+def _unrank_with_failing_guesses(rank, m, r, size, positions):
+    """`_combinadic_unrank` with every block guess wrong in its first bit;
+    returns the positions and the number of guesses made."""
+    ones = set(positions)
+    guesses = []
+
+    def wrong(f, p, t, n):
+        guesses.append(p)
+        return [(p - 1 - i in ones) != (i == 0) for i in range(n)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cd, "_guess_block", wrong)
+        return cd._combinadic_unrank(rank, m, r, size), len(guesses)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.sampled_from((2, 3, 5)),
+    style=st.sampled_from(STYLES),
+    n=st.sampled_from(ENUM_LENGTHS),
+    seed=st.integers(0, 1 << 32),
+)
+@example(k=2, style="random", n=1 << 14, seed=1)
+@example(k=2, style="biased", n=1 << 14, seed=2)
+@example(k=3, style="periodic", n=1 << 14, seed=3)
+@example(k=5, style="random", n=4000, seed=4)
+def test_layer_walks_match_the_per_position_walks(k, style, n, seed):
+    """Every layer's rank, its cut walks and its unrank against the
+    per-position references: cuts at rank - 1, rank, rank + 1, 0, size - 1,
+    size and 2^k - size, and the unrank again with every guess wrong."""
+    word = make_word(random.Random(seed), k, style, n)
+    for j, m, r in cd._enum_layers(word, k):
+        size = math.comb(m, r)
+        rank = _layer_rank(word, j, size, m, r)
+        assert cd._layer_rank(word, j, size, m, r) == rank
+        short = (1 << (size - 1).bit_length()) - size
+        for cut in {rank - 1, rank, rank + 1, 0, size - 1, size, short} - {-1}:
+            assert (cd._layer_rank(word, j, size, m, r, cut) < cut) == (rank < cut), cut
+        positions = _combinadic_unrank(rank, m, r)
+        assert cd._combinadic_unrank(rank, m, r, size) == positions
+        got, guesses = _unrank_with_failing_guesses(rank, m, r, size, positions)
+        assert got == positions
+        assert guesses or size.bit_length() <= cd._NARROW_BITS
+
+
+@pytest.mark.parametrize(
+    "m, r", [(1, 0), (1, 1), (12, 5), (3000, 1500), (1 << 14, 1 << 13), (1 << 14, 2458)]
+)
+def test_unrank_ends_of_the_range(m, r):
+    """Ranks 0 and size - 1 unrank as the reference does and rank back;
+    size and -1 raise CodeError."""
+    size = math.comb(m, r)
+    for rank in {0, size - 1}:
+        positions = _combinadic_unrank(rank, m, r)
+        assert cd._combinadic_unrank(rank, m, r, size) == positions
+        assert _unrank_with_failing_guesses(rank, m, r, size, positions)[0] == positions
+        ones = set(positions)
+        word = tuple(int(i in ones) for i in range(m))
+        assert cd._layer_rank(word, 1, size, m, r) == rank
+    for rank in (size, -1):
+        with pytest.raises(cd.CodeError):
+            cd._combinadic_unrank(rank, m, r, size)
 
 
 # -- per-prefix costs and budgets ---------------------------------------------

@@ -395,7 +395,9 @@ def test_fast_doubling_symbols_refuse_ends_off_the_dyadic_grid():
 @pytest.mark.parametrize("space", [LINE, WHEEL], ids=["interval", "circle"])
 def test_atom_of_value_matches_fraction_reference(space):
     """Every piece end, 0 and 1, points next to them, a grid across
-    [-1, 2] and, on the circle, arcs through 0 lifted up and down."""
+    [-1, 2] and, on the circle, arcs through 0 lifted up and down; also
+    through one table of scaled layouts shared across denominators, as
+    `reconstruct_symbols` shares it."""
     partitions = _partitions(space) + [sb.dyadic_intervals(space, 2)]
     if space is LINE:
         partitions += _dyadic_partitions()
@@ -404,9 +406,11 @@ def test_atom_of_value_matches_fraction_reference(space):
         ends = {F(q) for atom in partition.atoms for piece in atom for q in piece} | {F(0), F(1)}
         values = {e + d for e in ends for d in (0, F(1, 97), -F(1, 97))}
         values |= {F(k, 24) for k in range(-24, 49)}
+        scaled = {}
         for q in sorted(values):
             expected = _ref_atom_of_value(partition, q)
             assert partition.atom_of_value(q) == expected, (partition.name, q)
+            assert sb._value_atom(partition, q, scaled) == expected, (partition.name, q)
             checked.add(expected)
     assert None in checked and {0, 1} <= checked
 
