@@ -2,8 +2,12 @@
 
 The built-in measure zoo (Lebesgue on the interval and circle, finite
 mixtures with point masses, Bernoulli and Markov measures on sequence
-space) admits exact rational values on finite unions of ideal balls.  The
-budgeted lower-bound oracle floors the exact value onto the dyadic grid
+space) admits exact rational values on finite unions of ideal balls.  On
+the interval and circle a union is a region of sorted disjoint open
+integer pieces over the lcm of the ball ends' denominators, and
+`_MixtureModel.masses` weighs labelled integer pieces with one formula,
+for these regions and for the cylinder pullback alike.  The budgeted
+lower-bound oracle floors the exact value onto the dyadic grid
 2**-budget, which keeps it a monotone, converging lower bound; a separate
 grid-exhaustion oracle provides an independent route for cross-checks.
 
@@ -17,8 +21,12 @@ mass by lower-bounding the measure of the annulus complement.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 from effdyn.numerics import Interval, dyadic_floor
@@ -31,6 +39,8 @@ from effdyn.space import (
 )
 
 F = Fraction
+
+_START = operator.itemgetter(0)
 
 
 class SupportTooLarge(ValueError):
@@ -55,7 +65,7 @@ class RadiusStall(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Regions: normalized geometry for finite unions of ideal balls
+# Regions: finite unions of ideal balls as integer pieces over one denominator
 # ---------------------------------------------------------------------------
 
 
@@ -75,108 +85,58 @@ def _merge_pieces(pieces):
     return merged
 
 
+def _scaled(region, den: int):
+    """A line or circle region's pieces over den, a multiple of its den."""
+    up = den // region.den
+    return [(a * up, b * up) for a, b in region.pieces]
+
+
 @dataclass(frozen=True)
 class LineRegion:
-    """Open subset of [0, 1] as merged open pieces (may overhang [0, 1])."""
+    """Open subset of [0, 1]: sorted disjoint open pieces (a/den, b/den),
+    merged on strict overlap; only the first and last may overhang [0, 1]."""
 
-    pieces: Tuple[Tuple[F, F], ...]
-
-    def contains(self, q: F) -> bool:
-        return any(a < q < b for a, b in self.pieces)
-
-    def length(self) -> F:
-        total = F(0)
-        for a, b in self.pieces:
-            lo, hi = max(a, F(0)), min(b, F(1))
-            if lo < hi:
-                total += hi - lo
-        return total
+    den: int
+    pieces: Tuple[Tuple[int, int], ...]
 
     def intersect(self, other: "LineRegion") -> "LineRegion":
-        out = []
-        for a, b in self.pieces:
-            for c, d in other.pieces:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return LineRegion(tuple(_merge_pieces(out)))
+        den = math.lcm(self.den, other.den)
+        pairs = itertools.product(_scaled(self, den), _scaled(other, den))
+        return LineRegion(den, tuple(_merge_pieces((max(a, c), min(b, d)) for (a, b), (c, d) in pairs)))
 
 
 @dataclass(frozen=True)
 class CircleRegion:
-    """Open subset of the circle as arcs (a, b) with a in [0,1), b <= a+1."""
+    """Open subset of the circle: disjoint arcs (a/den, b/den), sorted, with
+    a in [0, den) and b <= a + den, as the pullback lifts them.  An arc of
+    length den is the circle less its start point; the whole circle is
+    `full`, stored as the one arc (0, den)."""
 
-    pieces: Tuple[Tuple[F, F], ...]
+    den: int
+    pieces: Tuple[Tuple[int, int], ...]
     full: bool = False
-
-    def contains(self, q: F) -> bool:
-        if self.full:
-            return True
-        q = q - (q.numerator // q.denominator)
-        return any(a < q + t < b for a, b in self.pieces for t in (0, 1))
-
-    def length(self) -> F:
-        if self.full:
-            return F(1)
-        return sum((b - a for a, b in self.pieces), F(0))
 
     def intersect(self, other: "CircleRegion") -> "CircleRegion":
         if self.full:
             return other
         if other.full:
             return self
-        out = []
-        for a, b in self.pieces:
-            for c, d in other.pieces:
-                for t in (-1, 0, 1):
-                    lo, hi = max(a, c + t), min(b, d + t)
-                    if lo < hi:
-                        out.append((lo, hi))
-        return _circle_region(out)
+        den = math.lcm(self.den, other.den)
+        pairs = itertools.product(_scaled(self, den), _scaled(other, den), (-den, 0, den))
+        return _circle_of_arcs(den, [(max(a, c + t), min(b, d + t)) for (a, b), (c, d), t in pairs])
 
 
-def _circle_region(arcs) -> CircleRegion:
-    """Normalize raw arcs (any rational endpoints, length <= 1) to a region.
-
-    Strategy: an uncovered cut point always exists among arc endpoints when
-    the union is proper (the closure of each complement component starts at
-    an arc end), so shift coordinates to such a point, merge linearly, and
-    shift back.
-    """
-    raw = []
-    for a, b in arcs:
-        if a >= b:
-            continue
-        if b - a >= 1:
-            return CircleRegion((), full=True)
-        shift = a.numerator // a.denominator
-        raw.append((a - shift, b - shift))  # start in [0,1), end <= start+1
-    if not raw:
-        return CircleRegion(())
-
-    def covered(q: F) -> bool:
-        return any(a < q + t < b for a, b in raw for t in (0, 1))
-
-    cut = None
-    for _, b in raw:
-        candidate = b - (b.numerator // b.denominator) if b >= 1 else b
-        if not covered(candidate):
-            cut = candidate
-            break
-    if cut is None:
-        return CircleRegion((), full=True)
-    shifted = []
-    for a, b in raw:
-        s = a - cut if a >= cut else a - cut + 1
-        shifted.append((s, s + (b - a)))
-    merged = _merge_pieces(shifted)
-    out = []
-    for a, b in merged:
-        start = a + cut
-        if start >= 1:
-            start -= 1
-        out.append((start, start + (b - a)))
-    return CircleRegion(tuple(sorted(out)))
+def _circle_of_arcs(den: int, arcs) -> CircleRegion:
+    """The region of raw integer arcs (a, b) over den: the arcs lifted to
+    starts in [0, den) and merged on the line, then the last merged with the
+    front arcs it overlaps one turn up; an arc longer than den is all of it."""
+    merged = _merge_pieces((a % den, a % den + b - a) for a, b in arcs)
+    while len(merged) > 1 and merged[0][0] + den < merged[-1][1]:
+        _, b = merged.pop(0)
+        merged[-1] = (merged[-1][0], max(merged[-1][1], b + den))
+    if merged and merged[-1][1] - merged[-1][0] > den:
+        return CircleRegion(den, ((0, den),), full=True)
+    return CircleRegion(den, tuple(merged))
 
 
 @dataclass(frozen=True)
@@ -218,21 +178,23 @@ def ball_to_cylinder(ball: IdealBall) -> Optional[Tuple[int, ...]]:
     return word[:length]
 
 
+def region_of_pieces(space: Space, den: int, pieces):
+    """The interval or circle region of raw integer pieces (a, b) over den."""
+    if space.kind is Kind.CIRCLE:
+        return _circle_of_arcs(den, pieces)
+    return LineRegion(den, tuple(_merge_pieces(pieces)))
+
+
 def region_of_balls(space: Space, balls: Sequence[IdealBall]):
+    """The union of open balls: integer pieces over the lcm of the ball ends'
+    denominators on the interval and circle, cylinder words on sequence space."""
     for ball in balls:
         if ball.space != space:
             raise SpaceMismatch(f"{ball.space} vs {space}")
-    if space.kind is Kind.UNIT_INTERVAL:
-        return LineRegion(
-            tuple(_merge_pieces((b.center_desc - b.radius, b.center_desc + b.radius) for b in balls))
-        )
-    if space.kind is Kind.CIRCLE:
-        arcs = []
-        for b in balls:
-            if b.radius >= F(1, 2):
-                return CircleRegion((), full=True)
-            arcs.append((b.center_desc - b.radius, b.center_desc + b.radius))
-        return _circle_region(arcs)
+    if space.kind in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
+        ends = [(b.center_desc - b.radius, b.center_desc + b.radius) for b in balls]
+        den = math.lcm(*(q.denominator for end in ends for q in end))
+        return region_of_pieces(space, den, [(int(a * den), int(b * den)) for a, b in ends])
     if space.kind is Kind.CANTOR:
         return CylinderRegion(_canonical_words(ball_to_cylinder(b) for b in balls))
     raise SpaceMismatch(f"no measure support for {space}")
@@ -276,12 +238,52 @@ class _MixtureModel:
     base_weight: F
     atoms: Tuple[Tuple[F, F], ...]  # (position, weight)
 
+    @cached_property
+    def integer_weights(self):
+        """(base, atoms, W): the weights over their lcm W, atoms as (num, den, weight)."""
+        scale = math.lcm(self.base_weight.denominator, *(w.denominator for _, w in self.atoms))
+        base = self.base_weight.numerator * (scale // self.base_weight.denominator)
+        atoms = [(q.numerator, q.denominator, w.numerator * scale // w.denominator) for q, w in self.atoms]
+        return base, atoms, scale
+
+    def masses(self, pieces, span: int, circle: bool, whole: bool):
+        """{label: (numerator, denominator)} in label order, the masses of
+        the labels of sorted disjoint open pieces (a, b, label) over span, a
+        multiple of every point-mass denominator, circle arcs lifted as in
+        `CircleRegion`: (base * length + span * inside) / (W * span), where
+        inside sums the point masses strictly inside a piece of the label,
+        each found by one bisect (at p or p + span on the circle, anywhere on
+        the `whole` circle).  The interval's overhang past [0, span], on the
+        first and last piece only, is left out."""
+        base, atoms, scale = self.integer_weights
+        lengths = dict.fromkeys(sorted({c for _, _, c in pieces}), 0)
+        for a, b, c in pieces:
+            lengths[c] += b - a
+        if pieces and not circle:
+            a, _, c = pieces[0]
+            lengths[c] += min(a, 0)
+            _, b, c = pieces[-1]
+            lengths[c] -= max(b - span, 0)
+        inside = {}
+        for num, qden, weight in atoms:
+            p = num * (span // qden)
+            for x in (p % span, p % span + span) if circle else (p,):
+                i = bisect_left(pieces, x, key=_START) - 1
+                if whole or i >= 0 and x < pieces[i][1]:
+                    # the whole circle is the one piece pieces[-1] = pieces[0]
+                    c = pieces[i][2]
+                    inside[c] = inside.get(c, 0) + weight
+                    break
+        total = scale * span
+        for c, length in lengths.items():  # in place: a level holds up to 2**20
+            lengths[c] = (base * length + span * inside.get(c, 0), total)
+        return lengths
+
     def region_measure(self, region) -> F:
-        total = self.base_weight * region.length()
-        for position, weight in self.atoms:
-            if region.contains(position):
-                total += weight
-        return total
+        den = math.lcm(region.den, *(q.denominator for q, _ in self.atoms))
+        circle = isinstance(region, CircleRegion)
+        masses = self.masses([(a, b, 0) for a, b in _scaled(region, den)], den, circle, circle and region.full)
+        return F(*masses[0]) if masses else F(0)
 
 
 @dataclass(frozen=True)
@@ -429,20 +431,17 @@ def exhaustion_lower(mu: ComputableMeasure, balls: Sequence[IdealBall], budget: 
     region = mu.region(balls)
     kind = mu.space.kind
     if kind in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
-        cells = 1 << budget
-        step = F(1, cells)
-        covered = F(0)
-        full = kind is Kind.CIRCLE and region.full
-        for j in range(cells):
-            lo, hi = j * step, (j + 1) * step
-            inside = full or any(a < lo and hi < b for a, b in region.pieces)
-            if not inside and kind is Kind.CIRCLE:
-                inside = any(a < lo + 1 and hi + 1 < b for a, b in region.pieces)
-            if inside:
-                covered += step
-        total = model.base_weight * covered
+        circle, den, cells = kind is Kind.CIRCLE, region.den, 1 << budget
+        turns = (0, den) if circle else (0,)  # each arc also one turn down
+        pieces = [(a - t, b - t) for a, b in region.pieces for t in turns]
+
+        def inside(lo: int, hi: int, m: int) -> bool:  # the closed [lo/m, hi/m]
+            return circle and region.full or any(a * m < lo * den and hi * den < b * m for a, b in pieces)
+
+        total = model.base_weight * F(sum(inside(j, j + 1, cells) for j in range(cells)), cells)
         for position, weight in model.atoms:
-            if region.contains(position):
+            q = position - math.floor(position) if circle else position
+            if inside(q.numerator, q.numerator, q.denominator):
                 total += weight
         return total
     if kind is Kind.CANTOR:

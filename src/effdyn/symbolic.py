@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
-from effdyn.measure import ComputableMeasure, _merge_pieces, _MixtureModel, _ProductWordModel, interval_as_balls
+from effdyn.measure import _START, ComputableMeasure, _merge_pieces, _MixtureModel, _ProductWordModel, region_of_pieces
 from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
@@ -138,11 +138,12 @@ class ComputablePartition:
         ends, taken mod 1 on the circle; 0 and 1 are interior on the interval."""
         circle = self.space.kind is Kind.CIRCLE
         den, pieces = self.layout
-        balls = []
-        for q in sorted({q % den if circle else q for a, b, _ in pieces for q in (a, b)}):
-            if circle or 0 < q < den:
-                balls.extend(interval_as_balls(self.space, F(q, den) - radius, F(q, den) + radius))
-        return mu.exact_union(balls)
+        radius = F(radius)
+        scale = math.lcm(den, radius.denominator)
+        up, r = scale // den, radius.numerator * (scale // radius.denominator)
+        ends = {q % den if circle else q for a, b, _ in pieces for q in (a, b)}
+        balls = [(q * up - r, q * up + r) for q in ends if circle or 0 < q < den]
+        return mu.model.region_measure(region_of_pieces(self.space, scale, balls))
 
 
 def halves(space: Space) -> ComputablePartition:
@@ -325,7 +326,6 @@ def _value_atom(
 #: (CPython 3.11, 2-vCPU VM).
 BLOCK_LEVEL_CAP = 1 << 20
 
-_START = operator.itemgetter(0)
 _END = operator.itemgetter(1)
 
 
@@ -395,20 +395,6 @@ def _cut(pulled, cuts, width: int, shift: int = 0):
     return out
 
 
-def _mixture_weights(mu: ComputableMeasure):
-    """(base, atoms, W): a mixture's weights over their common denominator
-    W, with atoms as (position numerator, position denominator, weight).
-    Lebesgue is base 1 over W = 1 with no atoms.  Other models raise
-    UnsupportedCylinder."""
-    model = mu.model
-    if not isinstance(model, _MixtureModel):
-        raise UnsupportedCylinder(f"no exact cylinder masses under {mu.name}")
-    scale = math.lcm(model.base_weight.denominator, *(w.denominator for _, w in model.atoms))
-    base = model.base_weight.numerator * (scale // model.base_weight.denominator)
-    atoms = [(q.numerator, q.denominator, w.numerator * scale // w.denominator) for q, w in model.atoms]
-    return base, atoms, scale
-
-
 def _word_weights(mu: ComputableMeasure):
     """(initial, Q, rows, R): a Bernoulli or Markov measure on integers, its
     initial vector as numerators over Q, their common denominator, and its
@@ -461,11 +447,13 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
       start + D; a preimage subtracts a*D/q mod D, the atoms cut over three
       turns, and an arc of length D is the whole circle.
 
-    On the interval and circle a mass is (base * length + N * inside) /
-    (W * N) over N = D * 2**(d-1) or D, with `_mixture_weights`: inside
-    sums the weights of the point masses strictly inside one of the
-    cylinder's pieces, each found by one bisect (on the circle at the
-    lifted position p or p + N, and anywhere on the whole circle).
+    On the interval and circle the masses come from the mixture's one mass
+    formula on labelled integer pieces, `_MixtureModel.masses`, over
+    N = D * 2**(d-1) or D: (base * length + N * inside) / (W * N), where
+    inside sums the weights of the point masses strictly inside one of the
+    cylinder's pieces (anywhere on the whole circle).  Lebesgue, and mu
+    None, is base 1 over W = 1 with no point masses; other models raise
+    UnsupportedCylinder.
     """
     kind = sys.map_kind
     k = partition.alphabet
@@ -506,7 +494,9 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     if kind is dy.MapKind.ROTATION and not isinstance(sys.angle, F):
         raise UnsupportedCylinder("irrational rotation has no exact pullback here")
     circle = kind is dy.MapKind.ROTATION
-    base, point_masses, scale = (1, [], 1) if mu is None else _mixture_weights(mu)
+    model = _MixtureModel(F(1), ()) if mu is None else mu.model
+    if not isinstance(model, _MixtureModel):
+        raise UnsupportedCylinder(f"no exact cylinder masses under {mu.name}")
     den = _grid_den(sys, mu, partition)
     up = den // partition.layout[0]
     atoms = [[] for _ in range(k)]
@@ -548,25 +538,11 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
 
     def weigh(level, d):
         span = den if circle else den << (d - 1)
-        lengths = dict.fromkeys(sorted({c for _, _, c in level}), 0)
-        for a, b, c in level:
-            lengths[c] += b - a
-        inside = {}
-        whole = circle and _whole(level, span)
-        for num, qden, weight in point_masses:
-            p = num * (span // qden)
-            for x in (p % span, p % span + span) if circle else (p,):
-                i = bisect_left(level, x, key=_START) - 1
-                if whole or i >= 0 and x < level[i][1]:
-                    # the whole circle is the one piece level[-1] = level[0]
-                    c = level[i][2]
-                    inside[c] = inside.get(c, 0) + weight
-                    break
-        if max(lengths, default=-1) >= len(lengths):
-            dense = {c: j for j, c in enumerate(lengths)}
+        masses = model.masses(level, span, circle, circle and _whole(level, span))
+        if max(masses, default=-1) >= len(masses):
+            dense = {c: j for j, c in enumerate(masses)}
             level = [(a, b, dense[c]) for a, b, c in level]
-        total = scale * span
-        return level, [(base * length + span * inside.get(c, 0), total) for c, length in lengths.items()]
+        return level, list(masses.values())
 
     return step, weigh
 

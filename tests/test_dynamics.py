@@ -9,6 +9,8 @@ from effdyn import measure as ms
 from effdyn import space as sp
 from effdyn.numerics import Interval
 
+import fraction_regions as fr
+
 F = Fraction
 
 
@@ -170,14 +172,14 @@ def test_tagged_measure_invariance_exact():
         (dy.rotation(F(2, 7)), ms.ComputableMeasure.lebesgue(wheel), [(F(1, 16), F(5, 16))]),
     ]
     for sys, mu, pieces in cases:
-        region = ms.LineRegion(tuple(pieces)) if sys.space == line else ms._circle_region(pieces)
+        region = fr.LineRegion(tuple(pieces)) if sys.space == line else fr.circle_region(pieces)
         pre = dy.preimage_pieces(sys, pieces)
         pre_region = (
-            ms.LineRegion(tuple(ms._merge_pieces(pre)))
+            fr.LineRegion(tuple(ms._merge_pieces(pre)))
             if sys.space == line
-            else ms._circle_region(pre)
+            else fr.circle_region(pre)
         )
-        assert mu.model.region_measure(pre_region) == mu.model.region_measure(region)
+        assert fr.region_measure(mu.model, pre_region) == fr.region_measure(mu.model, region)
 
     chain = ms.ComputableMeasure.markov(seq, [[F(9, 10), F(1, 10)], [F(1, 2), F(1, 2)]])
     words = [(0, 1), (1,)]

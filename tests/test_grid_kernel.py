@@ -18,6 +18,8 @@ from effdyn import measure as ms
 from effdyn import space as sp
 from effdyn import symbolic as sb
 
+import fraction_regions as fr
+
 
 def _fraction_orbit(sys, q, n):
     out = []
@@ -145,8 +147,8 @@ def _fraction_cylinder(sys, partition, word):
     pieces = list(partition.atoms[word[-1]])
     for j in range(len(word) - 2, -1, -1):
         pulled = dy.preimage_pieces(sys, pieces)
-        region = ms.LineRegion(tuple(ms._merge_pieces(pulled))).intersect(
-            ms.LineRegion(tuple(ms._merge_pieces(partition.atoms[word[j]])))
+        region = fr.LineRegion(tuple(ms._merge_pieces(pulled))).intersect(
+            fr.LineRegion(tuple(ms._merge_pieces(partition.atoms[word[j]])))
         )
         pieces = list(region.pieces)
         if not pieces:
@@ -159,7 +161,7 @@ def _fraction_level_entropies(sys, mu, partition, n_max):
     length-d cylinder, in the order the integer pullback must keep."""
 
     def mass(pieces):
-        return mu.model.region_measure(ms.LineRegion(tuple(pieces)))
+        return fr.region_measure(mu.model, fr.LineRegion(tuple(pieces)))
 
     level = [tuple(ms._merge_pieces(atom)) for atom in partition.atoms]
     level = [(r, mass(r)) for r in level if mass(r) > 0]
@@ -170,8 +172,8 @@ def _fraction_level_entropies(sys, mu, partition, n_max):
         for region, _ in level:
             pulled = dy.preimage_pieces(sys, region)
             for atom in partition.atoms:
-                joined = ms.LineRegion(tuple(ms._merge_pieces(atom))).intersect(
-                    ms.LineRegion(tuple(ms._merge_pieces(pulled)))
+                joined = fr.LineRegion(tuple(ms._merge_pieces(atom))).intersect(
+                    fr.LineRegion(tuple(ms._merge_pieces(pulled)))
                 )
                 if joined.pieces and mass(joined.pieces) > 0:
                     new_level.append((joined.pieces, mass(joined.pieces)))
@@ -211,7 +213,7 @@ def test_cylinders_match_line_regions(system):
                 pieces = _fraction_cylinder(system, partition, word)
                 if length > 1:
                     assert sb.cylinder_region(system, partition, word) == pieces
-                expected = mu.model.region_measure(ms.LineRegion(tuple(ms._merge_pieces(pieces))))
+                expected = fr.region_measure(mu.model, fr.LineRegion(tuple(ms._merge_pieces(pieces))))
                 assert sb.cylinder_measure(system, mu, partition, word) == expected, word
 
 

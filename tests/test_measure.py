@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from effdyn import measure as ms
 from effdyn import space as sp
 
+import fraction_regions as fr
+
 F = Fraction
 
 LINE = sp.unit_interval()
@@ -157,7 +159,7 @@ def arcs_strategy():
 @given(arcs_strategy(), st.integers(min_value=0, max_value=127))
 def test_circle_region_membership_matches_raw_arcs(raw, probe_num):
     arcs = [(F(a, 64), F(a, 64) + F(length, 64)) for a, length in raw]
-    region = ms._circle_region(arcs)
+    region = fr.circle_region(arcs)
     q = F(probe_num, 128)
     direct = any(a < q + t < b for a, b in arcs for t in (-1, 0, 1))
     assert region.contains(q) == direct
@@ -167,7 +169,7 @@ def test_circle_region_membership_matches_raw_arcs(raw, probe_num):
 @given(arcs_strategy())
 def test_circle_region_length_matches_grid_count(raw):
     arcs = [(F(a, 64), F(a, 64) + F(length, 64)) for a, length in raw]
-    region = ms._circle_region(arcs)
+    region = fr.circle_region(arcs)
     length = region.length()
     assert 0 <= length <= 1
     # count midpoints of a fine grid; each arc endpoint perturbs at most

@@ -7,7 +7,7 @@ replace: the forward merge of a shift word's atoms, the shift level walk
 with its hand merge, the `Fraction` word measure for the integer masses a
 shift level carries, and, for the integer arcs of rational rotations, the
 `Fraction` circle loop over `preimage_pieces` with masses from the
-measure's `CircleRegion` oracle.  Regions, masses and entropies must agree
+`Fraction` `CircleRegion` of `fraction_regions`.  Regions, masses and entropies must agree
 exactly.
 """
 
@@ -25,6 +25,8 @@ from effdyn import entropy as en
 from effdyn import measure as ms
 from effdyn import space as sp
 from effdyn import symbolic as sb
+
+import fraction_regions as fr
 
 SEQ2 = sp.cantor(2)
 SEQ3 = sp.cantor(3)
@@ -88,13 +90,21 @@ def _shift_level_entropies(mu, partition, n_max):
     return out
 
 
+def _arcs_region(arcs):
+    """The region of a cylinder's arcs, where, as in the pullback, one arc
+    of length 1 is the whole circle."""
+    if len(arcs) == 1 and arcs[0][1] - arcs[0][0] == 1:
+        return fr.CircleRegion((), full=True)
+    return fr.circle_region(arcs)
+
+
 def _circle_loop(sys, partition, word):
     """The cylinder of a rotation word as arcs, pulled back one symbol at a
     time through `preimage_pieces` and `CircleRegion.intersect`."""
     pieces = list(partition.atoms[word[-1]])
     for j in range(len(word) - 2, -1, -1):
         pulled = dy.preimage_pieces(sys, pieces)
-        region = ms._circle_region(pulled).intersect(ms._circle_region(partition.atoms[word[j]]))
+        region = _arcs_region(pulled).intersect(_arcs_region(partition.atoms[word[j]]))
         pieces = [(F(0), F(1))] if region.full else list(region.pieces)
         if not pieces:
             return []
@@ -289,7 +299,7 @@ def test_rotation_fold_and_walk_match_circle_loop(sys):
         for mu in CIRCLE_MEASURES:
 
             def mass_of(word):
-                return mu.model.region_measure(ms._circle_region(regions[word]))
+                return fr.region_measure(mu.model, _arcs_region(regions[word]))
 
             for word in regions:
                 assert sb.cylinder_measure(sys, mu, partition, word) == mass_of(word), word
@@ -308,9 +318,9 @@ def test_rotation_local_info_matches_circle_loop(sys):
     points = [sp.rational_point(WHEEL, F(rng.getrandbits(64) | 1, 1 << 64)) for _ in range(8)]
     for x, n in zip(points, range(8, 16)):
         word = sb.code_orbit(sys, x, partition, n).symbols
-        region = ms._circle_region(_circle_loop(sys, partition, word))
+        region = _arcs_region(_circle_loop(sys, partition, word))
         for mu in CIRCLE_MEASURES:
-            expected = cd.neg_log2(mu.model.region_measure(region))
+            expected = cd.neg_log2(fr.region_measure(mu.model, region))
             assert en.local_info(sys, mu, x, partition, n) == expected, (n, mu.name)
 
 
