@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from effdyn.numerics import Interval
 from effdyn.space import Kind, Point, Space, SpaceMismatch, cantor, circle, unit_interval
@@ -227,8 +227,9 @@ def grid_preimage(kind: MapKind, pieces: List[Tuple[int, int, int]], den: int):
     raise SpaceMismatch(f"no integer preimage for {kind}")
 
 
-def grid_ball(kind: MapKind, v: int, g: int, n: int, t: int) -> List[Tuple[int, int]]:
-    """Closed Bowen ball of v on the 2**g grid, as sorted inclusive ranges.
+def grid_balls(kind: MapKind, g: int, n: int, t: int) -> Callable[[int], List[Tuple[int, int]]]:
+    """Closed Bowen balls on the 2**g grid: ball(v) gives the ball of v
+    as sorted inclusive ranges.
 
     These are the grid points 0 <= j < 2**g with |T^k j - T^k v| <= t for
     every k < n.  The window around T^(n-1) v is pulled back through
@@ -241,32 +242,52 @@ def grid_ball(kind: MapKind, v: int, g: int, n: int, t: int) -> List[Tuple[int, 
     |x - y| <= t, a doubling takes the gap to 2(x - y) if x and y lie in
     the same half and beyond t if not, so d_n(v, j) <= t iff v and j
     share their top n-1 bits and |v - j| * 2**(n-1) <= t.
+
+    The choice between the two and everything that does not depend on v
+    are fixed here, once for all the balls of one grid, depth and radius.
+    A scan builds one ball per kept point, so both clip with conditionals,
+    not with calls to min and max.
     """
     cells = 1 << g
     if n < 1:
-        return [(0, cells - 1)]  # d_0 has no steps
+        return lambda v: [(0, cells - 1)]  # d_0 has no steps
     if kind is MapKind.DOUBLING and t << 2 <= cells and n <= g:
         shift = g - n + 1
-        base = v >> shift << shift
         reach = t >> (n - 1)
-        return [(max(v - reach, base), min(v + reach, base + (1 << shift) - 1))]
-    orbit = grid_orbit(kind, v, cells, n)
+        last = (1 << shift) - 1  # offset of a block's last point
+
+        def ball(v):
+            base = v >> shift << shift
+            lo, hi, end = v - reach, v + reach, base + last
+            return [(lo if lo > base else base, hi if hi < end else end)]
+
+        return ball
     top = cells if kind is MapKind.TENT else cells - 1
-    ranges = [(max(orbit[-1] - t, 0), min(orbit[-1] + t, top), 0)]
-    for u in reversed(orbit[:-1]):
-        lo, hi = max(u - t, 0), min(u + t, top)
-        pulled = grid_preimage(kind, ranges, cells)
-        ranges = []
-        for a, b, _ in pulled:
-            a, b = max((a + 1) >> 1, lo), min(b >> 1, hi)
-            if a > b:
-                continue
-            # the pieces come out ordered; the tent branches touch at 1/2
-            if ranges and a <= ranges[-1][1] + 1:
-                ranges[-1] = (ranges[-1][0], b, 0)
-            else:
-                ranges.append((a, b, 0))
-    return [(a, min(b, cells - 1)) for a, b, _ in ranges if a < cells]
+
+    def ball(v):
+        orbit = grid_orbit(kind, v, cells, n)
+        u = orbit[-1]
+        ranges = [(u - t if u > t else 0, u + t if u + t < top else top, 0)]
+        for u in reversed(orbit[:-1]):
+            lo, hi = u - t if u > t else 0, u + t if u + t < top else top
+            pulled = grid_preimage(kind, ranges, cells)
+            ranges = []
+            for a, b, _ in pulled:
+                a, b = (a + 1) >> 1, b >> 1
+                if a < lo:
+                    a = lo
+                if b > hi:
+                    b = hi
+                if a > b:
+                    continue
+                # the pieces come out ordered; the tent branches touch at 1/2
+                if ranges and a <= ranges[-1][1] + 1:
+                    ranges[-1] = (ranges[-1][0], b, 0)
+                else:
+                    ranges.append((a, b, 0))
+        return [(a, b if b < cells else cells - 1) for a, b, _ in ranges if a < cells]
+
+    return ball
 
 
 def _angle_enclosure(sys: System, precision: int) -> Interval:

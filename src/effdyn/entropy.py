@@ -378,10 +378,12 @@ def orbit_rate(
 SPANNING_MEMBER_CAP = 1 << 17
 
 #: Largest doubling or tent grid 2**(p+n+2) the greedy scan walks; a larger
-#: one raises PrecisionBlowup before anything is allocated.  The scan marks
-#: one byte per grid point, so at the cap it holds 1 MB of marks; tent
-#: there takes 5-10 s and at most 6 MB more peak memory (n = 15, p = 3
-#: keeps 133,744 points), doubling at most 3 s (CPython 3.11, 2-vCPU VM).
+#: one raises PrecisionBlowup before anything is allocated.  The scan holds
+#: one byte of marks per grid point, 1 MB at the cap.  There, for p = 0..3,
+#: tent takes 1.8-4.3 s and at most 6 MB more peak memory (n = 15, p = 3
+#: keeps 133,744 points), and doubling at most 1.2 s (p = 0, the pullback;
+#: 0.07-0.14 s from p = 1 on, where every ball is one range).  Measured
+#: with CPython 3.11.7 on a shared 2-vCPU Linux VM, two single runs each.
 SPANNING_GRID_CAP = 1 << 20
 
 
@@ -410,9 +412,13 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
     2**-p-1-close to a kept one and an arbitrary point is grid-close to
     its nearest grid point even through n expansions.
 
-    For doubling and tent each kept point marks the later points of its
-    grid Bowen ball, so the scan reaches every grid point with its
-    verdict already set and jumps from one unmarked point to the next.
+    For doubling and tent the scan walks the grid once, upwards, keeping
+    `front` one past the highest marked point.  A kept point i whose grid
+    Bowen ball is one range [lo, hi] with hi + 1 >= front covers every
+    point in (i, hi] (a ball holds its own centre, so lo <= i), and no
+    mark lies beyond hi: the next kept point is hi + 1, and nothing is
+    marked.  Any other kept point marks the later points of its ball,
+    and the scan goes on at the first unmarked point after i.
     """
     g = p + n + 2
     size = 1 << g
@@ -434,19 +440,25 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
         return SpanningSet(sys, n, p, count, length, None)
     if sys.map_kind not in (dy.MapKind.DOUBLING, dy.MapKind.TENT):
         raise SpaceMismatch(f"no spanning construction for {sys.map_kind}")
-    size = 1 << g
     if size > SPANNING_GRID_CAP:
         cap = SPANNING_GRID_CAP.bit_length() - 1
         raise dy.PrecisionBlowup(f"spanning scan capped at grid 2**{cap}, needs 2**{g}")
+    ball = dy.grid_balls(sys.map_kind, g, n, threshold)
     marked = bytearray(size)
     positions = []
+    front = 0
     i = 0
-    while i >= 0:
+    while 0 <= i < size:
         positions.append(i)
-        for lo, hi in dy.grid_ball(sys.map_kind, i, g, n, threshold):
+        ranges = ball(i)
+        if len(ranges) == 1 and ranges[0][1] >= front - 1:
+            i = ranges[0][1] + 1
+            continue
+        for lo, hi in ranges:
             lo = max(lo, i + 1)
             if lo <= hi:
                 marked[lo : hi + 1] = b"\x01" * (hi + 1 - lo)
+                front = max(front, hi + 1)
         i = marked.find(0, i + 1)
     keep = tuple(positions) if len(positions) <= SPANNING_MEMBER_CAP else None
     return SpanningSet(sys, n, p, len(positions), g, keep)
@@ -479,8 +491,9 @@ def verify_separated(span: SpanningSet) -> bool:
     if sys.map_kind is dy.MapKind.ROTATION:
         ring = pts[1:] + [q + cells for q in pts[:1]]
         return all(b - a > bound for a, b in zip(pts, ring))
+    ball = dy.grid_balls(sys.map_kind, span.grid_level, span.n, bound)
     for u in pts:
-        ranges = dy.grid_ball(sys.map_kind, u, span.grid_level, span.n, bound)
+        ranges = ball(u)
         # u lies in its own ball, so any second position breaks separation
         inside = sum(bisect.bisect_right(pts, hi) - bisect.bisect_left(pts, lo) for lo, hi in ranges)
         if inside > 1:

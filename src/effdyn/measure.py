@@ -201,11 +201,15 @@ def region_of_balls(space: Space, balls: Sequence[IdealBall]):
 
 
 def interval_as_balls(space: Space, a: F, b: F) -> Tuple[IdealBall, ...]:
-    """Exact ideal-ball presentation of the open interval/arc (a, b)."""
+    """Exact ideal-ball presentation of the open interval/arc (a, b).
+
+    On the circle an arc longer than 1 is the whole circle, and one of
+    length exactly 1 is the circle less a.
+    """
     a, b = F(a), F(b)
     if not a < b:
         return ()
-    if space.kind is Kind.CIRCLE and b - a >= 1:
+    if space.kind is Kind.CIRCLE and b - a > 1:
         return (IdealBall(space, space.encode_dyadic(F(0)), F(1)),)
     mid = (a + b) / 2
     if mid.denominator & (mid.denominator - 1) == 0:
@@ -564,7 +568,12 @@ class AlmostDecidableSet:
         """The set [a, b): inner open version, outer open complement."""
         a, b = F(a), F(b)
         if space.kind is Kind.CIRCLE:
-            inner = interval_as_balls(space, a, b)
+            # [a, a + 1) is the whole circle, though the open arc leaves out a
+            inner = (
+                (IdealBall(space, space.encode_dyadic(F(0)), F(1)),)
+                if b - a >= 1
+                else interval_as_balls(space, a, b)
+            )
             outer = interval_as_balls(space, b, a + 1)
         else:
             if not 0 <= a < b <= 1:

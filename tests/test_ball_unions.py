@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from effdyn import measure as ms
 from effdyn import space as sp
 from effdyn import symbolic as sb
-from effdyn.numerics import dyadic_floor
+from effdyn.numerics import Interval, dyadic_floor
 
 import fraction_regions as fr
 
@@ -168,3 +168,18 @@ def test_circle_ball_of_radius_half_leaves_out_its_antipode():
     assert whole.full and mu.exact_union([_ball(WHEEL, 0, F(3, 4))]) == 1
     # two such balls around 0 and 1/2 leave out nothing
     assert ms.region_of_balls(WHEEL, [ball, _ball(WHEEL, HALF, HALF)]).full
+
+
+def test_circle_arc_of_length_one_leaves_out_its_start():
+    """The open arc (a, a + 1) is the circle less a, while the set
+    [a, a + 1) of `from_interval` is the whole circle."""
+    # the arc (0, 1) leaves out the point mass of 1/2 at 0
+    assert AT_ZERO.exact_union(ms.interval_as_balls(WHEEL, 0, 1)) == HALF
+    # the closed annulus between radii 1/2 and 3/4 around 0 is the point
+    # 1/2; its complement leaves out that point's mass of 1/2
+    assert ANTIPODE.exact_union(ms.annulus_complement_balls(WHEEL, 0, HALF, F(3, 4))) == HALF
+    ad = ms.AlmostDecidableSet.from_interval(WHEEL, F(1, 3), F(4, 3))
+    assert ms.region_of_balls(WHEEL, ad.inside.enumerate(0)).full
+    assert ad.outside.enumerate(0) == ()
+    at_start = ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, HALF, [(F(1, 3), HALF)])
+    assert ms.measure_of_ad_set(at_start, ad, 8) == Interval(F(1), F(1))

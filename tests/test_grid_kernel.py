@@ -59,6 +59,72 @@ def test_spanning_positions_match_fraction_greedy(system):
         assert span.count == len(span.positions)
 
 
+def _marking_scan(sys, n, p):
+    """The greedy on integers with every kept point's ball marked: keep i,
+    mark the later points of its ball, go on at the next unmarked point."""
+    g = p + n + 2
+    ball = dy.grid_balls(sys.map_kind, g, n, 1 << (g - p - 1))
+    marked = bytearray(1 << g)
+    positions = []
+    i = 0
+    while i >= 0:
+        positions.append(i)
+        for lo, hi in ball(i):
+            lo = max(lo, i + 1)
+            if lo <= hi:
+                marked[lo : hi + 1] = b"\x01" * (hi + 1 - lo)
+        i = marked.find(0, i + 1)
+    return tuple(positions)
+
+
+def _counted_separated(span):
+    """verify_separated's verdict from a count of positions per grid point
+    and its running sum, in place of a sort and bisect."""
+    held = [0] * ((1 << span.grid_level) + 1)
+    for u in span.positions:
+        held[u + 1] += 1
+    below = list(itertools.accumulate(held))  # below[j]: positions < j
+    ball = dy.grid_balls(span.system.map_kind, span.grid_level, span.n, (1 << span.grid_level) >> (span.p + 2))
+    return all(sum(below[hi + 1] - below[lo] for lo, hi in ball(u)) == 1 for u in span.positions)
+
+
+class _CountedMarks(bytearray):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        _CountedMarks.writes += 1
+        super().__setitem__(key, value)
+
+
+# doubling with p >= 1 takes the one-range closed form, p = 0 the pullback
+SCAN_CASES = {
+    "doubling": [(n, p) for p in range(5) for n in range(15 - p)],  # grids up to 2**16
+    "tent": [(n, p) for p in range(5) for n in range(12 - p)],  # grids up to 2**13
+}
+
+
+@pytest.mark.parametrize("system", [dy.tent(), dy.doubling()], ids=["tent", "doubling"])
+def test_spanning_scan_matches_marking_scan(system, monkeypatch):
+    """The scan's jumps past one-range balls keep the positions of the scan
+    that marks every ball; verify_separated keeps the counted verdict on
+    them and on a witness moved next to its neighbour."""
+    monkeypatch.setattr(en, "bytearray", _CountedMarks, raising=False)
+    name = system.map_kind.value
+    for n, p in SCAN_CASES[name]:
+        _CountedMarks.writes = 0
+        span = en.spanning_separated(system, n, p)
+        assert span.positions == _marking_scan(system, n, p), (n, p)
+        assert span.count == len(span.positions)
+        if name == "doubling" and p >= 1:
+            assert _CountedMarks.writes == 0, (n, p)  # every kept point jumps
+        assert en.verify_separated(span) and _counted_separated(span), (n, p)
+        if span.count > 1:
+            moved = list(span.positions)
+            moved[len(moved) // 2] = moved[len(moved) // 2 - 1] + 1
+            bad = dataclasses.replace(span, positions=tuple(moved))
+            assert en.verify_separated(bad) == _counted_separated(bad), (n, p)
+
+
 @pytest.mark.parametrize("kind", [dy.MapKind.DOUBLING, dy.MapKind.TENT], ids=["doubling", "tent"])
 def test_grid_ball_matches_stepped_dn(kind):
     """Every ball on grids up to 2**7 against the pairwise d_n of stepped
@@ -68,8 +134,9 @@ def test_grid_ball_matches_stepped_dn(kind):
         for n in range(g + 1):
             orbits = [dy.grid_orbit(kind, j, cells, n) for j in range(cells)]
             for t in (cells >> k for k in range(g + 2)):
+                ball_of = dy.grid_balls(kind, g, n, t)
                 for i, orbit in enumerate(orbits):
-                    ranges = dy.grid_ball(kind, i, g, n, t)
+                    ranges = ball_of(i)
                     if kind is dy.MapKind.DOUBLING and 4 * t <= cells and n >= 1:
                         assert len(ranges) == 1  # the one-range lemma
                     ball = [j for lo, hi in ranges for j in range(lo, hi + 1)]
