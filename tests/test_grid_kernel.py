@@ -4,6 +4,8 @@ Each reference below is the plain Fraction computation the integer paths
 replace: orbits by `exact_step`, regions as `LineRegion`s pulled back by
 `preimage_pieces`, and Bowen-ball tests by rational distances.  The
 integer paths must agree with them exactly, positions and masses alike.
+On larger grids the spanning scan's jumps are checked against the integer
+scan that marks every ball.
 """
 
 import dataclasses
@@ -84,7 +86,8 @@ def _counted_separated(span):
     for u in span.positions:
         held[u + 1] += 1
     below = list(itertools.accumulate(held))  # below[j]: positions < j
-    ball = dy.grid_balls(span.system.map_kind, span.grid_level, span.n, (1 << span.grid_level) >> (span.p + 2))
+    bound = (1 << span.grid_level) >> (span.p + 2)
+    ball = dy.grid_balls(span.system.map_kind, span.grid_level, span.n, bound)
     return all(sum(below[hi + 1] - below[lo] for lo, hi in ball(u)) == 1 for u in span.positions)
 
 
