@@ -582,9 +582,11 @@ def verify_null_s_cover(
 ) -> CoverReport:
     """Check the truncated weight and the depth-k cover property.
 
-    Membership of a sample in a listed Bowen ball is certified through
-    exact orbits (rational points) or enclosure comparisons; inconclusive
-    scans count as Unknown, never as failure.
+    Membership of a sample in a listed Bowen ball is decided exactly on
+    the sample's doubling orbit (`_point_in_some_ball`), so every sample
+    must be a rational point of the doubling map: any other raises
+    `SpaceMismatch`.  `unknown[k]` is the number of samples that no ball
+    covers at depth k.
     """
     sys = cover.system
     weight = cover.truncated_weight()

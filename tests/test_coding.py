@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effdyn import coding as cd
-from effdyn.numerics import eval_J, eval_f, log2
+from effdyn.numerics import eval_J, eval_f
 
 F = Fraction
 
@@ -195,6 +195,25 @@ def test_word_check_names_the_first_offending_symbol():
     assert comp.bits_len((0, 1, 2)) == comp.bits_len([0, 1, 2])
 
 
+@pytest.mark.parametrize("alphabet", [3, 256, 300])
+def test_word_check_keeps_its_answers_on_odd_symbols(alphabet):
+    """The bytes fast path for alphabets up to 256 accepts and rejects
+    exactly what the symbol-by-symbol check does, with the same message."""
+    check = cd._check_word
+    with pytest.raises(cd.UnknownSymbol, match=r"^word contains an unresolved symbol$"):
+        check((0, None, 1), alphabet)
+    for bad in (-1, alphabet, 256, 1 << 70):
+        if not 0 <= bad < alphabet:
+            with pytest.raises(ValueError, match=rf"^symbol {bad} outside alphabet of size {alphabet}$"):
+                check((0, bad, 1), alphabet)
+    # bools and floats inside the alphabet pass through unchanged, as they always did
+    word = check((0, True, 1.0, 2), alphabet)
+    assert word == (0, True, 1.0, 2) and word[1] is True and isinstance(word[2], float)
+    with pytest.raises(ValueError, match=rf"^symbol {float(alphabet)} outside alphabet of size {alphabet}$"):
+        check((1.0, float(alphabet)), alphabet)
+    assert check(range(3), alphabet) == (0, 1, 2) and check((), alphabet) == ()
+
+
 def test_rate_on_constant_run():
     assert cd.lz_rate((0,) * 4096) <= F(8, 100)
 
@@ -289,20 +308,6 @@ def test_gap_patch_length_within_f_sum():
         ]
         f_sum = sum(float(eval_f(max(g, 1)).hi) for g in gaps)
         assert len(patch) <= f_sum + float(eval_f(p + 1).hi) + 2
-
-
-# -- rank code -----------------------------------------------------------------
-
-
-def test_rank_code_roundtrip_and_bound():
-    enumerations = {3: list(range(40)), 7: [10, 20, 30], 50: list(range(1000))}
-    for n, listed in enumerations.items():
-        for rank in (0, len(listed) // 2, len(listed) - 1):
-            code = cd.rank_encode(n, rank)
-            got_n, got_rank, pos = cd.rank_decode(code)
-            assert (got_n, got_rank) == (n, rank) and pos == len(code)
-            bound = float(eval_J(log2(len(listed)).hi).hi) + cd.elias_len(n) + 1
-            assert len(code) <= bound
 
 
 # -- deficiency proxy ----------------------------------------------------------

@@ -3,7 +3,8 @@
 The references below are the full walks the lazy branch costs replace:
 the enumerative length from ranks grown one symbol at a time, the
 per-position combinadic rank and unrank walks the block walks replace,
-and the copy-branch parse on a suffix automaton with one dict per state.
+`math.comb` for the class sizes built from prime exponents, and the
+copy-branch parse on a suffix automaton with one dict per state.
 The costs, the selector, `bits_len` and every codeword must agree with
 them exactly; the copy branch's budgeted cost must be exact below its
 budget and at least the budget otherwise.
@@ -496,6 +497,54 @@ def test_binomial_bound_is_certified():
         m = rng.randrange(301, 1 << 16)
         check(m, rng.randrange(m + 1))
         check(m, rng.choice((1, 2, m // 2, m - 1)))
+
+
+# -- class sizes from prime exponents ------------------------------------------
+
+
+def test_prime_comb_matches_math_comb_on_every_small_pair():
+    for m in range(201):
+        for r in range(m + 1):
+            assert cd._prime_comb(m, r) == math.comb(m, r), (m, r)
+
+
+def test_class_size_matches_math_comb_on_both_sides_of_the_cutover():
+    """Seeded pairs up to m = 2**16: r <= 256 always takes math.comb, and
+    r in [m/4, m/2] with m >= 2048 always takes the primes (its width
+    times r is then above 256 m); the rest fall either way.  The edges
+    r in {0, 1, m - 1, m} are checked at every drawn m."""
+    rng = random.Random(21)
+    pairs = []
+    for e in range(1, 17):
+        m = rng.randrange(1 << (e - 1), 1 << e) + 1
+        pairs += [(m, r) for r in {0, 1, m - 1, m}]
+        pairs += [(m, rng.randrange(min(m, 256) + 1)), (m, rng.randrange(m + 1))]
+        if m >= 2048:
+            pairs.append((m, rng.randrange(m // 4, m // 2 + 1)))
+    for m, r in pairs:
+        size = math.comb(m, r)
+        assert cd._class_size(m, r) == size == cd._prime_comb(m, r), (m, r)
+        assert cd._class_size(m, m - r) == size, (m, r)
+
+
+def test_wide_ternary_word_round_trips_through_the_prime_kernel(monkeypatch):
+    """A random ternary word of 2**14 symbols: both layers' class sizes
+    are wide, so encode, decode and bits_len all take `_prime_comb`."""
+    kernel, calls = cd._prime_comb, []
+
+    def counted(m, r):
+        calls.append((m, r))
+        return kernel(m, r)
+
+    monkeypatch.setattr(cd, "_prime_comb", counted)
+    comp = cd.PrefixFreeCompressor(3)
+    word = make_word(random.Random(14), 3, "random", 1 << 14)
+    code = comp.encode(word)
+    assert code[: cd.elias_len(len(word) + 1) + 1].endswith("0")  # the enum branch won
+    assert comp.decode(code) == word
+    assert len(code) == comp.bits_len(word)
+    layers = [(m, min(r, m - r)) for _, m, r in cd._enum_layers(word, 3)]
+    assert calls == layers * 3  # costed in encode, then decode, then bits_len
 
 
 def _layer_cases():
