@@ -227,37 +227,39 @@ def grid_preimage(kind: MapKind, pieces: List[Tuple[int, int, int]], den: int):
     raise SpaceMismatch(f"no integer preimage for {kind}")
 
 
-def grid_balls(kind: MapKind, g: int, n: int, t: int) -> Callable[[int], List[Tuple[int, int]]]:
-    """Closed Bowen balls on the 2**g grid: ball(v) gives the ball of v
+def grid_balls(kind: MapKind, cells: int, n: int, t: int) -> Callable[[int], List[Tuple[int, int]]]:
+    """Closed Bowen balls on the grid 1/cells: ball(v) gives the ball of v
     as sorted inclusive ranges.
 
-    These are the grid points 0 <= j < 2**g with |T^k j - T^k v| <= t for
-    every k < n.  The window around T^(n-1) v is pulled back through
+    These are the grid points 0 <= j < cells with |T^k j - T^k v| <= t
+    for every k < n.  The window around T^(n-1) v is pulled back through
     `grid_preimage` and cut to the window around each earlier T^k v; the
     map sends the grid into itself, so a grid point j is the even
-    numerator 2j of a preimage piece.  Tent orbit values may be 2**g
+    numerator 2j of a preimage piece.  Tent orbit values may be cells
     (the point 1), so windows reach it and only the result is clipped.
+    Spanning scans and separation checks use the grid 2**g, and cover
+    checks the grid b * 2**g of a sample with denominator b.
 
-    For doubling with 4t <= 2**g and n <= g the ball is one range: while
-    |x - y| <= t, a doubling takes the gap to 2(x - y) if x and y lie in
-    the same half and beyond t if not, so d_n(v, j) <= t iff v and j
-    share their top n-1 bits and |v - j| * 2**(n-1) <= t.
+    For doubling with 4t <= cells and 2**(n-1) dividing cells the ball is
+    one range: while |x - y| <= t, a doubling takes the gap to 2(x - y) if
+    x and y lie in the same half and to at least cells - 2t > t if not, so
+    d_n(v, j) <= t iff v and j lie in the same of the grid's 2**(n-1)
+    equal blocks and |v - j| * 2**(n-1) <= t.
 
     The choice between the two and everything that does not depend on v
     are fixed here, once for all the balls of one grid, depth and radius.
     A scan builds one ball per kept point, so both clip with conditionals,
     not with calls to min and max.
     """
-    cells = 1 << g
     if n < 1:
         return lambda v: [(0, cells - 1)]  # d_0 has no steps
-    if kind is MapKind.DOUBLING and t << 2 <= cells and n <= g:
-        shift = g - n + 1
+    if kind is MapKind.DOUBLING and t << 2 <= cells and cells % (1 << (n - 1)) == 0:
+        size = cells >> (n - 1)
         reach = t >> (n - 1)
-        last = (1 << shift) - 1  # offset of a block's last point
+        last = size - 1  # offset of a block's last point
 
         def ball(v):
-            base = v >> shift << shift
+            base = v - v % size
             lo, hi, end = v - reach, v + reach, base + last
             return [(lo if lo > base else base, hi if hi < end else end)]
 

@@ -443,7 +443,7 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
     if size > SPANNING_GRID_CAP:
         cap = SPANNING_GRID_CAP.bit_length() - 1
         raise dy.PrecisionBlowup(f"spanning scan capped at grid 2**{cap}, needs 2**{g}")
-    ball = dy.grid_balls(sys.map_kind, g, n, threshold)
+    ball = dy.grid_balls(sys.map_kind, size, n, threshold)
     marked = bytearray(size)
     positions = []
     front = 0
@@ -491,7 +491,7 @@ def verify_separated(span: SpanningSet) -> bool:
     if sys.map_kind is dy.MapKind.ROTATION:
         ring = pts[1:] + [q + cells for q in pts[:1]]
         return all(b - a > bound for a, b in zip(pts, ring))
-    ball = dy.grid_balls(sys.map_kind, span.grid_level, span.n, bound)
+    ball = dy.grid_balls(sys.map_kind, cells, span.n, bound)
     for u in pts:
         ranges = ball(u)
         # u lies in its own ball, so any second position breaks separation
@@ -583,10 +583,10 @@ def verify_null_s_cover(
     """Check the truncated weight and the depth-k cover property.
 
     Membership of a sample in a listed Bowen ball is decided exactly on
-    the sample's doubling orbit (`_point_in_some_ball`), so every sample
-    must be a rational point of the doubling map: any other raises
-    `SpaceMismatch`.  `unknown[k]` is the number of samples that no ball
-    covers at depth k.
+    the sample's grid Bowen ball from `dynamics.grid_balls`
+    (`_point_in_some_ball`), so every sample must be a rational point of
+    the doubling map: any other raises `SpaceMismatch`.  `unknown[k]` is
+    the number of samples that no ball covers at depth k.
     """
     sys = cover.system
     weight = cover.truncated_weight()
@@ -611,33 +611,25 @@ def verify_null_s_cover(
     for k in range(1, k_max + 1):
         hits = sum(1 for depth in deepest if depth >= k)
         covered[k] = hits
-        unknown[k] = 0 if hits == len(sample_points) else len(sample_points) - hits
+        unknown[k] = len(sample_points) - hits
     return CoverReport(weight, weight <= weight_cap, covered, unknown, len(sample_points))
 
 
 def _point_in_some_ball(sys, x: Point, positions, n: int, p: int, g: int) -> bool:
     """Is d_n(x, pos / 2**g) < 2**-p for some listed grid position?
 
-    The sample a/b and the positions are compared as numerators over the
-    common denominator b * 2**g, where doubling stays exact.
+    The sample a/b and the positions are points of the grid b * 2**g,
+    which doubling maps into itself.  There d_n < 2**-p is the closed
+    grid ball of radius b * 2**(g-p) - 1, and a position pos is the grid
+    point pos * b.
     """
     if sys.map_kind is not dy.MapKind.DOUBLING or not isinstance(x.exact, F):
         raise SpaceMismatch("cover verification implemented for doubling samples")
-    cells = 1 << g
     b = x.exact.denominator
     a = x.exact.numerator % b  # doubling identifies 1 with 0
-    den = b * cells
-    orbit = dy.grid_orbit(sys.map_kind, a * cells, den, n)
-    window = (1 << (g - p)) + 2
-    anchor = (a * cells) // b
-    lo = bisect.bisect_left(positions, anchor - window)
-    hi = bisect.bisect_right(positions, anchor + window)
-    for pos in positions[lo:hi]:
-        v = pos * b % den
-        for u in orbit:
-            if abs(u - v) << p >= den:  # |u - v| / den >= 2**-p
-                break
-            v = (v << 1) % den
-        else:
+    ball = dy.grid_balls(sys.map_kind, b << g, n, (b << (g - p)) - 1)
+    for lo, hi in ball(a << g):
+        i = bisect.bisect_left(positions, -(-lo // b))
+        if i < len(positions) and positions[i] * b <= hi:
             return True
     return False

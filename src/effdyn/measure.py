@@ -524,17 +524,6 @@ def prokhorov(mu: IdealMeasure, nu: IdealMeasure) -> Interval:
     return Interval.point(max(forward, backward))
 
 
-def total_variation(mu: IdealMeasure, nu: IdealMeasure) -> F:
-    points = {}
-    for idx, w in zip(mu.support, mu.weights):
-        key = mu.space.decode(idx)
-        points[key] = points.get(key, F(0)) + w
-    for idx, w in zip(nu.support, nu.weights):
-        key = nu.space.decode(idx)
-        points[key] = points.get(key, F(0)) - w
-    return sum((abs(v) for v in points.values()), F(0)) / 2
-
-
 # ---------------------------------------------------------------------------
 # Almost decidable sets
 # ---------------------------------------------------------------------------

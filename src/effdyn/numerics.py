@@ -72,9 +72,6 @@ class Interval:
     def contains(self, q: RationalLike) -> bool:
         return self.lo <= q <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 

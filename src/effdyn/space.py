@@ -191,10 +191,6 @@ class IdealBall:
         gap = self.space.dist_desc(self.center_desc, inner.center_desc)
         return gap + inner.radius <= self.radius
 
-    def contains_desc(self, desc) -> bool:
-        """Exact membership of an ideal description in the open ball."""
-        return self.space.dist_desc(self.center_desc, desc) < self.radius
-
 
 @dataclass(frozen=True)
 class Point:

@@ -6,7 +6,7 @@ membership of rational points is exactly decidable.  An interval or
 circle partition has one integer layout, its pieces over the lcm of the
 endpoint denominators, and `_code_segment` is the one membership test on
 it, with the open-atom rules: orbit coding, the doubling fast path and
-`atom_of_value` all decide through it.
+the value test `_value_atom` all decide through it.
 
 Coding emits one symbol per orbit step whenever the step's enclosure
 certifiably sits inside an atom, and the first-class Unknown symbol
@@ -120,11 +120,6 @@ class ComputablePartition:
         pieces = [(F(a), F(b), i) for i, atom in enumerate(self.atoms) for a, b in atom]
         den = math.lcm(*(q.denominator for a, b, _ in pieces for q in (a, b)))
         return den, tuple((int(a * den), int(b * den), i) for a, b, i in pieces)
-
-    def atom_of_value(self, q) -> Optional[int]:
-        """The atom holding a rational value (interval/circle kinds), or
-        None: `_code_segment` on the one-step enclosure [q, q]."""
-        return _value_atom(self, F(q))
 
     def atom_of_word(self, word: Tuple[int, ...]) -> Optional[int]:
         for i, atom in enumerate(self.atoms):
@@ -675,11 +670,3 @@ def reconstruct_symbols(
             raise ReconstructStalled(j, SymbolicWord(tuple(out), partition.alphabet))
         out.append(found)
     return SymbolicWord(tuple(out), partition.alphabet)
-
-
-def mismatch_fraction(word_a: SymbolicWord, word_b: SymbolicWord) -> F:
-    """Fraction of positions where two equal-length words disagree."""
-    if len(word_a) != len(word_b):
-        raise ValueError("words must have equal length")
-    bad = sum(1 for a, b in zip(word_a.symbols, word_b.symbols) if a != b)
-    return F(bad, len(word_a)) if len(word_a) else F(0)

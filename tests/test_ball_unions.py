@@ -157,7 +157,7 @@ def test_circle_ball_of_radius_half_leaves_out_its_antipode():
     mass of 1/2 there is not in it, so its mass is 1/2, not 1."""
     mu = ANTIPODE
     ball = _ball(WHEEL, 0, HALF)
-    assert not ball.contains_desc(HALF)
+    assert not WHEEL.dist_desc(ball.center_desc, HALF) < ball.radius
     assert mu.exact_union([ball]) == HALF
     assert mu.lower([ball], 8) == HALF
     # the two closed cells of 2**-6 at 1/2 are not inside

@@ -10,6 +10,7 @@ scan that marks every ball.
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -65,7 +66,7 @@ def _marking_scan(sys, n, p):
     """The greedy on integers with every kept point's ball marked: keep i,
     mark the later points of its ball, go on at the next unmarked point."""
     g = p + n + 2
-    ball = dy.grid_balls(sys.map_kind, g, n, 1 << (g - p - 1))
+    ball = dy.grid_balls(sys.map_kind, 1 << g, n, 1 << (g - p - 1))
     marked = bytearray(1 << g)
     positions = []
     i = 0
@@ -87,7 +88,7 @@ def _counted_separated(span):
         held[u + 1] += 1
     below = list(itertools.accumulate(held))  # below[j]: positions < j
     bound = (1 << span.grid_level) >> (span.p + 2)
-    ball = dy.grid_balls(span.system.map_kind, span.grid_level, span.n, bound)
+    ball = dy.grid_balls(span.system.map_kind, 1 << span.grid_level, span.n, bound)
     return all(sum(below[hi + 1] - below[lo] for lo, hi in ball(u)) == 1 for u in span.positions)
 
 
@@ -137,7 +138,7 @@ def test_grid_ball_matches_stepped_dn(kind):
         for n in range(g + 1):
             orbits = [dy.grid_orbit(kind, j, cells, n) for j in range(cells)]
             for t in (cells >> k for k in range(g + 2)):
-                ball_of = dy.grid_balls(kind, g, n, t)
+                ball_of = dy.grid_balls(kind, cells, n, t)
                 for i, orbit in enumerate(orbits):
                     ranges = ball_of(i)
                     if kind is dy.MapKind.DOUBLING and 4 * t <= cells and n >= 1:
@@ -148,6 +149,36 @@ def test_grid_ball_matches_stepped_dn(kind):
                         for j, other in enumerate(orbits)
                         if all(abs(a - b) <= t for a, b in zip(orbit, other))
                     ], (g, n, t, i)
+
+
+@pytest.mark.parametrize("kind", [dy.MapKind.DOUBLING, dy.MapKind.TENT], ids=["doubling", "tent"])
+def test_grid_ball_matches_stepped_dn_off_powers_of_two(kind):
+    """Every ball on the grids b * 2**g of cover checks, b = 3, 5, 12,
+    against the pairwise d_n of stepped orbits: radii on both sides of
+    4t <= cells, depths on both sides of 2**(n-1) dividing cells."""
+    for b, g in itertools.product((3, 5, 12), range(4)):
+        cells = b << g
+        orbits = [dy.grid_orbit(kind, j, cells, g + 5) for j in range(cells)]
+        quarter = cells // 4
+        radii = sorted({t for t in (0, 1, quarter - 1, quarter, quarter + 1, cells // 2, cells) if t >= 0})
+        dn = [[0] * cells for _ in range(cells)]  # d_n in grid units, grown one step per n
+        for n in range(g + 6):
+            for t in radii:
+                ball_of = dy.grid_balls(kind, cells, n, t)
+                one_range = kind is dy.MapKind.DOUBLING and 4 * t <= cells and n >= 1
+                for i in range(cells):
+                    ranges = ball_of(i)
+                    if one_range and cells % (1 << (n - 1)) == 0:
+                        assert len(ranges) == 1, (b, g, n, t, i)  # the one-range lemma
+                    ball = [j for lo, hi in ranges for j in range(lo, hi + 1)]
+                    assert ball == [j for j in range(cells) if dn[i][j] <= t], (b, g, n, t, i)
+            if n < g + 5:
+                for i, row in enumerate(dn):
+                    u = orbits[i][n]
+                    for j, other in enumerate(orbits):
+                        gap = abs(u - other[n])
+                        if gap > row[j]:
+                            row[j] = gap
 
 
 @pytest.mark.parametrize("system", [dy.tent(), dy.doubling()], ids=["tent", "doubling"])
@@ -301,23 +332,38 @@ def _fraction_in_some_ball(x, positions, n, p, g):
     return False
 
 
-def test_ball_membership_of_non_dyadic_samples():
+def _check_membership(samples, cases):
+    """The kernel against the reference on every (n, p) witness, for all
+    its positions and for each grid position alone."""
     system = dy.doubling()
-    samples = [F(1, 3), F(5, 7), F(2, 3), F(3, 11), F(1, 1), F(0)]
-    for n, p in ((2, 1), (3, 2), (4, 2), (4, 3)):
+    for n, p in cases:
         span = en.spanning_separated(system, n, p)
         g = span.grid_level
         for q in samples:
             x = sp.rational_point(LINE, q)
-            # all positions: the reference scans them all, the kernel a window
             assert en._point_in_some_ball(system, x, span.positions, n, p, g) == (
                 _fraction_in_some_ball(x, span.positions, n, p, g)
             ), (q, n, p)
-            # each grid position alone, inside the scan window or not
             for pos in range(1 << g):
                 assert en._point_in_some_ball(system, x, [pos], n, p, g) == (
                     _fraction_in_some_ball(x, [pos], n, p, g)
                 ), (q, n, p, pos)
+
+
+def test_ball_membership_of_non_dyadic_samples():
+    samples = [F(1, 3), F(5, 7), F(2, 3), F(3, 11), F(1, 1), F(0)]
+    _check_membership(samples, ((2, 1), (3, 2), (4, 2), (4, 3)))
+
+
+def test_ball_membership_of_dyadic_and_end_samples():
+    """Dyadic samples finer than the grid (denominators 2**20 and 2**48,
+    as criterion 6 and perfbench draw them), grid points at distance
+    exactly 2**-p from others, and 0 and 1; at p = 0 and 1 the ball is
+    not given by the one-range closed form."""
+    rng = random.Random(22)
+    samples = [F(0), F(1), F(1, 4), F(3, 8), F(13, 32)]
+    samples += [F(rng.getrandbits(e), 1 << e) for e in (20, 48) for _ in range(3)]
+    _check_membership(samples, ((1, 0), (3, 0), (2, 1), (4, 1), (3, 2), (5, 3)))
 
 
 def test_cover_report_matches_per_k_reference():

@@ -70,11 +70,15 @@ def test_interval_ops_enclose_sampled_points(a, b, op_fn):
             assert result.contains(fn(x, y))
 
 
+def _contains(outer, inner):
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
 @given(intervals(), intervals(), st.sampled_from([op for op, _ in POINTWISE]))
 def test_inclusion_monotonicity(a, b, op):
     wider_a = Interval(a.lo - 1, a.hi + 1)
     wider_b = Interval(b.lo - F(1, 3), b.hi + F(1, 3))
-    assert op(wider_a, wider_b).contains_interval(op(a, b))
+    assert _contains(op(wider_a, wider_b), op(a, b))
 
 
 def test_log2_exact_on_powers_of_two():
@@ -238,7 +242,7 @@ def test_log2_matches_the_fraction_reference():
     for q, p in _log2_corpus():
         got, want = log2(q, p), reference_log2(q, p)
         if got != want:
-            assert want.width == F(1, 1 << p) and want.contains_interval(got), (q, p)
+            assert want.width == F(1, 1 << p) and _contains(want, got), (q, p)
             assert got.width == F(1, 1 << (p + 1)), (q, p)
             coarse.append((q, p))
     assert coarse == [(COARSE, 0)]

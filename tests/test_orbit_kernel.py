@@ -280,7 +280,7 @@ def test_arc_lift_down_codes_seven_eighths_to_its_first_atom():
     # the references read the partition's own atoms; this check does not:
     # 7/8 lies on the arc (-1/4, 1/4) one turn down
     below = next(p for p in _partitions(WHEEL) if p.name == "arc-lift-down")
-    assert below.atom_of_value(F(7, 8)) == 0
+    assert sb._value_atom(below, F(7, 8)) == 0
     seg = dy.OrbitSegment(dy.rotation(F(1, 2)), 1, 8, (7,), (7,), 8)
     assert sb._code_segment(below, seg) == [0]
 
@@ -409,7 +409,7 @@ def test_atom_of_value_matches_fraction_reference(space):
         scaled = {}
         for q in sorted(values):
             expected = _ref_atom_of_value(partition, q)
-            assert partition.atom_of_value(q) == expected, (partition.name, q)
+            assert sb._value_atom(partition, F(q)) == expected, (partition.name, q)
             assert sb._value_atom(partition, q, scaled) == expected, (partition.name, q)
             checked.add(expected)
     assert None in checked and {0, 1} <= checked

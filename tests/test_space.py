@@ -170,7 +170,7 @@ def test_member_semidecide_via_second_ball(line):
     )
     witness = sp.member_semidecide(x, u, 16)
     assert witness is not None
-    assert witness.contains_desc(F(3, 10))
+    assert line.dist_desc(witness.center_desc, F(3, 10)) < witness.radius
 
 
 def test_member_semidecide_monotone_in_budget(line):
