@@ -58,7 +58,6 @@ from effdyn.space import (
     circle,
     dist,
     member_semidecide,
-    product,
     rational_point,
     sequence_point,
     sqrt2_minus_1,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -83,23 +82,17 @@ def shift(alphabet: int = 2, measure=None) -> System:
     return System(cantor(alphabet), MapKind.SHIFT, measure=measure, name=f"shift({alphabet})")
 
 
-Enclosure = Union[Interval, Tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class OrbitSegment:
     """Per-step enclosures of an orbit: step j contains T^j(x).
 
     Interval and circle steps are the integer numerators lows[j] <= highs[j]
-    over the one denominator `den`, of width below den * 2**-precision
-    (degenerate on the exact path, where `lows` is `highs`); `enclosures`
-    gives them as Intervals.  Sequence-space steps are the cylinder words
-    of length > precision in `words`.
+    over the one denominator `den`, of width below den * 2**-p for
+    `iterate`'s p (degenerate on the exact path, where `lows` is `highs`).
+    Sequence-space steps are the cylinder words of length > p in `words`.
     """
 
-    system: System
     length: int
-    precision: int
     lows: Sequence[int] = ()
     highs: Sequence[int] = ()
     den: int = 1
@@ -108,14 +101,6 @@ class OrbitSegment:
 
     def __len__(self):
         return self.length
-
-    @cached_property
-    def enclosures(self) -> Tuple[Enclosure, ...]:
-        """Interval per step (cylinder words for shifts), built on first use."""
-        if self.system.space.kind is Kind.CANTOR:
-            return self.words
-        den = self.den
-        return tuple(Interval(F(lo, den), F(hi, den)) for lo, hi in zip(self.lows, self.highs))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +338,14 @@ def _try_exact_segment(sys: System, x: Point, n: int, p: int) -> Optional[OrbitS
         window = p + 1
         symbols = [x.exact(j) for j in range(n + window)]
         words = tuple(tuple(symbols[j : j + window]) for j in range(n))
-        return OrbitSegment(sys, n, p, words=words, exact=True)
+        return OrbitSegment(n, words=words, exact=True)
     if not isinstance(x.exact, F):
         return None
     if sys.map_kind is MapKind.ROTATION and not isinstance(sys.angle, F):
         return None
     v, den, a = _exact_grid(sys, x.exact)
     orbit = grid_orbit(sys.map_kind, v, den, n, a)
-    return OrbitSegment(sys, n, p, orbit, orbit, den, exact=True)
+    return OrbitSegment(n, orbit, orbit, den, exact=True)
 
 
 class _Straddle(ArithmeticError):
@@ -388,7 +373,7 @@ def _enclose_segment(sys: System, x: Point, n: int, p: int, m: int) -> OrbitSegm
         if len(word) - (n - 1) <= p:
             raise _WidthFailure()
         words = tuple(word[j:] for j in range(n))
-        return OrbitSegment(sys, n, p, words=words)
+        return OrbitSegment(n, words=words)
     box = x.enclosure(m)
     rotation = sys.map_kind is MapKind.ROTATION
     angle = _angle_enclosure(sys, m + max(n.bit_length(), 1) + 2) if rotation else Interval.point(0)
@@ -430,65 +415,70 @@ def _enclose_segment(sys: System, x: Point, n: int, p: int, m: int) -> OrbitSegm
             lo, hi = 2 * (den - hi), 2 * (den - lo)
         else:
             lo, hi = min(lo << 1, 2 * (den - hi)), den
-    return OrbitSegment(sys, n, p, lows, highs, den)
+    return OrbitSegment(n, lows, highs, den)
 
 
 # ---------------------------------------------------------------------------
-# Distances between enclosures and the Bowen metric
+# Step distances and the Bowen metric
 # ---------------------------------------------------------------------------
 
 
-def _circle_dist_interval(a: Interval, b: Interval) -> Interval:
-    """Enclosure of the wrap distance between two lifted-arc enclosures."""
-    diff = a - b
-    if diff.width >= 1:
-        return Interval(F(0), F(1, 2))
-    shift = diff.lo.numerator // diff.lo.denominator
-    lo, hi = diff.lo - shift, diff.hi - shift  # lo in [0,1)
+def step_dist(circle: bool, den: int, alo: int, ahi: int, blo: int, bhi: int) -> Tuple[int, int]:
+    """(lo, hi) over 2 * den: the enclosure of the distance between the
+    steps [alo, ahi] and [blo, bhi] over den, |x - y| on the line and the
+    wrap distance on the circle, whose largest value 1/2 is den.
 
-    def wrap(t: F) -> F:
-        t = _mod1(t)
-        return min(t, 1 - t)
-
-    crosses_zero = lo == 0 or hi >= 1
-    crosses_half = lo <= F(1, 2) <= hi or hi >= F(3, 2)
-    low = F(0) if crosses_zero else min(wrap(lo), wrap(hi))
-    high = F(1, 2) if crosses_half else max(wrap(lo), wrap(hi))
-    return Interval(low, high)
-
-
-def enclosure_dist(space: Space, a: Enclosure, b: Enclosure) -> Interval:
-    if space.kind is Kind.UNIT_INTERVAL:
-        return a.dist(b)
-    if space.kind is Kind.CIRCLE:
-        return _circle_dist_interval(a, b)
-    if space.kind is Kind.CANTOR:
-        shared = min(len(a), len(b))
-        for i in range(shared):
-            if a[i] != b[i]:
-                return Interval.point(F(1, 1 << i))
-        return Interval(F(0), F(1, 1 << shared))
-    raise SpaceMismatch(f"no enclosure metric for {space}")
+    On the circle the difference [dlo, dhi] is shifted so that dlo lies in
+    [0, den); the wrap distance then reaches 0 when the difference holds
+    an integer other than dlo = 0 (where it is an end's value), 1/2 when
+    it holds a half-integer, and otherwise lies between its values at the
+    two ends.
+    """
+    dlo, dhi = alo - bhi, ahi - blo
+    if not circle:
+        return 2 * max(dlo, -dhi, 0), 2 * max(dhi, -dlo)
+    shift = dlo // den * den
+    dlo, dhi = dlo - shift, dhi - shift
+    ends = [2 * min(t % den, den - t % den) for t in (dlo, dhi)]
+    low = 0 if dhi >= den else min(ends)
+    high = den if 2 * dlo <= den <= 2 * dhi or 2 * dhi >= 3 * den else max(ends)
+    return low, high
 
 
 def bowen_dist(sys: System, x: Point, y: Point, n: int, precision: int = 16) -> Interval:
-    """Enclosure of d_n(x, y) = max of step distances over the first n steps."""
+    """Enclosure of d_n(x, y) = max of step distances over the first n steps.
+
+    Interval and circle steps are compared on the lcm of the two segments'
+    denominators (`step_dist`); shift steps are cylinder words, at
+    distance 2**-i when they first differ at i and within 2**-m when they
+    agree on their shared length m.
+    """
     if n < 1:
         raise ValueError("d_n needs n >= 1")
     seg_x = iterate(sys, x, n, precision + 2)
     seg_y = iterate(sys, y, n, precision + 2)
-    return bowen_dist_segments(seg_x, seg_y)
-
-
-def bowen_dist_segments(seg_x: OrbitSegment, seg_y: OrbitSegment) -> Interval:
-    space = seg_x.system.space
-    steps = min(seg_x.length, seg_y.length)
-    current = enclosure_dist(space, seg_x.enclosures[0], seg_y.enclosures[0])
-    for j in range(1, steps):
-        current = current.max_with(
-            enclosure_dist(space, seg_x.enclosures[j], seg_y.enclosures[j])
-        )
-    return current
+    if sys.map_kind is MapKind.SHIFT:
+        low = high = None  # least exponents of 2**-i among the steps' ends
+        for a, b in zip(seg_x.words, seg_y.words):
+            shared = min(len(a), len(b))
+            i = next((i for i in range(shared) if a[i] != b[i]), None)
+            if i is not None and (low is None or i < low):
+                low = i
+            end = shared if i is None else i
+            if high is None or end < high:
+                high = end
+        return Interval(F(0) if low is None else F(1, 1 << low), F(1, 1 << high))
+    den = math.lcm(seg_x.den, seg_y.den)
+    up_x, up_y = den // seg_x.den, den // seg_y.den
+    circle = sys.space.kind is Kind.CIRCLE
+    low = high = 0
+    for alo, ahi, blo, bhi in zip(seg_x.lows, seg_x.highs, seg_y.lows, seg_y.highs):
+        lo, hi = step_dist(circle, den, alo * up_x, ahi * up_x, blo * up_y, bhi * up_y)
+        if lo > low:
+            low = lo
+        if hi > high:
+            high = hi
+    return Interval(F(low, 2 * den), F(high, 2 * den))
 
 
 # ---------------------------------------------------------------------------

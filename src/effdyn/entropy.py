@@ -185,7 +185,6 @@ def symbol_rate(
     x: Point,
     partition,
     n_grid: Sequence[int],
-    compressor: Optional[PrefixFreeCompressor] = None,
 ) -> EntropyReport:
     """Compressed bits per step of the coded orbit, over the n-grid.
 
@@ -194,7 +193,6 @@ def symbol_rate(
     """
     n_grid = sorted(n_grid)
     n_max = n_grid[-1]
-    compressor = compressor or PrefixFreeCompressor(partition.alphabet)
     word = sb.code_orbit(sys, x, partition, n_max)
     usable = word.known_prefix
     diag = {}
@@ -203,7 +201,7 @@ def symbol_rate(
     grid = [n for n in n_grid if n <= len(usable)]
     if not grid:
         raise sb.UnsupportedCylinder("orbit coding unresolved before the first grid point")
-    bits = compressor.prefix_bits_len(usable, grid)
+    bits = PrefixFreeCompressor(partition.alphabet).prefix_bits_len(usable, grid)
     rows = tuple(("bits_per_step", n, b / n) for n, b in zip(grid, bits))
     values = [v for _, _, v in rows]
     rate = limsup_proxy(values)
@@ -334,7 +332,6 @@ def orbit_rate(
     x: Point,
     scale_exponents: Sequence[int],
     n_grid: Sequence[int],
-    compressor: Optional[PrefixFreeCompressor] = None,
 ) -> EntropyReport:
     """Information rate of grid-quantized pseudo-orbits, per scale.
 
@@ -344,7 +341,7 @@ def orbit_rate(
     headline rate is the upper proxy at the finest scale; diagnostics
     carry per-scale upper/lower proxies for the scale trend.
     """
-    compressor = compressor or PrefixFreeCompressor(2)
+    compressor = PrefixFreeCompressor(2)
     n_grid = sorted(n_grid)
     n_max = n_grid[-1]
     rows = []

@@ -24,10 +24,10 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from effdyn.numerics import Interval, dyadic_floor
 from effdyn.space import (
@@ -534,12 +534,12 @@ class AlmostDecidableSet:
     """A set sandwiched between an inner and outer-complement open set.
 
     For the zoo both sides are finite ball unions, so the measure gap
-    certifies at any budget; `gap_budget` records the schedule to use.
+    certifies at any budget; `measure_of_ad_set` starts from the budget
+    precision + 2.
     """
 
     inside: EnumeratedOpenSet
     outside: EnumeratedOpenSet
-    gap_budget: Callable[[int], int] = field(default=lambda k: k + 2)
 
     @property
     def space(self) -> Space:
@@ -594,38 +594,39 @@ class AlmostDecidableSet:
         )
 
 
-def measure_of_ad_set(
-    mu: ComputableMeasure, ad: AlmostDecidableSet, precision: int, budget_cap: int = 64
-) -> Interval:
+#: Budget past which `measure_of_ad_set`, from precision + 2 up, gives up on
+#: the gap witness; `condition` enumerates the inner set at precision + 2 plus it.
+GAP_BUDGET_CAP = 64
+
+
+def measure_of_ad_set(mu: ComputableMeasure, ad: AlmostDecidableSet, precision: int) -> Interval:
     """Two-sided enclosure of mu(A), width <= 2**-precision."""
     if ad.space != mu.space:
         raise SpaceMismatch(f"{ad.space} vs {mu.space}")
     target = F(1, 1 << precision)
-    budget = ad.gap_budget(precision)
+    budget = precision + 2
     while True:
         low_in = mu.lower(ad.inside.enumerate(budget), budget)
         low_out = mu.lower(ad.outside.enumerate(budget), budget)
         if low_in + low_out > 1 - target:
             return Interval(low_in, 1 - low_out)
-        if budget > budget_cap:
+        if budget > GAP_BUDGET_CAP:
             raise InvalidWitness(
                 f"gap witness failed: mu(U)+mu(V) lower bounds reach {low_in + low_out}"
             )
         budget += 4
 
 
-def condition(
-    mu: ComputableMeasure, ad: AlmostDecidableSet, precision: int = 24, budget_cap: int = 64
-) -> ComputableMeasure:
+def condition(mu: ComputableMeasure, ad: AlmostDecidableSet) -> ComputableMeasure:
     """The induced measure mu(. | A), exact for zoo measures.
 
     mu(A) equals the exact mass of the inner open set once the gap
-    certifies, and conditional values are mu(W n U) / mu(A).
+    certifies at precision 24, and conditional values are mu(W n U) / mu(A).
     """
-    enclosure = measure_of_ad_set(mu, ad, precision, budget_cap)
+    enclosure = measure_of_ad_set(mu, ad, 24)
     if enclosure.lo <= 0:
         raise ZeroMassCondition("no positive lower bound on the conditioning set")
-    inner_balls = ad.inside.enumerate(ad.gap_budget(precision) + budget_cap)
+    inner_balls = ad.inside.enumerate(24 + 2 + GAP_BUDGET_CAP)
     mass = mu.exact_union(inner_balls)
     window = mu.region(inner_balls)
     return ComputableMeasure(
@@ -691,12 +692,12 @@ def almost_decidable_radius(
     center: int,
     window: Tuple[F, F],
     depth: int,
-    budget_cap: int = 48,
 ):
     """Trisection search for a continuity radius inside `window`.
 
     Returns (radius, certificate): the midpoint of the deepest interval
-    plus per-stage annulus-mass certificates mu(annulus) < 2**-(m-1).
+    plus per-stage annulus-mass certificates mu(annulus) < 2**-(m-1); a
+    stage that no budget below 48 certifies raises RadiusStall.
     """
     lo, hi = F(window[0]), F(window[1])
     if not 0 < lo < hi:
@@ -708,7 +709,7 @@ def almost_decidable_radius(
         threshold = F(1, 1 << stage)
         candidates = ((lo, lo + third), (hi - third, hi))
         chosen = None
-        for budget in range(2, budget_cap):
+        for budget in range(2, 48):
             for cand_lo, cand_hi in candidates:  # left first: deterministic
                 comp = annulus_complement_balls(mu.space, center_desc, cand_lo, cand_hi)
                 bound = mu.lower(comp, budget)

@@ -100,15 +100,6 @@ class Interval:
         q = Fraction(q)
         return Interval(self.lo + q, self.hi + q)
 
-    def dist(self, other: "Interval") -> "Interval":
-        """Enclosure of {|x - y| : x in self, y in other} on the line."""
-        gap = max(self.lo - other.hi, other.lo - self.hi, Fraction(0))
-        spread = max(self.hi - other.lo, other.hi - self.lo)
-        return Interval(gap, spread)
-
-    def max_with(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
 
 def log2_fixed(num: int, den: int, k: int) -> int:
     """lo with lo <= 2**k * log2(num / den) < lo + 2, for integers

@@ -1,12 +1,11 @@
 """Computable metric spaces: ideal points, fast approximation, ideal balls.
 
-Four space kinds are provided: the unit interval, the circle (as [0,1)
-with wrap-around metric), finite-alphabet sequence space, and binary
-products with the max metric.  Ideal points are dyadic rationals on the
-interval and circle, and ultimately-zero symbol sequences on sequence
-space; both families admit exact rational distances, so `ideal_dist`
-returns degenerate enclosures and all downstream slack comes from point
-approximation alone.
+Three space kinds are provided: the unit interval, the circle (as [0,1)
+with wrap-around metric) and finite-alphabet sequence space.  Ideal
+points are dyadic rationals on the interval and circle, and
+ultimately-zero symbol sequences on sequence space; both families admit
+exact rational distances, so `ideal_dist` returns degenerate enclosures
+and all downstream slack comes from point approximation alone.
 
 Points are approximator callbacks producing a fast sequence of ideal
 points: consecutive approximants are closer than 2**-n, so the n-th one
@@ -34,7 +33,6 @@ class Kind(Enum):
     UNIT_INTERVAL = "unit_interval"
     CIRCLE = "circle"
     CANTOR = "cantor"
-    PRODUCT = "product"
 
 
 def pair(a: int, b: int) -> int:
@@ -52,14 +50,10 @@ def unpair(n: int) -> Tuple[int, int]:
 class Space:
     kind: Kind
     alphabet: int = 2
-    left: Optional["Space"] = None
-    right: Optional["Space"] = None
 
     def __repr__(self):
         if self.kind is Kind.CANTOR:
             return f"Space(cantor, k={self.alphabet})"
-        if self.kind is Kind.PRODUCT:
-            return f"Space(product, {self.left!r} x {self.right!r})"
         return f"Space({self.kind.value})"
 
     # -- ideal point numbering -------------------------------------------
@@ -68,8 +62,7 @@ class Space:
         """Canonical finite description of ideal point `index`.
 
         Interval/circle: a dyadic Fraction.  Sequence space: a symbol
-        tuple (the point is the tuple padded with zeros).  Product: a pair
-        of component descriptions.
+        tuple (the point is the tuple padded with zeros).
         """
         if self.kind is Kind.UNIT_INTERVAL:
             num, level = unpair(index)
@@ -77,22 +70,19 @@ class Space:
         if self.kind is Kind.CIRCLE:
             num, level = unpair(index)
             return F(num % (1 << level), 1 << level)
-        if self.kind is Kind.CANTOR:
-            k = self.alphabet
-            length = 0
-            block = 1
-            remaining = index
-            while remaining >= block:
-                remaining -= block
-                block *= k
-                length += 1
-            word = []
-            for _ in range(length):
-                word.append(remaining % k)
-                remaining //= k
-            return tuple(reversed(word))
-        il, ir = unpair(index)
-        return (self.left.decode(il), self.right.decode(ir))
+        k = self.alphabet
+        length = 0
+        block = 1
+        remaining = index
+        while remaining >= block:
+            remaining -= block
+            block *= k
+            length += 1
+        word = []
+        for _ in range(length):
+            word.append(remaining % k)
+            remaining //= k
+        return tuple(reversed(word))
 
     def encode_dyadic(self, q: F) -> int:
         """Index of the dyadic rational q (interval and circle kinds)."""
@@ -128,15 +118,12 @@ class Space:
             m = abs(u - v)
             m -= m.numerator // m.denominator  # mod 1
             return min(m, 1 - m)
-        if self.kind is Kind.CANTOR:
-            length = max(len(u), len(v))
-            for i in range(length):
-                cu = u[i] if i < len(u) else 0
-                cv = v[i] if i < len(v) else 0
-                if cu != cv:
-                    return F(1, 1 << i)
-            return F(0)
-        return max(self.left.dist_desc(u[0], v[0]), self.right.dist_desc(u[1], v[1]))
+        for i in range(max(len(u), len(v))):
+            cu = u[i] if i < len(u) else 0
+            cv = v[i] if i < len(v) else 0
+            if cu != cv:
+                return F(1, 1 << i)
+        return F(0)
 
     def ideal_dist(self, i: int, j: int) -> Interval:
         """d(s_i, s_j) as a degenerate interval: distances between ideal
@@ -145,11 +132,7 @@ class Space:
 
     @property
     def diameter(self) -> F:
-        if self.kind is Kind.CIRCLE:
-            return F(1, 2)
-        if self.kind is Kind.PRODUCT:
-            return max(self.left.diameter, self.right.diameter)
-        return F(1)
+        return F(1, 2) if self.kind is Kind.CIRCLE else F(1)
 
 
 def unit_interval() -> Space:
@@ -164,10 +147,6 @@ def cantor(alphabet: int = 2) -> Space:
     if alphabet < 2:
         raise ValueError("alphabet size must be at least 2")
     return Space(Kind.CANTOR, alphabet=alphabet)
-
-
-def product(left: Space, right: Space) -> Space:
-    return Space(Kind.PRODUCT, left=left, right=right)
 
 
 @dataclass(frozen=True)

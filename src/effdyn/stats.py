@@ -51,22 +51,18 @@ def _ad_partition(ad: AlmostDecidableSet) -> sb.ComputablePartition:
 
 
 def birkhoff_average(
-    sys: dy.System,
-    x: Point,
-    target: AlmostDecidableSet,
-    n: int,
-    precision: int = 24,
+    sys: dy.System, x: Point, target: AlmostDecidableSet, n: int
 ) -> BirkhoffResult:
     """Certified visit frequency of the first n orbit steps.
 
     Returns inside/outside/undecided counts; inside + outside + undecided
     equals the horizon exactly.
     """
-    return _visits(sys, x, [target], n, precision)[0]
+    return _visits(sys, x, [target], n)[0]
 
 
 def _visits(
-    sys: dy.System, x: Point, sets: Sequence[AlmostDecidableSet], n: int, precision: int = 24
+    sys: dy.System, x: Point, sets: Sequence[AlmostDecidableSet], n: int
 ) -> List[BirkhoffResult]:
     """The counts `code_orbit` gives on each set's own partition, from one
     coding pass against their common refinement: the cells between
@@ -91,19 +87,17 @@ def _visits(
     else:
         cuts = sorted({0, den} | {q for q in ends if 0 < q < den})
     cells = tuple(((F(a, den), F(b, den)),) for a, b in zip(cuts, cuts[1:]))
-    word, seg = sb._code_orbit(sys, x, sb.ComputablePartition(sys.space, cells), n, precision)
+    word, seg = sb._code_orbit(sys, x, sb.ComputablePartition(sys.space, cells), n, 24)
     per_cell = Counter(word.symbols)
     mids = [a + b for a, b in zip(cuts, cuts[1:])]
-    midpoints = dy.OrbitSegment(sys, len(cells), precision, mids, mids, 2 * den)
     unknown = None
     if per_cell[None]:
         steps = [j for j, s in enumerate(word.symbols) if s is None]
-        lows, highs = ([side[j] for j in steps] for side in (seg.lows, seg.highs))
-        unknown = dy.OrbitSegment(sys, len(steps), precision, lows, highs, seg.den)
+        unknown = [[side[j] for j in steps] for side in (seg.lows, seg.highs)]
     results = []
     for partition in partitions:
-        counts = Counter(sb._code_segment(partition, unknown) if unknown else ())
-        for cell, s in enumerate(sb._code_segment(partition, midpoints)):
+        counts = Counter(sb._code_segment(partition, *unknown, seg.den) if unknown else ())
+        for cell, s in enumerate(sb._code_segment(partition, mids, mids, 2 * den)):
             counts[s] += per_cell[cell]
         inside, outside = counts[0], counts[1]
         results.append(BirkhoffResult(inside, outside, n - inside - outside, n))
@@ -153,7 +147,6 @@ def typicality_test(
     n: int,
     tol: float,
     n_min: int = 100,
-    precision: int = 24,
 ) -> TypicalityResult:
     """Max deviation of orbit frequencies from mu over the family, whose
     visits are counted in one coding pass (`_visits`).
@@ -165,7 +158,7 @@ def typicality_test(
     horizon below n_min and a residual that no enclosure separates from
     tol.
     """
-    results = _visits(sys, x, [ad for _, ad in family], n, precision)
+    results = _visits(sys, x, [ad for _, ad in family], n)
     residuals, targets = [], []
     for (label, ad), result in zip(family, results):
         target = measure_of_ad_set(mu, ad, _TARGET_PRECISIONS[0])
@@ -219,33 +212,28 @@ def _verdict(mu, residuals, targets, n, undecided_fraction, tol, horizon_ok) -> 
     return TypicalityResult(tuple(residuals), worst, undecided_fraction, tol, verdict)
 
 
-def recurrence_stat(
-    sys: dy.System, x: Point, n: int, precision: int = 20, prefix_cap: int = 96
-) -> F:
+def recurrence_stat(sys: dy.System, x: Point, n: int) -> F:
     """Min over 1 <= k <= n of a certified upper bound on d(x, T^k x).
 
-    Non-increasing in n.  Sequence-space points are compared symbolwise up
-    to prefix_cap; interval and circle orbits through enclosures (exact
-    for rational data).
+    Non-increasing in n.  Sequence-space points are compared symbolwise on
+    their first 96 symbols; interval and circle orbits through enclosures
+    of width below 2**-20 (exact for rational data), whose step distances
+    `dy.step_dist` gives over 2 * den.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if sys.map_kind is dy.MapKind.SHIFT:
         if not callable(x.exact):
             raise SpaceMismatch("shift recurrence needs a symbol oracle")
-        window = [x.exact(j) for j in range(n + prefix_cap)]
+        prefix = 96
+        window = [x.exact(j) for j in range(n + prefix)]
         best = F(1)
         for k in range(1, n + 1):
-            first_diff = next(
-                (j for j in range(prefix_cap) if window[j] != window[j + k]), None
-            )
-            bound = F(1, 1 << prefix_cap) if first_diff is None else F(1, 1 << first_diff)
-            best = min(best, bound)
+            first_diff = next((j for j in range(prefix) if window[j] != window[j + k]), prefix)
+            best = min(best, F(1, 1 << first_diff))
         return best
-    seg = dy.iterate(sys, x, n + 1, precision)
-    base = seg.enclosures[0]
-    best = None
-    for k in range(1, n + 1):
-        d = dy.enclosure_dist(sys.space, base, seg.enclosures[k])
-        best = d.hi if best is None else min(best, d.hi)
-    return best
+    seg = dy.iterate(sys, x, n + 1, 20)
+    circle, den = sys.space.kind is Kind.CIRCLE, seg.den
+    lo, hi = seg.lows[0], seg.highs[0]
+    best = min(dy.step_dist(circle, den, lo, hi, a, b)[1] for a, b in zip(seg.lows[1:], seg.highs[1:]))
+    return F(best, 2 * den)

@@ -201,7 +201,7 @@ def _doubling_windows(
     last = bits.rfind("1")
     bits += "0" * (n + level - len(bits))
     steps = [2 * int(bits[j : j + level] or "0", 2) + (last >= j + level) for j in range(n)]
-    return dy.OrbitSegment(dy.doubling(), n, level + 1, steps, steps, 2 << level)
+    return dy.OrbitSegment(n, steps, steps, 2 << level)
 
 
 def code_orbit(
@@ -228,7 +228,7 @@ def _code_orbit(
     if sys.space.kind is Kind.CANTOR:
         symbols = tuple(partition.atom_of_word(word) for word in seg.words)
     else:
-        symbols = tuple(_code_segment(partition, seg))
+        symbols = tuple(_code_segment(partition, seg.lows, seg.highs, seg.den))
     return SymbolicWord(symbols, partition.alphabet), seg
 
 
@@ -249,17 +249,22 @@ def _scaled_layout(partition: ComputablePartition, den: int):
 
 
 def _code_segment(
-    partition: ComputablePartition, seg: dy.OrbitSegment, scaled: Optional[dict] = None
+    partition: ComputablePartition,
+    lows: Sequence[int],
+    highs: Sequence[int],
+    den: int,
+    scaled: Optional[dict] = None,
 ) -> List[Optional[int]]:
-    """The certified atom of every step of an interval or circle segment:
-    the lowest atom with a piece holding the step's whole enclosure, or
-    None.  This is the one membership test for interval and circle atoms.
+    """The certified atom of every step [lows[j], highs[j]] over den of an
+    interval or circle orbit: the lowest atom with a piece holding the
+    step's whole enclosure, or None.  This is the one membership test for
+    interval and circle atoms.
 
-    On integers over L, the lcm of the segment's and the layout's
-    denominators, the open-atom rules give plain open pieces (a, b), which
-    hold a step when a < lo and hi < b: on the unit interval 0 and 1 count
-    as interior, so an end 0 moves to -1 and an end L to L + 1; on the
-    circle each arc also appears one turn down (the lift t = 1), and lo is
+    On integers over L, the lcm of den and the layout's denominator, the
+    open-atom rules give plain open pieces (a, b), which hold a step when
+    a < lo and hi < b: on the unit interval 0 and 1 count as interior, so
+    an end 0 moves to -1 and an end L to L + 1; on the circle each arc
+    also appears one turn down (the lift t = 1), and lo is
     taken mod L.  Pieces stay unmerged, so that an enclosure across an end
     shared by two pieces is not certified.
 
@@ -269,8 +274,8 @@ def _code_segment(
     one piece, so a step costs one bisect whatever the partition's size.
     `scaled`, if given, keeps these tables per L across calls.
     """
-    den = math.lcm(seg.den, partition.layout[0])
-    scale = den // seg.den
+    scale = math.lcm(den, partition.layout[0]) // den
+    den *= scale
     circle = partition.space.kind is Kind.CIRCLE
     tables = None if scaled is None else scaled.get(den)
     if tables is None:
@@ -279,7 +284,7 @@ def _code_segment(
             scaled[den] = tables
     pieces, starts, reach = tables
     out: List[Optional[int]] = []
-    for lo, hi in zip(seg.lows, seg.highs):
+    for lo, hi in zip(lows, highs):
         if scale != 1:
             lo, hi = lo * scale, hi * scale
         if circle and not 0 <= lo < den:
@@ -300,8 +305,7 @@ def _value_atom(
     partition: ComputablePartition, q: F, scaled: Optional[dict] = None
 ) -> Optional[int]:
     """`_code_segment` on the one-step enclosure [q, q]."""
-    seg = dy.OrbitSegment(None, 1, 0, (q.numerator,), (q.numerator,), q.denominator)
-    return _code_segment(partition, seg, scaled)[0]
+    return _code_segment(partition, (q.numerator,), (q.numerator,), q.denominator, scaled)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_conditioned_masses_match_fraction_regions(case, start, width):
         conditioned = ms.condition(mu, ad)
     except (ms.InvalidWitness, ms.ZeroMassCondition):
         assume(False)
-    window = fr.region_of_balls(space, ad.inside.enumerate(ad.gap_budget(24) + 64))
+    window = fr.region_of_balls(space, ad.inside.enumerate(24 + 2 + ms.GAP_BUDGET_CAP))
     mass = fr.region_measure(mu.model, window)
     expected = fr.region_measure(mu.model, fr.region_of_balls(space, union).intersect(window)) / mass
     assert conditioned.exact_union(union) == expected

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from effdyn import dynamics as dy
 from effdyn import measure as ms
 from effdyn import space as sp
-from effdyn.numerics import Interval
 
+import fraction_distance as fd
 import fraction_regions as fr
 
 F = Fraction
@@ -19,7 +19,7 @@ def test_doubling_period_two_orbit():
     x = sp.rational_point(sys.space, F(1, 3))
     seg = dy.iterate(sys, x, 4, 10)
     expected = [F(1, 3), F(2, 3), F(1, 3), F(2, 3)]
-    for enclosure, value in zip(seg.enclosures, expected):
+    for enclosure, value in zip(fd.enclosures(seg), expected):
         assert enclosure.contains(value)
         assert enclosure.width < F(1, 1024)
 
@@ -31,7 +31,7 @@ def test_rational_rotation_exact_orbit():
     values = [v for v in dy.exact_orbit(sys, 0, 5)]
     assert values == [F(0), F(2, 5), F(4, 5), F(1, 5), F(3, 5)]
     assert seg.exact
-    for enclosure, value in zip(seg.enclosures, values):
+    for enclosure, value in zip(fd.enclosures(seg), values):
         assert enclosure.contains(value)
 
 
@@ -39,8 +39,8 @@ def test_shift_drops_symbols():
     sys = dy.shift(2)
     x = sp.word_point(sys.space, (0, 1, 1, 0), repeat=True)
     seg = dy.iterate(sys, x, 2, 6)
-    assert seg.enclosures[0][:4] == (0, 1, 1, 0)
-    assert seg.enclosures[1][:4] == (1, 1, 0, 0)
+    assert fd.enclosures(seg)[0][:4] == (0, 1, 1, 0)
+    assert fd.enclosures(seg)[1][:4] == (1, 1, 0, 0)
 
 
 def test_tent_exact_orbit():
@@ -63,7 +63,7 @@ def test_enclosure_path_contains_exact_orbit():
     x = sp.Point(sys.space, approximator)
     seg = dy.iterate(sys, x, 8, 12)
     assert not seg.exact
-    for enclosure, value in zip(seg.enclosures, dy.exact_orbit(sys, q, 8)):
+    for enclosure, value in zip(fd.enclosures(seg), dy.exact_orbit(sys, q, 8)):
         assert enclosure.contains(value)
         assert enclosure.width < F(1, 4096)
 
@@ -73,10 +73,10 @@ def test_enclosure_path_rotation_irrational():
     x = sp.rational_point(sys.space, 0)
     seg = dy.iterate(sys, x, 50, 16)
     assert not seg.exact
-    for enclosure in seg.enclosures:
+    for enclosure in fd.enclosures(seg):
         assert enclosure.width < F(1, 1 << 16)
     # step 0 is x itself
-    assert seg.enclosures[0].contains(F(0))
+    assert fd.enclosures(seg)[0].contains(F(0))
 
 
 def test_precision_blowup_at_discontinuity():
@@ -190,11 +190,10 @@ def test_tagged_measure_invariance_exact():
 
 
 def test_circle_distance_interval_wraps():
-    a = Interval(F(31, 32), F(33, 32))  # arc around 0
-    b = Interval(F(1, 32), F(2, 32))
-    d = dy._circle_dist_interval(a, b)
-    assert d.lo == 0  # enclosures overlap mod 1
-    assert d.hi <= F(4, 32)
+    # the arc [31/32, 33/32] around 0 against [1/32, 2/32], over 2 * 32
+    lo, hi = dy.step_dist(True, 32, 31, 33, 1, 2)
+    assert lo == 0  # enclosures overlap mod 1
+    assert F(hi, 64) <= F(4, 32)
 
 
 def test_iterate_rejects_mismatched_space():

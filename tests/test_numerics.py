@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effdyn import dynamics as dy
 from effdyn import numerics as nm
 from effdyn.numerics import Interval, eval_f, eval_J, log2, log2_fixed
 
@@ -25,6 +26,28 @@ def intervals():
     return st.builds(lambda a, b: Interval.make(a, b), rationals(), rationals())
 
 
+def _step_dist(circle):
+    """`dy.step_dist` as an operation on Intervals: both on the lcm of
+    their ends' denominators, the result over twice that."""
+
+    def op(a, b):
+        ends = (a.lo, a.hi, b.lo, b.hi)
+        den = math.lcm(*(q.denominator for q in ends))
+        lo, hi = dy.step_dist(circle, den, *(int(q * den) for q in ends))
+        return Interval(F(lo, 2 * den), F(hi, 2 * den))
+
+    return op
+
+
+line_dist, circle_dist = _step_dist(False), _step_dist(True)
+
+
+def _wrap(x, y):
+    """The circle's distance between the points x and y mod 1."""
+    t = (x - y) % 1
+    return min(t, 1 - t)
+
+
 def test_exact_rational_add():
     r = Interval.point(F(1, 4)) + Interval.point(F(1, 2))
     assert r == Interval.point(F(3, 4))
@@ -41,14 +64,14 @@ def test_dist_corner_enumeration():
     b = Interval.make(0, F(1, 4))
     corners = [abs(x - y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
     expected = Interval(min(corners), max(corners))  # disjoint case: corners suffice
-    assert a.dist(b) == expected
+    assert line_dist(a, b) == expected
     assert expected == Interval.make(F(1, 12), F(1, 2))
 
 
 def test_dist_overlapping_reaches_zero():
     a = Interval.make(0, 1)
     b = Interval.make(F(1, 2), 2)
-    assert a.dist(b).lo == 0
+    assert line_dist(a, b).lo == 0
 
 
 # each binary operation with its pointwise meaning
@@ -56,8 +79,8 @@ POINTWISE = [
     (Interval.__add__, operator.add),
     (Interval.__sub__, operator.sub),
     (Interval.__mul__, operator.mul),
-    (Interval.dist, lambda x, y: abs(x - y)),
-    (Interval.max_with, max),
+    (line_dist, lambda x, y: abs(x - y)),
+    (circle_dist, _wrap),
 ]
 
 

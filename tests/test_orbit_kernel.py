@@ -5,8 +5,10 @@ replace: per-step `Interval` images with a retry loop (`_ref_iterate`),
 coding each enclosure by its pieces (`_atom_of_enclosure`), the membership
 of a value by its pieces (`_ref_atom_of_value`), the doubling fast path's
 scan over every piece of every atom (`_scan_doubling_symbols`), quantizing
-by the midpoint, and the pseudo-orbit code length with every predictor
-costed in full.  The integer paths must agree with them exactly.
+by the midpoint, the pseudo-orbit code length with every predictor
+costed in full, and the `Interval` step distances, d_n and recurrence
+bound of `fraction_distance`.  The integer paths must agree with them
+exactly.
 """
 
 import math
@@ -22,8 +24,11 @@ from effdyn import coding as cd
 from effdyn import dynamics as dy
 from effdyn import entropy as en
 from effdyn import space as sp
+from effdyn import stats as stt
 from effdyn import symbolic as sb
 from effdyn.numerics import Interval, dyadic_floor
+
+import fraction_distance as fd
 
 LINE = sp.unit_interval()
 WHEEL = sp.circle()
@@ -176,7 +181,7 @@ def test_segments_match_fraction_enclosures(system):
     count = 0
     for _, seg, (exact, ref) in _segments(system, 11):
         assert seg.exact == exact
-        assert seg.enclosures == ref
+        assert fd.enclosures(seg) == ref
         assert len(seg.lows) == len(seg.highs) == seg.length
         count += 1
     assert count > 0
@@ -196,7 +201,7 @@ def test_enclosure_pass_matches_reference_at_every_precision(system):
                 except _RefStraddle:
                     ref = None
                 try:
-                    got = dy._enclose_segment(system, x, n, p, m).enclosures
+                    got = fd.enclosures(dy._enclose_segment(system, x, n, p, m))
                 except (dy._Straddle, dy._WidthFailure):
                     got = None
                 assert got == ref, (m, n, p)
@@ -215,7 +220,7 @@ def test_shift_enclosure_words_match_reference():
                 with pytest.raises(dy._WidthFailure):
                     dy._enclose_segment(sys, x, n, p, m)
             else:
-                assert dy._enclose_segment(sys, x, n, p, m).enclosures == tuple(
+                assert dy._enclose_segment(sys, x, n, p, m).words == tuple(
                     word[j:] for j in range(n))
         seg = dy.iterate(sys, x, n, p)
         assert not seg.exact and [w[: p + 1] for w in seg.words] == [
@@ -230,13 +235,13 @@ def test_segments_cover_straddle_retry_and_blowup():
     first = dy.required_input_precision(sys, 12, 3)
     with pytest.raises(_RefStraddle):
         _ref_enclose(sys, near, 12, 3, first)
-    assert dy.iterate(sys, near, 12, 3).enclosures == _ref_iterate(sys, near, 12, 3, 4096)[1]
+    assert fd.enclosures(dy.iterate(sys, near, 12, 3)) == _ref_iterate(sys, near, 12, 3, 4096)[1]
     with pytest.raises(dy.PrecisionBlowup):
         dy.iterate(sys, _hidden(LINE, F(1, 4)), 5, 3)
     # the tent map folds a box over 1/2 up to 1 instead
     seg = dy.iterate(dy.tent(), _hidden(LINE, F(1, 2)), 6, 3)
-    assert seg.enclosures == _ref_iterate(dy.tent(), _hidden(LINE, F(1, 2)), 6, 3, 4096)[1]
-    assert seg.enclosures[1].hi == 1
+    assert fd.enclosures(seg) == _ref_iterate(dy.tent(), _hidden(LINE, F(1, 2)), 6, 3, 4096)[1]
+    assert fd.enclosures(seg)[1].hi == 1
 
 
 def test_grid_orbit_rotation_matches_exact_step():
@@ -281,8 +286,7 @@ def test_arc_lift_down_codes_seven_eighths_to_its_first_atom():
     # 7/8 lies on the arc (-1/4, 1/4) one turn down
     below = next(p for p in _partitions(WHEEL) if p.name == "arc-lift-down")
     assert sb._value_atom(below, F(7, 8)) == 0
-    seg = dy.OrbitSegment(dy.rotation(F(1, 2)), 1, 8, (7,), (7,), 8)
-    assert sb._code_segment(below, seg) == [0]
+    assert sb._code_segment(below, (7,), (7,), 8) == [0]
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
@@ -291,7 +295,7 @@ def test_code_segment_matches_atom_of_enclosure(system):
     unknown = known = 0
     for _, seg, (_, ref) in _segments(system, 12):
         for partition in partitions:
-            symbols = sb._code_segment(partition, seg)
+            symbols = sb._code_segment(partition, seg.lows, seg.highs, seg.den)
             assert symbols == [_atom_of_enclosure(partition, box) for box in ref], partition.name
             unknown += symbols.count(None)
             known += len(symbols) - symbols.count(None)
@@ -305,14 +309,14 @@ def test_code_orbit_generic_path_matches_fast_doubling():
     seg = dy.iterate(sys, sp.rational_point(LINE, q), 2000, 24)
     for partition in _partitions(LINE)[:2]:
         fast = _fast_doubling_symbols(q.numerator, 2000, partition, 2000)
-        assert sb._code_segment(partition, seg) == fast
+        assert sb._code_segment(partition, seg.lows, seg.highs, seg.den) == fast
         assert sb.code_orbit(sys, sp.rational_point(LINE, q), partition, 2000).symbols == tuple(fast)
 
 
 def _fast_doubling_symbols(num, bits_total, partition, n):
     """The symbols of the bit-window segment, or None off the dyadic grid."""
     seg = sb._doubling_windows(num, bits_total, partition, n)
-    return None if seg is None else sb._code_segment(partition, seg)
+    return None if seg is None else sb._code_segment(partition, seg.lows, seg.highs, seg.den)
 
 
 def _scan_doubling_symbols(num, bits_total, partition, n):
@@ -437,14 +441,14 @@ def test_fast_doubling_symbols_match_generic_path_on_random_dyadics(bits, data):
     fast = _fast_doubling_symbols(q.numerator, q.denominator.bit_length() - 1, partition, n)
     seg = dy.iterate(dy.doubling(), sp.rational_point(LINE, q), n, 24)
     assert fast is not None
-    assert sb._code_segment(partition, seg) == fast
+    assert sb._code_segment(partition, seg.lows, seg.highs, seg.den) == fast
 
 
-def _linear_code_segment(partition, seg):
+def _linear_code_segment(partition, lows, highs, seg_den):
     """_code_segment by testing every piece at every step, in atom order."""
     ends = [F(q) for atom in partition.atoms for piece in atom for q in piece]
-    den = math.lcm(seg.den, *(q.denominator for q in ends))
-    scale = den // seg.den
+    den = math.lcm(seg_den, *(q.denominator for q in ends))
+    scale = den // seg_den
     circle = partition.space.kind is sp.Kind.CIRCLE
     pieces = []
     for i, atom in enumerate(partition.atoms):
@@ -455,7 +459,7 @@ def _linear_code_segment(partition, seg):
             else:
                 pieces.append((-1 if a == 0 else a, den + 1 if b == den else b, i))
     out = []
-    for lo, hi in zip(seg.lows, seg.highs):
+    for lo, hi in zip(lows, highs):
         lo, hi = lo * scale, hi * scale
         if circle:
             wraps = lo // den
@@ -471,7 +475,6 @@ def test_code_segment_bisect_matches_linear_scan(space):
     dyadic ones; the overlapping arcs of "arc-lift-down" must still code
     to the lowest atom."""
     rng = random.Random(37)
-    system = dy.doubling() if space is LINE else dy.rotation(F(2, 7))
     partitions = _partitions(space) + [sb.dyadic_intervals(space, level) for level in (1, 5, 7)]
     coded = 0
     for partition in partitions:
@@ -488,9 +491,8 @@ def test_code_segment_bisect_matches_linear_scan(space):
         if space is LINE:  # interval enclosures stay in [0, 1]
             pairs = [(min(max(lo, 0), den), min(max(hi, lo, 0), den)) for lo, hi in zip(lows, highs)]
             lows, highs = [lo for lo, _ in pairs], [hi for _, hi in pairs]
-        seg = dy.OrbitSegment(system, len(lows), 8, tuple(lows), tuple(highs), den)
-        symbols = sb._code_segment(partition, seg)
-        assert symbols == _linear_code_segment(partition, seg), partition.name
+        symbols = sb._code_segment(partition, lows, highs, den)
+        assert symbols == _linear_code_segment(partition, lows, highs, den), partition.name
         coded += len(symbols) - symbols.count(None)
     assert coded > 1000
 
@@ -505,6 +507,110 @@ def test_fine_partition_codes_in_bounded_time():
     word = sb.code_orbit(dy.rotation(), x, partition, 1 << 14)
     assert time.perf_counter() - start < 0.5
     assert len(word) == 1 << 14 and word.known_prefix
+
+
+# -- step distances and d_n -----------------------------------------------------
+
+
+def _crossings(den, alo, ahi, blo, bhi):
+    """Which of 0 (an integer), 1/2 (a half-integer) and a width of 1 or more
+    the difference of two steps over den reaches."""
+    dlo, dhi = alo - bhi, ahi - blo
+    return {
+        "zero": dhi // den * den >= dlo,
+        "half": (2 * dhi - den) // (2 * den) * 2 * den + den >= 2 * dlo,
+        "wide": dhi - dlo >= den,
+    }
+
+
+def test_step_dist_matches_fraction_reference():
+    # steps anywhere on three turns, many of them degenerate or one unit
+    # wide, so that differences end on 0 and 1/2 or reach across them
+    rng = random.Random(47)
+    seen = {"zero": 0, "half": 0, "wide": 0}
+    for _ in range(3000):
+        den = rng.choice((1, 2, 3, 8, 12, 45, 64))
+        alo, blo = rng.randrange(-den, 2 * den), rng.randrange(-den, 2 * den)
+        ahi, bhi = (
+            lo + rng.choice((0, 0, 1, rng.randrange(den + 1), rng.randrange(2 * den))) for lo in (alo, blo)
+        )
+        a, b = Interval(F(alo, den), F(ahi, den)), Interval(F(blo, den), F(bhi, den))
+        for circle, ref in ((False, fd.line_dist), (True, fd.circle_dist)):
+            lo, hi = dy.step_dist(circle, den, alo, ahi, blo, bhi)
+            got = Interval(F(lo, 2 * den), F(hi, 2 * den))
+            assert got == ref(a, b), (circle, den, alo, ahi, blo, bhi)
+        for name, crossed in _crossings(den, alo, ahi, blo, bhi).items():
+            seen[name] += crossed
+    assert min(seen.values()) > 300, seen
+
+
+def _distance_points(space, rng):
+    """Pairs of exact and approximation-only points: equal, 2**-30 apart,
+    apart by a random multiple of 1/45, and on the circle 1/2 and
+    1/2 + 2**-30 apart, so that step differences hold 0 or 1/2 or pass
+    close to them."""
+    qs = [F(1, 3), F(2, 7), F(22, 45), F(rng.getrandbits(24), 1 << 24), F(rng.getrandbits(40), 1 << 40)]
+    pairs = []
+    for q in qs:
+        pairs.append((q, q))
+        pairs.append((q, q + F(1, 1 << 30) if q < F(1, 2) else q - F(1, 1 << 30)))
+        pairs.append((q, F(rng.randrange(1, 45), 45)))
+        if space.kind is sp.Kind.CIRCLE:
+            pairs += [(q, (q + F(1, 2)) % 1), (q, (q + F(1, 2) + F(1, 1 << 30)) % 1)]
+    for a, b in pairs:
+        for x in (sp.rational_point(space, a), _hidden(space, a)):
+            for y in (sp.rational_point(space, b), _hidden(space, b)):
+                yield x, y
+
+
+DISTANCE_SYSTEMS = [dy.doubling(), dy.tent(), dy.rotation(F(3, 7)), dy.rotation(F(1, 2)), dy.rotation()]
+DISTANCE_IDS = ["doubling", "tent", "rot-3/7", "rot-1/2", "rot-sqrt2-1"]
+
+
+@pytest.mark.parametrize("system", DISTANCE_SYSTEMS, ids=DISTANCE_IDS)
+def test_bowen_dist_and_recurrence_match_fraction_reference(system):
+    rng = random.Random(53)
+    compared = 0
+    for x, y in _distance_points(system.space, rng):
+        for n, precision in ((1, 4), (5, 16), (12, 4)):
+            try:
+                ref = fd.bowen_dist(system, x, y, n, precision)
+            except dy.PrecisionBlowup:
+                with pytest.raises(dy.PrecisionBlowup):
+                    dy.bowen_dist(system, x, y, n, precision)
+                continue
+            assert dy.bowen_dist(system, x, y, n, precision) == ref
+            compared += 1
+    for x, _ in _distance_points(system.space, rng):
+        for n in (1, 2, 29):
+            try:
+                ref = fd.recurrence_stat(system, x, n)
+            except dy.PrecisionBlowup:
+                continue
+            assert stt.recurrence_stat(system, x, n) == ref
+            compared += 1
+    assert compared > 300, compared
+
+
+def test_shift_bowen_dist_and_recurrence_match_fraction_reference():
+    # words that agree on a prefix of every length below 12, exact and
+    # known only through their approximations (the enclosure path)
+    rng = random.Random(59)
+    for k in (2, 3):
+        sys, space = dy.shift(k), sp.cantor(k)
+        for agree in range(12):
+            base = [rng.randrange(k) for _ in range(60)]
+            other = base[:agree] + [(base[agree] + 1) % k] + [rng.randrange(k) for _ in range(59 - agree)]
+            words = [tuple(base), tuple(other)]
+            exact = [sp.word_point(space, w) for w in words]
+            approx = [sp.Point(space, lambda m, w=w: space.encode_word(w[: max(m, 0) + 2])) for w in words]
+            for x, y in ((exact[0], exact[1]), (approx[0], approx[1]), (exact[0], exact[0])):
+                for n, precision in ((1, 4), (3, 12), (8, 20)):
+                    assert dy.bowen_dist(sys, x, y, n, precision) == fd.bowen_dist(sys, x, y, n, precision)
+            periodic = sp.word_point(space, words[1][: agree + 2], repeat=True)
+            for x in (exact[0], periodic):
+                for n in (1, 5, 40):
+                    assert stt.recurrence_stat(sys, x, n) == fd.recurrence_stat(sys, x, n)
 
 
 # -- quantizing ------------------------------------------------------------------
@@ -713,6 +819,6 @@ def test_default_precision_cap_is_a_multiple_of_the_required_precision():
     with pytest.raises(dy.PrecisionBlowup):
         dy.iterate(sys, far, n, p)
     seg = dy.iterate(sys, far, n, p, precision_cap=8 * cap)
-    assert seg.enclosures == _ref_iterate(sys, far, n, p, 8 * cap)[1]
+    assert fd.enclosures(seg) == _ref_iterate(sys, far, n, p, 8 * cap)[1]
     near = _hidden(LINE, F(1, 2) + F(1, 1 << (cap // 4)))
-    assert dy.iterate(sys, near, n, p).enclosures == _ref_iterate(sys, near, n, p, cap)[1]
+    assert fd.enclosures(dy.iterate(sys, near, n, p)) == _ref_iterate(sys, near, n, p, cap)[1]

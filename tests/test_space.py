@@ -206,10 +206,3 @@ def test_triangle_inequality_on_ideal_points(i, j, k):
         dik = spc.ideal_dist(i, k).lo
         detour = spc.ideal_dist(i, j).hi + spc.ideal_dist(j, k).hi
         assert dik <= detour
-
-
-def test_product_space_max_metric():
-    pr = sp.product(sp.unit_interval(), sp.circle())
-    u = (F(0), F(0))
-    v = (F(1, 4), F(7, 8))
-    assert pr.dist_desc(u, v) == max(F(1, 4), F(1, 8))

@@ -111,11 +111,10 @@ def test_circle_arc_below_zero_is_the_arc_past_one():
     assert spellings[0] == spellings[1]
     sys = dy.rotation(F(1, 8))
     mu = ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(1, 2), [(F(7, 8), F(1, 2))])
-    seg = dy.OrbitSegment(sys, 3, 8, (7, 0, 1), (7, 0, 1), 8)
     for partition in spellings:
         assert sb._value_atom(partition, F(7, 8)) == 0
         assert sb._value_atom(partition, F(1, 8)) == 0
-        assert sb._code_segment(partition, seg) == [0, 0, 0]
+        assert sb._code_segment(partition, (7, 0, 1), (7, 0, 1), 8) == [0, 0, 0]
         assert sb.cylinder_measure(sys, mu, partition, (0,)) == F(3, 4)
         assert sb.cylinder_measure(sys, mu, partition, (1,)) == F(1, 4)
 
