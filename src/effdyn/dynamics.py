@@ -213,17 +213,18 @@ def grid_preimage(kind: MapKind, pieces: List[Tuple[int, int, int]], den: int):
 
 
 def grid_balls(kind: MapKind, cells: int, n: int, t: int) -> Callable[[int], List[Tuple[int, int]]]:
-    """Closed Bowen balls on the grid 1/cells: ball(v) gives the ball of v
-    as sorted inclusive ranges.
+    """Closed Bowen balls of doubling or the tent map on the grid 1/cells:
+    ball(v) gives the ball of v as sorted inclusive ranges.
 
     These are the grid points 0 <= j < cells with |T^k j - T^k v| <= t
-    for every k < n.  The window around T^(n-1) v is pulled back through
-    `grid_preimage` and cut to the window around each earlier T^k v; the
-    map sends the grid into itself, so a grid point j is the even
-    numerator 2j of a preimage piece.  Tent orbit values may be cells
-    (the point 1), so windows reach it and only the result is clipped.
-    Spanning scans and separation checks use the grid 2**g, and cover
-    checks the grid b * 2**g of a sample with denominator b.
+    for every k < n.  The window around T^(n-1) v is pulled back and cut
+    to the window around each earlier T^k v; the map sends the grid into
+    itself, so a grid point j is the even numerator 2j of a preimage piece
+    over 2 * cells.  The branch x/2 lands in [0, 1/2] and the other in
+    [1/2, 1], so a branch is built only when the window reaches its half.
+    Tent orbit values may be cells (the point 1), so windows reach it and
+    only the result is clipped.  Scans and separation checks use the grid
+    2**g, cover checks the grid b * 2**g of a sample of denominator b.
 
     For doubling with 4t <= cells and 2**(n-1) dividing cells the ball is
     one range: while |x - y| <= t, a doubling takes the gap to 2(x - y) if
@@ -233,8 +234,7 @@ def grid_balls(kind: MapKind, cells: int, n: int, t: int) -> Callable[[int], Lis
 
     The choice between the two and everything that does not depend on v
     are fixed here, once for all the balls of one grid, depth and radius.
-    A scan builds one ball per kept point, so both clip with conditionals,
-    not with calls to min and max.
+    Both clip with conditionals, not with calls to min and max.
     """
     if n < 1:
         return lambda v: [(0, cells - 1)]  # d_0 has no steps
@@ -249,17 +249,23 @@ def grid_balls(kind: MapKind, cells: int, n: int, t: int) -> Callable[[int], Lis
             return [(lo if lo > base else base, hi if hi < end else end)]
 
         return ball
-    top = cells if kind is MapKind.TENT else cells - 1
+    tent, fold = kind is MapKind.TENT, 2 * cells
+    top = cells if tent else cells - 1
 
     def ball(v):
         orbit = grid_orbit(kind, v, cells, n)
         u = orbit[-1]
-        ranges = [(u - t if u > t else 0, u + t if u + t < top else top, 0)]
+        ranges = [(u - t if u > t else 0, u + t if u + t < top else top)]
         for u in reversed(orbit[:-1]):
             lo, hi = u - t if u > t else 0, u + t if u + t < top else top
-            pulled = grid_preimage(kind, ranges, cells)
+            pulled = ranges if 2 * lo <= cells else []
+            if 2 * hi >= cells:
+                if tent:
+                    pulled = pulled + [(fold - b, fold - a) for a, b in reversed(ranges)]
+                else:
+                    pulled = pulled + [(a + cells, b + cells) for a, b in ranges]
             ranges = []
-            for a, b, _ in pulled:
+            for a, b in pulled:
                 a, b = (a + 1) >> 1, b >> 1
                 if a < lo:
                     a = lo
@@ -269,10 +275,10 @@ def grid_balls(kind: MapKind, cells: int, n: int, t: int) -> Callable[[int], Lis
                     continue
                 # the pieces come out ordered; the tent branches touch at 1/2
                 if ranges and a <= ranges[-1][1] + 1:
-                    ranges[-1] = (ranges[-1][0], b, 0)
+                    ranges[-1] = (ranges[-1][0], b)
                 else:
-                    ranges.append((a, b, 0))
-        return [(a, b if b < cells else cells - 1) for a, b, _ in ranges if a < cells]
+                    ranges.append((a, b))
+        return [(a, b if b < cells else cells - 1) for a, b in ranges if a < cells]
 
     return ball
 

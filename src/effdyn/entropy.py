@@ -374,13 +374,13 @@ def orbit_rate(
 # Largest witness whose positions spanning_separated materializes.
 SPANNING_MEMBER_CAP = 1 << 17
 
-#: Largest doubling or tent grid 2**(p+n+2) the greedy scan walks; a larger
-#: one raises PrecisionBlowup before anything is allocated.  The scan holds
-#: one byte of marks per grid point, 1 MB at the cap.  There, for p = 0..3,
-#: tent takes 1.8-4.3 s and at most 6 MB more peak memory (n = 15, p = 3
-#: keeps 133,744 points), and doubling at most 1.2 s (p = 0, the pullback;
-#: 0.07-0.14 s from p = 1 on, where every ball is one range).  Measured
-#: with CPython 3.11.7 on a shared 2-vCPU Linux VM, two single runs each.
+#: Largest doubling or tent grid 2**(p+n+2) that spanning_separated takes;
+#: a larger one raises PrecisionBlowup before anything is allocated.  The
+#: scan holds one byte of marks per grid point, 1 MB at the cap.  There,
+#: for p = 0..3, tent takes 1.4-4.7 s and at most 6 MB more peak memory
+#: (n = 15, p = 3 keeps 133,744 points), and doubling at p = 0 1.1-1.5 s;
+#: from p = 1 on doubling is counted in closed form.  Measured with
+#: CPython 3.11.7 on a shared 2-vCPU Linux VM, two single runs each.
 SPANNING_GRID_CAP = 1 << 20
 
 
@@ -400,7 +400,7 @@ class SpanningSet:
     positions: Optional[Tuple] = None
 
 
-def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
+def spanning_separated(sys: dy.System, n: int, p: int, witness: bool = True) -> SpanningSet:
     """Greedy scan over ideal points of resolution p+n+2: keep a point iff
     its d_n distance to every kept point exceeds 2**-(p+1).
 
@@ -409,29 +409,29 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
     2**-p-1-close to a kept one and an arbitrary point is grid-close to
     its nearest grid point even through n expansions.
 
-    For doubling and tent the scan walks the grid once, upwards, keeping
-    `front` one past the highest marked point.  A kept point i whose grid
-    Bowen ball is one range [lo, hi] with hi + 1 >= front covers every
-    point in (i, hi] (a ball holds its own centre, so lo <= i), and no
-    mark lies beyond hi: the next kept point is hi + 1, and nothing is
-    marked.  Any other kept point marks the later points of its ball,
-    and the scan goes on at the first unmarked point after i.
+    Rotations, shifts and doubling with p, n >= 1 have the scan's result
+    in closed form: on the doubling grid each ball is [v - 4, v + 4] cut
+    to v's block of 2**(p+3) points (`grid_balls`), so the scan keeps
+    base, base + 5, ... in each of the 2**(n-1) blocks.  Otherwise the
+    scan walks the grid upwards: each kept point marks the later points
+    of its grid Bowen ball, and the scan goes on at the first unmarked
+    point.  With witness False only the count is made; positions is None.
     """
     g = p + n + 2
     size = 1 << g
     threshold = 1 << (g - p - 1)
     if sys.map_kind is dy.MapKind.ROTATION:
-        positions = list(range(0, size, threshold + 1))
+        positions = range(0, size, threshold + 1)
         while positions and min(positions[-1], size - positions[-1]) <= threshold:
-            positions.pop()
+            positions = positions[:-1]
         if not positions:
-            positions = [0]
-        return SpanningSet(sys, n, p, len(positions), g, tuple(positions))
+            positions = range(1)
+        return SpanningSet(sys, n, p, len(positions), g, tuple(positions) if witness else None)
     if sys.map_kind is dy.MapKind.SHIFT:
         k = sys.space.alphabet
         length = n + p
         count = k**length
-        if count <= SPANNING_MEMBER_CAP:
+        if witness and count <= SPANNING_MEMBER_CAP:
             words = itertools.product(range(k), repeat=length)
             return SpanningSet(sys, n, p, count, length, tuple(words))
         return SpanningSet(sys, n, p, count, length, None)
@@ -440,24 +440,27 @@ def spanning_separated(sys: dy.System, n: int, p: int) -> SpanningSet:
     if size > SPANNING_GRID_CAP:
         cap = SPANNING_GRID_CAP.bit_length() - 1
         raise dy.PrecisionBlowup(f"spanning scan capped at grid 2**{cap}, needs 2**{g}")
+    if sys.map_kind is dy.MapKind.DOUBLING and p >= 1 and n >= 1:
+        block = 1 << (p + 3)
+        kept = range(0, block, 5)  # offsets kept in each block
+        count = (size // block) * len(kept)
+        keep = None
+        if witness and count <= SPANNING_MEMBER_CAP:
+            keep = tuple(base + j for base in range(0, size, block) for j in kept)
+        return SpanningSet(sys, n, p, count, g, keep)
     ball = dy.grid_balls(sys.map_kind, size, n, threshold)
     marked = bytearray(size)
     positions = []
-    front = 0
     i = 0
-    while 0 <= i < size:
+    while i >= 0:
         positions.append(i)
-        ranges = ball(i)
-        if len(ranges) == 1 and ranges[0][1] >= front - 1:
-            i = ranges[0][1] + 1
-            continue
-        for lo, hi in ranges:
-            lo = max(lo, i + 1)
+        for lo, hi in ball(i):
+            if lo <= i:
+                lo = i + 1
             if lo <= hi:
                 marked[lo : hi + 1] = b"\x01" * (hi + 1 - lo)
-                front = max(front, hi + 1)
         i = marked.find(0, i + 1)
-    keep = tuple(positions) if len(positions) <= SPANNING_MEMBER_CAP else None
+    keep = tuple(positions) if witness and len(positions) <= SPANNING_MEMBER_CAP else None
     return SpanningSet(sys, n, p, len(positions), g, keep)
 
 
@@ -506,7 +509,7 @@ def h1_estimate(sys: dy.System, p_grid: Sequence[int], n_grid: Sequence[int]) ->
     for p in sorted(p_grid):
         ns, logs = [], []
         for n in sorted(n_grid):
-            value = math.log2(spanning_separated(sys, n, p).count)
+            value = math.log2(spanning_separated(sys, n, p, witness=False).count)
             rows.append((f"eps=2^-{p}", n, value))
             ns.append(n)
             logs.append(value)

@@ -41,6 +41,7 @@ from effdyn.space import (
 F = Fraction
 
 _START = operator.itemgetter(0)
+_LABEL = operator.itemgetter(2)
 
 
 class SupportTooLarge(ValueError):
@@ -251,16 +252,17 @@ class _MixtureModel:
         return base, atoms, scale
 
     def masses(self, pieces, span: int, circle: bool, whole: bool):
-        """{label: (numerator, denominator)} in label order, the masses of
-        the labels of sorted disjoint open pieces (a, b, label) over span, a
-        multiple of every point-mass denominator, circle arcs lifted as in
+        """[(numerator, denominator) or None] indexed by label, the masses
+        of the labels of sorted disjoint open pieces (a, b, label) over span,
+        a multiple of every point-mass denominator, circle arcs lifted as in
         `CircleRegion`: (base * length + span * inside) / (W * span), where
         inside sums the point masses strictly inside a piece of the label,
         each found by one bisect (at p or p + span on the circle, anywhere on
         the `whole` circle).  The interval's overhang past [0, span], on the
-        first and last piece only, is left out."""
+        first and last piece only, is left out.  A label of length 0 is None:
+        no piece carries it, as every piece keeps a positive length."""
         base, atoms, scale = self.integer_weights
-        lengths = dict.fromkeys(sorted({c for _, _, c in pieces}), 0)
+        lengths = [0] * (max(map(_LABEL, pieces), default=-1) + 1)
         for a, b, c in pieces:
             lengths[c] += b - a
         if pieces and not circle:
@@ -268,7 +270,8 @@ class _MixtureModel:
             lengths[c] += min(a, 0)
             _, b, c = pieces[-1]
             lengths[c] -= max(b - span, 0)
-        inside = {}
+        total = scale * span
+        masses = [(base * length, total) if length else None for length in lengths]
         for num, qden, weight in atoms:
             p = num * (span // qden)
             for x in (p % span, p % span + span) if circle else (p,):
@@ -276,12 +279,9 @@ class _MixtureModel:
                 if whole or i >= 0 and x < pieces[i][1]:
                     # the whole circle is the one piece pieces[-1] = pieces[0]
                     c = pieces[i][2]
-                    inside[c] = inside.get(c, 0) + weight
+                    masses[c] = (masses[c][0] + span * weight, total)
                     break
-        total = scale * span
-        for c, length in lengths.items():  # in place: a level holds up to 2**20
-            lengths[c] = (base * length + span * inside.get(c, 0), total)
-        return lengths
+        return masses
 
     def region_measure(self, region) -> F:
         den = math.lcm(region.den, *(q.denominator for q, _ in self.atoms))

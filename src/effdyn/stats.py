@@ -216,20 +216,19 @@ def recurrence_stat(sys: dy.System, x: Point, n: int) -> F:
     """Min over 1 <= k <= n of a certified upper bound on d(x, T^k x).
 
     Non-increasing in n.  Sequence-space points are compared symbolwise on
-    their first 96 symbols; interval and circle orbits through enclosures
-    of width below 2**-20 (exact for rational data), whose step distances
-    `dy.step_dist` gives over 2 * den.
+    the first 96 symbols of their `dy.iterate` words (exact or enclosed);
+    interval and circle orbits through enclosures of width below 2**-20
+    (exact for rational data), whose step distances `dy.step_dist` gives
+    over 2 * den.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if sys.map_kind is dy.MapKind.SHIFT:
-        if not callable(x.exact):
-            raise SpaceMismatch("shift recurrence needs a symbol oracle")
         prefix = 96
-        window = [x.exact(j) for j in range(n + prefix)]
+        head, *words = dy.iterate(sys, x, n + 1, prefix - 1).words
         best = F(1)
-        for k in range(1, n + 1):
-            first_diff = next((j for j in range(prefix) if window[j] != window[j + k]), prefix)
+        for word in words:
+            first_diff = next((j for j in range(prefix) if head[j] != word[j]), prefix)
             best = min(best, F(1, 1 << first_diff))
         return best
     seg = dy.iterate(sys, x, n + 1, 20)

@@ -317,12 +317,12 @@ def _value_atom(
 #: reach: `pullback`'s step refuses a level that could hold more with
 #: PrecisionBlowup before it builds it.  Criterion 1's deepest level holds
 #: 2**16 pieces.  At the cap, block entropy of doubling with halves under
-#: Lebesgue runs n = 19 (2**19 pieces in its last level) in 1.6 s and
-#: 226 MB peak memory and refuses n = 20; tent with dyadic-2 is refused at
-#: n = 19 after 2.4 s and 263 MB.  A binary shift reaches the cap at
+#: Lebesgue runs n = 19 (2**19 pieces in its last level) in 0.9-1.1 s and
+#: 187 MB peak memory and refuses n = 20; tent with dyadic-2 is refused at
+#: n = 19 after 2.1-2.8 s and 301 MB.  A binary shift reaches the cap at
 #: n = 20; under fair Bernoulli it runs n = 16 in 0.2 s and 47 MB and
-#: n = 19 in 2.0 s and 272 MB, so n = 20 takes about 4 s and 0.55 GB
-#: (CPython 3.11, 2-vCPU VM).
+#: n = 19 in 1.7-1.9 s and 272 MB, so n = 20 takes about 4 s and 0.55 GB
+#: (CPython 3.11.7, shared 2-vCPU VM, two single runs each).
 BLOCK_LEVEL_CAP = 1 << 20
 
 _END = operator.itemgetter(1)
@@ -538,10 +538,12 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     def weigh(level, d):
         span = den if circle else den << (d - 1)
         masses = model.masses(level, span, circle, circle and _whole(level, span))
-        if max(masses, default=-1) >= len(masses):
-            dense = {c: j for j, c in enumerate(masses)}
+        if None in masses:
+            labels = [c for c, mass in enumerate(masses) if mass is not None]
+            dense = dict(zip(labels, range(len(labels))))
             level = [(a, b, dense[c]) for a, b, c in level]
-        return level, list(masses.values())
+            masses = [masses[c] for c in labels]
+        return level, masses
 
     return step, weigh
 

@@ -4,8 +4,8 @@ Each reference below is the plain Fraction computation the integer paths
 replace: orbits by `exact_step`, regions as `LineRegion`s pulled back by
 `preimage_pieces`, and Bowen-ball tests by rational distances.  The
 integer paths must agree with them exactly, positions and masses alike.
-On larger grids the spanning scan's jumps are checked against the integer
-scan that marks every ball.
+On larger grids the spanning witness, scanned or in closed form, is
+checked against the integer scan that marks every ball.
 """
 
 import dataclasses
@@ -100,7 +100,7 @@ class _CountedMarks(bytearray):
         super().__setitem__(key, value)
 
 
-# doubling with p >= 1 takes the one-range closed form, p = 0 the pullback
+# doubling with p, n >= 1 is counted in closed form, p = 0 scans the pullback
 SCAN_CASES = {
     "doubling": [(n, p) for p in range(5) for n in range(15 - p)],  # grids up to 2**16
     "tent": [(n, p) for p in range(5) for n in range(12 - p)],  # grids up to 2**13
@@ -109,9 +109,9 @@ SCAN_CASES = {
 
 @pytest.mark.parametrize("system", [dy.tent(), dy.doubling()], ids=["tent", "doubling"])
 def test_spanning_scan_matches_marking_scan(system, monkeypatch):
-    """The scan's jumps past one-range balls keep the positions of the scan
-    that marks every ball; verify_separated keeps the counted verdict on
-    them and on a witness moved next to its neighbour."""
+    """The witness, scanned or in closed form, has the positions of the
+    scan that marks every ball; verify_separated keeps the counted verdict
+    on them and on a witness moved next to its neighbour."""
     monkeypatch.setattr(en, "bytearray", _CountedMarks, raising=False)
     name = system.map_kind.value
     for n, p in SCAN_CASES[name]:
@@ -119,14 +119,31 @@ def test_spanning_scan_matches_marking_scan(system, monkeypatch):
         span = en.spanning_separated(system, n, p)
         assert span.positions == _marking_scan(system, n, p), (n, p)
         assert span.count == len(span.positions)
-        if name == "doubling" and p >= 1:
-            assert _CountedMarks.writes == 0, (n, p)  # every kept point jumps
+        if name == "doubling" and p >= 1 and n >= 1:
+            assert _CountedMarks.writes == 0, (n, p)  # closed form: no scan
+        if n == 0:
+            assert span.positions == (0,) and _CountedMarks.writes == 1, (n, p)
         assert en.verify_separated(span) and _counted_separated(span), (n, p)
         if span.count > 1:
             moved = list(span.positions)
             moved[len(moved) // 2] = moved[len(moved) // 2 - 1] + 1
             bad = dataclasses.replace(span, positions=tuple(moved))
             assert en.verify_separated(bad) == _counted_separated(bad), (n, p)
+
+
+COUNT_SYSTEMS = [dy.shift(2), dy.shift(3), dy.rotation(F(3, 7)), dy.rotation(), dy.doubling(), dy.tent()]
+
+
+@pytest.mark.parametrize("system", COUNT_SYSTEMS, ids=[s.name for s in COUNT_SYSTEMS])
+def test_count_only_spanning_matches_witness(system):
+    """witness=False gives the witnessed count and no positions."""
+    for p in range(5):
+        for n in range(9 - p):
+            span = en.spanning_separated(system, n, p)
+            counted = en.spanning_separated(system, n, p, witness=False)
+            assert counted.positions is None, (n, p)
+            assert (counted.count, counted.grid_level) == (span.count, span.grid_level), (n, p)
+            assert span.count == len(span.positions), (n, p)
 
 
 @pytest.mark.parametrize("kind", [dy.MapKind.DOUBLING, dy.MapKind.TENT], ids=["doubling", "tent"])

@@ -10,6 +10,7 @@ a level that could exceed `symbolic.BLOCK_LEVEL_CAP` pieces is refused
 before it is built.
 """
 
+import bisect
 import itertools
 import math
 from fractions import Fraction as F
@@ -278,6 +279,87 @@ def test_level_walk_matches_every_word_under_point_masses(case):
     table = en._pullback_level_entropies(sys, mu, partition, range(1, 6))
     words = _word_entropies(sys, mu, partition, 5)
     assert all(abs(table[n] - words[n]) <= 1e-12 for n in table), (table, words)
+
+
+# -- the dict weighing ----------------------------------------------------------
+
+
+def _dict_masses(model, pieces, span, circle, whole):
+    """`_MixtureModel.masses` as it was: {label: (numerator, denominator)}
+    over the labels some piece carries, in label order."""
+    base, atoms, scale = model.integer_weights
+    lengths = dict.fromkeys(sorted({c for _, _, c in pieces}), 0)
+    for a, b, c in pieces:
+        lengths[c] += b - a
+    if pieces and not circle:
+        a, _, c = pieces[0]
+        lengths[c] += min(a, 0)
+        _, b, c = pieces[-1]
+        lengths[c] -= max(b - span, 0)
+    inside = {}
+    for num, qden, weight in atoms:
+        p = num * (span // qden)
+        for x in (p % span, p % span + span) if circle else (p,):
+            i = bisect.bisect_left(pieces, x, key=lambda piece: piece[0]) - 1
+            if whole or i >= 0 and x < pieces[i][1]:
+                c = pieces[i][2]
+                inside[c] = inside.get(c, 0) + weight
+                break
+    return {c: (base * length + span * inside.get(c, 0), scale * span) for c, length in lengths.items()}
+
+
+def _dict_weigh(model, level, span, circle):
+    """`pullback`'s weigh as it was: relabel densely whenever a label is
+    missing, read off the dict."""
+    masses = _dict_masses(model, level, span, circle, circle and _whole(level, span))
+    if max(masses, default=-1) >= len(masses):
+        dense = {c: j for j, c in enumerate(masses)}
+        level = [(a, b, dense[c]) for a, b, c in level]
+    return level, list(masses.values())
+
+
+WEIGH_CASES = [
+    (dy.doubling(), ms.ComputableMeasure.lebesgue(LINE), sb.dyadic_intervals(LINE, 2), 10),
+    (dy.tent(), ms.ComputableMeasure.lebesgue(LINE), sb.dyadic_intervals(LINE, 2), 10),
+    (
+        dy.doubling(),
+        ms.ComputableMeasure.lebesgue_with_atoms(LINE, F(1, 2), [(F(1, 3), F(1, 4)), (F(1, 2), F(1, 4))]),
+        sb.dyadic_intervals(LINE, 2),
+        9,
+    ),
+    (
+        dy.tent(),
+        ms.ComputableMeasure.lebesgue_with_atoms(LINE, 0, [(F(2, 5), F(1, 2)), (F(4, 5), F(1, 2))]),
+        sb.halves(LINE),
+        9,
+    ),
+    (
+        dy.rotation(F(3, 7)),
+        ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(3, 4), [(F(0), F(1, 8)), (F(1, 2), F(1, 8))]),
+        sb.dyadic_intervals(WHEEL, 2),
+        10,
+    ),
+    (dy.rotation(F(1, 3)), ms.ComputableMeasure.lebesgue(WHEEL), sb.halves(WHEEL), 8),
+]
+
+
+def test_list_weighed_levels_match_dict_weighing():
+    """Every level's relabelled pieces and masses against the dict weighing,
+    on levels with and without missing labels."""
+    missing = 0
+    for sys, mu, partition, n_max in WEIGH_CASES:
+        step, weigh = sb.pullback(sys, mu, partition)
+        circle = sys.map_kind is dy.MapKind.ROTATION
+        den = sb._grid_den(sys, mu, partition)
+        level = None
+        for d in range(n_max):
+            raw = step(level, d, None)
+            span = den if circle else den << d
+            expected = _dict_weigh(mu.model, raw, span, circle)
+            missing += max((c for _, _, c in raw), default=-1) >= len(expected[1])
+            level, masses = weigh(raw, d + 1)
+            assert (level, masses) == expected, (sys.name, partition.name, d + 1)
+    assert missing >= 20, missing
 
 
 # -- the level cap ------------------------------------------------------------

@@ -126,6 +126,20 @@ def test_recurrence_shift_seeded_prefix_recurs():
     assert bound <= F(1, 256)
 
 
+def test_recurrence_shift_point_known_by_approximations():
+    # the same sequences as symbol oracles and through their approximations
+    # alone: the bound is read off the cylinder words of either
+    rng = random.Random(12)
+    words = [tuple(j % 2 for j in range(200)), tuple(rng.randrange(2) for _ in range(200))]
+    for word in words:
+        oracle = sp.sequence_point(SEQ2, lambda j, w=word: w[j])
+        approx = sp.Point(SEQ2, lambda m, w=word: SEQ2.encode_word(w[: max(m, 0) + 2]))
+        for n in (1, 5, 40):
+            assert stt.recurrence_stat(dy.shift(2), approx, n) == stt.recurrence_stat(dy.shift(2), oracle, n)
+    approx = sp.Point(SEQ2, lambda m: SEQ2.encode_word(words[0][: max(m, 0) + 2]))
+    assert stt.recurrence_stat(dy.shift(2), approx, 5) == F(1, 1 << 96)
+
+
 def test_recurrence_non_increasing():
     sys = dy.rotation(sp.sqrt2_minus_1(WHEEL))
     x = sp.rational_point(WHEEL, 0)
