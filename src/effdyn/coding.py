@@ -20,7 +20,8 @@ dynamic blocks:
   the alphabet, one index per phrase, no explicit literals), with indices
   economy-coded behind a two-entry cache of recent back-reference
   distances, so constant and periodic inputs settle into two bits per
-  growing phrase;
+  growing phrase.  One loop over an integer-keyed trie parses, costs
+  and collects the indices;
 * a copy branch: LZ77 tokens (literal, or copy at delta-coded offset and
   length, overlap allowed), which captures long-range recurrence: words
   with slowly growing factor complexity collapse to a handful of copies.
@@ -30,14 +31,15 @@ dynamic blocks:
 The emitted stream is elias_delta(length+1), an economy-coded selector,
 then the shortest payload.  Costing is one fold per branch over a sorted
 list of prefix ends, each with an optional budget: `prefix_bits_len`
-gives bits_len(word[:m]) for every end from one lz78 parse and one lz77
-parse, with the enumerative length taken per prefix, and `bits_len` is
-its one-end case.  A budgeted cost is exact below its budget and a
-lower bound at least the budget otherwise; the enumerative branch skips
-its class sizes once a certified binomial lower bound reaches the
-budget.  `encode` emits from the class sizes or lz77 tokens that its
-costing computed.  The rate estimators and the deficiency screen read
-every grid prefix of a word from one such fold.
+gives bits_len(word[:m]) for every end from the enumerative length
+taken per prefix, then one lz78 parse and one lz77 parse, each budgeted
+by the branches costed before it, and `bits_len` is its one-end case.
+A budgeted cost is exact below its budget and a lower bound at least
+the budget otherwise; the enumerative branch skips its class sizes once
+a certified binomial lower bound reaches the budget.  `encode` emits
+from the class sizes, lz78 indices or lz77 tokens that its costing
+computed.  The rate estimators and the deficiency screen read every
+grid prefix of a word from one such fold.
 """
 
 from __future__ import annotations
@@ -217,64 +219,79 @@ class _DiffCache:
         return index, pos
 
 
-def _lz_tokens(word: Word, alphabet: int, ends: Sequence[int]):
-    """(t, index, end) phrases of the seeded-dictionary longest-match parse
-    of word[:ends[-1]], for sorted ends: each phrase closed on the way with
-    end 0, and at each end m >= 1 the phrase still open there with end m.
-    The parse of word[:m] is the phrases closed before m plus that one."""
-    trie = {(-1, c): c for c in range(alphabet)}
-    next_id = alphabet
-    node = -1
-    t = 1
-    start = 0
-    for end in ends:
-        for c in word[start:end]:
-            child = trie.get((node, c))
-            if child is not None:
-                node = child
-                continue
-            yield t, node, 0
-            trie[(node, c)] = next_id
-            next_id += 1
-            t += 1
-            node = trie[(-1, c)]
-        start = end
-        if end:
-            yield t, node, end
-
-
-def _lz_payload(word: Word, alphabet: int) -> str:
-    parts = []
-    cache = _DiffCache()
-    for t, index, _ in _lz_tokens(word, alphabet, (len(word),)):
-        size = alphabet + t - 1
-        slot = cache.update((size - 1) - index)
-        parts.append("0" + phased_encode(index, size) if slot == 2 else ("10", "11")[slot])
-    return "".join(parts)
-
-
-def _lz_costs(word: Word, alphabet: int, ends: Sequence[int], budgets: Sequence) -> List[int]:
-    """Payload length of word[:m] for each end m, from one parse.  The fold
-    stops once the closed phrases reach every budget left, so a cost is
-    exact below its budget and otherwise a lower bound at least the budget.
-    The phrase open at m is costed from the cache without updating it."""
+def _lz_costs(
+    word: Word, alphabet: int, ends: Sequence[int], budgets: Sequence, indices: Optional[list] = None
+) -> List[int]:
+    """Payload length of word[:m] for each sorted end m, from one parse: the
+    phrases closed before m, plus the one open at m costed from the cache
+    without updating it.  The trie keys node's child under c by
+    (node + 1) * alphabet + c, the root being -1.  The fold stops once the
+    closed phrases reach every budget left, so a cost is exact below its
+    budget and otherwise a lower bound at least the budget.  `indices`, if
+    given, receives every phrase index folded, and the one open at the
+    last end when the fold gets there."""
     limits = _suffix_max(budgets)
     limit = limits[0]
     costs: List[int] = []
     total = 0
+    trie = {c: c for c in range(alphabet)}
+    node = -1
+    size = alphabet
+    width = (size - 1).bit_length()
+    short = (1 << width) - size
+    first, second = 0, 1
+    start = 0
+    for end in ends:
+        for c in word[start:end]:
+            key = (node + 1) * alphabet + c
+            child = trie.get(key)
+            if child is not None:
+                node = child
+                continue
+            diff = (size - 1) - node
+            if diff == first:
+                total += 2
+            elif diff == second:
+                total += 2
+                first, second = second, first
+            else:
+                total += width if node < short else width + 1
+                first, second = diff, first
+            if indices is not None:
+                indices.append(node)
+            trie[key] = size
+            size += 1
+            short -= 1
+            if short < 0:  # size - 1 reached a power of two
+                short += 1 << width
+                width += 1
+            node = c
+            if total >= limit:
+                return costs + [total] * (len(ends) - len(costs))
+        start = end
+        if node < 0:  # the empty prefix
+            costs.append(0)
+        elif (size - 1) - node in (first, second):
+            costs.append(total + 2)
+        else:
+            costs.append(total + (width if node < short else width + 1))
+        limit = limits[len(costs)]
+    if indices is not None and node >= 0:
+        indices.append(node)
+    return costs
+
+
+def _lz_payload(word: Word, alphabet: int, indices: Optional[Sequence[int]] = None) -> str:
+    """Payload from the word's phrase indices, parsed here unless given."""
+    if indices is None:
+        indices = []
+        _lz_costs(word, alphabet, (len(word),), (math.inf,), indices)
+    parts = []
     cache = _DiffCache()
-    for t, index, end in _lz_tokens(word, alphabet, ends):
-        size = alphabet + t - 1
-        if end:
-            diff = (size - 1) - index
-            hit = diff == cache.first or diff == cache.second
-            costs.append(total + (2 if hit else 1 + phased_len(index, size)))
-            limit = limits[len(costs)]
-            continue
-        total += 1 + phased_len(index, size) if cache.update((size - 1) - index) == 2 else 2
-        if total >= limit:
-            break
-    return costs + [total] * (len(ends) - len(costs))
+    for size, index in enumerate(indices, alphabet):
+        slot = cache.update((size - 1) - index)
+        parts.append("0" + phased_encode(index, size) if slot == 2 else ("10", "11")[slot])
+    return "".join(parts)
 
 
 def _suffix_max(budgets: Sequence) -> list:
@@ -848,40 +865,45 @@ class PrefixFreeCompressor:
         ends: Sequence[int],
         budgets: Sequence,
         enum_sizes: Optional[list] = None,
+        lz78_indices: Optional[list] = None,
         lz77_tokens: Optional[list] = None,
     ) -> List[Tuple[int, int, int]]:
         """Selector plus payload bits of the enum, lz78 and lz77 branches of
         word[:m], for each m in the sorted ends (all >= 1).
 
-        lz78 is costed first, being cheapest, by one parse for every end.
-        enum is then costed per prefix only until it reaches lz78 plus one,
-        and lz77, by one parse for every end, only until it reaches the best
-        of those two, so each entry is exact when its branch wins and
-        otherwise a lower bound that still loses (ties go to the lower
-        branch).  With finite budgets every branch also stops at the
-        budget: the minimum is then exact below the budget and at least the
-        budget otherwise.  `enum_sizes`, if given, receives the class sizes
-        of the last end, all of them when the enum branch wins there, and
-        `lz77_tokens` the lz77 tokens folded, all of them when that branch
-        wins at the last end.
+        enum is costed first, per prefix, against the budget alone.  lz78
+        is then folded, by one parse for every end, only until it reaches
+        enum, and lz77, by one parse for every end, only until it reaches
+        the best of those two, so each entry is exact when its branch wins
+        and otherwise a lower bound that still loses (ties go to the lower
+        branch).  With finite budgets the minimum is exact below the budget
+        and at least the budget otherwise.  `enum_sizes`, if given,
+        receives the class sizes of the last end, all of them when the enum
+        branch is below the budget there, and `lz78_indices` and
+        `lz77_tokens` the phrase indices and tokens folded, all of them
+        when that branch wins at the last end.
         """
         k = self.alphabet
         enum_sel, lz78_sel, lz77_sel = (phased_len(i, 3) for i in range(3))
-        lz78 = [lz78_sel + c for c in _lz_costs(word, k, ends, [b - lz78_sel for b in budgets])]
         last = len(ends) - 1
         enum = [
-            enum_sel
-            + _enum_cost(word[:m], k, min(d + 1, b) - enum_sel, enum_sizes if i == last else None)
-            for i, (m, d, b) in enumerate(zip(ends, lz78, budgets))
+            enum_sel + _enum_cost(word[:m], k, b - enum_sel, enum_sizes if i == last else None)
+            for i, (m, b) in enumerate(zip(ends, budgets))
         ]
+        bounds = [min(e, b) - lz78_sel for e, b in zip(enum, budgets)]
+        lz78 = [lz78_sel + c for c in _lz_costs(word, k, ends, bounds, lz78_indices)]
         bounds = [min(e, d, b) - lz77_sel for e, d, b in zip(enum, lz78, budgets)]
         lz77 = [lz77_sel + c for c in _lz77_costs(word, k, ends, bounds, lz77_tokens)]
         return list(zip(enum, lz78, lz77))
 
     def _best(
-        self, word: Word, enum_sizes: Optional[list] = None, lz77_tokens: Optional[list] = None
+        self,
+        word: Word,
+        enum_sizes: Optional[list] = None,
+        lz78_indices: Optional[list] = None,
+        lz77_tokens: Optional[list] = None,
     ) -> int:
-        costs = self._costs(word, (len(word),), (math.inf,), enum_sizes, lz77_tokens)[0]
+        costs = self._costs(word, (len(word),), (math.inf,), enum_sizes, lz78_indices, lz77_tokens)[0]
         return min(range(3), key=lambda i: (costs[i], i))
 
     def encode(self, word: Sequence[int]) -> str:
@@ -889,16 +911,10 @@ class PrefixFreeCompressor:
         header = elias_encode(len(word) + 1)
         if not word:
             return header + phased_encode(0, 3)
-        sizes: list = []
-        tokens: list = []
-        best = self._best(word, sizes, tokens)
-        # the enum and copy branches emit from the sizes and tokens they were costed from
-        if best == 0:
-            payload = _enum_payload(word, self.alphabet, sizes)
-        elif best == 1:
-            payload = _lz_payload(word, self.alphabet)
-        else:
-            payload = _lz77_payload(word, self.alphabet, tokens)
+        emitted: Tuple[list, list, list] = ([], [], [])
+        best = self._best(word, *emitted)
+        # each branch emits from the sizes, indices or tokens it was costed from
+        payload = (_enum_payload, _lz_payload, _lz77_payload)[best](word, self.alphabet, emitted[best])
         return header + phased_encode(best, 3) + payload
 
     def bits_len(self, word: Sequence[int]) -> int:

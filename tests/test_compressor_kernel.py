@@ -3,8 +3,9 @@
 The references below are the full walks the lazy branch costs replace:
 the enumerative length from ranks grown one symbol at a time, the
 per-position combinadic rank and unrank walks the block walks replace,
-`math.comb` for the class sizes built from prime exponents, and the
-copy-branch parse on a suffix automaton with one dict per state.
+`math.comb` for the class sizes built from prime exponents, the
+copy-branch parse on a suffix automaton with one dict per state, and the
+dictionary branch's phrase generator of `lz78_reference`.
 The costs, the selector, `bits_len` and every codeword must agree with
 them exactly; the copy branch's budgeted cost must be exact below its
 budget and at least the budget otherwise.
@@ -28,6 +29,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effdyn import coding as cd
+
+import lz78_reference as lzr
 
 GOLDEN = Path(__file__).parent / "golden" / "codewords.txt"
 
@@ -269,7 +272,7 @@ def check_word(word, k, full_lz77=True):
     comp = cd.PrefixFreeCompressor(k)
     ends = (len(word),)
     enum = _enum_payload_len(word, k)
-    lz78 = cd._lz_costs(word, k, ends, (math.inf,))[0]
+    lz78 = lzr.costs(word, k, ends, (math.inf,))[0]
     lz77 = _lz77_payload_len(word, k)
     assert cd._enum_cost(word, k) == enum
     assert cd._lz77_costs(word, k, ends, (lz77 + 1,)) == [lz77]
@@ -287,13 +290,13 @@ def check_word(word, k, full_lz77=True):
     else:
         best = min(range(3), key=lambda i: (ref[i], i))
         costs = comp._costs(word, ends, (math.inf,))[0]
-        # enum is exact while it can tie lz78, and lz77 while it can win
-        assert costs[0] == ref[0] if ref[0] <= ref[1] else ref[1] < costs[0] <= ref[0]
-        assert costs[1] == ref[1]
+        # enum is exact, lz78 while it beats enum, and lz77 while it can win
+        assert costs[0] == ref[0]
+        assert costs[1] == ref[1] if ref[1] < ref[0] else ref[0] <= costs[1] <= ref[1]
         assert costs[2] == ref[2] if best == 2 else costs[2] >= ref[best]
         assert comp._best(word) == best
         assert comp.bits_len(word) == len(header) + ref[best]
-    payload = (_enum_payload, cd._lz_payload, _lz77_payload)[best](word, k) if word else ""
+    payload = (_enum_payload, lzr.payload, _lz77_payload)[best](word, k) if word else ""
     code = comp.encode(word)
     assert code == header + cd.phased_encode(best, 3) + payload
     assert comp.decode(code) == word
@@ -373,6 +376,40 @@ def test_lz77_tokens_on_a_wide_alphabet():
     assert got == _as_pairs(_lz77_tokens(word))
     comp = cd.PrefixFreeCompressor(1024)
     assert comp.decode(comp.encode(word)) == word
+
+
+# -- the lz78 fold -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 7, 300))
+@pytest.mark.parametrize("style", ("random", "zeros", "periodic", "biased"))
+def test_lz78_fold_matches_the_generator_reference(k, style):
+    """Per-prefix costs and phrase indices of the integer-keyed fold against
+    the generator and its fold: sorted ends with 0 and duplicates, budgets
+    of infinity, 0, the exact cost and values that stop the fold
+    mid-word.  A stopped fold's indices are the reference's first ones."""
+    rng = random.Random(f"{k}-{style}")
+    for n in (1, 2, 9, 200, 3000):
+        word = (0,) * n if style == "zeros" else make_word(rng, k, style, n)
+        ends = sorted([0, n, n] + [rng.randint(0, n) for _ in range(5)])
+        exact = lzr.costs(word, k, ends, [math.inf] * len(ends))
+        phrases = lzr.indices(word, k)
+        budgets = [
+            [math.inf] * len(ends),
+            [0] * len(ends),
+            exact,
+            [c + 1 for c in exact],
+            [c // 3 for c in exact],
+            [rng.randint(0, c + 1) for c in exact],
+        ]
+        for budget in budgets:
+            indices = []
+            got = cd._lz_costs(word, k, ends, budget, indices)
+            assert got == lzr.costs(word, k, ends, budget), (n, budget)
+            assert indices == phrases[: len(indices)]
+            if all(c < b for c, b in zip(exact, budget)):
+                assert got == exact and indices == phrases
+        assert cd._lz_payload(word, k) == lzr.payload(word, k)
 
 
 # -- enumerative block walks ---------------------------------------------------

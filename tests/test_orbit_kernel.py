@@ -768,14 +768,14 @@ def test_rates_parse_each_stream_once(monkeypatch):
     per grid prefix."""
     parses = {"lz78": 0, "lz77": 0}
 
-    def counted(name, tokens):
+    def counted(name, parse):
         def wrapper(*args):
             parses[name] += 1
-            return tokens(*args)
+            return parse(*args)
 
         return wrapper
 
-    monkeypatch.setattr(cd, "_lz_tokens", counted("lz78", cd._lz_tokens))
+    monkeypatch.setattr(cd, "_lz_costs", counted("lz78", cd._lz_costs))
     monkeypatch.setattr(cd, "_lz77_tokens", counted("lz77", cd._lz77_tokens))
     sys = dy.doubling()
     x = sp.rational_point(LINE, F(random.Random(43).getrandbits(1 << 12) | 1, 1 << (1 << 12)))
