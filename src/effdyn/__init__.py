@@ -13,7 +13,6 @@ from effdyn.coding import (
     elias_encode,
     gap_apply,
     gap_encode,
-    lz_rate,
 )
 from effdyn.dynamics import (
     PrecisionBlowup,

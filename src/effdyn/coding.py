@@ -961,14 +961,6 @@ class PrefixFreeCompressor:
         return word
 
 
-def lz_rate(word: Sequence[int], alphabet: int = 2) -> F:
-    """Bits per symbol under the default prefix-free compressor."""
-    word = _check_word(word, alphabet)
-    if not word:
-        raise ValueError("rate needs a nonempty word")
-    return F(PrefixFreeCompressor(alphabet)._bits_len(word), len(word))
-
-
 # ---------------------------------------------------------------------------
 # Gap coding: reconstruct u from v plus the positions where they differ
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class System:
     measure: object = None  # ComputableMeasure known invariant for the map
     name: str = ""
 
-    @property
-    def lipschitz_expanding(self) -> bool:
-        return self.map_kind in (MapKind.DOUBLING, MapKind.TENT)
-
 
 def doubling(measure=None) -> System:
     return System(unit_interval(), MapKind.DOUBLING, measure=measure, name="doubling")
@@ -108,28 +104,12 @@ class OrbitSegment:
 # ---------------------------------------------------------------------------
 
 
-def _mod1(q: F) -> F:
-    return q - (q.numerator // q.denominator)
-
-
-def exact_step(sys: System, value: F) -> F:
-    if sys.map_kind is MapKind.DOUBLING:
-        return _mod1(2 * value)
-    if sys.map_kind is MapKind.TENT:
-        return 2 * value if value <= F(1, 2) else 2 - 2 * value
-    if sys.map_kind is MapKind.ROTATION:
-        if not isinstance(sys.angle, F):
-            raise ValueError("exact rotation steps need a rational angle")
-        return _mod1(value + sys.angle)
-    raise SpaceMismatch("exact_step on rationals needs an interval/circle map")
-
-
 def _exact_grid(sys: System, start) -> Tuple[int, int, int]:
     """(v, den, a): the start as v/den, and a rotation's angle as a/den
     with 0 <= a < den (a = 0 for doubling and tent)."""
     q = F(start)
     if sys.map_kind is not MapKind.TENT:
-        q = _mod1(q)
+        q -= q.numerator // q.denominator
     if sys.map_kind is not MapKind.ROTATION:
         return q.numerator, q.denominator, 0
     if not isinstance(sys.angle, F):
@@ -162,6 +142,9 @@ def exact_orbit(sys: System, start, n: int):
 # Integer grid kernel: orbits on numerators over a fixed denominator
 # ---------------------------------------------------------------------------
 
+# binary digits written as "0"/"1" text; this maps them to the values 0/1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def grid_orbit(kind: MapKind, v: int, den: int, n: int, a: int = 0) -> List[int]:
     """Numerators of the first n orbit points of v/den, all over den.
@@ -193,6 +176,25 @@ def grid_orbit(kind: MapKind, v: int, den: int, n: int, a: int = 0) -> List[int]
     else:
         raise SpaceMismatch(f"no integer grid step for {kind}")
     return out
+
+
+def dyadic_windows(sys: System, x: Point, n: int, level: int) -> Optional[Tuple[List[int], int]]:
+    """(windows, last) for a doubling point x = 0.b_0 b_1 ... with an exact
+    dyadic description, else None: windows[j] = floor(2**level * T^j x),
+    the level-bit window at j of the zero-padded expansion, for j < n, and
+    the index of its last 1 (-1 for 0).  One rolling pass over n + level
+    digits, where the exact orbit over 2**bits costs n * bits."""
+    q = x.exact
+    if sys.map_kind is not MapKind.DOUBLING or not isinstance(q, F) or q.denominator & (q.denominator - 1):
+        return None
+    num, bits = q.numerator % q.denominator, q.denominator.bit_length() - 1  # doubling takes 1 to 0
+    digits = format(num, f"0{bits}b")[: n + level].ljust(n + level, "0")
+    mask = (1 << level) - 1
+    window, windows = int(digits[:level] or "0", 2), []
+    for digit in digits[level:].encode().translate(_DIGIT_VALUES):
+        windows.append(window)
+        window = (window << 1 | digit) & mask
+    return windows, bits - (num & -num).bit_length() if num else -1
 
 
 def grid_preimage(kind: MapKind, pieces: List[Tuple[int, int, int]], den: int):
@@ -290,7 +292,7 @@ def _angle_enclosure(sys: System, precision: int) -> Interval:
 
 
 def required_input_precision(sys: System, n: int, p: int) -> int:
-    if sys.lipschitz_expanding:
+    if sys.map_kind in (MapKind.DOUBLING, MapKind.TENT):
         return p + n + 2
     if sys.map_kind is MapKind.ROTATION:
         return p + 4

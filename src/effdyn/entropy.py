@@ -215,7 +215,11 @@ def symbol_rate(
 
 
 def _quantize_orbit(sys: dy.System, x: Point, n: int, p: int) -> List[int]:
-    """Grid indices of spacing 2**-p following the orbit within 2**-p."""
+    """Grid indices of spacing 2**-p following the orbit within 2**-p; for
+    a dyadic doubling point, floor(2**p T^j x) is its p-bit window."""
+    read = dy.dyadic_windows(sys, x, n, p)
+    if read is not None:
+        return read[0]
     seg = dy.iterate(sys, x, n, p + 3)
     cells = 1 << p
     out = []
@@ -237,10 +241,6 @@ def _quantize_orbit(sys: dy.System, x: Point, n: int, p: int) -> List[int]:
 _PREDICTOR_FAMILY = (0, 1, 2, 3, 4)
 
 
-# packed residuals are written as "0"/"1" text; this maps them to symbols 0/1
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _zigzag(v: int) -> int:
     return 2 * v if v >= 0 else -2 * v - 1
 
@@ -259,7 +259,7 @@ def _packed_bits(values: List[int], width: int) -> Tuple[int, ...]:
             values = [0] + values
         values = [a << width | b for a, b in zip(values[::2], values[1::2])]
         width *= 2
-    return tuple(format(values[0], f"0{total}b").encode().translate(_BIT_VALUES))
+    return tuple(format(values[0], f"0{total}b").encode().translate(dy._DIGIT_VALUES))
 
 
 def pseudo_orbit_code_bits(

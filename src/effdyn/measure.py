@@ -346,6 +346,13 @@ class _ConditionedModel:
         return self.base.region_measure(region.intersect(self.window)) / self.mass
 
 
+def _check_weights(weights, what: str) -> None:
+    if min(weights, default=0) < 0:
+        raise ValueError(f"{what} must not be negative")
+    if sum(weights) != 1:
+        raise ValueError(f"{what} must sum to 1")
+
+
 @dataclass(frozen=True)
 class ComputableMeasure:
     """A probability measure with an exact oracle on ideal-ball unions.
@@ -384,8 +391,7 @@ class ComputableMeasure:
     def lebesgue_with_atoms(cls, space: Space, base_weight, atoms) -> "ComputableMeasure":
         atoms = tuple((F(q), F(w)) for q, w in atoms)
         base_weight = F(base_weight)
-        if base_weight + sum(w for _, w in atoms) != 1:
-            raise ValueError("weights must sum to 1")
+        _check_weights((base_weight, *(w for _, w in atoms)), "weights")
         return cls(space, "lebesgue+atoms", _MixtureModel(base_weight, atoms))
 
     @classmethod
@@ -393,8 +399,7 @@ class ComputableMeasure:
         probs = tuple(F(p) for p in probs)
         if space.kind is not Kind.CANTOR or len(probs) != space.alphabet:
             raise SpaceMismatch("bernoulli needs a matching sequence space")
-        if sum(probs) != 1:
-            raise ValueError("probabilities must sum to 1")
+        _check_weights(probs, "probabilities")
         return cls(space, "bernoulli", _ProductWordModel(probs, None))
 
     @classmethod
@@ -402,10 +407,10 @@ class ComputableMeasure:
         rows = tuple(tuple(F(p) for p in row) for row in rows)
         if space.kind is not Kind.CANTOR or len(rows) != space.alphabet:
             raise SpaceMismatch("markov needs a matching sequence space")
-        for row in rows:
-            if sum(row) != 1:
-                raise ValueError("each transition row must sum to 1")
+        for i, row in enumerate(rows):
+            _check_weights(row, f"transition row {i}")
         initial = stationary_distribution(rows) if initial is None else tuple(F(p) for p in initial)
+        _check_weights(initial, "initial probabilities")
         return cls(space, "markov", _ProductWordModel(initial, rows))
 
     def word_measure(self, word) -> F:

@@ -77,16 +77,11 @@ class SymbolicWord:
     @property
     def known_prefix(self) -> Tuple[int, ...]:
         """Symbols before the first Unknown; estimators drop the rest."""
-        out = []
-        for s in self.symbols:
-            if s is None:
-                break
-            out.append(s)
-        return tuple(out)
+        return self.symbols[: self.symbols.index(None)] if self.truncated else self.symbols
 
     @property
     def truncated(self) -> bool:
-        return len(self.known_prefix) < len(self.symbols)
+        return None in self.symbols
 
 
 @dataclass(frozen=True)
@@ -148,11 +143,10 @@ def halves(space: Space) -> ComputablePartition:
 
 
 #: Largest number of atoms `dyadic_intervals` and `cylinders` build; more
-#: raise ValueError before any atom is built.  The largest shipped size is
-#: the dyadic level 10 of the coding tests.  At the cap, a dyadic partition
-#: builds in 4 ms and codes a doubling orbit of n = 2**14 in 0.03 s, and
-#: symbol_rate at n = 2**12 takes 0.10 s and 19 MB peak memory, its lz77
-#: history masks holding at most atoms x n bits (CPython 3.11, 2-vCPU VM).
+#: raise ValueError before any atom is built (the coding tests ship level
+#: 10).  At the cap a dyadic partition builds in 2-3 ms and codes a doubling
+#: orbit of n = 2**14 in 7 ms; symbol_rate at n = 2**12 takes 0.10-0.14 s
+#: and 19 MB peak memory (CPython 3.11.7, shared 2-vCPU VM).
 PARTITION_ATOM_CAP = 1 << 10
 
 
@@ -182,25 +176,20 @@ def cylinders(space: Space, length: int) -> ComputablePartition:
 # ---------------------------------------------------------------------------
 
 
-def _doubling_windows(
-    num: int, bits_total: int, partition: ComputablePartition, n: int
-) -> Optional[dy.OrbitSegment]:
-    """The doubling orbit of num/2**bits_total by bit windows, as a segment
-    that codes as the orbit does on the partition, or None when the
-    layout's denominator is not a power of two, 2**level.
-
-    Step j, 0.bits[j:], lies in the cell of its window w = bits[j:j+level]:
-    strictly inside when a 1 remains past the window, else on w/2**level.
-    No end lies inside a cell, so the step is 2w + 1 or 2w over
-    2**(level+1); a step on a cell's end is the orbit point itself."""
+def _doubling_windows(sys: dy.System, x: Point, partition: ComputablePartition, n: int):
+    """A dyadic doubling orbit by bit windows as a segment that codes as the
+    orbit does, or None off that path or if the layout's denominator is
+    not a power of two, 2**level.  Step j lies in the cell of its window w,
+    strictly inside if a 1 remains past it, else on w/2**level: no end lies
+    inside a cell, so it is 2w + 1 or 2w over 2**(level+1)."""
     den = partition.layout[0]
-    if den & (den - 1):
-        return None
     level = den.bit_length() - 1
-    bits = format(num, f"0{bits_total}b") if bits_total else ""
-    last = bits.rfind("1")
-    bits += "0" * (n + level - len(bits))
-    steps = [2 * int(bits[j : j + level] or "0", 2) + (last >= j + level) for j in range(n)]
+    read = None if den & (den - 1) else dy.dyadic_windows(sys, x, n, level)
+    if read is None:
+        return None
+    windows, last = read
+    inside = min(max(last - level + 1, 0), n)  # the steps j <= last - level
+    steps = [2 * w + 1 for w in windows[:inside]] + [2 * w for w in windows[inside:]]
     return dy.OrbitSegment(n, steps, steps, 2 << level)
 
 
@@ -208,26 +197,29 @@ def code_orbit(
     sys: dy.System, x: Point, partition: ComputablePartition, n: int, precision: int = 24
 ) -> SymbolicWord:
     """Certified symbolic orbit of length n; Unknown where certification
-    fails at the working precision."""
+    fails at the working precision, the p of `dy.iterate`; a shift point
+    with a symbol oracle is read to the partition's longest cylinder."""
     return _code_orbit(sys, x, partition, n, precision)[0]
 
 
 def _code_orbit(
     sys: dy.System, x: Point, partition: ComputablePartition, n: int, precision: int
 ) -> Tuple[SymbolicWord, dy.OrbitSegment]:
-    """`code_orbit`'s word and the orbit segment it was coded from: the bit
-    windows of a dyadic doubling orbit, or else `dy.iterate`'s segment."""
+    """`code_orbit`'s word and the segment it was coded from: bit windows
+    (dyadic doubling) or `dy.iterate`'s.  Shift steps are cut to the
+    `longest` symbols `atom_of_word` reads and coded once per distinct one."""
     if partition.space != sys.space:
         raise SpaceMismatch(f"{partition.space} vs {sys.space}")
-    seg = None
-    q = x.exact
-    if sys.map_kind is dy.MapKind.DOUBLING and isinstance(q, F) and not q.denominator & (q.denominator - 1):
-        seg = _doubling_windows(q.numerator, q.denominator.bit_length() - 1, partition, n)
-    if seg is None:
-        seg = dy.iterate(sys, x, n, precision)
     if sys.space.kind is Kind.CANTOR:
-        symbols = tuple(partition.atom_of_word(word) for word in seg.words)
+        longest = max((len(cyl) for atom in partition.atoms for cyl in atom), default=0)
+        seg = dy.iterate(sys, x, n, longest - 1 if callable(x.exact) else precision)
+        steps = [word[:longest] for word in seg.words]
+        table = {word: partition.atom_of_word(word) for word in set(steps)}
+        symbols = tuple(map(table.__getitem__, steps))
     else:
+        seg = _doubling_windows(sys, x, partition, n)
+        if seg is None:
+            seg = dy.iterate(sys, x, n, precision)
         symbols = tuple(_code_segment(partition, seg.lows, seg.highs, seg.den))
     return SymbolicWord(symbols, partition.alphabet), seg
 
@@ -272,8 +264,13 @@ def _code_segment(
     the scan walks back while the furthest b left in it passes hi, keeping
     the lowest atom that holds the step; disjoint pieces end the walk after
     one piece, so a step costs one bisect whatever the partition's size.
-    `scaled`, if given, keeps these tables per L across calls.
+    `scaled`, if given, keeps these tables per L across calls.  Exact steps
+    (`lows is highs`) on fewer grid points than steps are coded once each.
     """
+    if lows is highs and den + 1 < len(lows):
+        values = sorted(set(lows))
+        table = dict(zip(values, _code_segment(partition, values, values, den, scaled)))
+        return list(map(table.__getitem__, lows))
     scale = math.lcm(den, partition.layout[0]) // den
     den *= scale
     circle = partition.space.kind is Kind.CIRCLE

@@ -333,6 +333,45 @@ def test_rotation_block_entropy_under_atoms(tmp_path, capsys):
     assert not list(tmp_path.glob("**/*.csv"))
 
 
+SIGNED_MEASURE_BLOCK = """
+[system]
+kind = {system}
+{angle}
+[measure]
+{measure}
+
+[partition]
+kind = {partition}
+{level}
+[estimator]
+kind = block-entropy
+
+[grids]
+n_max = 2
+
+[run]
+output = out/signed
+"""
+
+
+def test_signed_measures_are_config_errors(tmp_path, capsys):
+    # weights summing to 1 with one negative: the first wrote H_1 = H_2 =
+    # 0.954 and exited 0, the other two failed in -log2 with exit 1
+    rotation = {"system": "rotation", "angle": "angle = 1/2\n", "partition": "dyadic"}
+    shift = {"system": "shift", "angle": "", "partition": "cylinders", "level": "length = 1\n"}
+    signed = [
+        ("atoms", dict(rotation, level="level = 1\n"), "kind = lebesgue-atoms\nbase_weight = 5/4\natoms = 1/5:-1/4"),
+        ("atoms", dict(rotation, level="level = 2\n"), "kind = lebesgue-atoms\nbase_weight = 2\natoms = 1/5:-1"),
+        ("rows", shift, "kind = markov\nrows = 3/2,-1/2;1,0"),
+    ]
+    for i, (option, system, measure) in enumerate(signed):
+        cfg = write_cfg(tmp_path, SIGNED_MEASURE_BLOCK.format(measure=measure, **system), f"signed-{i}.cfg")
+        assert cli.main(["run", str(cfg)]) == 2, measure
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [measure] {option}: invalid value") and "negative" in err, err
+    assert not list(tmp_path.glob("**/*.csv"))
+
+
 ONE_ATOM_CFG = """
 [system]
 kind = rotation

@@ -175,7 +175,8 @@ def test_compressor_prefix_free_on_random_pairs(data):
 
 def test_rate_rejects_unknown_symbols():
     with pytest.raises(cd.UnknownSymbol):
-        cd.lz_rate((0, 1, None, 0))
+        word = (0, 1, None, 0)
+        F(cd.PrefixFreeCompressor(2).bits_len(word), len(word))
 
 
 def test_word_check_names_the_first_offending_symbol():
@@ -215,17 +216,19 @@ def test_word_check_keeps_its_answers_on_odd_symbols(alphabet):
 
 
 def test_rate_on_constant_run():
-    assert cd.lz_rate((0,) * 4096) <= F(8, 100)
+    word = (0,) * 4096
+    assert F(cd.PrefixFreeCompressor(2).bits_len(word), len(word)) <= F(8, 100)
 
 
 def test_rate_on_alternating_run():
-    assert cd.lz_rate((0, 1) * 2048) <= F(8, 100)
+    word = (0, 1) * 2048
+    assert F(cd.PrefixFreeCompressor(2).bits_len(word), len(word)) <= F(8, 100)
 
 
 def test_rate_on_seeded_fair_coin():
     rng = random.Random(0)  # generator and seed are part of the golden value
     word = tuple(rng.randrange(2) for _ in range(1 << 16))
-    assert F(9, 10) <= cd.lz_rate(word) <= F(115, 100)
+    assert F(9, 10) <= F(cd.PrefixFreeCompressor(2).bits_len(word), len(word)) <= F(115, 100)
 
 
 # -- gap coding ----------------------------------------------------------------

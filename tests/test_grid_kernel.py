@@ -21,6 +21,7 @@ from effdyn import measure as ms
 from effdyn import space as sp
 from effdyn import symbolic as sb
 
+import fraction_orbit as fo
 import fraction_regions as fr
 
 
@@ -28,7 +29,7 @@ def _fraction_orbit(sys, q, n):
     out = []
     for _ in range(n):
         out.append(q)
-        q = dy.exact_step(sys, q)
+        q = fo.exact_step(sys, q)
     return out
 
 

@@ -376,3 +376,22 @@ def test_radius_on_sequence_space(coin):
 def test_stationary_distribution_two_state():
     pi = ms.stationary_distribution([[F(9, 10), F(1, 10)], [F(1, 2), F(1, 2)]])
     assert pi == (F(5, 6), F(1, 6))
+
+
+def test_negative_weights_are_refused_and_zero_weights_kept():
+    cm = ms.ComputableMeasure
+    # each sums to 1, so only the sign check can refuse it
+    signed = [
+        lambda: cm.lebesgue_with_atoms(LINE, F(5, 4), [(F(1, 5), F(-1, 4))]),
+        lambda: cm.lebesgue_with_atoms(LINE, F(-1), [(F(1, 5), F(2))]),
+        lambda: cm.bernoulli(SEQ2, [F(3, 2), F(-1, 2)]),
+        lambda: cm.markov(SEQ2, [[F(3, 2), F(-1, 2)], [F(1), F(0)]]),
+        lambda: cm.markov(SEQ2, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], initial=[F(3, 2), F(-1, 2)]),
+    ]
+    for build in signed:
+        with pytest.raises(ValueError, match="must not be negative"):
+            build()
+    assert cm.lebesgue_with_atoms(LINE, F(0), [(F(1, 5), F(1)), (F(1, 2), F(0))]).model.base_weight == 0
+    assert cm.bernoulli(SEQ2, [F(1), F(0)]).word_measure((1,)) == 0
+    chain = cm.markov(SEQ2, [[F(1), F(0)], [F(1, 2), F(1, 2)]], initial=[F(1), F(0)])
+    assert chain.word_measure((0, 1)) == 0 and chain.word_measure((0, 0)) == 1

@@ -29,6 +29,7 @@ from effdyn import symbolic as sb
 from effdyn.numerics import Interval, dyadic_floor
 
 import fraction_distance as fd
+import fraction_orbit as fo
 
 LINE = sp.unit_interval()
 WHEEL = sp.circle()
@@ -87,7 +88,7 @@ def _ref_iterate(sys, x, n, p, precision_cap):
         out = []
         for _ in range(n):
             out.append(Interval.point(q))
-            q = dy.exact_step(sys, q)
+            q = fo.exact_step(sys, q)
         return True, tuple(out)
     m = dy.required_input_precision(sys, n, p)
     while m <= precision_cap:
@@ -254,7 +255,7 @@ def test_grid_orbit_rotation_matches_exact_step():
                 q, ref = F(v, den), []
                 for _ in range(11):
                     ref.append(q)
-                    q = dy.exact_step(sys, q)
+                    q = fo.exact_step(sys, q)
                 assert [F(u, d) for u in ints] == ref
                 assert dy.exact_orbit(sys, F(v, den), 11) == ref
 
@@ -315,7 +316,8 @@ def test_code_orbit_generic_path_matches_fast_doubling():
 
 def _fast_doubling_symbols(num, bits_total, partition, n):
     """The symbols of the bit-window segment, or None off the dyadic grid."""
-    seg = sb._doubling_windows(num, bits_total, partition, n)
+    x = sp.rational_point(LINE, F(num, 1 << bits_total))
+    seg = sb._doubling_windows(dy.doubling(), x, partition, n)
     return None if seg is None else sb._code_segment(partition, seg.lows, seg.highs, seg.den)
 
 
@@ -616,6 +618,21 @@ def test_shift_bowen_dist_and_recurrence_match_fraction_reference():
 # -- quantizing ------------------------------------------------------------------
 
 
+def _midpoint_indices(system, boxes, p):
+    """floor(midpoint * 2**p) of each enclosure, taken mod 2**p on the
+    circle and clipped to the grid on the interval."""
+    cells = 1 << p
+    expected = []
+    for box in boxes:
+        mid = box.midpoint
+        index = mid.numerator * cells // mid.denominator
+        if system.space.kind is sp.Kind.CIRCLE:
+            expected.append(index % cells)
+        else:
+            expected.append(min(max(index, 0), cells - 1))
+    return expected
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=IDS)
 def test_quantize_orbit_matches_midpoint(system):
     rng = random.Random(13)
@@ -626,18 +643,109 @@ def test_quantize_orbit_matches_midpoint(system):
             ref = _ref_iterate(system, x, n, p + 3, 1 << 12)
             if ref is None:
                 continue
-            cells = 1 << p
-            expected = []
-            for box in ref[1]:
-                mid = box.midpoint
-                index = mid.numerator * cells // mid.denominator
-                if system.space.kind is sp.Kind.CIRCLE:
-                    expected.append(index % cells)
-                else:
-                    expected.append(min(max(index, 0), cells - 1))
-            assert en._quantize_orbit(system, x, n, p) == expected
+            assert en._quantize_orbit(system, x, n, p) == _midpoint_indices(system, ref[1], p)
             cells_checked += 1
     assert cells_checked > 0
+
+
+def test_quantize_orbit_bit_windows_match_midpoint_on_seeded_dyadics(monkeypatch):
+    """Dyadic doubling points are quantized from their bit windows, with no
+    orbit iterated; the indices are those of the exact orbit's midpoints.
+    Seeded expansions of `bits` bits end (their last 1 is at bits - 1)
+    before, at and after n, and before and after n + p."""
+    sys = dy.doubling()
+    rng = random.Random(29)
+    cases = [(F(0), 5), (F(1), 5), (F(1, 2), 1), (F(1, 2), 3)]
+    for n in (1, 2, 5, 13):
+        cases += [(F(rng.getrandbits(bits) | 1, 1 << bits), n) for bits in range(1, n + 12)]
+    for bits in (2048, 4096, 4097, 4100, 4160):
+        cases.append((F(rng.getrandbits(bits) | 1, 1 << bits), 4096))
+    expected = []
+    for q, n in cases:
+        boxes = _ref_iterate(sys, sp.rational_point(LINE, q), n, 11, 1 << 12)[1]
+        expected.append([_midpoint_indices(sys, boxes, p) for p in (1, 4, 6, 8)])
+    monkeypatch.setattr(dy, "iterate", None)
+    for (q, n), indices in zip(cases, expected):
+        x = sp.rational_point(LINE, q)
+        assert [en._quantize_orbit(sys, x, n, p) for p in (1, 4, 6, 8)] == indices, (q, n)
+
+
+def _per_step_symbols(partition, seg):
+    """The symbols of every step coded on its own: `atom_of_word` on each
+    shift word, or `_code_segment` on separate lists of lows and highs."""
+    if seg.words:
+        return tuple(partition.atom_of_word(word) for word in seg.words)
+    return tuple(sb._code_segment(partition, list(seg.lows), list(seg.highs), seg.den))
+
+
+def test_code_orbit_tables_match_per_step_coding():
+    """Coding each distinct step once gives every step's own symbol:
+    dyadic doubling points at every `dyadic_intervals` level 0-10 against
+    the exact orbit coded step by step, rational points of doubling, tent
+    and rational rotations (the periodic 1/3 among them), and shift(2)
+    and shift(3) under cylinders-1..3, whose oracle points are read to
+    the longest cylinder where the per-step words carry 25 symbols."""
+    rng = random.Random(31)
+    doubling = dy.doubling()
+    starts = [F(0), F(1), F(1, 2), F(3, 8), F(5, 1 << 10)]
+    starts += [F(rng.getrandbits(bits) | 1, 1 << bits) for bits in (3, 11, 40, 150, 300)]
+    for level in range(11):
+        partition = sb.dyadic_intervals(LINE, level)
+        n = (2 << level) + 60  # more steps than the windows' grid has points
+        for q in starts:
+            x = sp.rational_point(LINE, q)
+            word, seg = sb._code_orbit(doubling, x, partition, n, 24)
+            assert seg.den == 2 << level  # bit windows, not the iterated orbit
+            assert word.symbols == _per_step_symbols(partition, dy.iterate(doubling, x, n, 24)), (level, q)
+    rational = [
+        (dy.doubling(), [F(1, 3), F(5, 7), F(22, 45)]),
+        (dy.tent(), [F(1, 3), F(2, 7), F(1), F(0)]),
+        (dy.rotation(F(2, 7)), [F(0), F(1, 3), F(3, 7)]),
+        (dy.rotation(F(17, 45)), [F(1, 5), F(44, 45)]),
+        (dy.rotation(F(5, 16)), [F(0), F(3, 16), F(1, 3)]),
+    ]
+    unknown = 0
+    for sys, qs in rational:
+        for partition in _partitions(sys.space):
+            for q in qs:
+                x = sp.rational_point(sys.space, q)
+                word = sb.code_orbit(sys, x, partition, 200).symbols
+                assert word == _per_step_symbols(partition, dy.iterate(sys, x, 200, 24)), (sys.name, q)
+                unknown += word.count(None)
+    assert unknown  # orbits through the cuts
+    for k in (2, 3):
+        sys, space = dy.shift(k), sp.cantor(k)
+        symbols = [rng.randrange(k) for _ in range(300)]
+        points = [sp.sequence_point(space, lambda j, s=symbols: s[j] if j < len(s) else 0)]
+        points.append(sp.word_point(space, (0, 1, 1) if k == 2 else (2, 0, 1, 1), repeat=True))
+        # words starting 0 1 are in no atom
+        holes = sb.ComputablePartition(space, (((0, 0),), ((1,),)), name="holes")
+        for partition in [sb.cylinders(space, m) for m in (1, 2, 3)] + [holes]:
+            for x in points:
+                word = sb.code_orbit(sys, x, partition, 200).symbols
+                assert word == _per_step_symbols(partition, dy.iterate(sys, x, 200, 24)), (k, partition.name)
+
+
+def test_shift_unknowns_stay_put_on_approximated_points():
+    """A shift point known only by approximations is coded from the
+    enclosure's words at the given precision, the last ones too short for
+    cylinders-5 at low precision; cutting them to the longest cylinder and
+    coding each distinct one once moves no Unknown."""
+    rng = random.Random(37)
+    unknown = 0
+    for k in (2, 3):
+        sys, space = dy.shift(k), sp.cantor(k)
+        symbols = [rng.randrange(k) for _ in range(600)]
+        exact = sp.sequence_point(space, lambda j, s=symbols: s[j] if j < len(s) else 0)
+        hidden = sp.Point(space, exact.approximator)
+        holes = sb.ComputablePartition(space, (((0, 0),), ((1,),)), name="holes")
+        for partition in [sb.cylinders(space, m) for m in (1, 2, 3, 5)] + [holes]:
+            for precision in (0, 1, 2, 24):
+                for n in (1, 7, 60):
+                    word = sb.code_orbit(sys, hidden, partition, n, precision).symbols
+                    assert word == _per_step_symbols(partition, dy.iterate(sys, hidden, n, precision))
+                    unknown += word.count(None)
+    assert unknown
 
 
 # -- pseudo-orbit code length ----------------------------------------------------
