@@ -8,7 +8,6 @@ and Bowen topological entropy.
 
 from effdyn.coding import (
     PrefixFreeCompressor,
-    deficiency_proxy,
     elias_decode,
     elias_encode,
     gap_apply,
@@ -17,7 +16,6 @@ from effdyn.coding import (
 from effdyn.dynamics import (
     PrecisionBlowup,
     System,
-    bowen_dist,
     doubling,
     exact_orbit,
     iterate,
@@ -39,16 +37,12 @@ from effdyn.entropy import (
 from effdyn.measure import (
     AlmostDecidableSet,
     ComputableMeasure,
-    IdealMeasure,
     almost_decidable_radius,
     condition,
-    measure_lower,
     measure_of_ad_set,
-    prokhorov,
 )
 from effdyn.numerics import Interval, Rational, eval_f, eval_J, log2
 from effdyn.space import (
-    EnumeratedOpenSet,
     IdealBall,
     Point,
     Space,
@@ -56,7 +50,6 @@ from effdyn.space import (
     cantor,
     circle,
     dist,
-    member_semidecide,
     rational_point,
     sequence_point,
     sqrt2_minus_1,
@@ -77,7 +70,6 @@ from effdyn.symbolic import (
     cylinders,
     dyadic_intervals,
     halves,
-    reconstruct_symbols,
 )
 
 __version__ = "0.1.0"

@@ -393,7 +393,6 @@ def cmd_run(args) -> int:
         return 2
     except (
         dy.PrecisionBlowup,
-        ms.SupportTooLarge,
         ms.ZeroMassCondition,
         ms.InvalidWitness,
         sb.UnsupportedCylinder,

@@ -38,8 +38,8 @@ A budgeted cost is exact below its budget and a lower bound at least
 the budget otherwise; the enumerative branch skips its class sizes once
 a certified binomial lower bound reaches the budget.  `encode` emits
 from the class sizes, lz78 indices or lz77 tokens that its costing
-computed.  The rate estimators and the deficiency screen read every
-grid prefix of a word from one such fold.
+computed.  The rate estimators read every grid prefix of a word from
+one such fold.
 """
 
 from __future__ import annotations
@@ -1020,7 +1020,7 @@ def gap_apply(v: Sequence[int], patch: str, alphabet: int = 2) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# Deficiency proxy and Kraft utilities
+# Ideal code lengths and Kraft utilities
 # ---------------------------------------------------------------------------
 
 
@@ -1033,27 +1033,6 @@ def neg_log2(q) -> float:
     shift = num.bit_length() - den.bit_length()
     scaled = float(F(num, den * (1 << shift)) if shift >= 0 else F(num * (1 << -shift), den))
     return -(shift + math.log2(scaled))
-
-
-def deficiency_proxy(word: Sequence[int], cylinder_measure, alphabet: int = 2) -> float:
-    """Screening statistic: max of -log2(mu[w[:m]]) - bits_len(w[:m]) over the
-    prefix lengths m = 1, 2, 4, ... below n, and m = n.
-
-    Large values flag compressible (hence measure-atypical) words; this is
-    a code-length surrogate, not a true universal deficiency.  Returns
-    +inf when some prefix has measure zero: cylinder masses only shrink
-    as prefixes grow, so the whole word then has measure zero.
-    """
-    word = _check_word(word, alphabet)
-    n = len(word)
-    lengths = [1 << e for e in range((n - 1).bit_length())] + [n] if n else []
-    masses = []
-    for m in lengths:
-        masses.append(cylinder_measure(word[:m]))
-        if masses[-1] == 0:
-            return math.inf
-    bits = PrefixFreeCompressor(alphabet)._prefix_bits_len(word, lengths)
-    return max((neg_log2(p) - b for p, b in zip(masses, bits)), default=-math.inf)
 
 
 def kraft_sum(codes: Iterable[str]) -> F:

@@ -427,7 +427,7 @@ def _enclose_segment(sys: System, x: Point, n: int, p: int, m: int) -> OrbitSegm
 
 
 # ---------------------------------------------------------------------------
-# Step distances and the Bowen metric
+# Step distances
 # ---------------------------------------------------------------------------
 
 
@@ -451,42 +451,6 @@ def step_dist(circle: bool, den: int, alo: int, ahi: int, blo: int, bhi: int) ->
     low = 0 if dhi >= den else min(ends)
     high = den if 2 * dlo <= den <= 2 * dhi or 2 * dhi >= 3 * den else max(ends)
     return low, high
-
-
-def bowen_dist(sys: System, x: Point, y: Point, n: int, precision: int = 16) -> Interval:
-    """Enclosure of d_n(x, y) = max of step distances over the first n steps.
-
-    Interval and circle steps are compared on the lcm of the two segments'
-    denominators (`step_dist`); shift steps are cylinder words, at
-    distance 2**-i when they first differ at i and within 2**-m when they
-    agree on their shared length m.
-    """
-    if n < 1:
-        raise ValueError("d_n needs n >= 1")
-    seg_x = iterate(sys, x, n, precision + 2)
-    seg_y = iterate(sys, y, n, precision + 2)
-    if sys.map_kind is MapKind.SHIFT:
-        low = high = None  # least exponents of 2**-i among the steps' ends
-        for a, b in zip(seg_x.words, seg_y.words):
-            shared = min(len(a), len(b))
-            i = next((i for i in range(shared) if a[i] != b[i]), None)
-            if i is not None and (low is None or i < low):
-                low = i
-            end = shared if i is None else i
-            if high is None or end < high:
-                high = end
-        return Interval(F(0) if low is None else F(1, 1 << low), F(1, 1 << high))
-    den = math.lcm(seg_x.den, seg_y.den)
-    up_x, up_y = den // seg_x.den, den // seg_y.den
-    circle = sys.space.kind is Kind.CIRCLE
-    low = high = 0
-    for alo, ahi, blo, bhi in zip(seg_x.lows, seg_x.highs, seg_y.lows, seg_y.highs):
-        lo, hi = step_dist(circle, den, alo * up_x, ahi * up_x, blo * up_y, bhi * up_y)
-        if lo > low:
-            low = lo
-        if hi > high:
-            high = hi
-    return Interval(F(low, 2 * den), F(high, 2 * den))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ integer pieces over the lcm of the ball ends' denominators, and
 `_MixtureModel.masses` weighs labelled integer pieces with one formula,
 for these regions and for the cylinder pullback alike.  The budgeted
 lower-bound oracle floors the exact value onto the dyadic grid
-2**-budget, which keeps it a monotone, converging lower bound; a separate
-grid-exhaustion oracle provides an independent route for cross-checks.
+2**-budget, which keeps it a monotone, converging lower bound.
 
-Prokhorov distances between finitely supported measures are computed
-exactly by sweeping all support subsets.  The continuity-radius search
-runs the trisection scheme: maintain a nested interval of radii, each
-stage certifying that the closed annulus between its endpoints has small
-mass by lower-bounding the measure of the annulus complement.
+The continuity-radius search runs the trisection scheme: maintain a
+nested interval of radii, each stage certifying that the closed annulus
+between its endpoints has small mass by lower-bounding the measure of the
+annulus complement.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Optional, Sequence, Tuple
 
 from effdyn.numerics import Interval, dyadic_floor
 from effdyn.space import (
-    EnumeratedOpenSet,
     IdealBall,
     Kind,
     Space,
@@ -42,10 +39,6 @@ F = Fraction
 
 _START = operator.itemgetter(0)
 _LABEL = operator.itemgetter(2)
-
-
-class SupportTooLarge(ValueError):
-    """Combined support exceeds the brute-force bound."""
 
 
 class ZeroMassCondition(ValueError):
@@ -145,10 +138,6 @@ class CylinderRegion:
     """Union of cylinders given by a canonical prefix-free word list."""
 
     words: Tuple[Tuple[int, ...], ...]
-
-    def contains_prefix(self, word: Tuple[int, ...]) -> bool:
-        """Does the cylinder of `word` sit inside the region?"""
-        return any(word[: len(w)] == w for w in self.words)
 
     def intersect(self, other: "CylinderRegion") -> "CylinderRegion":
         out = []
@@ -420,115 +409,6 @@ class ComputableMeasure:
         return self.model.word_measure(tuple(word))
 
 
-def measure_lower(mu: ComputableMeasure, balls: Sequence[IdealBall], precision: int) -> F:
-    """Lower bound within 2**-precision of the exact union measure."""
-    return mu.lower(balls, precision + 1)
-
-
-def exhaustion_lower(mu: ComputableMeasure, balls: Sequence[IdealBall], budget: int) -> F:
-    """Independent lower-bound route: certify grid cells inside the union.
-
-    Uses only certified inclusions of closed dyadic cells (or cylinders)
-    in the open union, so it converges from below without consulting the
-    merged-geometry length computation.  Only Lebesgue, its mixtures with
-    point masses and the word measures have this route; any other model (a
-    conditioned measure) raises ValueError.
-    """
-    model = mu.model
-    if not isinstance(model, (_MixtureModel, _ProductWordModel)):
-        raise ValueError(f"no exhaustion route under {mu.name}")
-    region = mu.region(balls)
-    kind = mu.space.kind
-    if kind in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
-        circle, den, cells = kind is Kind.CIRCLE, region.den, 1 << budget
-        turns = (0, den) if circle else (0,)  # each arc also one turn down
-        pieces = [(a - t, b - t) for a, b in region.pieces for t in turns]
-
-        def inside(lo: int, hi: int, m: int) -> bool:  # the closed [lo/m, hi/m]
-            return circle and region.full or any(a * m < lo * den and hi * den < b * m for a, b in pieces)
-
-        total = model.base_weight * F(sum(inside(j, j + 1, cells) for j in range(cells)), cells)
-        for position, weight in model.atoms:
-            q = position - math.floor(position) if circle else position
-            if inside(q.numerator, q.numerator, q.denominator):
-                total += weight
-        return total
-    if kind is Kind.CANTOR:
-        total = F(0)
-        for word in itertools.product(range(mu.space.alphabet), repeat=budget):
-            if region.contains_prefix(word):
-                total += model.word_measure(word)
-        return total
-    raise SpaceMismatch(f"no exhaustion route for {mu.space}")
-
-
-# ---------------------------------------------------------------------------
-# Ideal measures and the Prokhorov metric
-# ---------------------------------------------------------------------------
-
-PROKHOROV_SUPPORT_CAP = 20
-
-
-@dataclass(frozen=True)
-class IdealMeasure:
-    """Finitely supported measure with rational weights summing to one."""
-
-    space: Space
-    support: Tuple[int, ...]
-    weights: Tuple[F, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.weights) or not self.support:
-            raise ValueError("support and weights must align and be nonempty")
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("support entries must be distinct")
-        if sum(self.weights, F(0)) != 1 or any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive and sum to 1")
-
-
-def prokhorov(mu: IdealMeasure, nu: IdealMeasure) -> Interval:
-    """Exact Prokhorov distance between ideal measures (degenerate interval).
-
-    Sweeps every support subset A, and for each finds the least eps with
-    mu(A) <= nu(A^eps) + eps; the distance is the largest such threshold.
-    """
-    if mu.space != nu.space:
-        raise SpaceMismatch(f"{mu.space} vs {nu.space}")
-    if len(mu.support) + len(nu.support) > PROKHOROV_SUPPORT_CAP:
-        raise SupportTooLarge(
-            f"combined support {len(mu.support) + len(nu.support)} exceeds {PROKHOROV_SUPPORT_CAP}"
-        )
-    space = mu.space
-    mu_desc = [space.decode(i) for i in mu.support]
-    nu_desc = [space.decode(i) for i in nu.support]
-    dist_rows = [[space.dist_desc(t, s) for s in mu_desc] for t in nu_desc]
-
-    def one_sided(a_weights, b_weights, rows):
-        worst = F(0)
-        m = len(a_weights)
-        for mask in range(1, 1 << m):
-            members = [i for i in range(m) if mask >> i & 1]
-            mass = sum((a_weights[i] for i in members), F(0))
-            reach = [min(rows[j][i] for i in members) for j in range(len(b_weights))]
-            order = sorted(set(reach) | {F(0)})
-            threshold = None
-            for idx, delta in enumerate(order):
-                covered = sum(
-                    (b_weights[j] for j in range(len(b_weights)) if reach[j] <= delta), F(0)
-                )
-                candidate = max(delta, mass - covered)
-                upper = order[idx + 1] if idx + 1 < len(order) else None
-                if upper is None or candidate <= upper:
-                    threshold = candidate if threshold is None else min(threshold, candidate)
-            worst = max(worst, threshold)
-        return worst
-
-    forward = one_sided(mu.weights, nu.weights, dist_rows)
-    transposed = [[dist_rows[j][i] for j in range(len(nu_desc))] for i in range(len(mu_desc))]
-    backward = one_sided(nu.weights, mu.weights, transposed)
-    return Interval.point(max(forward, backward))
-
-
 # ---------------------------------------------------------------------------
 # Almost decidable sets
 # ---------------------------------------------------------------------------
@@ -538,30 +418,26 @@ def prokhorov(mu: IdealMeasure, nu: IdealMeasure) -> Interval:
 class AlmostDecidableSet:
     """A set sandwiched between an inner and outer-complement open set.
 
-    For the zoo both sides are finite ball unions, so the measure gap
-    certifies at any budget; `measure_of_ad_set` starts from the budget
-    precision + 2.
+    Both sides are finite unions of the ideal balls in `inside` and
+    `outside`, so for the zoo the measure gap certifies at any budget;
+    `measure_of_ad_set` starts from the budget precision + 2.
     """
 
-    inside: EnumeratedOpenSet
-    outside: EnumeratedOpenSet
-
-    @property
-    def space(self) -> Space:
-        return self.inside.space
+    space: Space
+    inside: Tuple[IdealBall, ...]
+    outside: Tuple[IdealBall, ...]
 
     @classmethod
     def from_balls(cls, space: Space, inner_balls, outer_balls) -> "AlmostDecidableSet":
-        return cls(
-            EnumeratedOpenSet.from_balls(space, inner_balls),
-            EnumeratedOpenSet.from_balls(space, outer_balls),
-        )
+        return cls(space, tuple(inner_balls), tuple(outer_balls))
 
     @classmethod
     def from_interval(cls, space: Space, a, b) -> "AlmostDecidableSet":
         """The set [a, b): inner open version, outer open complement."""
         a, b = F(a), F(b)
         if space.kind is Kind.CIRCLE:
+            if not a < b:
+                raise ValueError("arc sets need a < b")
             # [a, a + 1) is the whole circle, though the open arc leaves out a
             inner = (
                 (IdealBall(space, space.encode_dyadic(F(0)), F(1)),)
@@ -600,7 +476,7 @@ class AlmostDecidableSet:
 
 
 #: Budget past which `measure_of_ad_set`, from precision + 2 up, gives up on
-#: the gap witness; `condition` enumerates the inner set at precision + 2 plus it.
+#: the gap witness.
 GAP_BUDGET_CAP = 64
 
 
@@ -611,8 +487,8 @@ def measure_of_ad_set(mu: ComputableMeasure, ad: AlmostDecidableSet, precision: 
     target = F(1, 1 << precision)
     budget = precision + 2
     while True:
-        low_in = mu.lower(ad.inside.enumerate(budget), budget)
-        low_out = mu.lower(ad.outside.enumerate(budget), budget)
+        low_in = mu.lower(ad.inside, budget)
+        low_out = mu.lower(ad.outside, budget)
         if low_in + low_out > 1 - target:
             return Interval(low_in, 1 - low_out)
         if budget > GAP_BUDGET_CAP:
@@ -631,9 +507,8 @@ def condition(mu: ComputableMeasure, ad: AlmostDecidableSet) -> ComputableMeasur
     enclosure = measure_of_ad_set(mu, ad, 24)
     if enclosure.lo <= 0:
         raise ZeroMassCondition("no positive lower bound on the conditioning set")
-    inner_balls = ad.inside.enumerate(24 + 2 + GAP_BUDGET_CAP)
-    mass = mu.exact_union(inner_balls)
-    window = mu.region(inner_balls)
+    mass = mu.exact_union(ad.inside)
+    window = mu.region(ad.inside)
     return ComputableMeasure(
         mu.space, f"{mu.name}|conditioned", _ConditionedModel(mu.model, window, mass)
     )

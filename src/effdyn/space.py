@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from effdyn.numerics import Interval, dyadic_floor
 
@@ -163,13 +163,6 @@ class IdealBall:
     def center_desc(self):
         return self.space.decode(self.center)
 
-    def contains_ball(self, inner: "IdealBall") -> bool:
-        """Certified containment: d(centers) + r_inner <= r_outer."""
-        if inner.space != self.space:
-            raise SpaceMismatch(f"{inner.space} vs {self.space}")
-        gap = self.space.dist_desc(self.center_desc, inner.center_desc)
-        return gap + inner.radius <= self.radius
-
 
 @dataclass(frozen=True)
 class Point:
@@ -261,40 +254,3 @@ def dist(x: Point, y: Point, precision: int) -> Interval:
     e = x.space.dist_desc(bx.center_desc, by.center_desc)
     slack = bx.radius + by.radius
     return Interval(max(F(0), e - slack), min(e + slack, x.space.diameter))
-
-
-@dataclass(frozen=True)
-class EnumeratedOpenSet:
-    """An open set presented as a budgeted enumeration of ideal balls.
-
-    The lists are nested as the budget grows; the denoted set is the
-    union over all budgets.
-    """
-
-    space: Space
-    enumerator: Callable[[int], tuple]
-
-    def enumerate(self, budget: int) -> tuple:
-        return self.enumerator(budget)
-
-    @classmethod
-    def from_balls(cls, space: Space, balls) -> "EnumeratedOpenSet":
-        balls = tuple(balls)
-        return cls(space, lambda budget: balls)
-
-
-def member_semidecide(x: Point, open_set: EnumeratedOpenSet, budget: int) -> Optional[IdealBall]:
-    """Budgeted dovetail: the witness ball if membership certifies, else None.
-
-    None means "not yet", never non-membership; the result is monotone in
-    the budget.
-    """
-    if x.space != open_set.space:
-        raise SpaceMismatch(f"{x.space} vs {open_set.space}")
-    balls = open_set.enumerate(budget)
-    for n in range(1, budget + 1):
-        inner = approx(x, n)
-        for ball in balls:
-            if ball.contains_ball(inner):
-                return ball
-    return None

@@ -45,8 +45,8 @@ def _ad_partition(ad: AlmostDecidableSet) -> sb.ComputablePartition:
     def pieces_of(balls):
         return tuple((b.center_desc - b.radius, b.center_desc + b.radius) for b in balls)
 
-    inner = pieces_of(ad.inside.enumerate(16))
-    outer = pieces_of(ad.outside.enumerate(16))
+    inner = pieces_of(ad.inside)
+    outer = pieces_of(ad.outside)
     return sb.ComputablePartition(ad.space, (inner, outer), name="ad-indicator")
 
 

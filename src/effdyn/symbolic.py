@@ -5,8 +5,8 @@ words on sequence space), so the boundary is an explicit finite set and
 membership of rational points is exactly decidable.  An interval or
 circle partition has one integer layout, its pieces over the lcm of the
 endpoint denominators, and `_code_segment` is the one membership test on
-it, with the open-atom rules: orbit coding, the doubling fast path and
-the value test `_value_atom` all decide through it.
+it, with the open-atom rules: orbit coding and the doubling fast path
+both decide through it.
 
 Coding emits one symbol per orbit step whenever the step's enclosure
 certifiably sits inside an atom, and the first-class Unknown symbol
@@ -35,7 +35,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import KW_ONLY, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,13 +48,6 @@ F = Fraction
 
 class UnsupportedCylinder(ValueError):
     """No exact cylinder oracle for this system/partition pair."""
-
-
-class ReconstructStalled(RuntimeError):
-    def __init__(self, position: int, partial):
-        super().__init__(f"reconstruction stalled at position {position}")
-        self.position = position
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,6 @@ def _code_segment(
     lows: Sequence[int],
     highs: Sequence[int],
     den: int,
-    scaled: Optional[dict] = None,
 ) -> List[Optional[int]]:
     """The certified atom of every step [lows[j], highs[j]] over den of an
     interval or circle orbit: the lowest atom with a piece holding the
@@ -264,22 +256,17 @@ def _code_segment(
     the scan walks back while the furthest b left in it passes hi, keeping
     the lowest atom that holds the step; disjoint pieces end the walk after
     one piece, so a step costs one bisect whatever the partition's size.
-    `scaled`, if given, keeps these tables per L across calls.  Exact steps
-    (`lows is highs`) on fewer grid points than steps are coded once each.
+    Exact steps (`lows is highs`) on fewer grid points than steps are
+    coded once each.
     """
     if lows is highs and den + 1 < len(lows):
         values = sorted(set(lows))
-        table = dict(zip(values, _code_segment(partition, values, values, den, scaled)))
+        table = dict(zip(values, _code_segment(partition, values, values, den)))
         return list(map(table.__getitem__, lows))
     scale = math.lcm(den, partition.layout[0]) // den
     den *= scale
     circle = partition.space.kind is Kind.CIRCLE
-    tables = None if scaled is None else scaled.get(den)
-    if tables is None:
-        tables = _scaled_layout(partition, den)
-        if scaled is not None:
-            scaled[den] = tables
-    pieces, starts, reach = tables
+    pieces, starts, reach = _scaled_layout(partition, den)
     out: List[Optional[int]] = []
     for lo, hi in zip(lows, highs):
         if scale != 1:
@@ -296,13 +283,6 @@ def _code_segment(
             t -= 1
         out.append(symbol)
     return out
-
-
-def _value_atom(
-    partition: ComputablePartition, q: F, scaled: Optional[dict] = None
-) -> Optional[int]:
-    """`_code_segment` on the one-step enclosure [q, q]."""
-    return _code_segment(partition, (q.numerator,), (q.numerator,), q.denominator, scaled)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,76 +580,3 @@ def cylinder_measure(
     step, weigh = pullback(sys, mu, partition)
     _, masses = weigh(_fold(step, word), len(word))
     return F(*masses[0]) if masses else F(0)
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction from pseudo-orbits
-# ---------------------------------------------------------------------------
-
-
-def _ball_candidates(space: Space, center_desc, eps: F):
-    """Deterministic enumeration of ideal descriptions in the open ball."""
-    if space.kind in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
-        yield center_desc
-        level = 0
-        while True:
-            cells = 1 << level
-            lo_edge = center_desc - eps
-            start = lo_edge.numerator * cells // lo_edge.denominator
-            for num in range(start, start + int(2 * eps * cells) + 2):
-                q = F(num, cells)
-                if num % 2 == 0 and level > 0:
-                    continue  # already emitted at a lower level
-                if not abs(q - center_desc) < eps:
-                    continue
-                if space.kind is Kind.CIRCLE:
-                    yield q - (q.numerator // q.denominator)
-                elif 0 <= q <= 1:
-                    yield q
-            level += 1
-    elif space.kind is Kind.CANTOR:
-        word = tuple(center_desc)
-        length = 0
-        while F(1, 1 << length) >= eps:
-            length += 1
-        prefix = word[:length] + (0,) * max(0, length - len(word))
-        # enumerate extensions of the forced prefix by total length
-        for extension in itertools.count():
-            yield prefix + space.decode(extension)
-    else:
-        raise SpaceMismatch(f"no candidate enumeration for {space}")
-
-
-def reconstruct_symbols(
-    partition: ComputablePartition,
-    eps,
-    pseudo_orbit: Sequence[int],
-    budget: int = 4096,
-) -> SymbolicWord:
-    """Recover a symbolic word from an eps-accurate ideal pseudo-orbit.
-
-    For each position, scans the pseudo-orbit point itself and then a
-    fixed enumeration of ideal points in its eps-ball, emitting the first
-    atom containing a candidate (atoms tried in index order, so ambiguity
-    near the boundary resolves deterministically).  Guaranteed to halt
-    when the ball meets some atom; budget exhaustion raises.
-    """
-    eps = F(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    space = partition.space
-    if space.kind is Kind.CANTOR:
-        atom_of = partition.atom_of_word
-    else:  # the scaled layout is built once per candidate denominator
-        atom_of = partial(_value_atom, partition, scaled={})
-    out: List[int] = []
-    for j, index in enumerate(pseudo_orbit):
-        found = None
-        for candidate in itertools.islice(_ball_candidates(space, space.decode(index), eps), budget):
-            found = atom_of(candidate)
-            if found is not None:
-                break
-        if found is None:
-            raise ReconstructStalled(j, SymbolicWord(tuple(out), partition.alphabet))
-        out.append(found)
-    return SymbolicWord(tuple(out), partition.alphabet)

@@ -3,8 +3,8 @@
 `effdyn.dynamics.step_dist` compares two orbit steps on integers over one
 denominator.  These are the computations that came before it: each step
 as an `Interval` of `Fraction`s, the line distance and the circle's wrap
-distance as `Interval`s, their running maximum for d_n, and the minimum
-of their upper ends for the recurrence bound.
+distance as `Interval`s, and the minimum of their upper ends for the
+recurrence bound.
 """
 
 from fractions import Fraction as F
@@ -58,20 +58,6 @@ def enclosure_dist(space, a, b):
         if a[i] != b[i]:
             return Interval.point(F(1, 1 << i))
     return Interval(F(0), F(1, 1 << shared))
-
-
-def max_with(a, b):
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def bowen_dist(sys, x, y, n, precision=16):
-    """d_n(x, y) as the running max_with of the steps' enclosure_dist."""
-    steps_x = enclosures(dy.iterate(sys, x, n, precision + 2))
-    steps_y = enclosures(dy.iterate(sys, y, n, precision + 2))
-    current = enclosure_dist(sys.space, steps_x[0], steps_y[0])
-    for a, b in zip(steps_x[1:], steps_y[1:]):
-        current = max_with(current, enclosure_dist(sys.space, a, b))
-    return current
 
 
 def recurrence_stat(sys, x, n):

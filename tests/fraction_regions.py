@@ -135,18 +135,3 @@ def region_measure(model, region) -> F:
         if region.contains(position):
             total += weight
     return total
-
-
-def exhaustion_lower(model, region, budget: int) -> F:
-    """The grid-exhaustion route on a region: the base weight times the
-    dyadic cells of 2**-budget that sit closed inside an open piece (also
-    one turn up on the circle), plus the point masses the region holds."""
-    step = F(1, 1 << budget)
-    turns = (0, 1) if isinstance(region, CircleRegion) else (0,)
-    covered = F(0)
-    full = getattr(region, "full", False)
-    for j in range(1 << budget):
-        lo, hi = j * step, (j + 1) * step
-        if full or any(a < lo + t and hi + t < b for a, b in region.pieces for t in turns):
-            covered += step
-    return model.base_weight * covered + sum((w for q, w in model.atoms if region.contains(q)), F(0))

@@ -598,6 +598,28 @@ def test_birkhoff_on_an_arc_whose_outer_arc_crosses_zero_decides_every_step(tmp_
     assert "birkhoff,rotation(point),seed=1;undecided,5000,0," in rows
 
 
+def test_birkhoff_reversed_circle_target_is_a_config_error(tmp_path, capsys):
+    # a target with a >= b on the circle used to build an empty inner arc
+    # and a whole-circle outer arc, and write an average of 0 at every n,
+    # where the interval refused it; an arc across 0 is written 3/4,5/4
+    birkhoff = (
+        "[system]\nkind = rotation\nangle = {angle}\n\n[estimator]\nkind = birkhoff\n\n"
+        "[grids]\nn_grid = 64\nseeds = 1\ntarget = {target}\n\n[run]\noutput = out/{name}\n"
+    )
+    for angle in ("sqrt2-1", "1/3"):
+        for i, target in enumerate(("3/4,1/4", "1/2,1/2")):
+            name = f"reversed-{i}"
+            cfg = write_cfg(tmp_path, birkhoff.format(angle=angle, target=target, name=name), f"{name}.cfg")
+            assert cli.main(["run", str(cfg)]) == 2, (angle, target)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [grids] target: invalid value"), err
+    assert not list(tmp_path.glob("**/*.csv"))
+    cfg = write_cfg(tmp_path, birkhoff.format(angle="sqrt2-1", target="3/4,5/4", name="across"), "across.cfg")
+    assert cli.main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "across.csv").read_text().splitlines()
+    assert "birkhoff,rotation(point),seed=1;average,64,0.515625," in rows
+
+
 def test_typicality_builds_its_family_once_for_every_seed(tmp_path, monkeypatch):
     """The family, measure, partition and target do not depend on the
     point, so a run builds them once, whatever the number of seeds; the

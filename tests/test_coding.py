@@ -313,71 +313,6 @@ def test_gap_patch_length_within_f_sum():
         assert len(patch) <= f_sum + float(eval_f(p + 1).hi) + 2
 
 
-# -- deficiency proxy ----------------------------------------------------------
-
-
-def uniform_cylinder(p):
-    return F(1, 1 << len(p))
-
-
-def test_deficiency_flags_constant_word():
-    assert cd.deficiency_proxy((0,) * 1024, uniform_cylinder) >= 900
-
-
-def test_deficiency_small_on_seeded_coin():
-    rng = random.Random(3)
-    word = tuple(rng.randrange(2) for _ in range(1 << 12))
-    assert cd.deficiency_proxy(word, uniform_cylinder) <= 0.2 * len(word)
-
-
-def test_deficiency_single_symbol():
-    assert cd.deficiency_proxy((1,), uniform_cylinder) <= 8
-
-
-def test_deficiency_zero_measure_prefix():
-    value = cd.deficiency_proxy((1, 1), lambda p: F(0))
-    assert value == math.inf
-
-
-def _reference_deficiency(word, mu):
-    comp = cd.PrefixFreeCompressor(2)
-    n = len(word)
-    lengths = sorted({1 << e for e in range(n.bit_length()) if 1 << e <= n} | {n})
-    return max(cd.neg_log2(mu(word[:m])) - comp.bits_len(word[:m]) for m in lengths)
-
-
-def biased_cylinder(p):
-    ones = sum(p)
-    return F(1, 3) ** ones * F(2, 3) ** (len(p) - ones)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=300))
-def test_deficiency_is_bits_len_at_dyadic_prefixes(symbols):
-    word = tuple(symbols)
-    for mu in (uniform_cylinder, biased_cylinder):
-        assert cd.deficiency_proxy(word, mu) == _reference_deficiency(word, mu)
-
-
-def test_deficiency_late_zero_measure_prefix():
-    # only prefixes longer than 37 have mass zero; no dyadic length below
-    # n = 48 reaches one, the full word does
-    word = (0,) * 37 + (1,) + (0,) * 10
-    seen = []
-
-    def late_zero(p):
-        seen.append(len(p))
-        return F(0) if len(p) > 37 else uniform_cylinder(p)
-
-    assert cd.deficiency_proxy(word, late_zero) == math.inf
-    assert seen == [1, 2, 4, 8, 16, 32, 48]
-
-
-def test_deficiency_flags_periodic_word():
-    word = (0, 1, 1) * 1365
-    assert cd.deficiency_proxy(word, uniform_cylinder) >= 0.9 * len(word)
-
-
 class _SwapCache:
     """The dictionary cache's reader with explicit swaps, the reference
     for `_DiffCache.read`: a hit on the second entry swaps it to the

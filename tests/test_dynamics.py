@@ -119,50 +119,6 @@ def test_exact_path_matches_generic_fraction_path(kind, num, n, den):
     assert values == slow
 
 
-def test_bowen_dist_rotation_is_isometry():
-    sys = dy.rotation(F(1, 7))
-    x = sp.rational_point(sys.space, F(1, 8))
-    y = sp.rational_point(sys.space, F(3, 4))
-    base = sp.dist(x, y, 14)
-    for n in (1, 3, 9):
-        dn = dy.bowen_dist(sys, x, y, n, 14)
-        assert dn.lo <= base.hi and base.lo <= dn.hi  # equal within enclosures
-
-
-def test_bowen_dist_doubling_doubles():
-    sys = dy.doubling()
-    x = sp.rational_point(sys.space, 0)
-    y = sp.rational_point(sys.space, F(1, 1024))
-    dn = dy.bowen_dist(sys, x, y, 5, 16)
-    assert dn.contains(F(1, 64))
-
-
-def test_bowen_dist_shift_shortens_agreement():
-    sys = dy.shift(2)
-    m = 6
-    x = sp.word_point(sys.space, (0, 1, 0, 0, 1, 1) + (0,) * 10)
-    y = sp.word_point(sys.space, (0, 1, 0, 0, 1, 1) + (1,) * 10)
-    for n in (1, 2, 4):
-        dn = dy.bowen_dist(sys, x, y, n, 12)
-        assert dn.contains(F(1, 1 << (m - n + 1)))
-
-
-def test_bowen_dist_monotone_in_n():
-    sys = dy.doubling()
-    x = sp.rational_point(sys.space, F(1, 7))
-    y = sp.rational_point(sys.space, F(2, 11))
-    previous = None
-    for n in range(1, 8):
-        dn = dy.bowen_dist(sys, x, y, n, 18)
-        if previous is not None:
-            assert dn.hi >= previous.lo
-            assert dn.lo >= previous.lo - F(1, 1 << 17)
-        previous = dn
-    d1 = dy.bowen_dist(sys, x, y, 1, 18)
-    direct = sp.dist(x, y, 18)
-    assert d1.lo <= direct.hi and direct.lo <= d1.hi
-
-
 def test_tagged_measure_invariance_exact():
     line = sp.unit_interval()
     wheel = sp.circle()

@@ -45,7 +45,7 @@ def chain():
 
 def test_lower_disjoint_dyadic_balls(lebesgue):
     balls = [ball(LINE, F(1, 4), F(1, 8)), ball(LINE, F(3, 4), F(1, 8))]
-    value = ms.measure_lower(lebesgue, balls, 10)
+    value = lebesgue.lower(balls, 11)
     assert F(1, 2) - F(1, 1024) < value <= F(1, 2)
 
 
@@ -57,7 +57,7 @@ def test_lower_overlapping_merge(lebesgue):
 
 def test_lower_atom_plus_interval(mixture):
     balls = [ball(LINE, F(3, 4), F(1, 100))]
-    value = ms.measure_lower(mixture, balls, 6)
+    value = mixture.lower(balls, 7)
     expected = F(1, 2) * F(2, 100) + F(1, 2)
     assert expected - F(1, 64) < value <= expected
 
@@ -112,38 +112,6 @@ def test_lower_monotone_in_budget_and_union(specs, budget):
     assert mu.lower(balls, budget) <= mu.exact_union(balls)
 
 
-def test_exhaustion_route_agrees_with_exact(lebesgue, mixture, coin):
-    balls = [ball(LINE, F(1, 4), F(1, 8)), ball(LINE, F(5, 8), F(1, 4))]
-    for mu in (lebesgue, mixture):
-        exact = mu.exact_union(balls)
-        low = ms.exhaustion_lower(mu, balls, 10)
-        assert exact - F(1, 32) <= low <= exact
-    cyl = [ms.cylinder_as_ball(SEQ2, (0, 1)), ms.cylinder_as_ball(SEQ2, (1,))]
-    exact = coin.exact_union(cyl)
-    low = ms.exhaustion_lower(coin, cyl, 6)
-    assert exact - F(1, 32) <= low <= exact
-
-
-def test_exhaustion_route_on_circle():
-    mu = ms.ComputableMeasure.lebesgue(WHEEL)
-    balls = [ball(WHEEL, F(0), F(1, 8))]
-    low = ms.exhaustion_lower(mu, balls, 9)
-    assert F(1, 4) - F(1, 32) <= low <= F(1, 4)
-
-
-def test_exhaustion_route_refuses_conditioned_measures(lebesgue, coin):
-    # under Lebesgue on [0, 1/2) the ball around 3/4 has mass 0, where the
-    # unconditioned cells would give 31/128
-    half = ms.condition(lebesgue, ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 2)))
-    balls = [ball(LINE, F(3, 4), F(1, 8))]
-    assert half.exact_union(balls) == 0
-    with pytest.raises(ValueError, match="no exhaustion route"):
-        ms.exhaustion_lower(half, balls, 8)
-    heads = ms.condition(coin, ms.AlmostDecidableSet.from_cylinder(SEQ2, (0,)))
-    with pytest.raises(ValueError, match="no exhaustion route"):
-        ms.exhaustion_lower(heads, [ms.cylinder_as_ball(SEQ2, (1,))], 4)
-
-
 def arcs_strategy():
     return st.lists(
         st.tuples(
@@ -180,89 +148,6 @@ def test_circle_region_length_matches_grid_count(raw):
     )
     slack = F(2 * len(arcs) + 2, cells)
     assert abs(F(covered, cells) - length) <= slack
-
-
-# -- Prokhorov ---------------------------------------------------------------
-
-
-def ideal(space, pairs):
-    support, weights = zip(*((space.encode_dyadic(F(q)), F(w)) for q, w in pairs))
-    return ms.IdealMeasure(space, support, weights)
-
-
-def test_prokhorov_identity(lebesgue):
-    mu = ideal(LINE, [(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
-    assert ms.prokhorov(mu, mu) == ms.Interval.point(0)
-
-
-def test_prokhorov_diracs_give_distance():
-    mu = ideal(LINE, [(F(1, 4), 1)])
-    nu = ideal(LINE, [(F(5, 8), 1)])
-    assert ms.prokhorov(mu, nu).lo == F(3, 8)
-
-
-def test_prokhorov_half_mass_apart():
-    mu = ideal(LINE, [(0, F(1, 2)), (1, F(1, 2))])
-    nu = ideal(LINE, [(0, 1)])
-    assert ms.prokhorov(mu, nu).lo == F(1, 2)
-
-
-def test_prokhorov_support_cap():
-    pts = [(F(i, 32), F(1, 16)) for i in range(16)]
-    mu = ideal(LINE, pts)
-    with pytest.raises(ms.SupportTooLarge):
-        ms.prokhorov(mu, mu)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_prokhorov_metric_axioms_and_tv_bound(data):
-    def draw_measure(tag):
-        n = data.draw(st.integers(min_value=1, max_value=3), label=f"n{tag}")
-        points = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=7),
-                min_size=n,
-                max_size=n,
-                unique=True,
-            ),
-            label=f"pts{tag}",
-        )
-        cuts = sorted(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=1, max_value=11),
-                    min_size=n - 1,
-                    max_size=n - 1,
-                ),
-                label=f"cuts{tag}",
-            )
-        )
-        bounds = [0] + cuts + [12]
-        weights = [F(bounds[i + 1] - bounds[i], 12) for i in range(n)]
-        pairs = [(F(p, 8), w) for p, w in zip(points, weights) if w > 0]
-        return ideal(LINE, pairs)
-
-    mu, nu, rho_m = draw_measure("a"), draw_measure("b"), draw_measure("c")
-    d_ab = ms.prokhorov(mu, nu).lo
-    assert d_ab == ms.prokhorov(nu, mu).lo
-    assert d_ab >= 0
-    if [mu.space.decode(i) for i in mu.support] == [nu.space.decode(i) for i in nu.support] and list(
-        mu.weights
-    ) == list(nu.weights):
-        assert d_ab == 0
-    assert d_ab <= ms.prokhorov(mu, rho_m).lo + ms.prokhorov(rho_m, nu).lo
-    assert d_ab <= _total_variation(mu, nu)
-
-
-def _total_variation(mu, nu):
-    """Half the l1 distance of two finitely supported weight vectors."""
-    diff = {}
-    for m, sign in ((mu, 1), (nu, -1)):
-        for idx, w in zip(m.support, m.weights):
-            key = m.space.decode(idx)
-            diff[key] = diff.get(key, 0) + sign * w
-    return sum(abs(v) for v in diff.values()) / 2
 
 
 # -- almost decidable sets ----------------------------------------------------

@@ -6,7 +6,7 @@ coding each enclosure by its pieces (`_atom_of_enclosure`), the membership
 of a value by its pieces (`_ref_atom_of_value`), the doubling fast path's
 scan over every piece of every atom (`_scan_doubling_symbols`), quantizing
 by the midpoint, the pseudo-orbit code length with every predictor
-costed in full, and the `Interval` step distances, d_n and recurrence
+costed in full, and the `Interval` step distances and recurrence
 bound of `fraction_distance`.  The integer paths must agree with them
 exactly.
 """
@@ -286,7 +286,6 @@ def test_arc_lift_down_codes_seven_eighths_to_its_first_atom():
     # the references read the partition's own atoms; this check does not:
     # 7/8 lies on the arc (-1/4, 1/4) one turn down
     below = next(p for p in _partitions(WHEEL) if p.name == "arc-lift-down")
-    assert sb._value_atom(below, F(7, 8)) == 0
     assert sb._code_segment(below, (7,), (7,), 8) == [0]
 
 
@@ -401,9 +400,8 @@ def test_fast_doubling_symbols_refuse_ends_off_the_dyadic_grid():
 @pytest.mark.parametrize("space", [LINE, WHEEL], ids=["interval", "circle"])
 def test_atom_of_value_matches_fraction_reference(space):
     """Every piece end, 0 and 1, points next to them, a grid across
-    [-1, 2] and, on the circle, arcs through 0 lifted up and down; also
-    through one table of scaled layouts shared across denominators, as
-    `reconstruct_symbols` shares it."""
+    [-1, 2] and, on the circle, arcs through 0 lifted up and down, each
+    coded by `_code_segment` as the one-step enclosure [q, q]."""
     partitions = _partitions(space) + [sb.dyadic_intervals(space, 2)]
     if space is LINE:
         partitions += _dyadic_partitions()
@@ -412,11 +410,9 @@ def test_atom_of_value_matches_fraction_reference(space):
         ends = {F(q) for atom in partition.atoms for piece in atom for q in piece} | {F(0), F(1)}
         values = {e + d for e in ends for d in (0, F(1, 97), -F(1, 97))}
         values |= {F(k, 24) for k in range(-24, 49)}
-        scaled = {}
         for q in sorted(values):
             expected = _ref_atom_of_value(partition, q)
-            assert sb._value_atom(partition, F(q)) == expected, (partition.name, q)
-            assert sb._value_atom(partition, q, scaled) == expected, (partition.name, q)
+            assert sb._code_segment(partition, (q.numerator,), (q.numerator,), q.denominator)[0] == expected, (partition.name, q)
             checked.add(expected)
     assert None in checked and {0, 1} <= checked
 
@@ -511,7 +507,7 @@ def test_fine_partition_codes_in_bounded_time():
     assert len(word) == 1 << 14 and word.known_prefix
 
 
-# -- step distances and d_n -----------------------------------------------------
+# -- step distances and recurrence ---------------------------------------------
 
 
 def _crossings(den, alo, ahi, blo, bhi):
@@ -570,19 +566,9 @@ DISTANCE_IDS = ["doubling", "tent", "rot-3/7", "rot-1/2", "rot-sqrt2-1"]
 
 
 @pytest.mark.parametrize("system", DISTANCE_SYSTEMS, ids=DISTANCE_IDS)
-def test_bowen_dist_and_recurrence_match_fraction_reference(system):
+def test_recurrence_matches_fraction_reference(system):
     rng = random.Random(53)
     compared = 0
-    for x, y in _distance_points(system.space, rng):
-        for n, precision in ((1, 4), (5, 16), (12, 4)):
-            try:
-                ref = fd.bowen_dist(system, x, y, n, precision)
-            except dy.PrecisionBlowup:
-                with pytest.raises(dy.PrecisionBlowup):
-                    dy.bowen_dist(system, x, y, n, precision)
-                continue
-            assert dy.bowen_dist(system, x, y, n, precision) == ref
-            compared += 1
     for x, _ in _distance_points(system.space, rng):
         for n in (1, 2, 29):
             try:
@@ -591,26 +577,20 @@ def test_bowen_dist_and_recurrence_match_fraction_reference(system):
                 continue
             assert stt.recurrence_stat(system, x, n) == ref
             compared += 1
-    assert compared > 300, compared
+    assert compared > 150, compared
 
 
-def test_shift_bowen_dist_and_recurrence_match_fraction_reference():
-    # words that agree on a prefix of every length below 12, exact and
-    # known only through their approximations (the enclosure path)
+def test_shift_recurrence_matches_fraction_reference():
+    # seeded words, and periodic words that agree with them on a prefix of
+    # every length below 12
     rng = random.Random(59)
     for k in (2, 3):
         sys, space = dy.shift(k), sp.cantor(k)
         for agree in range(12):
             base = [rng.randrange(k) for _ in range(60)]
             other = base[:agree] + [(base[agree] + 1) % k] + [rng.randrange(k) for _ in range(59 - agree)]
-            words = [tuple(base), tuple(other)]
-            exact = [sp.word_point(space, w) for w in words]
-            approx = [sp.Point(space, lambda m, w=w: space.encode_word(w[: max(m, 0) + 2])) for w in words]
-            for x, y in ((exact[0], exact[1]), (approx[0], approx[1]), (exact[0], exact[0])):
-                for n, precision in ((1, 4), (3, 12), (8, 20)):
-                    assert dy.bowen_dist(sys, x, y, n, precision) == fd.bowen_dist(sys, x, y, n, precision)
-            periodic = sp.word_point(space, words[1][: agree + 2], repeat=True)
-            for x in (exact[0], periodic):
+            periodic = sp.word_point(space, tuple(other[: agree + 2]), repeat=True)
+            for x in (sp.word_point(space, tuple(base)), periodic):
                 for n in (1, 5, 40):
                     assert stt.recurrence_stat(sys, x, n) == fd.recurrence_stat(sys, x, n)
 

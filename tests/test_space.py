@@ -134,55 +134,6 @@ def test_sqrt2_minus_1_value(wheel):
     assert abs(float(v) - (math.sqrt(2) - 1)) < 2**-28
 
 
-def test_member_semidecide_positive(line):
-    x = sp.rational_point(line, F(1, 4))
-    u = sp.EnumeratedOpenSet.from_balls(
-        line, [sp.IdealBall(line, line.encode_dyadic(F(1, 4)), F(1, 8))]
-    )
-    witness = sp.member_semidecide(x, u, 12)
-    assert witness is not None
-
-
-def test_member_semidecide_boundary_never_halts(line):
-    # U exhausts [0, 1/2) but x = 1/2 sits on the boundary: semi-decision
-    # can never certify, at any budget
-    x = sp.rational_point(line, F(1, 2))
-
-    def stages(budget):
-        return tuple(
-            sp.IdealBall(line, line.encode_dyadic(F(1, 4)), F(1, 4) - F(1, 2**j))
-            for j in range(3, budget + 3)
-        )
-
-    u = sp.EnumeratedOpenSet(line, stages)
-    for budget in (4, 8, 16):
-        assert sp.member_semidecide(x, u, budget) is None
-
-
-def test_member_semidecide_via_second_ball(line):
-    x = sp.rational_point(line, F(3, 10))
-    u = sp.EnumeratedOpenSet.from_balls(
-        line,
-        [
-            sp.IdealBall(line, line.encode_dyadic(F(1, 4)), F(1, 10)),
-            sp.IdealBall(line, line.encode_dyadic(F(3, 8)), F(1, 10)),
-        ],
-    )
-    witness = sp.member_semidecide(x, u, 16)
-    assert witness is not None
-    assert line.dist_desc(witness.center_desc, F(3, 10)) < witness.radius
-
-
-def test_member_semidecide_monotone_in_budget(line):
-    x = sp.rational_point(line, F(3, 10))
-    u = sp.EnumeratedOpenSet.from_balls(
-        line, [sp.IdealBall(line, line.encode_dyadic(F(1, 4)), F(1, 10))]
-    )
-    results = [sp.member_semidecide(x, u, m) is not None for m in range(0, 24)]
-    # once inside, always inside
-    assert results == sorted(results)
-
-
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=400))
 def test_metric_axioms_on_ideal_points(i, j):

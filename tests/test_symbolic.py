@@ -112,8 +112,8 @@ def test_circle_arc_below_zero_is_the_arc_past_one():
     sys = dy.rotation(F(1, 8))
     mu = ms.ComputableMeasure.lebesgue_with_atoms(WHEEL, F(1, 2), [(F(7, 8), F(1, 2))])
     for partition in spellings:
-        assert sb._value_atom(partition, F(7, 8)) == 0
-        assert sb._value_atom(partition, F(1, 8)) == 0
+        assert sb._code_segment(partition, (7,), (7,), 8)[0] == 0
+        assert sb._code_segment(partition, (1,), (1,), 8)[0] == 0
         assert sb._code_segment(partition, (7, 0, 1), (7, 0, 1), 8) == [0, 0, 0]
         assert sb.cylinder_measure(sys, mu, partition, (0,)) == F(3, 4)
         assert sb.cylinder_measure(sys, mu, partition, (1,)) == F(1, 4)
@@ -156,71 +156,6 @@ def test_cylinder_measures_sum_to_one_per_level():
             word = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
             total += sb.cylinder_measure(sys, mu, partition, word)
         assert total == 1
-
-
-# -- reconstruction -----------------------------------------------------------
-
-
-def dyadic_pseudo_orbit(sys, q, n, precision):
-    from effdyn.numerics import dyadic_floor
-
-    values = dy.exact_orbit(sys, q, n)
-    return [sys.space.encode_dyadic(dyadic_floor(v, precision)) for v in values]
-
-
-def test_reconstruct_matches_coding_when_eps_small():
-    sys = dy.doubling()
-    partition = sb.halves(LINE)
-    x = sp.rational_point(LINE, F(1, 3))
-    n = 24
-    pseudo = dyadic_pseudo_orbit(sys, F(1, 3), n, 10)
-    word = sb.reconstruct_symbols(partition, F(1, 100), pseudo)
-    coded = sb.code_orbit(sys, x, partition, n)
-    assert word.symbols == coded.symbols
-    assert not word.truncated
-
-
-def test_reconstruct_ambiguous_near_boundary_is_deterministic():
-    partition = sb.halves(LINE)
-    index = LINE.encode_dyadic(F(31, 64))  # 0.484, within eps of the cut
-    first = sb.reconstruct_symbols(partition, F(1, 20), [index])
-    second = sb.reconstruct_symbols(partition, F(1, 20), [index])
-    assert first.symbols == second.symbols  # fixed dovetail order
-    assert first.symbols[0] in (0, 1)
-
-
-def test_reconstruct_mismatch_density_bound():
-    sys = dy.doubling()
-    partition = sb.halves(LINE)
-    mu = ms.ComputableMeasure.lebesgue(LINE)
-    rng = random.Random(17)
-    eps = F(1, 32)
-    n = 4000
-    q = F(rng.getrandbits(n + 16) | 1, 1 << (n + 16))
-    pseudo = dyadic_pseudo_orbit(sys, q, n, 8)  # 2^-8 < eps
-    reconstructed = sb.reconstruct_symbols(partition, eps, pseudo)
-    true_word = sb.code_orbit(sys, sp.rational_point(LINE, q), partition, n)
-    assert not true_word.truncated
-    assert len(reconstructed) == len(true_word) == n
-    density = F(sum(a != b for a, b in zip(reconstructed.symbols, true_word.symbols)), n)
-    bound = partition.boundary_neighborhood_measure(mu, 2 * eps) + F(5, 100)
-    assert density <= bound
-
-
-def test_reconstruct_stalls_when_ball_misses_atoms():
-    # a partition with a hole around 1/2: the eps-ball sits inside the hole
-    partition = sb.ComputablePartition(LINE, (((F(0), F(1, 4)),), ((F(3, 4), F(1)),)), name="holey")
-    index = LINE.encode_dyadic(F(1, 2))
-    with pytest.raises(sb.ReconstructStalled) as info:
-        sb.reconstruct_symbols(partition, F(1, 16), [index], budget=600)
-    assert info.value.position == 0
-
-
-def test_reconstruct_on_sequence_space():
-    partition = sb.cylinders(SEQ2, 1)
-    pseudo = [SEQ2.encode_word((1, 0, 1)), SEQ2.encode_word((0, 1))]
-    word = sb.reconstruct_symbols(partition, F(1, 4), pseudo)
-    assert word.symbols == (1, 0)
 
 
 def test_boundary_neighborhood_measure():
