@@ -23,6 +23,7 @@ import json
 import math
 import random
 import sys as _sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -122,13 +123,22 @@ def _tolerance(text: str) -> float:
 
 
 def _grid(cfg, option: str, least: int) -> List[int]:
-    """The required [grids] list `option`: nonempty, every entry >= least."""
+    """The required [grids] list `option`: nonempty, every entry >= least,
+    no entry twice."""
     grid = _int_list(_get(cfg, "grids", option, required=True), option)
     if not grid:
         raise ConfigError("grids", option, "empty grid")
     if min(grid) < least:
         raise ConfigError("grids", option, f"entries must be at least {least}")
+    _refuse_repeats(option, grid)
     return grid
+
+
+def _refuse_repeats(option: str, entries: Sequence[int]) -> None:
+    """A [grids] entry given twice would only write its rows twice."""
+    repeated = sorted(e for e, count in Counter(entries).items() if count > 1)
+    if repeated:
+        raise ConfigError("grids", option, f"repeated entries {', '.join(map(str, repeated))}")
 
 
 def _int_list(text: str, option: str) -> List[int]:
@@ -241,10 +251,10 @@ def build_partition(cfg, system: dy.System) -> sb.ComputablePartition:
 def build_points(cfg, system: dy.System, bits: int) -> List[Tuple[str, sp.Point]]:
     """Seeded pseudo-random points and/or explicit rational points."""
     out = []
-    seeds = _get(cfg, "grids", "seeds", "")
-    for seed_text in filter(None, (s.strip() for s in seeds.split(","))):
-        with _bad_value("grids", "seeds"):
-            seed = int(seed_text)
+    with _bad_value("grids", "seeds"):
+        seeds = [int(s) for s in _get(cfg, "grids", "seeds", "").split(",") if s.strip()]
+    _refuse_repeats("seeds", seeds)
+    for seed in seeds:
         rng = random.Random(seed)  # Mersenne Twister; seed recorded in meta
         if system.space.kind is sp.Kind.CANTOR:
             k = system.space.alphabet

@@ -216,20 +216,27 @@ def symbol_rate(
 
 def _quantize_orbit(sys: dy.System, x: Point, n: int, p: int) -> List[int]:
     """Grid indices of spacing 2**-p following the orbit within 2**-p; for
-    a dyadic doubling point, floor(2**p T^j x) is its p-bit window."""
+    a dyadic doubling point, floor(2**p T^j x) is its p-bit window.
+
+    On a shift, index j is the base-k value of the symbols s_j .. s_{j+p}
+    of the point.  Step j's word starts at s_j and holds more than p + 3
+    symbols, so s_{j+p} is its symbol p, and the indices are one rolling
+    window over the point's symbols."""
     read = dy.dyadic_windows(sys, x, n, p)
     if read is not None:
         return read[0]
     seg = dy.iterate(sys, x, n, p + 3)
-    cells = 1 << p
-    out = []
     if sys.space.kind is Kind.CANTOR:
+        k = sys.space.alphabet
+        modulus = k ** (p + 1)
+        window, out = 0, []
+        for symbol in seg.words[0][:p]:
+            window = window * k + symbol
         for word in seg.words:
-            value = 0
-            for j in range(p + 1):
-                value = value * sys.space.alphabet + (word[j] if j < len(word) else 0)
-            out.append(value)
+            window = (window * k + word[p]) % modulus
+            out.append(window)
         return out
+    cells = 1 << p
     # floor(midpoint * 2**p), the midpoint being (lo + hi) / (2 * den)
     den2 = 2 * seg.den
     out = [((lo + hi) << p) // den2 for lo, hi in zip(seg.lows, seg.highs)]
@@ -278,7 +285,9 @@ def pseudo_orbit_code_bits(
     For one predictor the stream of a prefix is a prefix of the stream of
     a longer one while the offset and width stay the same, so the ends are
     grouped by (offset, width) and each group's stream is packed once and
-    costed once for all its ends.  The predictors are costed narrowest
+    costed once for all its ends.  The extrema of residuals[:m - 1] are
+    running ones, extended from end to end by `min` and `max` over the
+    slice between consecutive ends.  The predictors are costed narrowest
     first, each against the best total so far at every end: a stream's
     compressed length is exact while it can still win and a lower bound
     once it cannot, so the minimum is the same as with every stream
@@ -293,29 +302,30 @@ def pseudo_orbit_code_bits(
     last = ends[-1]
     predictors = []
     for ci, c in enumerate(_PREDICTOR_FAMILY):
-        residuals = [
-            ((b - c * a + half) % modulus) - half
-            for a, b in zip(indices[: last - 1], indices[1:last])
-        ]
+        # residuals shifted up by half, into [0, modulus); only the
+        # offsets are centered
+        shifted = [(b - c * a + half) % modulus for a, b in zip(indices[: last - 1], indices[1:last])]
         # the ends m >= 2 by the offset and width of residuals[:m - 1]
-        lows = list(itertools.accumulate(residuals, min))
-        highs = list(itertools.accumulate(residuals, max))
         groups: Dict[Tuple[int, int], List[int]] = {}
+        low, high, seen = modulus, -1, 0
         for i, m in enumerate(ends):
+            if m - 1 > seen:
+                part = shifted[seen : m - 1]
+                low, high, seen = min(low, min(part)), max(high, max(part)), m - 1
             if m >= 2:
-                offset = lows[m - 2]
-                groups.setdefault((offset, (highs[m - 2] - offset).bit_length()), []).append(i)
+                groups.setdefault((low - half, (high - low).bit_length()), []).append(i)
         # the width only grows with m, so the last group's is the widest
         width = next(reversed(groups))[1] if groups else 0
-        predictors.append((width, ci, residuals, groups))
-    for _, ci, residuals, groups in sorted(predictors, key=lambda predictor: predictor[0]):
+        predictors.append((width, ci, shifted, groups))
+    for _, ci, shifted, groups in sorted(predictors, key=lambda predictor: predictor[0]):
         for (offset, width), members in groups.items():
             fixed = first_cost + elias_len(ci + 1) + elias_len(_zigzag(offset) + 1)
             fixed += elias_len(width + 1)
             count = ends[members[-1]] - 1
             bits: Tuple[int, ...] = ()
             if width:
-                bits = _packed_bits([r - offset for r in residuals[:count]], width)
+                base = offset + half
+                bits = _packed_bits([r - base for r in shifted[:count]], width)
             costs = compressor._prefix_bits_len(
                 bits,
                 [(ends[i] - 1) * width for i in members],

@@ -495,6 +495,32 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".cfg"] * len(bad)
 
 
+def test_repeated_grid_entries_are_config_errors(tmp_path, capsys, monkeypatch):
+    # a repeated entry would only write its rows twice: scales = 4,4 every
+    # eps=2^-4 row of doubling, n_grid = 64,64,128 the n = 64 row of symbol-rate
+    def unreachable(*args):
+        raise AssertionError("ran an estimator on a grid with a repeated entry")
+
+    for name in ("orbit_rate", "symbol_rate", "h1_estimate"):
+        monkeypatch.setattr(cli.en, name, unreachable)
+    orbit_rate = "[system]\nkind = doubling\n\n[estimator]\nkind = orbit-rate\n\n[grids]\n"
+    symbol_rate = "[system]\nkind = doubling\n\n[estimator]\nkind = symbol-rate\n\n[grids]\n"
+    h1 = "[system]\nkind = doubling\n\n[estimator]\nkind = h1\n\n[grids]\n"
+    bad = [
+        ("scales", "4", orbit_rate + "n_grid = 64,128\nseeds = 1\nscales = 4,4\n"),
+        ("n_grid", "64", symbol_rate + "n_grid = 64,64,128\nseeds = 1\n"),
+        ("n_grid", "8", symbol_rate + "n_grid = 2^3,8\nseeds = 1\n"),
+        ("p_grid", "1, 2", h1 + "p_grid = 1,2,1,2\nn_grid = 2..7\n"),
+        ("seeds", "3", symbol_rate + "n_grid = 64\nseeds = 3,5, 3\n"),
+    ]
+    for i, (option, repeated, text) in enumerate(bad):
+        cfg = write_cfg(tmp_path, text + f"\n[run]\noutput = out/r{i}\n", f"repeat-{i}.cfg")
+        assert cli.main(["run", str(cfg)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [grids] {option}: repeated entries {repeated}"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_options_are_config_errors(tmp_path, capsys, monkeypatch):
     def unreachable(cfg):
         raise AssertionError("built a system from a config with an unknown option")

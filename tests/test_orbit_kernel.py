@@ -650,6 +650,35 @@ def test_quantize_orbit_bit_windows_match_midpoint_on_seeded_dyadics(monkeypatch
         assert [en._quantize_orbit(sys, x, n, p) for p in (1, 4, 6, 8)] == indices, (q, n)
 
 
+def _per_word_shift_indices(seg, k, p):
+    """Each step's index read from its own word: the base-k value of its
+    first p + 1 symbols, a word too short padded with zeros."""
+    out = []
+    for word in seg.words:
+        value = 0
+        for j in range(p + 1):
+            value = value * k + (word[j] if j < len(word) else 0)
+        out.append(value)
+    return out
+
+
+def test_shift_quantize_orbit_rolling_window_matches_per_word_indices():
+    """The rolling base-k window gives every step the index of its own
+    word, on oracle points and on points known only by approximations."""
+    rng = random.Random(43)
+    for k in (2, 3):
+        sys, space = dy.shift(k), sp.cantor(k)
+        symbols = [rng.randrange(k) for _ in range(900)]
+        oracle = sp.sequence_point(space, lambda j, s=symbols: s[j] if j < len(s) else 0)
+        points = [oracle, sp.Point(space, oracle.approximator)]
+        points.append(sp.word_point(space, (0, 1, 1) if k == 2 else (2, 0, 1, 1), repeat=True))
+        for x in points:
+            for p in (0, 1, 4, 6):
+                for n in (1, 2, 7, 60, 700):
+                    expected = _per_word_shift_indices(dy.iterate(sys, x, n, p + 3), k, p)
+                    assert en._quantize_orbit(sys, x, n, p) == expected, (k, p, n)
+
+
 def _per_step_symbols(partition, seg):
     """The symbols of every step coded on its own: `atom_of_word` on each
     shift word, or `_code_segment` on separate lists of lows and highs."""
@@ -793,6 +822,47 @@ def test_pruned_pseudo_orbit_bits_match_unpruned():
             assert en.pseudo_orbit_code_bits(indices, modulus, compressor, ends) == expected
             groups = {_offset_width(indices[:m], modulus, 1) for m in ends if m >= 2}
             regrouped += len(groups) > 1
+    assert regrouped > 20
+
+
+def _cantor_index_lists(rng):
+    """Index lists on the shift grids k**(p + 1) with k = 3: uniform ones,
+    the rolling windows of a seeded symbol sequence, and a constant run
+    followed by windows."""
+    for modulus in (3, 9, 81, 243):
+        for n in (1, 2, 3, 40, 300):
+            yield modulus, [rng.randrange(modulus) for _ in range(n)]
+            v, windows = rng.randrange(modulus), []
+            for _ in range(n):
+                windows.append(v)
+                v = (3 * v + rng.randrange(3)) % modulus
+            yield modulus, windows
+            yield modulus, [v] * (n // 2) + windows[: n - n // 2]
+
+
+def _repeated_ends(n):
+    """End lists with repeats and m = 1 ends, each sorted: [1] alone, the
+    pattern 1, 1, 2, 2, 5, n, n, and every end of _prefix_ends twice."""
+    yield [1]
+    yield sorted(m for m in (1, 1, 2, 2, 5, n, n) if m <= n)
+    yield sorted(_prefix_ends(n) * 2)
+
+
+def test_pseudo_orbit_bits_match_unpruned_on_repeated_ends_and_cantor_grids():
+    """The per-end offsets and widths hold when ends repeat, when every end
+    is 1, when there is a single residual (n = 2) and on the shift grids
+    3**(p + 1): every returned length is that of the prefix coded alone."""
+    rng = random.Random(41)
+    regrouped = 0
+    lists = list(_index_lists(rng)) + list(_cantor_index_lists(rng))
+    for compressor in (cd.PrefixFreeCompressor(2), cd.PrefixFreeCompressor(3)):
+        for modulus, indices in lists:
+            for ends in _repeated_ends(len(indices)):
+                expected = [_unpruned_code_bits(indices[:m], modulus, compressor) for m in ends]
+                got = en.pseudo_orbit_code_bits(indices, modulus, compressor, ends)
+                assert got == expected, (modulus, indices[:8], ends)
+                groups = {_offset_width(indices[:m], modulus, 1) for m in ends if m >= 2}
+                regrouped += len(groups) > 1
     assert regrouped > 20
 
 
