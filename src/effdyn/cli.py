@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import math
@@ -35,7 +36,7 @@ from effdyn import measure as ms
 from effdyn import space as sp
 from effdyn import stats as stt
 from effdyn import symbolic as sb
-from effdyn.reporting import EntropyReport, reports_to_json, rows_to_csv
+from effdyn.reporting import CSV_COLUMNS, EntropyReport, reports_to_json, rows_to_csv
 
 F = Fraction
 
@@ -428,17 +429,28 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    import csv as _csv
-
     report_path = Path(args.report)
     oracle_path = Path(args.oracle)
-    tol = float(args.tol)
-    if not report_path.exists() or not oracle_path.exists():
-        print("missing report or oracle file", file=_sys.stderr)
+    try:  # refused input exits 2 with one line; JSONDecodeError is a ValueError
+        try:
+            tol = float(args.tol)
+        except ValueError:
+            tol = math.nan
+        if not math.isfinite(tol) or tol < 0:
+            raise ValueError(f"tolerance {args.tol} is not a finite number >= 0")
+        with open(report_path) as handle:
+            reader = csv.DictReader(handle)
+            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+                raise ValueError(f"{report_path} lacks the CSV columns {','.join(CSV_COLUMNS)}")
+            rows = list(reader)
+        oracle = json.loads(oracle_path.read_text())
+        if not isinstance(oracle, dict) or not all(
+            type(v) is int or type(v) is float and math.isfinite(v) for v in oracle.values()
+        ):
+            raise ValueError(f"{oracle_path} is not a JSON object of finite numbers")
+    except (OSError, ValueError) as exc:
+        print(f"compare error: {exc}", file=_sys.stderr)
         return 2
-    with open(report_path) as handle:
-        rows = list(_csv.DictReader(handle))
-    oracle = json.loads(oracle_path.read_text())
     failures = []
     lines = []
     for key, expected in sorted(oracle.items()):

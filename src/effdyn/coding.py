@@ -918,17 +918,13 @@ class PrefixFreeCompressor:
         return header + phased_encode(best, 3) + payload
 
     def bits_len(self, word: Sequence[int]) -> int:
-        return self._bits_len(_check_word(word, self.alphabet))
+        word = _check_word(word, self.alphabet)
+        return self._prefix_bits_len(word, (len(word),))[0]
 
     def prefix_bits_len(self, word: Sequence[int], ends: Sequence[int]) -> List[int]:
         """bits_len(word[:m]) for every m in the sorted `ends`, each branch
         parsing the word once for all of them."""
         return self._prefix_bits_len(_check_word(word, self.alphabet), ends)
-
-    def _bits_len(self, word: Word, budget: Optional[int] = None) -> int:
-        """bits_len of a checked word.  With a budget it is exact below the
-        budget and otherwise only a lower bound, at least the budget."""
-        return self._prefix_bits_len(word, (len(word),), (budget,))[0]
 
     def _prefix_bits_len(
         self, word: Word, ends: Sequence[int], budgets: Optional[Sequence[Optional[int]]] = None

@@ -11,7 +11,7 @@ every step's enclosure is narrower than requested.
 Interval enclosures live on the real line for interval maps and as
 lifted-mod-1 intervals for the circle, and are computed as integer
 numerators over one denominator per orbit, which every step keeps;
-sequence-space enclosures are cylinder words.
+a sequence-space orbit is one stream of symbols.
 """
 
 from __future__ import annotations
@@ -85,18 +85,16 @@ class OrbitSegment:
     Interval and circle steps are the integer numerators lows[j] <= highs[j]
     over the one denominator `den`, of width below den * 2**-p for
     `iterate`'s p (degenerate on the exact path, where `lows` is `highs`).
-    Sequence-space steps are the cylinder words of length > p in `words`.
+    On sequence space T^j x is x read from symbol j on: `symbols` holds at
+    least length + p known symbols, and step j is the cylinder symbols[j:].
     """
 
     length: int
     lows: Sequence[int] = ()
     highs: Sequence[int] = ()
     den: int = 1
-    words: Tuple[Tuple[int, ...], ...] = ()
+    symbols: Tuple[int, ...] = ()
     exact: bool = False
-
-    def __len__(self):
-        return self.length
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +118,14 @@ def _exact_grid(sys: System, start) -> Tuple[int, int, int]:
 
 
 def exact_orbit(sys: System, start, n: int):
-    """First n points of the exact orbit.
-
-    start: rational value for interval/circle maps, or a symbol oracle for
-    shifts (in which case entries are shifted oracles' offsets).  Orbits
-    of rational points stay on the grid of the start's (and a rotation
-    angle's) denominator, so they run on integer numerators.
+    """First n points of the exact orbit of a rational start under an
+    interval or circle map.  Orbits of rational points stay on the grid of
+    the start's (and a rotation angle's) denominator, so they run on
+    integer numerators.  A shift orbit is the point's symbol stream (see
+    `OrbitSegment`), so shifts are refused.
     """
     if sys.map_kind is MapKind.SHIFT:
-        symbol_fn = start
-        return [(lambda j0: (lambda i: symbol_fn(i + j0)))(j) for j in range(n)]
+        raise SpaceMismatch("a shift orbit is its symbol stream: use iterate")
     v, den, a = _exact_grid(sys, start)
     out = grid_orbit(sys.map_kind, v, den, n, a)
     # in place, so that long orbits are never held twice
@@ -178,23 +174,31 @@ def grid_orbit(kind: MapKind, v: int, den: int, n: int, a: int = 0) -> List[int]
     return out
 
 
+def digit_windows(digits: Sequence[int], base: int, width: int, n: int) -> List[int]:
+    """The base-`base` value of digits[j : j + width], first digit most
+    significant, for each j < n, from at least n + width digits: one
+    rolling pass, each digit entering once, the window kept mod base**width."""
+    modulus, window, windows = base**width, 0, []
+    for digit in digits[:width]:
+        window = window * base + digit
+    for digit in digits[width : n + width]:
+        windows.append(window)
+        window = (window * base + digit) % modulus
+    return windows
+
+
 def dyadic_windows(sys: System, x: Point, n: int, level: int) -> Optional[Tuple[List[int], int]]:
     """(windows, last) for a doubling point x = 0.b_0 b_1 ... with an exact
     dyadic description, else None: windows[j] = floor(2**level * T^j x),
-    the level-bit window at j of the zero-padded expansion, for j < n, and
-    the index of its last 1 (-1 for 0).  One rolling pass over n + level
-    digits, where the exact orbit over 2**bits costs n * bits."""
+    the level-bit window at j of the zero-padded expansion, for j < n, read
+    by `digit_windows` in time linear in n + level, where the exact orbit
+    over 2**bits costs n * bits; and the index of its last 1 (-1 for 0)."""
     q = x.exact
     if sys.map_kind is not MapKind.DOUBLING or not isinstance(q, F) or q.denominator & (q.denominator - 1):
         return None
     num, bits = q.numerator % q.denominator, q.denominator.bit_length() - 1  # doubling takes 1 to 0
     digits = format(num, f"0{bits}b")[: n + level].ljust(n + level, "0")
-    mask = (1 << level) - 1
-    window, windows = int(digits[:level] or "0", 2), []
-    for digit in digits[level:].encode().translate(_DIGIT_VALUES):
-        windows.append(window)
-        window = (window << 1 | digit) & mask
-    return windows, bits - (num & -num).bit_length() if num else -1
+    return digit_windows(digits.encode().translate(_DIGIT_VALUES), 2, level, n), bits - (num & -num).bit_length() if num else -1
 
 
 def grid_preimage(kind: MapKind, pieces: List[Tuple[int, int, int]], den: int):
@@ -343,10 +347,7 @@ def _try_exact_segment(sys: System, x: Point, n: int, p: int) -> Optional[OrbitS
     if sys.map_kind is MapKind.SHIFT:
         if not callable(x.exact):
             return None
-        window = p + 1
-        symbols = [x.exact(j) for j in range(n + window)]
-        words = tuple(tuple(symbols[j : j + window]) for j in range(n))
-        return OrbitSegment(n, words=words, exact=True)
+        return OrbitSegment(n, symbols=tuple(map(x.exact, range(n + p + 1))), exact=True)
     if not isinstance(x.exact, F):
         return None
     if sys.map_kind is MapKind.ROTATION and not isinstance(sys.angle, F):
@@ -380,8 +381,7 @@ def _enclose_segment(sys: System, x: Point, n: int, p: int, m: int) -> OrbitSegm
         word = tuple(x.space.decode(x.approx_index(m)))
         if len(word) - (n - 1) <= p:
             raise _WidthFailure()
-        words = tuple(word[j:] for j in range(n))
-        return OrbitSegment(n, words=words)
+        return OrbitSegment(n, symbols=word)
     box = x.enclosure(m)
     rotation = sys.map_kind is MapKind.ROTATION
     angle = _angle_enclosure(sys, m + max(n.bit_length(), 1) + 2) if rotation else Interval.point(0)

@@ -219,23 +219,14 @@ def _quantize_orbit(sys: dy.System, x: Point, n: int, p: int) -> List[int]:
     a dyadic doubling point, floor(2**p T^j x) is its p-bit window.
 
     On a shift, index j is the base-k value of the symbols s_j .. s_{j+p}
-    of the point.  Step j's word starts at s_j and holds more than p + 3
-    symbols, so s_{j+p} is its symbol p, and the indices are one rolling
-    window over the point's symbols."""
+    of the point: `dy.digit_windows` of width p + 1 over the segment's
+    symbol stream, which holds at least n + p + 3 of them."""
     read = dy.dyadic_windows(sys, x, n, p)
     if read is not None:
         return read[0]
     seg = dy.iterate(sys, x, n, p + 3)
     if sys.space.kind is Kind.CANTOR:
-        k = sys.space.alphabet
-        modulus = k ** (p + 1)
-        window, out = 0, []
-        for symbol in seg.words[0][:p]:
-            window = window * k + symbol
-        for word in seg.words:
-            window = (window * k + word[p]) % modulus
-            out.append(window)
-        return out
+        return dy.digit_windows(seg.symbols, sys.space.alphabet, p + 1, n)
     cells = 1 << p
     # floor(midpoint * 2**p), the midpoint being (lo + hi) / (2 * den)
     den2 = 2 * seg.den

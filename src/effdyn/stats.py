@@ -215,22 +215,20 @@ def _verdict(mu, residuals, targets, n, undecided_fraction, tol, horizon_ok) -> 
 def recurrence_stat(sys: dy.System, x: Point, n: int) -> F:
     """Min over 1 <= k <= n of a certified upper bound on d(x, T^k x).
 
-    Non-increasing in n.  Sequence-space points are compared symbolwise on
-    the first 96 symbols of their `dy.iterate` words (exact or enclosed);
-    interval and circle orbits through enclosures of width below 2**-20
-    (exact for rational data), whose step distances `dy.step_dist` gives
-    over 2 * den.
+    Non-increasing in n.  On sequence space T^k x is the point read from
+    symbol k on, so symbols[k : k + 96] of the `dy.iterate` stream (exact
+    or enclosed) is compared with symbols[:96], and a first difference at
+    i bounds the distance by 2**-i; interval and circle orbits go through
+    enclosures of width below 2**-20 (exact for rational data), whose step
+    distances `dy.step_dist` gives over 2 * den.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if sys.map_kind is dy.MapKind.SHIFT:
         prefix = 96
-        head, *words = dy.iterate(sys, x, n + 1, prefix - 1).words
-        best = F(1)
-        for word in words:
-            first_diff = next((j for j in range(prefix) if head[j] != word[j]), prefix)
-            best = min(best, F(1, 1 << first_diff))
-        return best
+        s = dy.iterate(sys, x, n + 1, prefix - 1).symbols
+        agree = max(next((i for i in range(prefix) if s[i] != s[k + i]), prefix) for k in range(1, n + 1))
+        return F(1, 1 << agree)
     seg = dy.iterate(sys, x, n + 1, 20)
     circle, den = sys.space.kind is Kind.CIRCLE, seg.den
     lo, hi = seg.lows[0], seg.highs[0]

@@ -199,14 +199,15 @@ def _code_orbit(
     sys: dy.System, x: Point, partition: ComputablePartition, n: int, precision: int
 ) -> Tuple[SymbolicWord, dy.OrbitSegment]:
     """`code_orbit`'s word and the segment it was coded from: bit windows
-    (dyadic doubling) or `dy.iterate`'s.  Shift steps are cut to the
-    `longest` symbols `atom_of_word` reads and coded once per distinct one."""
+    (dyadic doubling) or `dy.iterate`'s.  Shift step j is sliced from the
+    symbol stream as its `longest` symbols from j on, all that
+    `atom_of_word` reads, and each distinct step is coded once."""
     if partition.space != sys.space:
         raise SpaceMismatch(f"{partition.space} vs {sys.space}")
     if sys.space.kind is Kind.CANTOR:
         longest = max((len(cyl) for atom in partition.atoms for cyl in atom), default=0)
         seg = dy.iterate(sys, x, n, longest - 1 if callable(x.exact) else precision)
-        steps = [word[:longest] for word in seg.words]
+        steps = [seg.symbols[j : j + longest] for j in range(n)]
         table = {word: partition.atom_of_word(word) for word in set(steps)}
         symbols = tuple(map(table.__getitem__, steps))
     else:

@@ -15,10 +15,10 @@ from effdyn.numerics import Interval
 
 
 def enclosures(seg):
-    """The steps of an interval or circle segment as Intervals, or its
-    cylinder words for shifts."""
-    if seg.words:
-        return seg.words
+    """The steps of an interval or circle segment as Intervals, or for
+    shifts the cylinder words symbols[j:] of its stream."""
+    if seg.symbols:
+        return tuple(seg.symbols[j:] for j in range(seg.length))
     return tuple(Interval(F(lo, seg.den), F(hi, seg.den)) for lo, hi in zip(seg.lows, seg.highs))
 
 

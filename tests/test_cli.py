@@ -450,6 +450,42 @@ def test_compare_checks_every_seed(tmp_path, capsys):
     assert cli.main(["compare", str(report), str(oracle), "0.3"]) == 0
 
 
+def test_compare_refuses_bad_input(tmp_path, capsys):
+    """A tolerance that is not a finite number >= 0, an oracle that is not
+    a JSON object of numbers, a report without the frozen columns and a
+    missing file exit 2 with a `compare error` line, before any key is
+    checked."""
+    report = tmp_path / "report.csv"
+    report.write_text("method,system,param,n,value,diag\nh1,doubling,rate,0,1.0,\n")
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"h1:doubling": 1.0}))
+    assert cli.main(["compare", str(report), str(oracle), "0"]) == 0
+    capsys.readouterr()
+    cases = [(report, oracle, tol) for tol in ("abc", "nan", "inf", "-1")]
+    for text in ("{bad", "[1.0]", '{"h1:doubling": "1.0"}', '{"h1:doubling": NaN}', '{"h1:doubling": true}'):
+        bad = tmp_path / f"oracle-{len(cases)}.json"
+        bad.write_text(text)
+        cases.append((report, bad, "0.01"))
+    for text in ("", "method,system,param,n,value\nh1,doubling,rate,0,1.0\n", "a,b\n1,2\n"):
+        bad = tmp_path / f"report-{len(cases)}.csv"
+        bad.write_text(text)
+        cases.append((bad, oracle, "0.01"))
+    cases += [(tmp_path / "none.csv", oracle, "0.01"), (report, tmp_path / "none.json", "0.01")]
+    for report_path, oracle_path, tol in cases:
+        assert cli.main(["compare", str(report_path), str(oracle_path), tol]) == 2, (report_path, oracle_path, tol)
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("compare error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "report, oracle",
+    [("doubling-ks.csv", "doubling-ks-oracle.json"), ("h1-shift3.csv", "shift3-oracle.json")],
+)
+def test_shipped_oracles_pass(report, oracle):
+    """The README's `compare` on each shipped report and its oracle."""
+    assert cli.main(["compare", str(SCRIPTS / "out" / report), str(SCRIPTS / oracle), "0.001"]) == 0
+
+
 def test_bad_values_are_config_errors(tmp_path, capsys):
     orbit_rate = (
         "[system]\nkind = doubling\n\n[estimator]\nkind = orbit-rate\n\n"

@@ -42,6 +42,9 @@ def test_shift_drops_symbols():
     seg = dy.iterate(sys, x, 2, 6)
     assert fd.enclosures(seg)[0][:4] == (0, 1, 1, 0)
     assert fd.enclosures(seg)[1][:4] == (1, 1, 0, 0)
+    # the orbit is the stream itself, so there is no list of shifted oracles
+    with pytest.raises(sp.SpaceMismatch):
+        dy.exact_orbit(sys, x.exact, 2)
 
 
 def test_tent_exact_orbit():

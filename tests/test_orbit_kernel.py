@@ -221,10 +221,9 @@ def test_shift_enclosure_words_match_reference():
                 with pytest.raises(dy._WidthFailure):
                     dy._enclose_segment(sys, x, n, p, m)
             else:
-                assert dy._enclose_segment(sys, x, n, p, m).words == tuple(
-                    word[j:] for j in range(n))
+                assert dy._enclose_segment(sys, x, n, p, m).symbols == word
         seg = dy.iterate(sys, x, n, p)
-        assert not seg.exact and [w[: p + 1] for w in seg.words] == [
+        assert not seg.exact and [seg.symbols[j : j + p + 1] for j in range(n)] == [
             tuple(symbols[j : j + p + 1]) for j in range(n)]
 
 
@@ -595,6 +594,47 @@ def test_shift_recurrence_matches_fraction_reference():
                     assert stt.recurrence_stat(sys, x, n) == fd.recurrence_stat(sys, x, n)
 
 
+def _per_word_recurrence(sys, x, n):
+    """The recurrence bound as it was read from per-step words: step k's
+    word symbols[k:] against step 0's, symbol by symbol on the first 96."""
+    seg = dy.iterate(sys, x, n + 1, 95)
+    head, *words = (seg.symbols[j:] for j in range(seg.length))
+    best = F(1)
+    for word in words:
+        first_diff = next((j for j in range(96) if head[j] != word[j]), 96)
+        best = min(best, F(1, 1 << first_diff))
+    return best
+
+
+def test_shift_recurrence_matches_per_word_loop():
+    """Comparing the stream with itself shifted by k gives the per-word
+    bound on oracle points, points known only by approximations and
+    periodic points; periodic words with one symbol changed put the
+    first difference anywhere in the 96 symbols compared."""
+    rng = random.Random(61)
+    checked = set()
+    for k in (2, 3):
+        sys, space = dy.shift(k), sp.cantor(k)
+        streams = [[rng.randrange(k) for _ in range(400)]]
+        for period, flip in ((1, 3), (2, 40), (5, 90), (7, 120)):
+            pattern = [rng.randrange(k) for _ in range(period)]
+            stream = [pattern[i % period] for i in range(400)]
+            stream[flip] = (stream[flip] + 1) % k
+            streams.append(stream)
+        points = []
+        for stream in streams:
+            oracle = sp.sequence_point(space, lambda j, s=stream: s[j] if j < len(s) else 0)
+            points += [oracle, sp.Point(space, oracle.approximator)]
+        periodic = sp.word_point(space, (0, 1, 1) if k == 2 else (2, 0, 1, 1), repeat=True)
+        points += [periodic, sp.Point(space, periodic.approximator)]
+        for x in points:
+            for n in (1, 2, 5, 12, 29, 70):
+                bound = stt.recurrence_stat(sys, x, n)
+                assert bound == _per_word_recurrence(sys, x, n), (k, n)
+                checked.add(bound)
+    assert len(checked) >= 8, checked
+
+
 # -- quantizing ------------------------------------------------------------------
 
 
@@ -650,11 +690,28 @@ def test_quantize_orbit_bit_windows_match_midpoint_on_seeded_dyadics(monkeypatch
         assert [en._quantize_orbit(sys, x, n, p) for p in (1, 4, 6, 8)] == indices, (q, n)
 
 
+def test_digit_windows_match_per_window_slices():
+    """Each window is the base-b value of its own slice of the digits,
+    first digit most significant, when the digits hold exactly n + width."""
+    rng = random.Random(47)
+    for base in (2, 3, 7):
+        for width in range(9):
+            for n in (0, 1, 2, 9, 50):
+                digits = tuple(rng.randrange(base) for _ in range(n + width))
+                expected = []
+                for j in range(n):
+                    value = 0
+                    for digit in digits[j : j + width]:
+                        value = value * base + digit
+                    expected.append(value)
+                assert dy.digit_windows(digits, base, width, n) == expected, (base, width, n)
+
+
 def _per_word_shift_indices(seg, k, p):
-    """Each step's index read from its own word: the base-k value of its
-    first p + 1 symbols, a word too short padded with zeros."""
+    """Each step's index read from its own word symbols[j:]: the base-k
+    value of its first p + 1 symbols, a word too short padded with zeros."""
     out = []
-    for word in seg.words:
+    for word in (seg.symbols[j:] for j in range(seg.length)):
         value = 0
         for j in range(p + 1):
             value = value * k + (word[j] if j < len(word) else 0)
@@ -681,9 +738,10 @@ def test_shift_quantize_orbit_rolling_window_matches_per_word_indices():
 
 def _per_step_symbols(partition, seg):
     """The symbols of every step coded on its own: `atom_of_word` on each
-    shift word, or `_code_segment` on separate lists of lows and highs."""
-    if seg.words:
-        return tuple(partition.atom_of_word(word) for word in seg.words)
+    shift word symbols[j:], or `_code_segment` on separate lists of lows
+    and highs."""
+    if seg.symbols:
+        return tuple(partition.atom_of_word(seg.symbols[j:]) for j in range(seg.length))
     return tuple(sb._code_segment(partition, list(seg.lows), list(seg.highs), seg.den))
 
 
@@ -886,7 +944,7 @@ def test_budgeted_costs_exact_below_budget_and_bounded_above():
         ends = (len(word),)
         lz78 = cd._lz_costs(word, k, ends, (math.inf,))[0]
         for budget in sorted({0, 1, 2, full // 2, full - 1, full, full + 1, 2 * full + 5}):
-            got = comp._bits_len(word, budget)
+            got = comp._prefix_bits_len(word, (len(word),), (budget,))[0]
             if full < budget:
                 assert got == full
             else:
