@@ -249,8 +249,34 @@ def build_partition(cfg, system: dy.System) -> sb.ComputablePartition:
     raise ConfigError("partition", "kind", f"unknown partition {kind!r}")
 
 
+def _seeded_symbols(rng: random.Random, k: int, count: int) -> bytes:
+    """`count` draws of rng.randrange(k), 0 < k < 256, drawn in bulk.
+
+    randrange(k) takes the top k.bit_length() bits of one 32-bit
+    Mersenne Twister output and draws again while they are >= k; the
+    top byte of each output of one getrandbits(32 * m) call, low word
+    first, carries those bits, so one translate keeps the accepted draws.
+    Each round draws one output per symbol still missing, so it never
+    reads past the last symbol's output.
+    """
+    shift = 8 - k.bit_length()
+    top_bits = bytes(v >> shift for v in range(256))
+    rejected = bytes(v for v in range(256) if v >> shift >= k)
+    out = b""
+    while len(out) < count:
+        m = count - len(out)
+        out += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(top_bits, rejected)
+    return out
+
+
 def build_points(cfg, system: dy.System, bits: int) -> List[Tuple[str, sp.Point]]:
-    """Seeded pseudo-random points and/or explicit rational points."""
+    """Seeded pseudo-random points and/or explicit rational points.
+
+    A seed's shift point is `bits` symbols of rng.randrange(k), held as
+    bytes (drawn in bulk by `_seeded_symbols`) on alphabets below 256, as
+    a tuple above, then zeros; an interval or circle point is the odd
+    dyadic rng.getrandbits(bits) | 1 over 2**bits.
+    """
     out = []
     with _bad_value("grids", "seeds"):
         seeds = [int(s) for s in _get(cfg, "grids", "seeds", "").split(",") if s.strip()]
@@ -259,7 +285,10 @@ def build_points(cfg, system: dy.System, bits: int) -> List[Tuple[str, sp.Point]
         rng = random.Random(seed)  # Mersenne Twister; seed recorded in meta
         if system.space.kind is sp.Kind.CANTOR:
             k = system.space.alphabet
-            symbols = tuple(rng.randrange(k) for _ in range(bits))
+            if k < 256:
+                symbols = _seeded_symbols(rng, k, bits)
+            else:
+                symbols = tuple(rng.randrange(k) for _ in range(bits))
             point = sp.sequence_point(
                 system.space, lambda j, s=symbols: s[j] if j < len(s) else 0
             )
@@ -442,7 +471,16 @@ def cmd_compare(args) -> int:
             reader = csv.DictReader(handle)
             if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
                 raise ValueError(f"{report_path} lacks the CSV columns {','.join(CSV_COLUMNS)}")
-            rows = list(reader)
+            rows = []
+            for row in reader:  # a short row fills None, a long one keys its extras by None
+                where = f"{report_path} line {reader.line_num}"
+                if None in row or None in row.values():
+                    raise ValueError(f"{where} does not have the {len(CSV_COLUMNS)} CSV fields")
+                try:
+                    float(row["value"])
+                except ValueError:
+                    raise ValueError(f"{where} has the value {row['value']!r}, not a number") from None
+                rows.append(row)
         oracle = json.loads(oracle_path.read_text())
         if not isinstance(oracle, dict) or not all(
             type(v) is int or type(v) is float and math.isfinite(v) for v in oracle.values()

@@ -56,7 +56,9 @@ from effdyn.numerics import log2_fixed
 
 F = Fraction
 
-Word = Tuple[int, ...]
+# a checked word is bytes on alphabets of at most 256 symbols, else a tuple;
+# decoders return tuples
+Word = Sequence[int]
 
 
 class UnknownSymbol(ValueError):
@@ -71,12 +73,21 @@ _BYTES = bytes(range(256))
 
 
 def _check_word(word: Sequence[int], alphabet: int) -> Word:
-    w = tuple(word)
+    """The word, once every symbol is known to lie in range(alphabet).
+
+    On alphabets of at most 256 symbols an accepted word comes back as
+    bytes, the form every kernel reads fastest, and a bytes word passes
+    after one translate; otherwise, and when bytes() refuses a symbol
+    (None, floats, values past 255), the symbols are checked one by one
+    and the word comes back as a tuple, the first offending symbol named.
+    """
+    w = word if isinstance(word, bytes) else tuple(word)
     try:  # bytes() raises on None and on values outside 0..255
-        if 0 <= alphabet <= 256 and not bytes(w).translate(None, _BYTES[:alphabet]):
-            return w
+        if 0 <= alphabet <= 256 and not (b := bytes(w)).translate(None, _BYTES[:alphabet]):
+            return b
     except (TypeError, ValueError):
         pass
+    w = tuple(w)
     if None in w or w and not (0 <= min(w) and max(w) < alphabet):
         for c in w:  # name the first offending symbol
             if c is None:

@@ -243,8 +243,9 @@ def _zigzag(v: int) -> int:
     return 2 * v if v >= 0 else -2 * v - 1
 
 
-def _packed_bits(values: List[int], width: int) -> Tuple[int, ...]:
-    """The bits of the values, each at `width` bits, first value first.
+def _packed_bits(values: List[int], width: int) -> bytes:
+    """The bits of the values, each at `width` bits, first value first, as
+    one 0/1 byte per bit: the form `PrefixFreeCompressor(2)` reads.
 
     The values become one integer by merging neighbours pairwise, which
     keeps every merge level linear in the total size; a zero put in front
@@ -257,7 +258,7 @@ def _packed_bits(values: List[int], width: int) -> Tuple[int, ...]:
             values = [0] + values
         values = [a << width | b for a, b in zip(values[::2], values[1::2])]
         width *= 2
-    return tuple(format(values[0], f"0{total}b").encode().translate(dy._DIGIT_VALUES))
+    return format(values[0], f"0{total}b").encode().translate(dy._DIGIT_VALUES)
 
 
 def pseudo_orbit_code_bits(
@@ -313,7 +314,7 @@ def pseudo_orbit_code_bits(
             fixed = first_cost + elias_len(ci + 1) + elias_len(_zigzag(offset) + 1)
             fixed += elias_len(width + 1)
             count = ends[members[-1]] - 1
-            bits: Tuple[int, ...] = ()
+            bits = b""
             if width:
                 base = offset + half
                 bits = _packed_bits([r - base for r in shifted[:count]], width)

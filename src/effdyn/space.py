@@ -46,6 +46,36 @@ def unpair(n: int) -> Tuple[int, int]:
     return s - b, b
 
 
+# Words of at most this many symbols are split and joined one digit at a
+# time; longer ones in halves, by one wide divmod or product by k**h.
+_DIGIT_LEAF = 32
+
+
+def _split_digits(value: int, k: int, length: int) -> list:
+    """The `length` base-k digits of value < k**length, most significant
+    first."""
+    if length > _DIGIT_LEAF:
+        h = length // 2
+        high, low = divmod(value, k**h)
+        return _split_digits(high, k, length - h) + _split_digits(low, k, h)
+    digits = []
+    for _ in range(length):
+        value, digit = divmod(value, k)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def _join_digits(word, k: int) -> int:
+    """The base-k value of the word, most significant digit first."""
+    if len(word) > _DIGIT_LEAF:
+        h = len(word) // 2
+        return _join_digits(word[:-h], k) * k**h + _join_digits(word[-h:], k)
+    value = 0
+    for c in word:
+        value = value * k + c
+    return value
+
+
 @dataclass(frozen=True)
 class Space:
     kind: Kind
@@ -71,18 +101,16 @@ class Space:
             num, level = unpair(index)
             return F(num % (1 << level), 1 << level)
         k = self.alphabet
-        length = 0
-        block = 1
-        remaining = index
-        while remaining >= block:
-            remaining -= block
+        # the length L is the largest with the (k^L - 1)/(k - 1) shorter
+        # words at most index, that is with k^L <= index*(k - 1) + 1; the
+        # float estimate, less one for rounding, is at most two below it
+        top = index * (k - 1) + 1
+        length = max(int((top.bit_length() - 1) / math.log2(k)) - 1, 0)
+        block = k**length
+        while block * k <= top:
             block *= k
             length += 1
-        word = []
-        for _ in range(length):
-            word.append(remaining % k)
-            remaining //= k
-        return tuple(reversed(word))
+        return tuple(_split_digits(index - (block - 1) // (k - 1), k, length))
 
     def encode_dyadic(self, q: F) -> int:
         """Index of the dyadic rational q (interval and circle kinds)."""
@@ -99,15 +127,7 @@ class Space:
         k = self.alphabet
         if any(not 0 <= c < k for c in word):
             raise ValueError(f"word {word} outside alphabet of size {k}")
-        offset = 0
-        block = 1
-        for _ in range(len(word)):
-            offset += block
-            block *= k
-        value = 0
-        for c in word:
-            value = value * k + c
-        return offset + value
+        return (k ** len(word) - 1) // (k - 1) + _join_digits(word, k)
 
     # -- exact metric on ideal descriptions ------------------------------
 

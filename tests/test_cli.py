@@ -185,6 +185,27 @@ def test_list_commands(capsys):
         assert f"[grids] {', '.join(options)}\n" in out
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 100, 255, 300])
+def test_seeded_shift_symbols_are_randrange_draws(k):
+    """A seed's shift point reads rng.randrange(k) per symbol for its first
+    `bits` symbols and zeros after, whether the draws are made in bulk
+    (k < 256) or one at a time."""
+    import random
+
+    from effdyn import dynamics as dy
+
+    cfg = configparser.ConfigParser()
+    seeds = (0, 1, 2024, (1 << 31) - 1)
+    cfg.read_string(f"[grids]\nseeds = {','.join(map(str, seeds))}\n")
+    for bits in (1, 64, 65, 4160):
+        points = cli.build_points(cfg, dy.shift(k), bits)
+        assert [label for label, _ in points] == [f"seed={seed}" for seed in seeds]
+        for seed, (_, point) in zip(seeds, points):
+            rng = random.Random(seed)
+            expected = tuple(rng.randrange(k) for _ in range(bits))
+            assert tuple(point.exact(j) for j in range(bits + 3)) == expected + (0, 0, 0), (seed, bits)
+
+
 def test_seeded_symbol_rate_run(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -475,6 +496,28 @@ def test_compare_refuses_bad_input(tmp_path, capsys):
         assert cli.main(["compare", str(report_path), str(oracle_path), tol]) == 2, (report_path, oracle_path, tol)
         out, err = capsys.readouterr()
         assert not out and err.startswith("compare error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("h1,doubling,rate,0,x,", "has the value 'x', not a number"),
+        ("h1,shift(2),rate,0,,", "has the value '', not a number"),
+        ("h1,doubling", "does not have the 6 CSV fields"),
+        ("h1,doubling,rate,0,1.0,,", "does not have the 6 CSV fields"),
+    ],
+)
+def test_compare_refuses_malformed_rows(tmp_path, capsys, row, problem):
+    """A row with a missing or extra field or a value that is not a number
+    exits 2 with one line naming its line, whether the oracle matches it
+    or not."""
+    report = tmp_path / "report.csv"
+    report.write_text(f"method,system,param,n,value,diag\nh1,doubling,rate,0,1.0,\n{row}\n")
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"h1:doubling": 1.0}))
+    assert cli.main(["compare", str(report), str(oracle), "0.01"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"compare error: {report} line 3 {problem}\n"
 
 
 @pytest.mark.parametrize(

@@ -199,8 +199,11 @@ def test_word_check_names_the_first_offending_symbol():
 @pytest.mark.parametrize("alphabet", [3, 256, 300])
 def test_word_check_keeps_its_answers_on_odd_symbols(alphabet):
     """The bytes fast path for alphabets up to 256 accepts and rejects
-    exactly what the symbol-by-symbol check does, with the same message."""
+    exactly what the symbol-by-symbol check does, with the same message;
+    an accepted word comes back as bytes there and as a tuple on wider
+    alphabets or when a symbol is not a byte."""
     check = cd._check_word
+    held = bytes if alphabet <= 256 else tuple
     with pytest.raises(cd.UnknownSymbol, match=r"^word contains an unresolved symbol$"):
         check((0, None, 1), alphabet)
     for bad in (-1, alphabet, 256, 1 << 70):
@@ -210,9 +213,16 @@ def test_word_check_keeps_its_answers_on_odd_symbols(alphabet):
     # bools and floats inside the alphabet pass through unchanged, as they always did
     word = check((0, True, 1.0, 2), alphabet)
     assert word == (0, True, 1.0, 2) and word[1] is True and isinstance(word[2], float)
+    assert type(word) is tuple
     with pytest.raises(ValueError, match=rf"^symbol {float(alphabet)} outside alphabet of size {alphabet}$"):
         check((1.0, float(alphabet)), alphabet)
-    assert check(range(3), alphabet) == (0, 1, 2) and check((), alphabet) == ()
+    for word in (range(3), [0, 1, 2], (0, 1, 2), b"\0\1\2"):
+        assert tuple(check(word, alphabet)) == (0, 1, 2) and type(check(word, alphabet)) is held
+    assert tuple(check((), alphabet)) == () and type(check((), alphabet)) is held
+    # a bytes word is checked against the alphabet like any other
+    if alphabet < 256:
+        with pytest.raises(ValueError, match=rf"^symbol {alphabet} outside alphabet of size {alphabet}$"):
+            check(bytes((0, alphabet, 1)), alphabet)
 
 
 def test_rate_on_constant_run():

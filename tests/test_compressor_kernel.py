@@ -520,6 +520,34 @@ def test_budgeted_prefix_costs_on_the_seeded_corpus():
                 assert g == e if e < b else b <= g <= e
 
 
+@pytest.mark.parametrize("k", (2, 3, 256))
+@pytest.mark.parametrize("style", ("random", "zeros", "periodic", "biased"))
+def test_bytes_words_cost_and_code_as_their_tuples(k, style, monkeypatch):
+    """`_check_word` hands the kernels a word's bytes; with a check that
+    hands them the tuple instead, bits_len, prefix_bits_len, encode and
+    budgeted `_prefix_bits_len` give the same values and codewords, on
+    tuple, list and bytes inputs."""
+    check = cd._check_word
+    rng = random.Random(f"{k}-{style}")
+    comp = cd.PrefixFreeCompressor(k)
+    for n in (0, 1, 5, 300, 2000):
+        word = (0,) * n if style == "zeros" else make_word(rng, k, style, n)
+        ends = [m for m in _corpus_ends(n) if m <= n]
+        budgets = [rng.randint(0, n + 64) for _ in ends]
+        answers = []
+        for form in (tuple, bytes):
+            monkeypatch.setattr(cd, "_check_word", lambda w, a: form(check(w, a)))
+            got = []
+            for given in (word, list(word), bytes(word)):
+                assert type(cd._check_word(given, k)) is form
+                got.append((comp.bits_len(given), comp.prefix_bits_len(given, ends), comp.encode(given)))
+            assert got[1:] == got[:-1]
+            checked = cd._check_word(word, k)
+            answers.append((got[0], comp._prefix_bits_len(checked, ends, budgets)))
+        assert answers[0] == answers[1], n
+        assert comp.decode(answers[1][0][2]) == word
+
+
 def test_binomial_bound_is_certified():
     def check(m, r):
         bound, size = cd._log2_comb_floor(m, r), math.comb(m, r)

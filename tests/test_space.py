@@ -55,6 +55,54 @@ def test_decode_total_on_naturals(line, seq2):
         assert all(c in (0, 1) for c in w)
 
 
+def _reference_decode(k, index):
+    """Sequence-space decode one symbol at a time: peel the length block by
+    block, then the digits by % k and // k."""
+    length, block, remaining = 0, 1, index
+    while remaining >= block:
+        remaining -= block
+        block *= k
+        length += 1
+    word = []
+    for _ in range(length):
+        word.append(remaining % k)
+        remaining //= k
+    return tuple(reversed(word))
+
+
+def _reference_encode_word(k, word):
+    offset, block = 0, 1
+    for _ in range(len(word)):
+        offset += block
+        block *= k
+    value = 0
+    for c in word:
+        value = value * k + c
+    return offset + value
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_word_numbering_matches_per_symbol_loops(k):
+    """The divide-and-conquer decode and encode_word give the per-symbol
+    loops' answers around every length offset (k^L - 1)/(k - 1) tried, on
+    both sides of the digit leaves and up to about 5,000 symbols."""
+    import random
+
+    space = sp.cantor(k)
+    rng = random.Random(k)
+    lengths = list(range(70)) + [95, 96, 97, 127, 128, 129, 255, 256, 257, 1000, 1023, 1024, 1025]
+    lengths += [2047, 2048, 2049, 4095, 4096, 4097, 5000]
+    for length in lengths:
+        offset = _reference_encode_word(k, (0,) * length)
+        for index in (offset - 1, offset, offset + 1):
+            if index >= 0:
+                assert space.decode(index) == _reference_decode(k, index)
+        for word in ((k - 1,) * length, tuple(rng.randrange(k) for _ in range(length))):
+            index = space.encode_word(word)
+            assert index == _reference_encode_word(k, word)
+            assert space.decode(index) == word
+
+
 def test_interval_distance(line):
     x = sp.rational_point(line, F(1, 4))
     y = sp.rational_point(line, F(3, 4))
