@@ -38,7 +38,6 @@ from effdyn.measure import (
     AlmostDecidableSet,
     ComputableMeasure,
     almost_decidable_radius,
-    condition,
     measure_of_ad_set,
 )
 from effdyn.numerics import Interval, Rational, eval_f, eval_J, log2

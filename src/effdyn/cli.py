@@ -433,7 +433,6 @@ def cmd_run(args) -> int:
         return 2
     except (
         dy.PrecisionBlowup,
-        ms.ZeroMassCondition,
         ms.InvalidWitness,
         sb.UnsupportedCylinder,
         en.OracleUnavailable,

@@ -41,24 +41,23 @@ class MapKind(Enum):
 
 @dataclass(frozen=True)
 class System:
-    """A computable endomorphism with an optional tagged invariant measure."""
+    """A computable endomorphism of one of the zoo's spaces."""
 
     space: Space
     map_kind: MapKind
     angle: Union[F, Point, None] = None  # rotations only
-    measure: object = None  # ComputableMeasure known invariant for the map
     name: str = ""
 
 
-def doubling(measure=None) -> System:
-    return System(unit_interval(), MapKind.DOUBLING, measure=measure, name="doubling")
+def doubling() -> System:
+    return System(unit_interval(), MapKind.DOUBLING, name="doubling")
 
 
-def tent(measure=None) -> System:
-    return System(unit_interval(), MapKind.TENT, measure=measure, name="tent")
+def tent() -> System:
+    return System(unit_interval(), MapKind.TENT, name="tent")
 
 
-def rotation(angle=None, measure=None) -> System:
+def rotation(angle=None) -> System:
     """Circle rotation; the default angle is sqrt(2)-1, whose continued
     fraction gives known recurrence times for tests."""
     if angle is None:
@@ -71,11 +70,11 @@ def rotation(angle=None, measure=None) -> System:
         angle = F(angle)
         angle -= angle.numerator // angle.denominator
         name = f"rotation({angle})"
-    return System(circle(), MapKind.ROTATION, angle=angle, measure=measure, name=name)
+    return System(circle(), MapKind.ROTATION, angle=angle, name=name)
 
 
-def shift(alphabet: int = 2, measure=None) -> System:
-    return System(cantor(alphabet), MapKind.SHIFT, measure=measure, name=f"shift({alphabet})")
+def shift(alphabet: int = 2) -> System:
+    return System(cantor(alphabet), MapKind.SHIFT, name=f"shift({alphabet})")
 
 
 @dataclass(frozen=True)

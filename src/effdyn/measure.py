@@ -41,10 +41,6 @@ _START = operator.itemgetter(0)
 _LABEL = operator.itemgetter(2)
 
 
-class ZeroMassCondition(ValueError):
-    """Conditioning set has no certified positive mass."""
-
-
 class InvalidWitness(ValueError):
     """Almost-decidable gap witness failed to certify."""
 
@@ -139,14 +135,6 @@ class CylinderRegion:
 
     words: Tuple[Tuple[int, ...], ...]
 
-    def intersect(self, other: "CylinderRegion") -> "CylinderRegion":
-        out = []
-        for u in self.words:
-            for v in other.words:
-                if u[: len(v)] == v or v[: len(u)] == u:
-                    out.append(u if len(u) >= len(v) else v)
-        return CylinderRegion(_canonical_words(out))
-
 
 def _canonical_words(words) -> Tuple[Tuple[int, ...], ...]:
     kept = []
@@ -168,13 +156,6 @@ def ball_to_cylinder(ball: IdealBall) -> Optional[Tuple[int, ...]]:
     return word[:length]
 
 
-def region_of_pieces(space: Space, den: int, pieces):
-    """The interval or circle region of raw integer pieces (a, b) over den."""
-    if space.kind is Kind.CIRCLE:
-        return _circle_of_arcs(den, pieces)
-    return LineRegion(den, tuple(_merge_pieces(pieces)))
-
-
 def region_of_balls(space: Space, balls: Sequence[IdealBall]):
     """The union of open balls: integer pieces over the lcm of the ball ends'
     denominators on the interval and circle, cylinder words on sequence space."""
@@ -184,7 +165,10 @@ def region_of_balls(space: Space, balls: Sequence[IdealBall]):
     if space.kind in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
         ends = [(b.center_desc - b.radius, b.center_desc + b.radius) for b in balls]
         den = math.lcm(*(q.denominator for end in ends for q in end))
-        return region_of_pieces(space, den, [(int(a * den), int(b * den)) for a, b in ends])
+        pieces = [(int(a * den), int(b * den)) for a, b in ends]
+        if space.kind is Kind.CIRCLE:
+            return _circle_of_arcs(den, pieces)
+        return LineRegion(den, tuple(_merge_pieces(pieces)))
     if space.kind is Kind.CANTOR:
         return CylinderRegion(_canonical_words(ball_to_cylinder(b) for b in balls))
     raise SpaceMismatch(f"no measure support for {space}")
@@ -325,16 +309,6 @@ def stationary_distribution(rows: Sequence[Sequence[F]]) -> Tuple[F, ...]:
     return tuple(mat[i][n] for i in range(k))
 
 
-@dataclass(frozen=True)
-class _ConditionedModel:
-    base: object
-    window: object  # Region of the conditioning set's inner open set
-    mass: F
-
-    def region_measure(self, region) -> F:
-        return self.base.region_measure(region.intersect(self.window)) / self.mass
-
-
 def _check_weights(weights, what: str) -> None:
     if min(weights, default=0) < 0:
         raise ValueError(f"{what} must not be negative")
@@ -359,11 +333,8 @@ class ComputableMeasure:
     def is_lebesgue(self) -> bool:
         return self.model == _MixtureModel(F(1), ())
 
-    def region(self, balls: Sequence[IdealBall]):
-        return region_of_balls(self.space, balls)
-
     def exact_union(self, balls: Sequence[IdealBall]) -> F:
-        return self.model.region_measure(self.region(balls))
+        return self.model.region_measure(region_of_balls(self.space, balls))
 
     def lower(self, balls: Sequence[IdealBall], budget: int) -> F:
         return dyadic_floor(self.exact_union(balls), budget)
@@ -378,7 +349,13 @@ class ComputableMeasure:
 
     @classmethod
     def lebesgue_with_atoms(cls, space: Space, base_weight, atoms) -> "ComputableMeasure":
+        """base_weight times Lebesgue plus point masses (position, weight):
+        interval positions in [0, 1], circle positions read mod 1."""
+        if space.kind not in (Kind.UNIT_INTERVAL, Kind.CIRCLE):
+            raise SpaceMismatch("lebesgue lives on the interval or circle")
         atoms = tuple((F(q), F(w)) for q, w in atoms)
+        if space.kind is Kind.UNIT_INTERVAL and not all(0 <= q <= 1 for q, _ in atoms):
+            raise ValueError("point masses on the interval must lie in [0, 1]")
         base_weight = F(base_weight)
         _check_weights((base_weight, *(w for _, w in atoms)), "weights")
         return cls(space, "lebesgue+atoms", _MixtureModel(base_weight, atoms))
@@ -496,22 +473,6 @@ def measure_of_ad_set(mu: ComputableMeasure, ad: AlmostDecidableSet, precision: 
                 f"gap witness failed: mu(U)+mu(V) lower bounds reach {low_in + low_out}"
             )
         budget += 4
-
-
-def condition(mu: ComputableMeasure, ad: AlmostDecidableSet) -> ComputableMeasure:
-    """The induced measure mu(. | A), exact for zoo measures.
-
-    mu(A) equals the exact mass of the inner open set once the gap
-    certifies at precision 24, and conditional values are mu(W n U) / mu(A).
-    """
-    enclosure = measure_of_ad_set(mu, ad, 24)
-    if enclosure.lo <= 0:
-        raise ZeroMassCondition("no positive lower bound on the conditioning set")
-    mass = mu.exact_union(ad.inside)
-    window = mu.region(ad.inside)
-    return ComputableMeasure(
-        mu.space, f"{mu.name}|conditioned", _ConditionedModel(mu.model, window, mass)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,6 @@ class TypicalityResult:
     residuals: Tuple[Tuple[str, float], ...]
     max_residual: float
     undecided_fraction: float
-    tolerance: float
     verdict: Optional[bool]  # None: inconclusive or below the minimum horizon
 
     @property
@@ -209,7 +208,7 @@ def _verdict(mu, residuals, targets, n, undecided_fraction, tol, horizon_ok) -> 
     verdict: Optional[bool] = None
     if horizon_ok and undecided_fraction <= tol / 2:
         verdict = _within_tol(mu, targets, n, tol)
-    return TypicalityResult(tuple(residuals), worst, undecided_fraction, tol, verdict)
+    return TypicalityResult(tuple(residuals), worst, undecided_fraction, verdict)
 
 
 def recurrence_stat(sys: dy.System, x: Point, n: int) -> F:

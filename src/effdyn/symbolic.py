@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from effdyn import dynamics as dy
-from effdyn.measure import _START, ComputableMeasure, _merge_pieces, _MixtureModel, _ProductWordModel, region_of_pieces
+from effdyn.measure import _START, ComputableMeasure, _merge_pieces, _MixtureModel, _ProductWordModel
 from effdyn.space import Kind, Point, Space, SpaceMismatch
 
 F = Fraction
@@ -115,18 +115,6 @@ class ComputablePartition:
                 if len(word) >= len(cyl) and tuple(word[: len(cyl)]) == tuple(cyl):
                     return i
         return None
-
-    def boundary_neighborhood_measure(self, mu: ComputableMeasure, radius: F) -> F:
-        """Exact mass of the union of radius-balls around the atoms' piece
-        ends, taken mod 1 on the circle; 0 and 1 are interior on the interval."""
-        circle = self.space.kind is Kind.CIRCLE
-        den, pieces = self.layout
-        radius = F(radius)
-        scale = math.lcm(den, radius.denominator)
-        up, r = scale // den, radius.numerator * (scale // radius.denominator)
-        ends = {q % den if circle else q for a, b, _ in pieces for q in (a, b)}
-        balls = [(q * up - r, q * up + r) for q in ends if circle or 0 < q < den]
-        return mu.model.region_measure(region_of_pieces(self.space, scale, balls))
 
 
 def halves(space: Space) -> ComputablePartition:
@@ -428,8 +416,10 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     formula on labelled integer pieces, `_MixtureModel.masses`, over
     N = D * 2**(d-1) or D: (base * length + N * inside) / (W * N), where
     inside sums the weights of the point masses strictly inside one of the
-    cylinder's pieces (anywhere on the whole circle).  Lebesgue, and mu
-    None, is base 1 over W = 1 with no point masses; other models raise
+    cylinder's pieces (anywhere on the whole circle).  As in coding, 0 and
+    1 are interior on the interval: a point mass at 0 is in the piece from
+    0, and the tent map's at 1 in the piece to N.  Lebesgue, and mu None,
+    is base 1 over W = 1 with no point masses; other models raise
     UnsupportedCylinder.
     """
     kind = sys.map_kind
@@ -493,6 +483,14 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
         ]
     every = sorted((a, b, i) for i, atom in enumerate(cuts) for a, b in atom)
     each = [[(a, b, 0) for a, b in sorted(atom)] for atom in cuts]
+    # the weights of the point masses at the interval's ends, which
+    # `masses` finds in no piece (doubling reads 1 as 0)
+    at_zero = at_one = 0
+    for num, qden, weight in [] if circle else model.integer_weights[1]:
+        if num == 0 or num == qden and kind is dy.MapKind.DOUBLING:
+            at_zero += weight
+        elif num == qden:
+            at_one += weight
 
     def step(level, d, symbol):
         if level is None:
@@ -516,6 +514,12 @@ def pullback(sys: dy.System, mu: Optional[ComputableMeasure], partition: Computa
     def weigh(level, d):
         span = den if circle else den << (d - 1)
         masses = model.masses(level, span, circle, circle and _whole(level, span))
+        if at_zero and level and level[0][0] == 0:
+            c = level[0][2]
+            masses[c] = (masses[c][0] + span * at_zero, masses[c][1])
+        if at_one and level and level[-1][1] == span:
+            c = level[-1][2]
+            masses[c] = (masses[c][0] + span * at_one, masses[c][1])
         if None in masses:
             labels = [c for c, mass in enumerate(masses) if mass is not None]
             dense = dict(zip(labels, range(len(labels))))

@@ -4,20 +4,18 @@
 circle as sorted disjoint integer pieces over one denominator, and
 `_MixtureModel.masses` weighs them.  The reference is the `Fraction`
 region algebra of `fraction_regions`.  Exact masses, the lower oracle,
-intersections, the grid-exhaustion route and conditioned masses must
-agree with it exactly, on random rational balls, arcs across 0, point
+intersections and the grid-exhaustion route must agree with it exactly, on random rational balls, arcs across 0, point
 masses on ball edges and at 0 and 1, the whole circle and balls of
 radius 1/2.
 """
 
 from fractions import Fraction as F
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effdyn import measure as ms
 from effdyn import space as sp
-from effdyn import symbolic as sb
 from effdyn.numerics import Interval, dyadic_floor
 
 import fraction_regions as fr
@@ -105,49 +103,6 @@ def test_intersections_match_fraction_regions(case):
     reference = fr.region_of_balls(space, union).intersect(fr.region_of_balls(space, other))
     assert _fraction_pieces(meet) == reference
     assert mu.model.region_measure(meet) == fr.region_measure(mu.model, reference)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    SPACES.flatmap(lambda space: st.tuples(st.just(space), _unions(space))),
-    st.integers(0, 15),
-    st.integers(1, 16),
-)
-def test_conditioned_masses_match_fraction_regions(case, start, width):
-    space, (union, mu) = case
-    a, b = F(start, 16), F(min(start + width, 16), 16)
-    assume(a < b)
-    ad = ms.AlmostDecidableSet.from_interval(space, a, b)
-    try:
-        conditioned = ms.condition(mu, ad)
-    except (ms.InvalidWitness, ms.ZeroMassCondition):
-        assume(False)
-    window = fr.region_of_balls(space, ad.inside)
-    mass = fr.region_measure(mu.model, window)
-    expected = fr.region_measure(mu.model, fr.region_of_balls(space, union).intersect(window)) / mass
-    assert conditioned.exact_union(union) == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    SPACES,
-    st.lists(st.fractions(F(1, 64), F(63, 64), max_denominator=64), min_size=1, max_size=4, unique=True),
-    st.fractions(F(1, 64), F(63, 128), max_denominator=128),
-    st.sampled_from([(1, ()), (HALF, ((0, F(1, 4)), (HALF, F(1, 4))))]),
-)
-def test_boundary_neighborhood_matches_balls_around_the_ends(space, cuts, radius, weights):
-    """Below radius 1/2, the integer region around a partition's piece ends
-    weighs what the balls of `interval_as_balls` around them weigh."""
-    ends = [F(0)] + sorted(cuts) + [F(1)]
-    partition = sb.ComputablePartition(space, tuple(((a, b),) for a, b in zip(ends, ends[1:])))
-    mu = ms.ComputableMeasure.lebesgue_with_atoms(space, *weights)
-    around = [
-        ball
-        for q in (ends if space is WHEEL else ends[1:-1])
-        for ball in ms.interval_as_balls(space, q - radius, q + radius)
-    ]
-    expected = fr.region_measure(mu.model, fr.region_of_balls(space, around))
-    assert partition.boundary_neighborhood_measure(mu, radius) == expected
 
 
 def test_circle_ball_of_radius_half_leaves_out_its_antipode():

@@ -377,19 +377,29 @@ output = out/signed
 
 def test_signed_measures_are_config_errors(tmp_path, capsys):
     # weights summing to 1 with one negative: the first wrote H_1 = H_2 =
-    # 0.954 and exited 0, the other two failed in -log2 with exit 1
+    # 0.954 and exited 0, the other two failed in -log2 with exit 1; point
+    # masses off the interval wrote H = 1, 1.5, 2 and exited 0, and on a
+    # shift failed with exit 1
     rotation = {"system": "rotation", "angle": "angle = 1/2\n", "partition": "dyadic"}
     shift = {"system": "shift", "angle": "", "partition": "cylinders", "level": "length = 1\n"}
+    line = {"system": "doubling", "angle": "", "partition": "halves", "level": ""}
     signed = [
         ("atoms", dict(rotation, level="level = 1\n"), "kind = lebesgue-atoms\nbase_weight = 5/4\natoms = 1/5:-1/4"),
         ("atoms", dict(rotation, level="level = 2\n"), "kind = lebesgue-atoms\nbase_weight = 2\natoms = 1/5:-1"),
         ("rows", shift, "kind = markov\nrows = 3/2,-1/2;1,0"),
     ]
-    for i, (option, system, measure) in enumerate(signed):
+    placed = [
+        ("atoms", line, "kind = lebesgue-atoms\nbase_weight = 1/2\natoms = 3/2:1/2", "[0, 1]"),
+        ("atoms", line, "kind = lebesgue-atoms\nbase_weight = 1/2\natoms = -1/4:1/2", "[0, 1]"),
+        ("atoms", shift, "kind = lebesgue-atoms\nbase_weight = 1/2\natoms = 1/4:1/2", "interval or circle"),
+    ]
+    cases = [case + ("negative",) for case in signed] + placed
+    for i, (option, system, measure, reason) in enumerate(cases):
         cfg = write_cfg(tmp_path, SIGNED_MEASURE_BLOCK.format(measure=measure, **system), f"signed-{i}.cfg")
         assert cli.main(["run", str(cfg)]) == 2, measure
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: [measure] {option}: invalid value") and "negative" in err, err
+        assert err.startswith(f"config error: [measure] {option}: invalid value") and reason in err, err
+        assert err.count("\n") == 1, err
     assert not list(tmp_path.glob("**/*.csv"))
 
 

@@ -2,9 +2,10 @@
 
 `symbolic.pullback` holds each level of cylinders as one labelled piece
 list and pulls, cuts and weighs it whole.  The reference below is the
-walk it replaced, kept here as it was: one region per cylinder, pulled
-back, cut to one atom and weighed on its own, with the level built by
-extending each region by each atom in turn.  Entropies must agree float
+walk it replaced: one region per cylinder, pulled back, cut to one atom
+and weighed on its own, with the level built by extending each region by
+each atom in turn.  It is kept as it was, except that it weighs point
+masses at 0 and 1 where coding puts their points.  Entropies must agree float
 for float, and regions and masses exactly.  The walk is also bounded:
 a level that could exceed `symbolic.BLOCK_LEVEL_CAP` pieces is refused
 before it is built.
@@ -71,8 +72,12 @@ def _whole(arcs, den):
     return len(arcs) == 1 and arcs[0][1] - arcs[0][0] == den
 
 
-def _piece_mass(mu, circle):
-    """mass(pieces, den) of one region, as an integer pair."""
+def _piece_mass(mu, kind):
+    """mass(pieces, den) of one region, as an integer pair.  A point mass
+    counts where coding puts its point: strictly inside a piece, where on
+    the interval 0 and 1 are interior to the pieces that end there, and
+    doubling reads 1 as 0."""
+    circle = kind is dy.MapKind.ROTATION
     model = mu.model
     scale = math.lcm(model.base_weight.denominator, *(w.denominator for _, w in model.atoms))
     base = model.base_weight.numerator * (scale // model.base_weight.denominator)
@@ -80,12 +85,17 @@ def _piece_mass(mu, circle):
 
     def mass(pieces, den):
         inside = 0
+        length = sum(b - a for a, b in pieces)
+        if not circle:
+            pieces = [(-1 if a == 0 else a, den + 1 if b == den else b) for a, b in pieces]
         for num, qden, weight in atoms:
             p = num * (den // qden)
+            if kind is dy.MapKind.DOUBLING:
+                p %= den
             lifts = (p % den, p % den + den) if circle else (p,)
             if circle and _whole(pieces, den) or any(a < x < b for a, b in pieces for x in lifts):
                 inside += weight
-        return base * sum(b - a for a, b in pieces) + den * inside, scale * den
+        return base * length + den * inside, scale * den
 
     return mass
 
@@ -101,7 +111,7 @@ def _region_pullback(sys, mu, partition):
             lambda word, i, d: sb._prepend(words[i], word),
             lambda word, d: mu.word_measure(word).as_integer_ratio(),
         )
-    piece_mass = None if mu is None else _piece_mass(mu, kind is dy.MapKind.ROTATION)
+    piece_mass = None if mu is None else _piece_mass(mu, kind)
     den = _grid_den(sys, mu, partition)
     atoms = [[(int(a * den), int(b * den)) for a, b in ms._merge_pieces(atom)] for atom in partition.atoms]
     if kind is dy.MapKind.ROTATION:

@@ -188,38 +188,6 @@ def test_invalid_witness_detected(lebesgue):
         ms.measure_of_ad_set(lebesgue, bad, 6)
 
 
-def test_condition_on_left_half(lebesgue):
-    left = ms.AlmostDecidableSet.from_interval(LINE, 0, F(1, 2))
-    cond = ms.condition(lebesgue, left)
-    assert cond.exact_union([ball(LINE, F(1, 8), F(1, 8))]) == F(1, 2)
-    # conditional mass of the conditioning set itself is 1
-    again = ms.measure_of_ad_set(cond, left, 10)
-    assert again.contains(1)
-
-
-def test_condition_on_full_space(lebesgue):
-    full = ms.AlmostDecidableSet.from_balls(
-        LINE, [sp.IdealBall(LINE, LINE.encode_dyadic(F(1, 2)), F(2))], []
-    )
-    cond = ms.condition(lebesgue, full)
-    probe = [ball(LINE, F(1, 4), F(1, 8))]
-    assert cond.exact_union(probe) == lebesgue.exact_union(probe)
-
-
-def test_condition_cylinder(coin):
-    one = ms.AlmostDecidableSet.from_cylinder(SEQ2, (1,))
-    cond = ms.condition(coin, one)
-    assert cond.exact_union([ms.cylinder_as_ball(SEQ2, (1, 1))]) == F(1, 2)
-
-
-def test_condition_zero_mass_rejected(lebesgue):
-    nothing = ms.AlmostDecidableSet.from_balls(
-        LINE, [], [sp.IdealBall(LINE, LINE.encode_dyadic(F(1, 2)), F(2))]
-    )
-    with pytest.raises(ms.ZeroMassCondition):
-        ms.condition(lebesgue, nothing)
-
-
 # -- continuity-radius search -------------------------------------------------
 
 
@@ -276,6 +244,19 @@ def test_negative_weights_are_refused_and_zero_weights_kept():
     for build in signed:
         with pytest.raises(ValueError, match="must not be negative"):
             build()
+    # point masses off the interval, or on a sequence space, were kept
+    # and then lost: their mass was in no region and no cylinder
+    placed = [
+        (lambda: cm.lebesgue_with_atoms(LINE, F(1, 2), [(F(3, 2), F(1, 2))]), "must lie in"),
+        (lambda: cm.lebesgue_with_atoms(LINE, F(1, 2), [(F(-1, 4), F(1, 2))]), "must lie in"),
+        (lambda: cm.lebesgue_with_atoms(SEQ2, F(1, 2), [(F(1, 4), F(1, 2))]), "interval or circle"),
+    ]
+    for build, reason in placed:
+        with pytest.raises(ValueError, match=reason):
+            build()
+    # circle positions are read mod 1
+    around = [ball(WHEEL, F(1, 2), F(1, 8))]
+    assert cm.lebesgue_with_atoms(WHEEL, F(1, 2), [(F(3, 2), F(1, 2))]).exact_union(around) == F(5, 8)
     assert cm.lebesgue_with_atoms(LINE, F(0), [(F(1, 5), F(1)), (F(1, 2), F(0))]).model.base_weight == 0
     assert cm.bernoulli(SEQ2, [F(1), F(0)]).word_measure((1,)) == 0
     chain = cm.markov(SEQ2, [[F(1), F(0)], [F(1, 2), F(1, 2)]], initial=[F(1), F(0)])

@@ -326,11 +326,11 @@ def test_rotation_local_info_matches_circle_loop(sys):
 
 def test_conditioned_measures_are_refused():
     # only Lebesgue and its mixtures with point masses have integer masses
+    # on the interval and circle; any other model is refused
     line = sp.unit_interval()
     for sys, space in ((dy.doubling(), line), (dy.rotation(F(1, 3)), WHEEL)):
-        mu = ms.ComputableMeasure.lebesgue(space)
-        half = ms.condition(mu, ms.AlmostDecidableSet.from_interval(space, 0, F(1, 2)))
+        other = ms.ComputableMeasure(space, "words", ms._ProductWordModel((F(1, 2), F(1, 2)), None))
         with pytest.raises(sb.UnsupportedCylinder):
-            sb.cylinder_measure(sys, half, sb.halves(space), (0, 1))
+            sb.cylinder_measure(sys, other, sb.halves(space), (0, 1))
         with pytest.raises(sb.UnsupportedCylinder):
-            en.block_entropy(sys, half, sb.halves(space), 2)
+            en.block_entropy(sys, other, sb.halves(space), 2)

@@ -147,24 +147,25 @@ def test_cylinder_additivity_markov():
 
 
 def test_cylinder_measures_sum_to_one_per_level():
-    sys = dy.tent()
-    mu = ms.ComputableMeasure.lebesgue(LINE)
+    # coding counts 0 and 1 as interior to the atoms that end there, so a
+    # point mass at either end is in the cylinder its coded orbit names;
+    # under halves every length-n cylinder has length 2**-n
     partition = sb.halves(LINE)
-    for n in (1, 2, 3, 5):
-        total = F(0)
-        for value in range(2**n):
-            word = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
-            total += sb.cylinder_measure(sys, mu, partition, word)
-        assert total == 1
-
-
-def test_boundary_neighborhood_measure():
-    partition = sb.halves(LINE)
-    mu = ms.ComputableMeasure.lebesgue(LINE)
-    assert partition.boundary_neighborhood_measure(mu, F(1, 16)) == F(1, 8)
-    wheel_partition = sb.halves(WHEEL)
-    mu_wheel = ms.ComputableMeasure.lebesgue(WHEEL)
-    assert wheel_partition.boundary_neighborhood_measure(mu_wheel, F(1, 16)) == F(1, 4)
+    atoms = {None: ms.ComputableMeasure.lebesgue(LINE)}
+    for q in (0, 1):
+        atoms[q] = ms.ComputableMeasure.lebesgue_with_atoms(LINE, F(1, 2), [(F(q), F(1, 2))])
+    for sys in (dy.doubling(), dy.tent()):
+        for q, mu in atoms.items():
+            for n in (1, 2, 3, 5):
+                total = F(0)
+                for value in range(2**n):
+                    word = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
+                    total += sb.cylinder_measure(sys, mu, partition, word)
+                assert total == 1, (sys.name, q, n)
+                if q is not None:
+                    word = sb.code_orbit(sys, sp.rational_point(LINE, q), partition, n).symbols
+                    mass = sb.cylinder_measure(sys, mu, partition, word)
+                    assert mass == F(1, 2) + F(1, 2 << n), (sys.name, q, n)
 
 
 def test_partition_atom_cap():
