@@ -187,17 +187,27 @@ def digit_windows(digits: Sequence[int], base: int, width: int, n: int) -> List[
 
 
 def dyadic_windows(sys: System, x: Point, n: int, level: int) -> Optional[Tuple[List[int], int]]:
-    """(windows, last) for a doubling point x = 0.b_0 b_1 ... with an exact
-    dyadic description, else None: windows[j] = floor(2**level * T^j x),
-    the level-bit window at j of the zero-padded expansion, for j < n, read
-    by `digit_windows` in time linear in n + level, where the exact orbit
-    over 2**bits costs n * bits; and the index of its last 1 (-1 for 0)."""
-    q = x.exact
-    if sys.map_kind is not MapKind.DOUBLING or not isinstance(q, F) or q.denominator & (q.denominator - 1):
+    """(windows, inside) for a doubling or tent point with an exact dyadic
+    description, else None: windows[j] = floor(2**level * T^j x) for j < n,
+    T^j x strictly inside that cell for j < inside and windows[j] / 2**level
+    beyond.  One pass of `digit_windows` over the zero-padded expansion
+    x = 0.b_0 b_1 ... gives the doubling windows w_j, linear in n + level
+    where the exact orbit over 2**bits is quadratic.  The tent map folds,
+    T^j = T o D^(j-1): where b_(j-1) is 1, T^j x = 1 - D^j x, the window
+    2**level - 1 - w_j inside and 2**level - w_j on the grid.  Doubling
+    takes 1 to 0; the tent map's 1 is 1 - 0, folded before step 0."""
+    q, tent = x.exact, sys.map_kind is MapKind.TENT
+    if not (tent or sys.map_kind is MapKind.DOUBLING) or not isinstance(q, F) or q.denominator & (q.denominator - 1):
         return None
-    num, bits = q.numerator % q.denominator, q.denominator.bit_length() - 1  # doubling takes 1 to 0
-    digits = format(num, f"0{bits}b")[: n + level].ljust(n + level, "0")
-    return digit_windows(digits.encode().translate(_DIGIT_VALUES), 2, level, n), bits - (num & -num).bit_length() if num else -1
+    num, bits = q.numerator % q.denominator, q.denominator.bit_length() - 1
+    digits = format(num, f"0{bits}b")[: n + level].ljust(n + level, "0").encode().translate(_DIGIT_VALUES)
+    windows = digit_windows(digits, 2, level, n)
+    inside = min(max(bits - (num & -num).bit_length() - level + 1, 0), n) if num else 0
+    if tent:
+        folds, top = bytes([q == 1]) + digits[: n - 1], (1 << level) - 1
+        windows[:inside] = [top - w if f else w for w, f in zip(windows[:inside], folds)]
+        windows[inside:] = [top + 1 - w if f else w for w, f in zip(windows[inside:], folds[inside:])]
+    return windows, inside
 
 
 def grid_preimage(kind: MapKind, pieces: List[Tuple[int, int, int]], den: int):

@@ -52,25 +52,17 @@ def _entropy_bits(masses) -> float:
     """Entropy in bits of masses given as integer pairs (numerator, denominator).
 
     Cylinder masses repeat heavily (all 2**-n under Lebesgue doubling,
-    three gap lengths for a rotation), so each distinct pair is looked up
-    once, and each distinct term is computed once, from the pair reduced
-    by gcd; the sum keeps its order, hence its rounding (adding 0.0 for a
-    null mass leaves it unchanged).
+    three gap lengths for a rotation), so each distinct pair's term is
+    computed once; the sum keeps its order, hence its rounding (adding
+    0.0 for a null mass leaves it unchanged).
     """
     total = 0.0
     seen: Dict[Tuple[int, int], float] = {}
-    terms: Dict[Tuple[int, int], float] = {}
     for pair in masses:
         term = seen.get(pair)
         if term is None:
-            num, den = pair
-            g = math.gcd(num, den)
-            key = (num // g, den // g)
-            term = terms.get(key)
-            if term is None:
-                q = F(*key)
-                term = terms[key] = float(q) * neg_log2(q) if num else 0.0
-            seen[pair] = term
+            q = F(*pair)
+            term = seen[pair] = float(q) * neg_log2(q) if q else 0.0
         total += term
     return total
 
@@ -94,13 +86,15 @@ def _rotation_gap_entropies(sys: dy.System, partition, ns: Sequence[int]) -> Dic
     the lcm of the denominators of the angle and the ends.  An irrational
     angle is taken at its 80-bit approximant, the midpoint of its
     enclosure: gap perturbations are far below the minimal three-gap scale
-    at desk-size n.
+    at desk-size n.  A deepest join of more than `sb.BLOCK_LEVEL_CAP` cut
+    points (at most |cuts| * n) is refused before any is built.
     """
     alpha = sys.angle if isinstance(sys.angle, F) else sys.angle.approx_desc(80)
     pden, pieces = partition.layout
     den = math.lcm(alpha.denominator, pden)
     step = alpha.numerator * (den // alpha.denominator)
     cuts = {q * (den // pden) % den for a, b, _ in pieces for q in (a, b)}
+    sb._check_level(len(cuts) * max(ns), max(ns))
     out = {}
     points = set()
     shift = 0
@@ -216,18 +210,22 @@ def symbol_rate(
 
 def _quantize_orbit(sys: dy.System, x: Point, n: int, p: int) -> List[int]:
     """Grid indices of spacing 2**-p following the orbit within 2**-p; for
-    a dyadic doubling point, floor(2**p T^j x) is its p-bit window.
+    a dyadic doubling or tent point, floor(2**p T^j x) is its window from
+    `dy.dyadic_windows`, clipped like the midpoints to the grid, which
+    moves only the tent map's point 1 (on the grid, past `inside`).
 
     On a shift, index j is the base-k value of the symbols s_j .. s_{j+p}
     of the point: `dy.digit_windows` of width p + 1 over the segment's
     symbol stream, which holds at least n + p + 3 of them."""
+    cells = 1 << p
     read = dy.dyadic_windows(sys, x, n, p)
     if read is not None:
-        return read[0]
+        windows, inside = read
+        windows[inside:] = [w if w < cells else cells - 1 for w in windows[inside:]]
+        return windows
     seg = dy.iterate(sys, x, n, p + 3)
     if sys.space.kind is Kind.CANTOR:
         return dy.digit_windows(seg.symbols, sys.space.alphabet, p + 1, n)
-    cells = 1 << p
     # floor(midpoint * 2**p), the midpoint being (lo + hi) / (2 * den)
     den2 = 2 * seg.den
     out = [((lo + hi) << p) // den2 for lo, hi in zip(seg.lows, seg.highs)]

@@ -157,23 +157,6 @@ def cylinders(space: Space, length: int) -> ComputablePartition:
 # ---------------------------------------------------------------------------
 
 
-def _doubling_windows(sys: dy.System, x: Point, partition: ComputablePartition, n: int):
-    """A dyadic doubling orbit by bit windows as a segment that codes as the
-    orbit does, or None off that path or if the layout's denominator is
-    not a power of two, 2**level.  Step j lies in the cell of its window w,
-    strictly inside if a 1 remains past it, else on w/2**level: no end lies
-    inside a cell, so it is 2w + 1 or 2w over 2**(level+1)."""
-    den = partition.layout[0]
-    level = den.bit_length() - 1
-    read = None if den & (den - 1) else dy.dyadic_windows(sys, x, n, level)
-    if read is None:
-        return None
-    windows, last = read
-    inside = min(max(last - level + 1, 0), n)  # the steps j <= last - level
-    steps = [2 * w + 1 for w in windows[:inside]] + [2 * w for w in windows[inside:]]
-    return dy.OrbitSegment(n, steps, steps, 2 << level)
-
-
 def code_orbit(
     sys: dy.System, x: Point, partition: ComputablePartition, n: int, precision: int = 24
 ) -> SymbolicWord:
@@ -186,8 +169,11 @@ def code_orbit(
 def _code_orbit(
     sys: dy.System, x: Point, partition: ComputablePartition, n: int, precision: int
 ) -> Tuple[SymbolicWord, dy.OrbitSegment]:
-    """`code_orbit`'s word and the segment it was coded from: bit windows
-    (dyadic doubling) or `dy.iterate`'s.  Shift step j is sliced from the
+    """`code_orbit`'s word and the segment it was coded from.  A dyadic
+    doubling or tent point on a layout over 2**level is read by
+    `dy.dyadic_windows`: no end lies inside a cell, so a step strictly
+    inside the cell of window w is 2w + 1 over 2**(level+1), one on the
+    grid 2w.  Others take `dy.iterate`'s; shift step j is sliced from the
     symbol stream as its `longest` symbols from j on, all that
     `atom_of_word` reads, and each distinct step is coded once."""
     if partition.space != sys.space:
@@ -199,9 +185,14 @@ def _code_orbit(
         table = {word: partition.atom_of_word(word) for word in set(steps)}
         symbols = tuple(map(table.__getitem__, steps))
     else:
-        seg = _doubling_windows(sys, x, partition, n)
-        if seg is None:
+        den = partition.layout[0]
+        read = None if den & (den - 1) else dy.dyadic_windows(sys, x, n, den.bit_length() - 1)
+        if read is None:
             seg = dy.iterate(sys, x, n, precision)
+        else:
+            windows, inside = read
+            steps = [2 * w + 1 for w in windows[:inside]] + [2 * w for w in windows[inside:]]
+            seg = dy.OrbitSegment(n, steps, steps, 2 * den)
         symbols = tuple(_code_segment(partition, seg.lows, seg.highs, seg.den))
     return SymbolicWord(symbols, partition.alphabet), seg
 
@@ -279,16 +270,17 @@ def _code_segment(
 # ---------------------------------------------------------------------------
 
 
-#: Largest number of pieces (words, for shifts) that one cylinder level may
-#: reach: `pullback`'s step refuses a level that could hold more with
-#: PrecisionBlowup before it builds it.  Criterion 1's deepest level holds
-#: 2**16 pieces.  At the cap, block entropy of doubling with halves under
-#: Lebesgue runs n = 19 (2**19 pieces in its last level) in 0.9-1.1 s and
-#: 187 MB peak memory and refuses n = 20; tent with dyadic-2 is refused at
-#: n = 19 after 2.1-2.8 s and 301 MB.  A binary shift reaches the cap at
-#: n = 20; under fair Bernoulli it runs n = 16 in 0.2 s and 47 MB and
-#: n = 19 in 1.7-1.9 s and 272 MB, so n = 20 takes about 4 s and 0.55 GB
-#: (CPython 3.11.7, shared 2-vCPU VM, two single runs each).
+#: Largest number of pieces (words, for shifts; cut points, for the
+#: rotation gap method's deepest join) that one cylinder level may reach:
+#: a level that could hold more is refused with PrecisionBlowup before it
+#: is built.  Criterion 1's deepest level holds 2**16 pieces.  At the cap,
+#: under Lebesgue (CPython 3.11.7, shared 2-vCPU VM, two single runs each):
+#: doubling with halves runs n = 19 in 0.9-1.1 s and 187 MB peak memory
+#: and refuses n = 20; tent with dyadic-2 is refused at n = 19 after
+#: 2.1-2.8 s and 301 MB; fair Bernoulli shift(2) runs n = 19 in 1.7-1.9 s
+#: and 272 MB (n = 20 would take about 4 s and 0.55 GB); sqrt2-1 with
+#: halves (at most |cuts| * n = 2n cut points) runs n = 2**19 in 2.4-3.1 s
+#: and 221 MB and refuses n = 2**19 + 1 at once.
 BLOCK_LEVEL_CAP = 1 << 20
 
 _END = operator.itemgetter(1)

@@ -164,6 +164,9 @@ def test_golden_report_reproduced(tmp_path, name):
         "block-bernoulli-n12",
         "h1-doubling",
         "h1-tent",
+        "symbol-rate-tent",
+        "symbol-rate-tent-dyadic-2",
+        "orbit-rate-tent",
     ],
 )
 def test_grid_golden_reproduced(tmp_path, name):

@@ -426,3 +426,28 @@ def test_level_cap_exits_1_from_a_config(tmp_path, monkeypatch, capsys):
     assert "BLOCK_LEVEL_CAP = 64" in capsys.readouterr().err
     assert max(sizes) <= 64
     assert not list(tmp_path.glob("**/*.csv"))
+
+
+def test_rotation_gap_cap_refuses_before_building(monkeypatch):
+    """The gap method's deepest join has at most |cuts| * n cut points:
+    halves has the two cuts 0 and 1/2, so n = 32 reaches a cap of 64."""
+    monkeypatch.setattr(sb, "BLOCK_LEVEL_CAP", 64)
+    sys = dy.rotation(sp.sqrt2_minus_1(WHEEL))
+    mu = ms.ComputableMeasure.lebesgue(WHEEL)
+    assert len(en.block_entropy(sys, mu, sb.halves(WHEEL), 32).rows) == 32
+    monkeypatch.setattr(en, "_entropy_bits", None)  # nothing is weighed
+    with pytest.raises(dy.PrecisionBlowup, match="level 33 could hold 66 pieces, above BLOCK_LEVEL_CAP = 64"):
+        en.block_entropy(sys, mu, sb.halves(WHEEL), 33)
+
+
+def test_rotation_gap_cap_exits_1_from_a_config(tmp_path, capsys):
+    # at n_max = 2**19, 2**20 cut points take about 2.4 s and 220 MB
+    cfg = tmp_path / "gaps.cfg"
+    cfg.write_text(
+        "[system]\nkind = rotation\nangle = sqrt2-1\n\n[measure]\nkind = lebesgue\n\n"
+        "[partition]\nkind = halves\n\n[estimator]\nkind = block-entropy\n\n"
+        "[grids]\nn_max = 524289\n\n[run]\noutput = out/gaps\n"
+    )
+    assert cli.main(["run", str(cfg)]) == 1
+    assert "could hold 1048578 pieces, above BLOCK_LEVEL_CAP = 1048576" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.csv"))

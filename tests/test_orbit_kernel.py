@@ -11,6 +11,7 @@ bound of `fraction_distance`.  The integer paths must agree with them
 exactly.
 """
 
+import contextlib
 import math
 import random
 import time
@@ -302,21 +303,47 @@ def test_code_segment_matches_atom_of_enclosure(system):
 
 
 def test_code_orbit_generic_path_matches_fast_doubling():
-    sys = dy.doubling()
     rng = random.Random(3)
     q = F(rng.getrandbits(2000) | 1, 1 << 2000)
-    seg = dy.iterate(sys, sp.rational_point(LINE, q), 2000, 24)
-    for partition in _partitions(LINE)[:2]:
-        fast = _fast_doubling_symbols(q.numerator, 2000, partition, 2000)
-        assert sb._code_segment(partition, seg.lows, seg.highs, seg.den) == fast
-        assert sb.code_orbit(sys, sp.rational_point(LINE, q), partition, 2000).symbols == tuple(fast)
+    for sys in WINDOWED:
+        seg = dy.iterate(sys, sp.rational_point(LINE, q), 2000, 24)
+        for partition in _partitions(LINE)[:2]:
+            with _windows_only():
+                fast = _window_symbols(sys, q.numerator, 2000, partition, 2000)
+            assert sb._code_segment(partition, seg.lows, seg.highs, seg.den) == fast, sys.name
 
 
-def _fast_doubling_symbols(num, bits_total, partition, n):
-    """The symbols of the bit-window segment, or None off the dyadic grid."""
+#: the maps whose dyadic points `dy.dyadic_windows` reads
+WINDOWED = [dy.doubling(), dy.tent()]
+
+
+class _Stepped(AssertionError):
+    """Raised in place of an orbit step where only bit windows may run."""
+
+
+def _stepped(*args, **kwargs):
+    raise _Stepped()
+
+
+@contextlib.contextmanager
+def _windows_only():
+    """`dy.iterate` and `dy.grid_orbit` raise `_Stepped` inside, so only
+    `dy.dyadic_windows` can read an interval orbit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dy, "iterate", _stepped)
+        patch.setattr(dy, "grid_orbit", _stepped)
+        yield
+
+
+def _window_symbols(sys, num, bits_total, partition, n):
+    """Under `_windows_only`, the symbols `code_orbit` reads from bit
+    windows, or None where it would step the orbit instead (a layout off
+    the dyadic grid)."""
     x = sp.rational_point(LINE, F(num, 1 << bits_total))
-    seg = sb._doubling_windows(dy.doubling(), x, partition, n)
-    return None if seg is None else sb._code_segment(partition, seg.lows, seg.highs, seg.den)
+    try:
+        return list(sb.code_orbit(sys, x, partition, n).symbols)
+    except _Stepped:
+        return None
 
 
 def _scan_doubling_symbols(num, bits_total, partition, n):
@@ -380,19 +407,27 @@ def _dyadic_partitions():
 
 
 def test_fast_doubling_symbols_match_scan_on_every_short_dyadic():
-    # every start num/2**B with B <= 11, coded past the step where it reaches 0
+    """Every start num/2**B with B <= 11, and 1, coded past the step where
+    it reaches 0: doubling against the former scan, which reads 1 as 0,
+    and the tent map against its exact orbit coded step by step."""
     partitions = _dyadic_partitions()
-    starts = [(0, 0)] + [(num, bits) for bits in range(1, 12) for num in range(1, 1 << bits, 2)]
-    for num, bits in starts:
-        for partition in partitions:
+    starts = [(0, 0), (1, 0)] + [(num, bits) for bits in range(1, 12) for num in range(1, 1 << bits, 2)]
+    doubling, tent = WINDOWED
+    segs = [dy.iterate(tent, sp.rational_point(LINE, F(num, 1 << bits)), bits + 7, 24) for num, bits in starts]
+    with _windows_only():
+        for (num, bits), seg in zip(starts, segs):
             n = bits + 7
-            expected = _scan_doubling_symbols(num, bits, partition, n)
-            assert _fast_doubling_symbols(num, bits, partition, n) == expected, (num, bits, partition.name)
+            for partition in partitions:
+                expected = _scan_doubling_symbols(num, bits, partition, n)
+                assert _window_symbols(doubling, num, bits, partition, n) == expected, (num, bits, partition.name)
+                expected = sb._code_segment(partition, seg.lows, seg.highs, seg.den)
+                assert _window_symbols(tent, num, bits, partition, n) == expected, (num, bits, partition.name)
 
 
 def test_fast_doubling_symbols_refuse_ends_off_the_dyadic_grid():
     thirds = _partitions(LINE)[2]
-    assert _fast_doubling_symbols(5, 4, thirds, 8) is None
+    with _windows_only():
+        assert [_window_symbols(sys, 5, 4, thirds, 8) for sys in WINDOWED] == [None, None]
     assert _scan_doubling_symbols(5, 4, thirds, 8) is None
 
 
@@ -431,12 +466,14 @@ def test_fine_dyadic_doubling_codes_in_bounded_time():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=96), st.data())
 def test_fast_doubling_symbols_match_generic_path_on_random_dyadics(bits, data):
-    q = F(data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1)), 1 << bits)
-    level = data.draw(st.integers(min_value=1, max_value=6), label="level")
+    sys = data.draw(st.sampled_from(WINDOWED), label="map")
+    q = F(data.draw(st.integers(min_value=0, max_value=1 << bits)), 1 << bits)
+    level = data.draw(st.integers(min_value=0, max_value=8), label="level")
     n = data.draw(st.integers(min_value=1, max_value=160), label="n")
     partition = sb.dyadic_intervals(LINE, level)
-    fast = _fast_doubling_symbols(q.numerator, q.denominator.bit_length() - 1, partition, n)
-    seg = dy.iterate(dy.doubling(), sp.rational_point(LINE, q), n, 24)
+    with _windows_only():
+        fast = _window_symbols(sys, q.numerator, q.denominator.bit_length() - 1, partition, n)
+    seg = dy.iterate(sys, sp.rational_point(LINE, q), n, 24)
     assert fast is not None
     assert sb._code_segment(partition, seg.lows, seg.highs, seg.den) == fast
 
@@ -638,13 +675,12 @@ def test_shift_recurrence_matches_per_word_loop():
 # -- quantizing ------------------------------------------------------------------
 
 
-def _midpoint_indices(system, boxes, p):
-    """floor(midpoint * 2**p) of each enclosure, taken mod 2**p on the
-    circle and clipped to the grid on the interval."""
+def _midpoint_indices(system, mids, p):
+    """floor(mid * 2**p) of each enclosure's midpoint, taken mod 2**p on
+    the circle and clipped to the grid on the interval."""
     cells = 1 << p
     expected = []
-    for box in boxes:
-        mid = box.midpoint
+    for mid in mids:
         index = mid.numerator * cells // mid.denominator
         if system.space.kind is sp.Kind.CIRCLE:
             expected.append(index % cells)
@@ -663,31 +699,33 @@ def test_quantize_orbit_matches_midpoint(system):
             ref = _ref_iterate(system, x, n, p + 3, 1 << 12)
             if ref is None:
                 continue
-            assert en._quantize_orbit(system, x, n, p) == _midpoint_indices(system, ref[1], p)
+            assert en._quantize_orbit(system, x, n, p) == _midpoint_indices(system, [box.midpoint for box in ref[1]], p)
             cells_checked += 1
     assert cells_checked > 0
 
 
-def test_quantize_orbit_bit_windows_match_midpoint_on_seeded_dyadics(monkeypatch):
-    """Dyadic doubling points are quantized from their bit windows, with no
-    orbit iterated; the indices are those of the exact orbit's midpoints.
-    Seeded expansions of `bits` bits end (their last 1 is at bits - 1)
-    before, at and after n, and before and after n + p."""
-    sys = dy.doubling()
+def test_quantize_orbit_bit_windows_match_midpoint_on_seeded_dyadics():
+    """Dyadic doubling and tent points are quantized from their bit
+    windows, with no orbit stepped; the indices are those of the exact
+    orbit's midpoints, clipped to the grid at the tent map's 1.  Seeded
+    expansions of `bits` bits end (their last 1 is at bits - 1) before,
+    at and after n, and before and after n + p."""
     rng = random.Random(29)
-    cases = [(F(0), 5), (F(1), 5), (F(1, 2), 1), (F(1, 2), 3)]
+    cases = [(F(0), 5), (F(1), 5), (F(1, 2), 1), (F(1, 2), 3), (F(1, 4), 6), (F(3, 4), 6)]
     for n in (1, 2, 5, 13):
         cases += [(F(rng.getrandbits(bits) | 1, 1 << bits), n) for bits in range(1, n + 12)]
     for bits in (2048, 4096, 4097, 4100, 4160):
         cases.append((F(rng.getrandbits(bits) | 1, 1 << bits), 4096))
-    expected = []
-    for q, n in cases:
-        boxes = _ref_iterate(sys, sp.rational_point(LINE, q), n, 11, 1 << 12)[1]
-        expected.append([_midpoint_indices(sys, boxes, p) for p in (1, 4, 6, 8)])
-    monkeypatch.setattr(dy, "iterate", None)
-    for (q, n), indices in zip(cases, expected):
-        x = sp.rational_point(LINE, q)
-        assert [en._quantize_orbit(sys, x, n, p) for p in (1, 4, 6, 8)] == indices, (q, n)
+    scales = (0, 1, 2, 4, 6, 8)
+    for sys in WINDOWED:
+        expected = []
+        for q, n in cases:
+            mids = [box.midpoint for box in _ref_iterate(sys, sp.rational_point(LINE, q), n, 11, 1 << 12)[1]]
+            expected.append([_midpoint_indices(sys, mids, p) for p in scales])
+        with _windows_only():
+            for (q, n), indices in zip(cases, expected):
+                x = sp.rational_point(LINE, q)
+                assert [en._quantize_orbit(sys, x, n, p) for p in scales] == indices, (sys.name, q, n)
 
 
 def test_digit_windows_match_per_window_slices():
@@ -751,19 +789,24 @@ def test_code_orbit_tables_match_per_step_coding():
     the exact orbit coded step by step, rational points of doubling, tent
     and rational rotations (the periodic 1/3 among them), and shift(2)
     and shift(3) under cylinders-1..3, whose oracle points are read to
-    the longest cylinder where the per-step words carry 25 symbols."""
+    the longest cylinder where the per-step words carry 25 symbols.  The
+    dyadic tent points are coded at every level too, with expansions that
+    end before n, inside the last window and past n + level."""
     rng = random.Random(31)
     doubling = dy.doubling()
-    starts = [F(0), F(1), F(1, 2), F(3, 8), F(5, 1 << 10)]
+    starts = [F(0), F(1), F(1, 2), F(1, 4), F(3, 4), F(3, 8), F(5, 1 << 10)]
     starts += [F(rng.getrandbits(bits) | 1, 1 << bits) for bits in (3, 11, 40, 150, 300)]
     for level in range(11):
         partition = sb.dyadic_intervals(LINE, level)
         n = (2 << level) + 60  # more steps than the windows' grid has points
-        for q in starts:
-            x = sp.rational_point(LINE, q)
-            word, seg = sb._code_orbit(doubling, x, partition, n, 24)
-            assert seg.den == 2 << level  # bit windows, not the iterated orbit
-            assert word.symbols == _per_step_symbols(partition, dy.iterate(doubling, x, n, 24)), (level, q)
+        ending = [F(rng.getrandbits(bits) | 1, 1 << bits) for bits in (n - 5, n + level // 2, n + level + 5)]
+        for sys in WINDOWED:
+            for q in starts + ending:
+                x = sp.rational_point(LINE, q)
+                word, seg = sb._code_orbit(sys, x, partition, n, 24)
+                assert seg.den == 2 << level and not seg.exact  # bit windows, not the iterated orbit
+                expected = _per_step_symbols(partition, dy.iterate(sys, x, n, 24))
+                assert word.symbols == expected, (sys.name, level, q)
     rational = [
         (dy.doubling(), [F(1, 3), F(5, 7), F(22, 45)]),
         (dy.tent(), [F(1, 3), F(2, 7), F(1), F(0)]),

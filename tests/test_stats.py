@@ -217,8 +217,10 @@ def test_typicality_dyadic_fast_matches_birkhoff_on_random_dyadics(bits, data):
 
 
 def _per_set(sys, x, ad, n):
-    """(inside, outside, undecided): `code_orbit` on the set's own partition."""
-    symbols = sb.code_orbit(sys, x, stt._ad_partition(ad), n).symbols
+    """(inside, outside, undecided): the set's own partition on the orbit
+    `dy.iterate` computes, not on bit windows."""
+    seg = dy.iterate(sys, x, n, 24)
+    symbols = sb._code_segment(stt._ad_partition(ad), seg.lows, seg.highs, seg.den)
     inside, outside = symbols.count(0), symbols.count(1)
     return inside, outside, n - inside - outside
 
@@ -254,7 +256,7 @@ def _visit_cases(draw):
         x = F(0)
     elif point == "dyadic":
         j = draw(st.integers(min_value=0, max_value=6))
-        x = F(draw(st.integers(min_value=0, max_value=(1 << j) - 1)), 1 << j)
+        x = F(draw(st.integers(min_value=0, max_value=1 << j)), 1 << j)
     elif point == "grid":
         x = F(draw(st.integers(min_value=0, max_value=q - 1)), q)
     else:
@@ -321,8 +323,8 @@ def test_typicality_codes_the_orbit_once(monkeypatch, sys, clear, on_cut):
         assert calls["_code_orbit"] == 1
         iterates.append(calls["iterate"])
         assert (result.undecided_fraction > 0) == (q == on_cut)
-    coding = 0 if sys.map_kind is dy.MapKind.DOUBLING else 1  # dyadic points by bit windows
-    assert iterates == [coding, coding]
+    # dyadic doubling and tent points (all but tent's 1/3) read bit windows
+    assert iterates == {"doubling": [0, 0], "tent": [1, 0], "rotation(3/7)": [1, 1]}[sys.name]
 
 
 def test_visits_on_an_irrational_rotation_iterate_the_orbit_once(monkeypatch):
